@@ -12,8 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, correlation_from_kraus, ensemble_from_channel
-from .entropy import EntropyOrder, VON_NEUMANN, relative_entropy, shannon, vn_entropy
-from .matfun import hermitize, psd_sqrt, sqrt_product
+from .entropy import (
+    EntropyOrder,
+    VON_NEUMANN,
+    relative_entropy,
+    shannon,
+    spectrum_entropy,
+    vn_entropy,
+)
+from .matfun import hermitize, psd_power, psd_sqrt, regularize_singular, sqrt_product
 from .states import assert_state, from_bloch, root_fidelity
 
 __all__ = [
@@ -30,8 +37,10 @@ __all__ = [
     "LindbladReport",
     "lindblad_check",
     "sigma_min_two",
+    "check_b",
     "fidelity_matrix",
     "hierarchy",
+    "hierarchy_batch",
     "holevo_mutual_check",
     "triple_from_params",
     "fidelity_sum_identity",
@@ -87,9 +96,7 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
     log tr (sum p rho^q)^{1/q} / (q - 1).
     """
     if order.is_limit:
-        return vn_entropy(e.average()) - sum(
-            p * vn_entropy(s) for p, s in zip(e.probs, e.states)
-        )
+        return float(_holevo_vn(e.probs, np.stack(e.states)))
     if order.kind == "tsallis":
         avg = e.average()
         return sum(
@@ -97,16 +104,16 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
         )
     # Rényi
     q = order.q
-    mix = sum(p * _psd_power(s, q) for p, s in zip(e.probs, e.states))
-    val = float(np.trace(_psd_power(mix, 1.0 / q)).real)
+    mix = sum(p * psd_power(s, q) for p, s in zip(e.probs, e.states))
+    val = float(np.trace(psd_power(mix, 1.0 / q)).real)
     return math.log(val) / (q - 1.0)
 
 
-def _psd_power(rho: np.ndarray, a: float) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
-    w = np.clip(w, 0.0, None)
-    pw = np.array([x**a if x > 1e-15 else 0.0 for x in w])
-    return (v * pw) @ v.conj().T
+def _holevo_vn(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """S(sum p rho) - sum p S(rho) over (..., k) stacks, with one stacked eigvalsh."""
+    avg = sum(probs[..., i, None, None] * states[..., i, :, :] for i in range(probs.shape[-1]))
+    ent = vn_entropy(np.concatenate([avg[..., None, :, :], states], axis=-3))
+    return ent[..., 0] - (probs * ent[..., 1:]).sum(axis=-1)
 
 
 def correlation_matrix(rho: np.ndarray, kraus, tol: float = 1e-9) -> np.ndarray:
@@ -121,18 +128,17 @@ def correlation_matrix(rho: np.ndarray, kraus, tol: float = 1e-9) -> np.ndarray:
 
 def correlation_from_ensemble(e: Ensemble, unitaries) -> np.ndarray:
     """Gram-type correlation matrix sqrt(p_i p_j) tr sqrt(rho_i) sqrt(rho_j) U_j† U_i."""
-    us = [np.asarray(u, dtype=complex) for u in unitaries]
+    us = np.array(unitaries, dtype=complex)
     if len(us) != len(e):
         raise ValueError("need one unitary per state")
-    roots = [psd_sqrt(s) for s in e.states]
-    k = len(e)
-    sigma = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            sigma[i, j] = math.sqrt(e.probs[i] * e.probs[j]) * np.trace(
-                roots[i] @ roots[j] @ us[j].conj().T @ us[i]
-            )
-    return hermitize(sigma)
+    return _purification_gram(e.probs, psd_sqrt(np.stack(e.states)), us)
+
+
+def _purification_gram(probs: np.ndarray, roots: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """correlation_from_ensemble over (..., k) stacks, given the states' square roots."""
+    products = (roots[..., :, None, :, :] @ roots[..., None, :, :, :]
+                @ us.conj().swapaxes(-1, -2)[..., None, :, :, :] @ us[..., :, None, :, :])
+    return hermitize(_root_probs(probs) * np.trace(products, axis1=-2, axis2=-1))
 
 
 def theorem1_check(
@@ -240,13 +246,35 @@ def sigma_min_two(rho1: np.ndarray, rho2: np.ndarray, lam: float) -> np.ndarray:
     return np.array([[lam, off], [off, 1.0 - lam]])
 
 
-def _root_fidelity_matrix(e: Ensemble) -> np.ndarray:
-    k = len(e)
-    rf = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            rf[i, j] = rf[j, i] = root_fidelity(e.states[i], e.states[j])
+def _root_fidelity_matrix(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """(..., k, k) root fidelities of a (..., k, n, n) stack of states, given their square roots.
+
+    One stacked root_fidelity call covers the k(k-1)/2 pairs.
+    """
+    k = states.shape[-3]
+    i, j = np.triu_indices(k, 1)
+    rf = np.ones(states.shape[:-3] + (k, k))
+    rf[..., i, j] = rf[..., j, i] = root_fidelity(
+        states[..., i, :, :], states[..., j, :, :], sqrt_rho1=roots[..., i, :, :]
+    )
     return rf
+
+
+def _root_probs(probs: np.ndarray) -> np.ndarray:
+    """sqrt(p_i p_j) of a (..., k) stack of probability vectors."""
+    return np.sqrt(probs[..., :, None] * probs[..., None, :])
+
+
+def _damped(g: np.ndarray, b: float) -> np.ndarray:
+    """g with its off-diagonal entries divided by b."""
+    return np.where(np.eye(g.shape[-1], dtype=bool), g, g / b)
+
+
+def check_b(b: float, dim: int) -> None:
+    """Raise ValueError unless b reaches the damping floor of G/b: sqrt(3) for qubits, 2 beyond."""
+    min_b = math.sqrt(3.0) if dim == 2 else 2.0
+    if not b >= min_b - 1e-12:
+        raise ValueError(f"b must be at least {min_b} for dimension {dim}")
 
 
 def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> np.ndarray:
@@ -259,58 +287,53 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
     first off-diagonal, chained products beyond (a true correlation matrix,
     needs invertible states; singular ones are regularized).
     """
-    p_outer = np.sqrt(np.outer(e.probs, e.probs))
-    off = ~np.eye(len(e), dtype=bool)
-    if variant == "G":
-        return p_outer * _root_fidelity_matrix(e)
+    if variant not in ("G", "G/b", "F-squared", "layered"):
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == "G/b":
         if b is None:
             b = 2.0 if e.dim > 2 else math.sqrt(3.0)
-        min_b = math.sqrt(3.0) if e.dim == 2 else 2.0
-        if b < min_b - 1e-12:
-            raise ValueError(f"b must be at least {min_b} for dimension {e.dim}")
-        g = p_outer * _root_fidelity_matrix(e)
-        g[off] /= b
-        return g
-    if variant == "F-squared":
-        if e.dim != 2 and not all(
-            np.trace(s @ s).real > 1.0 - 1e-10 for s in e.states
-        ):
-            raise ValueError("F-squared variant needs qubit or pure ensembles")
-        return p_outer * _root_fidelity_matrix(e) ** 2
+        check_b(b, e.dim)
+    if variant == "F-squared" and e.dim != 2 and not all(
+        np.trace(s @ s).real > 1.0 - 1e-10 for s in e.states
+    ):
+        raise ValueError("F-squared variant needs qubit or pure ensembles")
+    states = np.stack(e.states)
+    rf = _root_fidelity_matrix(states, psd_sqrt(states))
     if variant == "layered":
-        return _layered_matrix(e)
-    raise ValueError(f"unknown variant {variant!r}")
+        return _layered_matrix(e.probs, states, rf)
+    g = _root_probs(e.probs) * (rf**2 if variant == "F-squared" else rf)
+    return _damped(g, b) if variant == "G/b" else g
 
 
-def _layered_matrix(e: Ensemble, eps: float = 1e-9) -> np.ndarray:
-    """Correlation matrix with root fidelities on the tridiagonal.
+def _layered_matrix(probs: np.ndarray, states: np.ndarray, rf: np.ndarray,
+                    eps: float = 1e-9) -> np.ndarray:
+    """Correlation matrix with root fidelities on the tridiagonal, for (..., k) stacks.
 
     sigma_ij for j > i+1 is the chained product
     tr sqrt(rho_j rho_{j-1}) rho_{j-1}^{-1} ... rho_{i+1}^{-1} sqrt(rho_{i+1} rho_i),
-    using the square-root-of-a-product convention for each factor.
+    using the square-root-of-a-product convention for each factor. Singular
+    states are regularized for the chain; rf holds the root fidelities of
+    the states as given.
     """
-    k = len(e)
-    states = []
-    for s in e.states:
-        if np.linalg.eigvalsh(hermitize(s)).min() <= 1e-10:
-            n = s.shape[0]
-            s = (1 - eps) * s + eps * np.eye(n) / n
-        states.append(s)
-    rf = _root_fidelity_matrix(e)
-    sigma = np.diag(e.probs).astype(complex)
-    for i in range(k - 1):
-        val = math.sqrt(e.probs[i] * e.probs[i + 1]) * rf[i, i + 1]
-        sigma[i, i + 1] = sigma[i + 1, i] = val
-    invs = [np.linalg.inv(s) for s in states]
-    for i in range(k):
-        for j in range(i + 2, k):
-            chain = sqrt_product(states[j], states[j - 1])
-            for m in range(j - 1, i, -1):
-                chain = chain @ invs[m] @ sqrt_product(states[m], states[m - 1])
-            val = math.sqrt(e.probs[i] * e.probs[j]) * np.trace(chain)
-            sigma[i, j] = val
-            sigma[j, i] = np.conj(val)
+    k = states.shape[-3]
+    root_p = _root_probs(probs)
+    d, u = np.diag_indices(k), np.arange(k - 1)
+    sigma = np.zeros(rf.shape, dtype=complex)
+    sigma[(...,) + d] = probs
+    sigma[..., u, u + 1] = sigma[..., u + 1, u] = root_p[..., u, u + 1] * rf[..., u, u + 1]
+    if k > 2:
+        states = regularize_singular(states, eps)
+        # steps[..., m-1] = sqrt(rho_m rho_{m-1}); invs[..., m-1] = rho_m^{-1}
+        steps = sqrt_product(states[..., 1:, :, :], states[..., :-1, :, :])
+        invs = np.linalg.inv(states[..., 1:-1, :, :])
+        for i in range(k):
+            for j in range(i + 2, k):
+                chain = steps[..., j - 1, :, :]
+                for m in range(j - 1, i, -1):
+                    chain = chain @ invs[..., m - 1, :, :] @ steps[..., m - 1, :, :]
+                val = root_p[..., i, j] * np.trace(chain, axis1=-2, axis2=-1)
+                sigma[..., i, j] = val
+                sigma[..., j, i] = np.conj(val)
     return hermitize(sigma)
 
 
@@ -344,36 +367,55 @@ class BoundReport:
 def hierarchy(e: Ensemble, b: float = math.sqrt(3.0), slack: float = 1e-9) -> BoundReport | None:
     """Normalized bound report for a k=3 qubit ensemble; None if H(P) = chi.
 
-    Reported on the scale with chi at 0 and H(P) at 1. s_sigma and s_gram
-    both refer to the canonical purification Gram matrix (identity
-    unitaries).
+    The batch-of-one case of hierarchy_batch.
     """
-    if len(e) != 3 or e.dim != 2:
+    return hierarchy_batch(e.probs[None], np.stack(e.states)[None], b=b, slack=slack)[0]
+
+
+def hierarchy_batch(
+    probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0), slack: float = 1e-9
+) -> list[BoundReport | None]:
+    """Normalized bound reports for a stack of k=3 qubit ensembles.
+
+    probs has shape (B, 3) and states (B, 3, 2, 2). Each ensemble's report
+    is on the scale with chi at 0 and H(P) at 1, or None if H(P) - chi is
+    below 1e-10. s_sigma and s_gram both refer to the canonical
+    purification Gram matrix (identity unitaries). The root-fidelity matrix
+    is computed once per ensemble, from one square root per state, and the
+    entropies of all five auxiliary matrices come from one stacked
+    eigvalsh. Every report is bit-identical whatever the stack around it.
+    """
+    probs = np.asarray(probs, dtype=float)
+    states = np.asarray(states, dtype=complex)
+    if probs.ndim != 2 or probs.shape[1] != 3 or states.shape != probs.shape + (2, 2):
         raise ValueError("hierarchy is defined for k=3 qubit ensembles")
-    chi = holevo(e)
-    h_p = shannon(e.probs)
-    if h_p - chi < 1e-10:
-        return None
-    gram = correlation_from_ensemble(e, [np.eye(2)] * 3)
-    s_gram = vn_entropy(gram)
-    s_fid = vn_entropy(fidelity_matrix(e, "G"))
-    s_fid_b = vn_entropy(fidelity_matrix(e, "G/b", b=b))
-    s_fid_sq = vn_entropy(fidelity_matrix(e, "F-squared"))
-    s_layered = vn_entropy(fidelity_matrix(e, "layered"))
-    norm = lambda x: (x - chi) / (h_p - chi)
-    violations = {"conjecture": bool(chi > s_fid + slack)}
-    return BoundReport(
-        chi=0.0,
-        s_sigma=norm(s_gram),
-        s_gram=norm(s_gram),
-        s_fid=norm(s_fid),
-        s_fid_b=norm(s_fid_b),
-        s_fid_sq=norm(s_fid_sq),
-        s_layered=norm(s_layered),
-        h_p=1.0,
-        normalized=True,
-        violations=violations,
-    )
+    check_b(b, 2)
+    if not (np.isfinite(probs).all() and probs.min(initial=0.0) >= -1e-14
+            and (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-10).all()):
+        raise ValueError("probs must be probability vectors")
+    probs = np.maximum(probs, 0.0)
+    chi = _holevo_vn(probs, states)
+    h_p = spectrum_entropy(probs)
+    roots = psd_sqrt(states)
+    rf = _root_fidelity_matrix(states, roots)
+    root_p = _root_probs(probs)
+    g = root_p * rf
+    aux = np.stack([
+        _purification_gram(probs, roots, np.broadcast_to(np.eye(2), states.shape)),
+        g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, states, rf),
+    ], axis=1)
+    ent = vn_entropy(aux)  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
+    kept = ~(h_p - chi < 1e-10)  # a NaN gap keeps its row, so it cannot pass as a skip
+    norm = (ent - chi[:, None]) / np.where(kept, h_p - chi, 1.0)[:, None]
+    conjecture = chi > ent[:, 1] + slack
+    return [
+        BoundReport(chi=0.0, s_sigma=gram, s_gram=gram, s_fid=fid, s_fid_b=fid_b,
+                    s_fid_sq=fid_sq, s_layered=layered, h_p=1.0, normalized=True,
+                    violations={"conjecture": conj})
+        if keep else None
+        for keep, conj, (gram, fid, fid_b, fid_sq, layered)
+        in zip(kept.tolist(), conjecture.tolist(), norm.tolist())
+    ]
 
 
 def holevo_mutual_check(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import hermitize, kron, psd_inv_sqrt, psd_sqrt, reshuffle
+from .matfun import NotPSDError, hermitize, kron, psd_inv_sqrt, psd_sqrt, regularize_singular, reshuffle
 
 __all__ = [
     "InvalidChannelError",
@@ -335,14 +335,11 @@ def kraus_from_ensemble(ensemble, unitaries, eps: float = 1e-9) -> tuple[Channel
     unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
     if len(unitaries) != len(states):
         raise ValueError("need one unitary per state")
-    n = states[0].shape[0]
-    rho = sum(p * u.conj().T @ s @ u for p, s, u in zip(probs, states, unitaries))
-    rho = hermitize(rho)
-    w = np.linalg.eigvalsh(rho)
-    if w.min() <= 1e-10:
-        if not eps:
-            raise InvalidChannelError("average state is singular")
-        rho = (1 - eps) * rho + eps * np.eye(n) / n
+    rho = hermitize(sum(p * u.conj().T @ s @ u for p, s, u in zip(probs, states, unitaries)))
+    try:
+        rho = regularize_singular(rho, eps)
+    except NotPSDError:
+        raise InvalidChannelError("average state is singular") from None
     inv_sqrt = psd_inv_sqrt(rho)
     kraus = [psd_sqrt(p * s) @ u @ inv_sqrt for p, s, u in zip(probs, states, unitaries)]
     return Channel(kraus, tol=1e-7 if eps else 1e-9), rho

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -178,8 +179,11 @@ def run_suite(suite: str, trials: int, seed: int, jobs: int = 1, params: dict | 
         chunks = [(suite, seed, int(a), int(b), params) for a, b in zip(bounds_[:-1], bounds_[1:])]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = [r for chunk in pool.map(_run_chunk, chunks) for r in chunk]
-    violations = sum(1 for r in rows if r["violation"])
-    max_slack = max((r["slack"] for r in rows), default=0.0)
+    slacks = np.array([r["slack"] for r in rows], dtype=float)
+    # a slack that is not finite means the check itself broke: count it as a
+    # violation, and let np.max carry a NaN into max_slack whatever its trial
+    violations = sum(1 for r, x in zip(rows, slacks) if r["violation"] or not math.isfinite(x))
+    max_slack = float(slacks.max()) if rows else 0.0
     return {
         "suite": suite,
         "trials": trials,
@@ -191,6 +195,8 @@ def run_suite(suite: str, trials: int, seed: int, jobs: int = 1, params: dict | 
 
 # ---------------------------------------------------------------------------
 # hierarchy experiment
+
+_HIERARCHY_FIELDS = ("chi", "s_fid", "s_layered", "s_fid_sq", "s_fid_b", "h_p")
 
 
 def run_hierarchy(
@@ -219,7 +225,7 @@ def run_hierarchy(
     kept = [r for r in rows if r is not None]
     skipped = len(rows) - len(kept)
     table = {}
-    for name in ("chi", "s_fid", "s_layered", "s_fid_sq", "s_fid_b", "h_p"):
+    for name in _HIERARCHY_FIELDS:
         vals = np.array([r[name] for r in kept])
         table[name] = {
             "mean": float(vals.mean()),
@@ -239,26 +245,19 @@ def run_hierarchy(
 
 
 def _hierarchy_chunk(args) -> list:
+    """Rows of trials [start, stop): each drawn from its own stream, all evaluated in one stack."""
     seed, start, stop, params = args
-    out = []
-    for t in range(start, stop):
-        rng = stream_rng(seed, t)
-        e = random_ensemble(params["k"], params["dim"], rng, ancilla=params["ancilla"])
-        report = bounds.hierarchy(e, b=params["b"])
-        if report is None:
-            out.append(None)
-            continue
-        out.append(
-            {
-                "chi": report.chi,
-                "s_fid": report.s_fid,
-                "s_layered": report.s_layered,
-                "s_fid_sq": report.s_fid_sq,
-                "s_fid_b": report.s_fid_b,
-                "h_p": report.h_p,
-            }
-        )
-    return out
+    draws = [
+        random_ensemble(params["k"], params["dim"], stream_rng(seed, t), ancilla=params["ancilla"])
+        for t in range(start, stop)
+    ]
+    reports = bounds.hierarchy_batch(
+        np.array([e.probs for e in draws]).reshape(-1, params["k"]),
+        np.array([e.states for e in draws]).reshape(-1, params["k"], params["dim"], params["dim"]),
+        b=params["b"],
+    )
+    return [None if r is None else {name: getattr(r, name) for name in _HIERARCHY_FIELDS}
+            for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +413,41 @@ def _report(command: str, config: dict, results: dict, violations: int,
     }
 
 
+def _writable(path: str) -> bool:
+    """Whether `path` names a file that can be created or overwritten."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent):
+        return False
+    return os.access(path if os.path.exists(path) else parent, os.W_OK)
+
+
+def _validate(parser: argparse.ArgumentParser, args) -> None:
+    """Reject bad parameters as usage errors (exit 2), before any work or output."""
+    for name in ("trials", "jobs", "dim", "k", "resolution"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
+    if not args.q > 0:
+        parser.error("--q must be positive")
+    if args.output is not None and not _writable(args.output):
+        parser.error(f"--output {args.output!r} is not a writable file path")
+    if args.command == "hierarchy":
+        if args.k != 3 or args.dim != 2:
+            parser.error("hierarchy is defined for k=3 qubit ensembles: --k 3 --dim 2")
+        if args.ancilla < 1:
+            parser.error("--ancilla must be at least 1")
+        try:
+            bounds.check_b(args.b, args.dim)
+        except ValueError as exc:
+            parser.error(f"--b: {exc}")
+    if (args.command == "figure" and args.figure == "davies-qutrit-set"
+            and args.resolution < davies.MIN_SWEEP_RESOLUTION):
+        parser.error(f"davies-qutrit-set needs --resolution {davies.MIN_SWEEP_RESOLUTION} or more")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        parser.error("--trials must be at least 1")
-    if getattr(args, "q", 1.0) <= 0:
-        parser.error("--q must be positive")
+    _validate(parser, args)
     t0 = time.time()
 
     if args.command == "verify":

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, InvalidChannelError
+from .entropy import spectrum_entropy
 from .matfun import (
     DegenerateSpectrumError,
     NoRealLogError,
@@ -146,14 +147,6 @@ def bloch_params(d: DaviesQubit) -> QubitChannelParams:
     )
 
 
-def _binary_entropy(x: float) -> float:
-    out = 0.0
-    for v in (x, 1.0 - x):
-        if v > 1e-15:
-            out -= v * math.log(v)
-    return out
-
-
 def qubit_minimizer(d: DaviesQubit) -> tuple[float, float]:
     """Closed-form minimal-output-entropy point of a Davies qubit map.
 
@@ -178,7 +171,8 @@ def qubit_minimizer(d: DaviesQubit) -> tuple[float, float]:
             candidates.append(mu_star)
     mu = max(candidates, key=radius_sq)
     radius = math.sqrt(min(radius_sq(mu), 1.0))
-    return mu, _binary_entropy((1.0 + radius) / 2.0)
+    top = (1.0 + radius) / 2.0
+    return mu, spectrum_entropy([top, 1.0 - top])
 
 
 def qubit_max_norm(d: DaviesQubit) -> float:
@@ -407,6 +401,10 @@ def _limit_offdiag(f: np.ndarray, pos: tuple[int, int], delta: float = 1e-7) -> 
         return math.nan
 
 
+#: Coarsest grid davies_set_sweep accepts.
+MIN_SWEEP_RESOLUTION = 10
+
+
 def davies_set_sweep(resolution: int = 50, temperature_mode: str = "infinite"):
     """Classify the simplex of symmetric bistochastic blocks by membership.
 
@@ -417,8 +415,8 @@ def davies_set_sweep(resolution: int = 50, temperature_mode: str = "infinite"):
     points. Yields dict rows; the cross-section rows (plane sum = 1/2) are
     marked with in_cross_section.
     """
-    if resolution < 10:
-        raise ValueError("resolution must be at least 10")
+    if resolution < MIN_SWEEP_RESOLUTION:
+        raise ValueError(f"resolution must be at least {MIN_SWEEP_RESOLUTION}")
     if temperature_mode != "infinite":
         raise ValueError("only the infinite-temperature (bistochastic) sweep is defined")
     grid = np.linspace(0.0, 1.0, resolution)

@@ -1,8 +1,8 @@
 """Classical and quantum entropies, relative entropies, mutual information, distances.
 
 Everything is computed in nats; converting to bits is left to the output
-layer. The 0·log 0 = 0 convention applies throughout, and eigenvalues below
-SUPPORT_CUTOFF count as outside the support for relative entropies.
+layer. The 0·log 0 = 0 convention applies throughout, and weights and
+eigenvalues at or below matfun.SUPPORT_CUTOFF count as outside the support.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfun import hermitize
+from .matfun import SUPPORT_CUTOFF, psd_log, psd_power, spectral, spectrum
 from .states import root_fidelity
 
 __all__ = [
     "EntropyOrder",
     "VON_NEUMANN",
+    "spectrum_entropy",
     "classical_entropy",
     "shannon",
     "vn_entropy",
@@ -28,9 +29,6 @@ __all__ = [
     "entropic_distance",
     "transmission_distance",
 ]
-
-SUPPORT_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True)
 class EntropyOrder:
@@ -66,58 +64,59 @@ VON_NEUMANN = EntropyOrder()
 
 def _clean_probs(p, tol: float = 1e-10) -> np.ndarray:
     p = np.asarray(p, dtype=float).ravel()
-    if p.min(initial=0.0) < -1e-14:
-        raise ValueError(f"negative probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
-    if abs(p.sum() - 1.0) > tol:
+    low = p.min(initial=0.0)
+    if not low >= -1e-14:  # also catches NaN; inf fails the sum check
+        raise ValueError(f"probability {low:.3e} is negative or not a number")
+    p = np.maximum(p, 0.0)
+    if not abs(p.sum() - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {p.sum()}, not 1")
     return p
 
 
+def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
+    """Shannon / Rényi / Tsallis entropy of each weight vector along the last axis, in nats.
+
+    w holds nonnegative weights summing to 1: a probability vector or a
+    normalized spectrum, or a (..., n) stack of them. Weights at or below
+    SUPPORT_CUTOFF count as exact zeros, which matters for orders q < 1 where
+    numerical noise would otherwise contribute. A NaN weight gives a NaN
+    entropy. Returns a float for one vector and an array for a stack.
+    """
+    p = np.asarray(w, dtype=float)
+    if order.is_limit:
+        # log only on the support: p log p is then 0 off it, and NaN stays NaN
+        out = -(p * np.log(p, out=np.zeros_like(p), where=p > SUPPORT_CUTOFF)).sum(axis=-1)
+    else:
+        power = (np.where(p <= SUPPORT_CUTOFF, 0.0, p) ** order.q).sum(axis=-1)
+        if order.kind == "renyi":
+            out = np.log(power) / (1.0 - order.q)
+        else:
+            out = (1.0 - power) / (order.q - 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def shannon(p) -> float:
-    """Shannon entropy -sum p log p in nats."""
-    p = _clean_probs(p)
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+    """Shannon entropy -sum p log p of a probability vector, in nats."""
+    return spectrum_entropy(_clean_probs(p))
 
 
 def classical_entropy(p, order: EntropyOrder = VON_NEUMANN) -> float:
-    """Shannon / Rényi / Tsallis entropy of a probability vector, in nats.
+    """Shannon / Rényi / Tsallis entropy of a probability vector, in nats."""
+    return spectrum_entropy(_clean_probs(p), order)
 
-    Weights below SUPPORT_CUTOFF are treated as exact zeros; this matters
-    for orders q < 1 where numerical noise would otherwise contribute.
+
+def vn_entropy(rho: np.ndarray, order: EntropyOrder = VON_NEUMANN):
+    """Entropy of a density matrix = classical entropy of its normalized spectrum.
+
+    Takes one matrix (returns a float) or a (..., n, n) stack (returns an
+    array). Negative eigenvalues are clipped to 0; NaN or inf in the input
+    raises NonFiniteError and a zero matrix raises ValueError.
     """
-    p = _clean_probs(p)
-    p = p[p > SUPPORT_CUTOFF]
-    if order.is_limit:
-        return float(-(p * np.log(p)).sum())
-    power = float((p**order.q).sum())
-    if order.kind == "renyi":
-        return math.log(power) / (1.0 - order.q)
-    return (1.0 - power) / (order.q - 1.0)
-
-
-def vn_entropy(rho: np.ndarray, order: EntropyOrder = VON_NEUMANN) -> float:
-    """Entropy of a density matrix = classical entropy of its spectrum."""
-    w = np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex)))
-    w = np.clip(w, 0.0, None)
-    s = w.sum()
-    if s > 0:
-        w = w / s
-    return classical_entropy(w, order)
-
-
-def _log_psd(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
-    w = np.clip(w, 0.0, None)
-    return w, v, v @ np.diag([math.log(x) if x > SUPPORT_CUTOFF else 0.0 for x in w]) @ v.conj().T
-
-
-def _power_psd(rho: np.ndarray, a: float) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
-    w = np.clip(w, 0.0, None)
-    pw = np.array([x**a if x > SUPPORT_CUTOFF else 0.0 for x in w])
-    return (v * pw) @ v.conj().T
+    w = np.maximum(spectrum(rho), 0.0)
+    total = w.sum(axis=-1, keepdims=True)
+    if not (total > 0.0).all():
+        raise ValueError("a zero matrix has no entropy")
+    return spectrum_entropy(w / total, order)
 
 
 def relative_entropy(
@@ -133,15 +132,13 @@ def relative_entropy(
     if rho1.shape != rho2.shape:
         raise ValueError("states must share a dimension")
     if order.is_limit:
-        w2, v2, log2 = _log_psd(rho2)
         # support check: weight of rho1 on the kernel of rho2
-        kernel = v2[:, w2 <= SUPPORT_CUTOFF]
-        if kernel.size and np.trace(kernel.conj().T @ rho1 @ kernel).real > 1e-10:
+        kernel = spectral(rho2, lambda w: w <= SUPPORT_CUTOFF)
+        if np.trace(kernel @ rho1).real > 1e-10:
             return math.inf
-        _, _, log1 = _log_psd(rho1)
-        return float(np.trace(rho1 @ (log1 - log2)).real)
+        return float(np.trace(rho1 @ (psd_log(rho1) - psd_log(rho2))).real)
     q = order.q
-    cross = float(np.trace(_power_psd(rho1, q) @ _power_psd(rho2, 1.0 - q)).real)
+    cross = float(np.trace(psd_power(rho1, q) @ psd_power(rho2, 1.0 - q)).real)
     if order.kind == "tsallis":
         # (tr rho1^q rho2^{1-q} - 1)/(q - 1): recovers the von Neumann
         # relative entropy as q -> 1 and is nonnegative

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 
 from .channels import Channel, InvalidChannelError, is_cptp, map_entropy
-from .entropy import EntropyOrder, VON_NEUMANN, classical_entropy, vn_entropy
+from .entropy import EntropyOrder, VON_NEUMANN, classical_entropy, spectrum_entropy, vn_entropy
 from .states import PAULI
 
 __all__ = [
@@ -106,18 +106,6 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _entropy_of_probs(p: np.ndarray, order: EntropyOrder) -> np.ndarray:
-    p = np.clip(p, 0.0, 1.0)
-    if order.is_limit:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0, -p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-        return terms.sum(axis=-1)
-    power = (np.where(p > 0, p, 0.0) ** order.q).sum(axis=-1)
-    if order.kind == "renyi":
-        return np.log(power) / (1.0 - order.q)
-    return (1.0 - power) / (order.q - 1.0)
-
-
 def _bloch_affine(phi: Channel) -> tuple[np.ndarray, np.ndarray]:
     """(W, kappa) with Bloch_out = W Bloch_in + kappa for a qubit channel."""
     if phi.in_dim != 2 or phi.out_dim != 2:
@@ -157,13 +145,13 @@ def min_output_entropy(
         def radius_entropy(r):
             out = w @ r + kappa
             rad = min(np.linalg.norm(out), 1.0)
-            return float(_entropy_of_probs(np.array([(1 + rad) / 2, (1 - rad) / 2]), order))
+            return spectrum_entropy([(1 + rad) / 2, (1 - rad) / 2], order)
 
         pts = _fibonacci_sphere(grid)
         out = pts @ w.T + kappa
-        radii = np.linalg.norm(out, axis=1)
+        radii = np.minimum(np.linalg.norm(out, axis=1), 1.0)
         probs = np.stack([(1 + radii) / 2, (1 - radii) / 2], axis=1)
-        ent = _entropy_of_probs(probs, order)
+        ent = spectrum_entropy(probs, order)
         best = int(np.argmin(ent))
         value = float(ent[best])
         x, y, z = pts[best]

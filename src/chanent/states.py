@@ -152,15 +152,21 @@ def schmidt_number(psi: np.ndarray, dims: tuple[int, int], tol: float = 1e-10) -
     return int(np.count_nonzero(coeffs > tol))
 
 
-def root_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), computed via two PSD square roots."""
+def root_fidelity(rho1: np.ndarray, rho2: np.ndarray, sqrt_rho1: np.ndarray | None = None):
+    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), clipped to [0, 1], via two PSD square roots.
+
+    Takes one pair (returns a float) or two (..., n, n) stacks of states
+    (returns an array). sqrt_rho1 is psd_sqrt(rho1), when the caller
+    already holds it.
+    """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError("states must share a dimension")
-    sr = psd_sqrt(rho1)
-    val = np.trace(psd_sqrt(sr @ rho2 @ sr)).real
-    return float(min(max(val, 0.0), 1.0))
+    sr = psd_sqrt(rho1) if sqrt_rho1 is None else sqrt_rho1
+    val = np.trace(psd_sqrt(sr @ rho2 @ sr), axis1=-2, axis2=-1).real
+    val = np.minimum(np.maximum(val, 0.0), 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:

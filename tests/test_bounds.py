@@ -303,6 +303,47 @@ class TestHierarchy:
         # here the report may or may not be degenerate, just exercise the path
         bounds.hierarchy(e3)
 
+    def test_scalar_is_its_row_in_a_batch(self):
+        rng = stream_rng(60, 3)
+        ens = [random_ens(rng) for _ in range(7)]
+        batch = bounds.hierarchy_batch(
+            np.array([e.probs for e in ens]), np.array([e.states for e in ens])
+        )
+        for e, row in zip(ens, batch):
+            assert bounds.hierarchy(e) == row  # bit for bit, field by field
+
+    def test_root_fidelities_once_per_pair(self, monkeypatch):
+        pairs = []
+        real = bounds.root_fidelity
+
+        def counted(rho1, rho2, sqrt_rho1=None):
+            pairs.append(int(np.prod(np.shape(rho1)[:-2])))
+            return real(rho1, rho2, sqrt_rho1)
+
+        monkeypatch.setattr(bounds, "root_fidelity", counted)
+        rng = stream_rng(60, 4)
+        ens = [random_ens(rng) for _ in range(5)]
+        bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
+        assert pairs == [3 * 5]  # one stacked call: 3 pairs per ensemble
+
+    def test_non_finite_state_fails_the_batch(self):
+        rng = stream_rng(60, 5)
+        ens = [random_ens(rng) for _ in range(4)]
+        states = np.array([e.states for e in ens])
+        states[2, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            bounds.hierarchy_batch(np.array([e.probs for e in ens]), states)
+
+    def test_batch_rejects_bad_shapes_and_b(self):
+        e = random_ens(stream_rng(60, 6))
+        probs, states = e.probs[None], np.array(e.states)[None]
+        with pytest.raises(ValueError):
+            bounds.hierarchy_batch(probs[:, :2], states[:, :2])
+        with pytest.raises(ValueError):
+            bounds.hierarchy_batch(probs, states, b=1.0)
+        with pytest.raises(ValueError):
+            bounds.hierarchy_batch(probs * 2, states)
+
     def test_json_fields(self):
         import json
 

@@ -59,18 +59,74 @@ class TestVerify:
                          "--output", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_nan_slack_is_a_violation(self, tmp_path, monkeypatch):
+        # NaN compares False with every threshold, so a trial flag alone misses it
+        def nan_at_two(seed, t, params):
+            return {"slack": math.nan if t == 2 else -1.0, "violation": False}
+
+        monkeypatch.setitem(cli._TRIALS, "lindblad", nan_at_two)
+        out = tmp_path / "r.json"
+        code = cli.main(["verify", "--suite", "lindblad", "--trials", "5", "--output", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["violations"] == 1
+        assert math.isnan(report["max_slack"])
+
+    def test_max_slack_independent_of_trial_order(self, monkeypatch):
+        for first in (0, 3):
+            def trial(seed, t, params, first=first):
+                return {"slack": math.nan if t == first else float(t), "violation": False}
+
+            monkeypatch.setitem(cli._TRIALS, "lindblad", trial)
+            res = cli.run_suite("lindblad", 4, seed=0)
+            assert res["violations"] == 1 and math.isnan(res["max_slack"])
+
     def test_jobs_do_not_change_results(self, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        cli.main(["verify", "--suite", "conjecture1", "--trials", "30", "--seed", "11",
-                  "--output", str(p1), "--jobs", "1"])
-        cli.main(["verify", "--suite", "conjecture1", "--trials", "30", "--seed", "11",
-                  "--output", str(p2), "--jobs", "2"])
-        a, b = json.loads(p1.read_text()), json.loads(p2.read_text())
-        a.pop("elapsed_ms")
-        b.pop("elapsed_ms")
-        a["config"].pop("jobs")
-        b["config"].pop("jobs")
-        assert a == b
+        for argv in (["verify", "--suite", "conjecture1"], ["hierarchy"]):
+            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+            cli.main([*argv, "--trials", "30", "--seed", "11", "--output", str(p1), "--jobs", "1"])
+            cli.main([*argv, "--trials", "30", "--seed", "11", "--output", str(p2), "--jobs", "2"])
+            a, b = json.loads(p1.read_text()), json.loads(p2.read_text())
+            a.pop("elapsed_ms")
+            b.pop("elapsed_ms")
+            a["config"].pop("jobs")
+            b["config"].pop("jobs")
+            assert a == b
+
+
+class TestUsageErrors:
+    # each of these once ended in a traceback (exit 1, the "violations found"
+    # code) or was silently accepted
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hierarchy", "--k", "4"],
+            ["hierarchy", "--dim", "3"],
+            ["hierarchy", "--b", "1.0"],
+            ["hierarchy", "--b", "nan"],
+            ["hierarchy", "--ancilla", "0"],
+            ["verify", "--suite", "conjecture1", "--k", "0"],
+            ["verify", "--suite", "theorem1", "--dim", "0"],
+            ["verify", "--suite", "theorem1", "--jobs", "0"],
+            ["figure", "--figure", "davies-qutrit-set", "--resolution", "5"],
+            ["figure", "--figure", "additivity-region", "--resolution", "0"],
+            ["figure", "--figure", "scatter-q", "--q", "nan"],
+        ],
+    )
+    def test_bad_parameter_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--trials", "3"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""  # rejected before any output
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_unwritable_output_exits_2(self, tmp_path, target, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--suite", "theorem1", "--trials", "3",
+                      "--output", str(tmp_path / target)])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHierarchy:
@@ -90,6 +146,16 @@ class TestHierarchy:
         short = cli._hierarchy_chunk((42, 0, 25, params))
         long = cli._hierarchy_chunk((42, 0, 60, params))
         assert short == long[:25]
+
+    def test_rows_independent_of_chunk_size(self):
+        # each chunk is one stacked evaluation; a row never depends on its neighbours
+        params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}
+        whole = cli._hierarchy_chunk((42, 0, 60, params))
+        for size in (1, 7, 25):
+            rows = []
+            for start in range(0, 60, size):
+                rows += cli._hierarchy_chunk((42, start, min(start + size, 60), params))
+            assert rows == whole
 
 
 class TestFigures:

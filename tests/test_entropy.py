@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from chanent import entropy
 from chanent.entropy import EntropyOrder
-from chanent.matfun import kron
+from chanent.matfun import SUPPORT_CUTOFF, NonFiniteError, kron
 from chanent.sampling import dirichlet, hs_random_density, stream_rng
 from chanent.states import pure_state
+from tests_support import psd_stacks
+
+ORDERS = (EntropyOrder(), EntropyOrder.renyi(0.5), EntropyOrder.renyi(2), EntropyOrder.tsallis(1.5))
 
 
 class TestClassicalEntropy:
@@ -64,6 +68,62 @@ class TestVnEntropy:
         rho = hs_random_density(4, stream_rng(20, 1))
         w = np.linalg.eigvalsh(rho)
         assert abs(entropy.vn_entropy(rho) - entropy.classical_entropy(np.clip(w, 0, None))) < 1e-10
+
+
+    def test_non_finite_input_raises(self):
+        # without the check the eigensolver turns these into an entropy of -0.0
+        for bad in (np.full((2, 2), np.nan), np.array([[1.0, 0.0], [0.0, np.nan]]),
+                    np.array([[0.5, np.inf], [np.inf, 0.5]])):
+            with pytest.raises(NonFiniteError):
+                entropy.vn_entropy(bad)
+
+    def test_zero_matrix_raises(self):
+        with pytest.raises(ValueError):
+            entropy.vn_entropy(np.zeros((2, 2)))
+
+    def test_stack_shape_and_values(self):
+        rng = stream_rng(20, 2)
+        rhos = np.stack([[hs_random_density(3, rng) for _ in range(2)] for _ in range(4)])
+        out = entropy.vn_entropy(rhos)
+        assert out.shape == (4, 2)
+        for row, rho_row in zip(out, rhos):
+            for value, rho in zip(row, rho_row):
+                assert value == entropy.vn_entropy(rho)
+
+    @settings(max_examples=60, deadline=None)
+    @given(psd_stacks())
+    def test_stack_equals_loop(self, hs):
+        assume((np.trace(hs, axis1=-2, axis2=-1).real > 0).all())
+        for order in ORDERS:
+            stacked = entropy.vn_entropy(hs, order)
+            looped = np.array([entropy.vn_entropy(h, order) for h in hs])
+            np.testing.assert_array_equal(stacked, looped)
+
+
+class TestSpectrumEntropy:
+    def test_matches_classical_entropy(self):
+        rng = stream_rng(20, 3)
+        ps = np.stack([dirichlet(4, rng) for _ in range(6)])
+        for order in ORDERS:
+            stacked = entropy.spectrum_entropy(ps, order)
+            assert stacked.shape == (6,)
+            for value, p in zip(stacked, ps):
+                assert value == entropy.classical_entropy(p, order)
+
+    def test_weights_at_cutoff_are_zeros(self):
+        top = 1.0 - SUPPORT_CUTOFF
+        for order in ORDERS:
+            with_cutoff = entropy.spectrum_entropy([top, SUPPORT_CUTOFF], order)
+            assert with_cutoff == entropy.spectrum_entropy([top, 0.0], order)
+
+    def test_nan_weight_propagates(self):
+        for order in ORDERS:
+            assert math.isnan(entropy.spectrum_entropy([0.5, np.nan], order))
+
+    def test_probability_entry_points_reject_nan(self):
+        for fn in (entropy.shannon, entropy.classical_entropy):
+            with pytest.raises(ValueError):
+                fn([0.5, np.nan, 0.5])
 
 
 class TestRelativeEntropy:

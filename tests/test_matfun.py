@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from chanent import matfun
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, stream_rng
+from tests_support import psd_stacks
 
 
 def rand_complex(rng, shape):
@@ -296,3 +298,80 @@ class TestMatrixExp:
             term = term @ m / k
             series += term
         np.testing.assert_allclose(matfun.matrix_exp(m), series, atol=1e-10)
+
+
+class TestSpectral:
+    def test_stack_axes_are_kept(self):
+        # hermitizing with .T would reverse the stack axes; swapaxes keeps them
+        rng = stream_rng(5, 0)
+        hs = np.stack([hs_random_density(2, rng) for _ in range(3)])
+        out = matfun.psd_sqrt(hs)
+        assert out.shape == hs.shape
+        for h, s in zip(hs, out):
+            np.testing.assert_allclose(s @ s, h, atol=1e-12)
+
+    def test_function_of_spectrum(self):
+        h = np.diag([4.0, 9.0])
+        np.testing.assert_allclose(matfun.spectral(h, lambda w: w**2), np.diag([16.0, 81.0]))
+
+    def test_negative_eigenvalue_raises_in_a_stack(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-3])])
+        with pytest.raises(matfun.NotPSDError):
+            matfun.spectral(stack, np.sqrt)
+
+    def test_small_negatives_are_clipped(self):
+        out = matfun.psd_sqrt(np.diag([1.0, -1e-12]))
+        np.testing.assert_array_equal(out, np.diag([1.0, 0.0]))
+
+    def test_inverse_sqrt(self):
+        h = np.diag([4.0, 0.25])
+        np.testing.assert_allclose(matfun.psd_inv_sqrt(h), np.diag([0.5, 2.0]))
+        with pytest.raises(matfun.NotPSDError):
+            matfun.psd_inv_sqrt(np.diag([1.0, 0.0]))
+
+    def test_power_and_log_vanish_off_support(self):
+        h = np.diag([0.5, matfun.SUPPORT_CUTOFF, 0.0])
+        np.testing.assert_allclose(matfun.psd_power(h, -1.0), np.diag([2.0, 0.0, 0.0]))
+        np.testing.assert_allclose(matfun.psd_log(h), np.diag([np.log(0.5), 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        # an eigensolver maps [[1, 0], [0, nan]] to finite eigenvalues [0, -0]
+        h = np.array([[1.0, 0.0], [0.0, bad]])
+        for fn in (matfun.psd_sqrt, matfun.psd_inv_sqrt, matfun.spectrum,
+                   lambda m: matfun.spectral(m, np.sqrt)):
+            with pytest.raises(matfun.NonFiniteError):
+                fn(h)
+        with pytest.raises(matfun.NonFiniteError):
+            matfun.psd_sqrt(np.full((2, 2), bad))
+
+    def test_one_bad_matrix_fails_the_stack(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
+        with pytest.raises(matfun.NonFiniteError):
+            matfun.psd_sqrt(stack)
+
+    @settings(max_examples=60, deadline=None)
+    @given(psd_stacks())
+    def test_stack_equals_loop(self, hs):
+        for f in (np.sqrt, lambda w: w * np.log(np.where(w > 0, w, 1.0))):
+            stacked = matfun.spectral(hs, f)
+            looped = np.stack([matfun.spectral(h, f) for h in hs])
+            np.testing.assert_array_equal(stacked, looped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(psd_stacks())
+    def test_sqrt_squares_back(self, hs):
+        s = matfun.psd_sqrt(hs)
+        np.testing.assert_allclose(s @ s, hs, atol=1e-9)
+
+
+class TestRegularizeSingular:
+    def test_only_singular_matrices_move(self):
+        stack = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
+        out = matfun.regularize_singular(stack, eps=1e-9)
+        np.testing.assert_array_equal(out[0], stack[0])
+        np.testing.assert_allclose(out[1], np.diag([1.0 - 0.5e-9, 0.5e-9]), rtol=0, atol=1e-15)
+
+    def test_disabled_regularization_raises(self):
+        with pytest.raises(matfun.NotPSDError):
+            matfun.regularize_singular(np.diag([1.0, 0.0]), eps=0)

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chanent import davies
 from chanent.matfun import matrix_exp
+from chanent.sampling import haar_unitary, stream_rng
 
 
 def random_thermal_block(rng, with_mu: bool = False) -> davies.DaviesQutritBlock:
@@ -32,3 +34,29 @@ def random_thermal_block(rng, with_mu: bool = False) -> davies.DaviesQutritBlock
             ]
         )
     return davies.DaviesQutritBlock(f21=f[1, 0], f31=f[2, 0], f32=f[2, 1], p=p, mu=mu)
+
+
+def stack_from_spectra(spectra, seed):
+    """U diag(w) U† for each row of spectra, with a Haar U per row."""
+    rng = stream_rng(seed, 0)
+    n = spectra.shape[-1]
+    us = np.stack([haar_unitary(n, rng) for _ in range(len(spectra))])
+    return (us * spectra[:, None, :]) @ us.conj().swapaxes(-1, -2)
+
+
+# Spectra that stress an eigensolver: exact zeros (rank deficiency) and
+# eigenvalues closer than 1e-9 (near degeneracy), next to generic ones.
+_eigenvalue = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-9),
+    st.sampled_from([0.25, 0.5]).flatmap(lambda c: st.floats(c, c + 1e-10)),
+    st.floats(1e-6, 1.0),
+)
+
+
+@st.composite
+def psd_stacks(draw):
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 5))
+    spectra = np.array([[draw(_eigenvalue) for _ in range(n)] for _ in range(count)])
+    return stack_from_spectra(spectra, draw(st.integers(0, 2**32)))
