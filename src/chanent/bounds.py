@@ -46,6 +46,7 @@ __all__ = [
     "fidelity_sum_identity",
     "symmetric_triple_check",
     "symmetric_triple_eigenvalues",
+    "CONJECTURE_MAX_K",
     "conjecture_fuzz",
     "find_indefinite_gram",
 ]
@@ -594,10 +595,17 @@ def symmetric_triple_check(f: float, b: float, slack: float = 1e-9) -> tuple[flo
 # -- Monte Carlo drivers -------------------------------------------------------
 
 
+# The root-fidelity matrix G is PSD for up to three states; for more it can be
+# indefinite (find_indefinite_gram), and then S(G) is not an entropy.
+CONJECTURE_MAX_K = 3
+
+
 def conjecture_fuzz(k: int, n: int, trials: int, seed: int) -> dict:
-    """Count violations of chi <= S(root-fidelity matrix) on random ensembles."""
+    """Count violations of chi <= S(root-fidelity matrix) on random ensembles of k <= 3 states."""
     from .sampling import random_ensemble, stream_rng
 
+    if k > CONJECTURE_MAX_K:
+        raise ValueError(f"the conjecture is stated for k <= {CONJECTURE_MAX_K} states, got {k}")
     violations = 0
     max_excess = -math.inf
     for t in range(trials):

@@ -48,7 +48,7 @@ def _trial_theorem1(seed: int, t: int, params: dict) -> dict:
     rho = hs_random_density(n, rng)
     phi = random_channel(n, k, rng)
     chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi.kraus)
-    return {"slack": max(chi - s_sigma, s_sigma - h_p), "violation": not ok}
+    return {"slack": float(np.max([chi - s_sigma, s_sigma - h_p])), "violation": not ok}
 
 
 def _trial_props(seed: int, t: int, params: dict) -> dict:
@@ -72,7 +72,7 @@ def _trial_lindblad(seed: int, t: int, params: dict) -> dict:
     rho = hs_random_density(n, rng)
     phi = random_channel(n, 1 + int(rng.random() * 3), rng)
     rep = bounds.lindblad_check(rho, phi)
-    worst = -min(rep.lower_slack, rep.upper_slack, rep.chi_slack)
+    worst = -float(np.min([rep.lower_slack, rep.upper_slack, rep.chi_slack]))
     return {"slack": worst, "violation": worst > 1e-9}
 
 
@@ -82,13 +82,13 @@ def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
     phi1 = random_channel(n, 1 + int(rng.random() * 3), rng)
     phi2 = random_channel(n, 1 + int(rng.random() * 3), rng)
     rep = qubit.sandwich_check(phi1, phi2)
-    worst = -min(
+    worst = -float(np.min([
         rep.middle_vn - rep.lower_vn,
         rep.upper_vn - rep.middle_vn,
         rep.middle_tsallis2 - rep.lower_tsallis2,
         rep.upper_tsallis2 - rep.middle_tsallis2,
         rep.middle_renyi2 - rep.renyi2_lower,
-    )
+    ]))
     return {"slack": worst, "violation": worst > 1e-9}
 
 
@@ -114,15 +114,16 @@ def _trial_davies(seed: int, t: int, params: dict) -> dict:
     d = _random_davies(rng)
     phi = davies.qubit_superoperator(d)
     _, s_closed = davies.qubit_minimizer(d)
-    s_opt, _ = qubit.min_output_entropy(phi, grid=20000)
+    s_opt, _ = qubit.min_output_entropy(phi)
     gap = abs(s_closed - s_opt)
     # semigroup property on a random rate triple
     gam = 0.2 + rng.random()
     rel = rng.random() * 2.0 * gam
     rates = davies.DaviesRates(rel, gam, 0.2 + 0.6 * rng.random(), t=0.0)
     res = davies.semigroup_residual(rates, 0.3 + rng.random(), 0.3 + rng.random())
-    worst = max(gap - 1e-6, res - 1e-9, 0.0)
-    return {"slack": max(gap, res), "violation": worst > 0.0}
+    # np.max, unlike max, carries a NaN from any position into the slack
+    worst = np.max([gap - 1e-6, res - 1e-9, 0.0])
+    return {"slack": float(np.max([gap, res])), "violation": bool(worst > 0.0)}
 
 
 def _trial_multiplicativity(seed: int, t: int, params: dict) -> dict:
@@ -439,6 +440,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             bounds.check_b(args.b, args.dim)
         except ValueError as exc:
             parser.error(f"--b: {exc}")
+    if (args.command == "verify" and args.suite == "conjecture1"
+            and args.k > bounds.CONJECTURE_MAX_K):
+        parser.error(f"conjecture1 is stated for --k {bounds.CONJECTURE_MAX_K} or less: "
+                     "for more states the root-fidelity matrix can be indefinite")
     if (args.command == "figure" and args.figure == "davies-qutrit-set"
             and args.resolution < davies.MIN_SWEEP_RESOLUTION):
         parser.error(f"davies-qutrit-set needs --resolution {davies.MIN_SWEEP_RESOLUTION} or more")

@@ -1,9 +1,10 @@
 """One-qubit channel families and the (map entropy, minimal output entropy) plane.
 
 Pauli channels, depolarizing channels and the closed relation between their
-Rényi-2 entropies, numerical minimal-output-entropy and maximal-output-norm
-optimizers, the subadditive sandwich, the additivity-region predicate, and
-the transformations preserving the minimal output entropy.
+Rényi-2 entropies, the minimal output entropy (exact on qubits, numerical
+beyond), the maximal-output-norm optimizer, the subadditive sandwich, the
+additivity-region predicate, and the transformations preserving the minimal
+output entropy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.optimize
 
 from .channels import Channel, InvalidChannelError, is_cptp, map_entropy
 from .entropy import EntropyOrder, VON_NEUMANN, classical_entropy, spectrum_entropy, vn_entropy
-from .states import PAULI
+from .states import PAULI, from_bloch
 
 __all__ = [
     "pauli_channel",
@@ -97,31 +98,67 @@ def smin_from_smap(s_map: float, n: int) -> float:
 # -- minimal output entropy ---------------------------------------------------
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    """Deterministic quasi-uniform points on the unit sphere."""
-    i = np.arange(count)
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+# Pauli basis (I, X, Y, Z) as the columns of a 4x4 matrix, vectorized row-major
+# like the superoperator, so that P† S P / 2 is the Pauli transfer matrix.
+_PAULI_COLUMNS = np.stack([s.reshape(-1) for s in _SIGMA], axis=1)
 
 
 def _bloch_affine(phi: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """(W, kappa) with Bloch_out = W Bloch_in + kappa for a qubit channel."""
+    """(W, kappa) with Bloch_out = W Bloch_in + kappa for a qubit channel.
+
+    Both are read off the Pauli transfer matrix T_ij = tr(sigma_i Phi(sigma_j))/2:
+    W is its lower right 3x3 block and kappa the rest of its first column.
+    """
     if phi.in_dim != 2 or phi.out_dim != 2:
         raise ValueError("Bloch form needs a qubit channel")
-    kappa = np.array([np.trace(phi.apply(np.eye(2) / 2) @ s).real for s in PAULI])
-    w = np.empty((3, 3))
-    for j, sj in enumerate(PAULI):
-        out = phi.apply(sj / 2)
-        for i, si in enumerate(PAULI):
-            w[i, j] = np.trace(out @ si).real
-    return w, kappa
+    t = (_PAULI_COLUMNS.conj().T @ phi.superoperator @ _PAULI_COLUMNS).real / 2.0
+    return t[1:, 1:], t[1:, 0]
 
 
-def _qubit_pure(theta: float, phi_angle: float) -> np.ndarray:
-    psi = np.array([math.cos(theta / 2), complex(math.cos(phi_angle), math.sin(phi_angle)) * math.sin(theta / 2)])
-    return np.outer(psi, psi.conj())
+def _max_bloch_direction(w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Unit vector r maximizing |W r + kappa| (a trust-region subproblem).
+
+    With A = WᵀW = Q diag(a) Qᵀ (a_1 >= a_2 >= a_3) and c = Qᵀ Wᵀ kappa, the
+    global maximizer is Q y with y_i = c_i/(mu + d_i), d_i = a_1 - a_i >= 0,
+    where mu >= 0 solves the secular equation sum c_i²/(mu + d_i)² = 1
+    (Moré & Sorensen 1983). Shifting by a_1 keeps the pole at mu = 0 free of
+    cancellation. The root lies in [|c_top|, |c|], c_top being c on the top
+    eigenspace. When c_top = 0 there is no pole; the lower end becomes
+    d_min (sqrt(sum c_i²/d_i²) - 1), and if that is not positive (the hard
+    case) mu = 0 and the weight left over goes on a top eigenvector.
+    """
+    a, q = np.linalg.eigh(w.T @ w)
+    a, q = a[::-1], q[:, ::-1]
+    c = q.T @ (w.T @ kappa)
+    d = a[0] - a
+    live = c != 0.0  # the terms of the secular equation; all others are zero
+    c_live, d_live = c[live], d[live]
+    lo, hi = float(np.linalg.norm(c[d == 0.0])), float(np.linalg.norm(c))
+    if lo == 0.0:
+        # sum c²/(mu + d)² >= weight (d_min/(mu + d_min))², which is >= 1 up to the new lo
+        y = np.zeros(3)
+        y[live] = c_live / d_live
+        weight = float(y @ y)
+        lo = float(d_live.min(initial=np.inf)) * (math.sqrt(weight) - 1.0)
+        if not lo > 0.0:
+            y[0] = math.sqrt(max(1.0 - weight, 0.0))
+            return q @ y
+
+    def secular(nu: float) -> float:
+        # 1/|y| - 1 at mu = exp(nu): nearly linear in mu, and a root next to a
+        # tiny |c_top| is found to full relative precision
+        return 1.0 / math.sqrt(float(np.sum((c_live / (math.exp(nu) + d_live)) ** 2))) - 1.0
+
+    nu_lo, nu_hi = math.log(lo), math.log(hi)
+    if secular(nu_lo) >= 0.0:
+        nu = nu_lo
+    elif secular(nu_hi) <= 0.0:
+        nu = nu_hi
+    else:
+        nu = scipy.optimize.brentq(secular, nu_lo, nu_hi, xtol=4 * np.finfo(float).eps)
+    mu = math.exp(nu)
+    y = c / (mu + d)
+    return q @ (y / np.linalg.norm(y))
 
 
 def min_output_entropy(
@@ -134,46 +171,20 @@ def min_output_entropy(
     """Minimal output entropy over pure inputs and the minimizing state.
 
     The minimum of a concave function over states sits on the pure states.
-    Qubits use a deterministic Fibonacci sphere grid (vectorized through the
-    Bloch affine form) plus Nelder-Mead refinement; other dimensions use a
-    seeded random probe set plus refinement of the best candidates.
+    On qubits it is exact: every entropy order falls as the output Bloch
+    radius grows, so the minimizer is the pure state (I + r·sigma)/2 whose
+    Bloch vector r maximizes |W r + kappa| (`_max_bloch_direction`). Other
+    dimensions use `grid`/10 (at least 500) seeded random probes from stream
+    `seed` plus Nelder-Mead refinement of the best three when `refine` is set;
+    the qubit path ignores these three arguments.
     """
     n = phi.in_dim
     if n == 2:
         w, kappa = _bloch_affine(phi)
-
-        def radius_entropy(r):
-            out = w @ r + kappa
-            rad = min(np.linalg.norm(out), 1.0)
-            return spectrum_entropy([(1 + rad) / 2, (1 - rad) / 2], order)
-
-        pts = _fibonacci_sphere(grid)
-        out = pts @ w.T + kappa
-        radii = np.minimum(np.linalg.norm(out, axis=1), 1.0)
-        probs = np.stack([(1 + radii) / 2, (1 - radii) / 2], axis=1)
-        ent = spectrum_entropy(probs, order)
-        best = int(np.argmin(ent))
-        value = float(ent[best])
-        x, y, z = pts[best]
-        theta0 = math.acos(min(max(z, -1.0), 1.0))
-        phi0 = math.atan2(y, x)
-        if refine:
-
-            def objective(angles):
-                th, ph = angles
-                r = np.array(
-                    [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-                )
-                return radius_entropy(r)
-
-            res = scipy.optimize.minimize(
-                objective, [theta0, phi0], method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400},
-            )
-            if res.fun < value:
-                value = float(res.fun)
-                theta0, phi0 = res.x
-        return value, _qubit_pure(theta0, phi0)
+        r = _max_bloch_direction(w, kappa)
+        rad = min(float(np.linalg.norm(w @ r + kappa)), 1.0)
+        value = float(spectrum_entropy([(1 + rad) / 2, (1 - rad) / 2], order))
+        return value, from_bloch(r)
 
     # generic small dimension: seeded probes + local refinement
     from .sampling import random_pure_state, stream_rng

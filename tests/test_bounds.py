@@ -495,3 +495,8 @@ class TestConjectureFuzz:
     def test_report_shape(self):
         rep = bounds.conjecture_fuzz(3, 2, 50, seed=5)
         assert rep["violations"] == 0 and rep["trials"] == 50
+
+    def test_rejects_more_than_three_states(self):
+        # for k >= 4 the root-fidelity matrix can be indefinite, so S(G) is no entropy
+        with pytest.raises(ValueError):
+            bounds.conjecture_fuzz(4, 2, 5, seed=5)

@@ -72,6 +72,32 @@ class TestVerify:
         assert report["violations"] == 1
         assert math.isnan(report["max_slack"])
 
+    @pytest.mark.parametrize("suite", ["davies", "lindblad", "sandwich", "theorem1"])
+    def test_nan_in_a_later_slack_term_is_a_violation(self, suite, tmp_path, monkeypatch):
+        # Python's max/min keep a finite value over a NaN that is not their first
+        # argument, so each suite's own slack combination must carry the NaN
+        from types import SimpleNamespace
+
+        from chanent import davies, qubit
+
+        if suite == "davies":
+            monkeypatch.setattr(davies, "semigroup_residual", lambda *args: math.nan)
+        elif suite == "theorem1":
+            monkeypatch.setattr(cli.bounds, "theorem1_check", lambda *args: (0.1, 0.2, math.nan, True))
+        elif suite == "lindblad":
+            rep = SimpleNamespace(lower_slack=0.1, upper_slack=math.nan, chi_slack=0.2)
+            monkeypatch.setattr(cli.bounds, "lindblad_check", lambda *args: rep)
+        else:
+            rep = qubit.SandwichReport(middle_vn=1.0, middle_tsallis2=1.0, lower_vn=0.0,
+                                       upper_vn=2.0, lower_tsallis2=0.0, upper_tsallis2=2.0,
+                                       renyi2_lower=math.nan, middle_renyi2=1.0)
+            monkeypatch.setattr(qubit, "sandwich_check", lambda *args: rep)
+        out = tmp_path / "r.json"
+        code = cli.main(["verify", "--suite", suite, "--trials", "3", "--output", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["violations"] == 3 and math.isnan(report["max_slack"])
+
     def test_max_slack_independent_of_trial_order(self, monkeypatch):
         for first in (0, 3):
             def trial(seed, t, params, first=first):
@@ -111,6 +137,7 @@ class TestUsageErrors:
             ["figure", "--figure", "davies-qutrit-set", "--resolution", "5"],
             ["figure", "--figure", "additivity-region", "--resolution", "0"],
             ["figure", "--figure", "scatter-q", "--q", "nan"],
+            ["verify", "--suite", "conjecture1", "--k", "4"],
         ],
     )
     def test_bad_parameter_exits_2(self, argv, capsys):

@@ -92,6 +92,16 @@ class TestQubitMinimizer:
             s_opt, _ = min_output_entropy(davies.qubit_superoperator(d))
             assert abs(s_closed - s_opt) < 1e-6
 
+    def test_matches_exact_minimizer_tightly(self):
+        # both sides are exact: they differ only by rounding
+        from chanent.qubit import min_output_entropy
+
+        for t in range(200):
+            d = random_valid_qubit(stream_rng(83, t))
+            _, s_closed = davies.qubit_minimizer(d)
+            s_opt, _ = min_output_entropy(davies.qubit_superoperator(d))
+            assert abs(s_closed - s_opt) <= 1e-12
+
 
 class TestQubitMaxNorm:
     def test_identity(self):

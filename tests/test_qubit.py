@@ -1,11 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chanent import qubit
-from chanent.channels import identity_channel, map_entropy, unitary_channel
-from chanent.entropy import EntropyOrder, classical_entropy, shannon, vn_entropy
+from chanent import davies, qubit
+from chanent.channels import Channel, identity_channel, map_entropy, unitary_channel
+from chanent.entropy import VON_NEUMANN, EntropyOrder, classical_entropy, shannon, spectrum_entropy, vn_entropy
+from chanent.matfun import SUPPORT_CUTOFF
+from chanent.states import PAULI, to_bloch
 from chanent.sampling import dirichlet, haar_unitary, random_channel, stream_rng
 
 
@@ -110,6 +116,135 @@ class TestMinOutputEntropy:
         assert val <= probes.min() + 1e-8
         # the returned minimizer really attains the value
         assert abs(vn_entropy(phi.apply(state)) - val) < 1e-8
+
+
+ORDERS = (VON_NEUMANN, EntropyOrder.renyi(0.5), EntropyOrder.renyi(2.0), EntropyOrder.tsallis(2.0))
+
+
+def radius_entropy(radius, order):
+    return spectrum_entropy(np.stack([(1 + radius) / 2, (1 - radius) / 2], axis=-1), order)
+
+
+def amplitude_damping(gamma):
+    return Channel([np.array([[1.0, 0.0], [0.0, math.sqrt(1 - gamma)]]),
+                    np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])])
+
+
+class TestExactQubitMinimizer:
+    def test_bloch_affine_matches_apply(self):
+        phi = random_channel(2, 3, stream_rng(73, 0))
+        w, kappa = qubit._bloch_affine(phi)
+        for r in np.eye(3):
+            rho = (np.eye(2) + np.tensordot(r, PAULI, axes=1)) / 2
+            np.testing.assert_allclose(to_bloch(phi.apply(rho)), w @ r + kappa, atol=1e-14)
+
+    def test_hard_case_pauli(self):
+        # kappa = 0, so c = 0: the optimum is the axis of the largest |eta_i|
+        w = np.array([0.5, 0.1, 0.15, 0.25])
+        phi = qubit.pauli_channel(w)
+        eta = np.array([w[0] + w[1] - w[2] - w[3], w[0] + w[2] - w[1] - w[3], w[0] + w[3] - w[1] - w[2]])
+        r = qubit._max_bloch_direction(*qubit._bloch_affine(phi))
+        np.testing.assert_allclose(np.abs(r), np.eye(3)[np.argmax(np.abs(eta))], atol=1e-14)
+        for order in ORDERS:
+            value, _ = qubit.min_output_entropy(phi, order)
+            assert abs(value - radius_entropy(np.abs(eta).max(), order)) < 1e-14
+
+    def test_hard_case_depolarizing(self):
+        # A is a multiple of the identity: every direction is optimal
+        for s in (0.0, 0.3, 1.0):
+            phi = qubit.depolarizing(2, s)
+            r = qubit._max_bloch_direction(*qubit._bloch_affine(phi))
+            assert abs(np.linalg.norm(r) - 1.0) < 1e-15
+            value, state = qubit.min_output_entropy(phi)
+            assert abs(value - radius_entropy(1.0 - s, VON_NEUMANN)) < 1e-14
+            assert abs(vn_entropy(phi.apply(state)) - value) < 1e-14
+
+    def test_hard_case_davies_interior(self):
+        # c² > eta3² and |z*| < 1: the optimum leaves the z axis at z = z*
+        d = davies.DaviesQubit(a=0.1, c=0.9, p=0.3)
+        params = davies.bloch_params(d)
+        eta3, kappa3 = params.eta[2], params.kappa[2]
+        z_star = kappa3 * eta3 / (d.c ** 2 - eta3 ** 2)
+        assert d.c ** 2 > eta3 ** 2 and abs(z_star) < 1
+        phi = davies.qubit_superoperator(d)
+        w, kappa = qubit._bloch_affine(phi)
+        r = qubit._max_bloch_direction(w, kappa)
+        assert abs(r[2] - z_star) < 1e-14
+        assert abs(np.linalg.norm(w @ r + kappa) - (2 * davies.qubit_max_norm(d) - 1)) < 1e-14
+        value, _ = qubit.min_output_entropy(phi)
+        assert abs(value - davies.qubit_minimizer(d)[1]) < 1e-14
+
+    def test_easy_case_known_root(self):
+        # build c from a chosen root: y_i = c_i/(mu + d_i) with |y| = 1 and c_top != 0
+        a = np.array([0.8, 0.5, 0.2])
+        y = np.array([0.6, -0.48, 0.64])
+        c = y * (0.3 + (a[0] - a))
+        w = np.diag(np.sqrt(a))
+        kappa = c / np.sqrt(a)  # W kappa = c with W diagonal
+        np.testing.assert_allclose(qubit._max_bloch_direction(w, kappa), y, atol=1e-14)
+
+    def test_amplitude_damping(self):
+        # the output of |0> stays pure; amplitude damping sits on the hard-case boundary sum_rest c²/d² = 1
+        for gamma in (0.1, 0.3, 0.5, 0.77, 0.95):
+            phi = amplitude_damping(gamma)
+            for order in ORDERS:
+                value, state = qubit.min_output_entropy(phi, order)
+                assert abs(value) < 1e-14
+                np.testing.assert_allclose(state, np.diag([1.0, 0.0]), atol=1e-6)
+
+    def test_unitary_radius_one(self):
+        u = haar_unitary(2, stream_rng(73, 1))
+        phi = unitary_channel(u)
+        w, kappa = qubit._bloch_affine(phi)
+        r = qubit._max_bloch_direction(w, kappa)
+        assert abs(np.linalg.norm(w @ r + kappa) - 1.0) < 1e-14
+        for order in ORDERS:
+            assert abs(qubit.min_output_entropy(phi, order)[0]) < 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from(ORDERS))
+    def test_random_channels_grid_and_kkt(self, kraus, seed, order):
+        phi = random_channel(2, kraus, stream_rng(seed, 0))
+        w, kappa = qubit._bloch_affine(phi)
+        value, state = qubit.min_output_entropy(phi, order)
+        assert abs(vn_entropy(phi.apply(state), order) - value) < 1e-12
+        # no point of a dense 2-angle grid does better; the support cutoff lets
+        # an order below 1 dip by up to SUPPORT_CUTOFF next to radius 1
+        theta, ang = np.meshgrid(np.linspace(0, math.pi, 201), np.linspace(0, 2 * math.pi, 400))
+        pts = np.stack([np.sin(theta) * np.cos(ang), np.sin(theta) * np.sin(ang), np.cos(theta)], -1)
+        radii = np.minimum(np.linalg.norm(pts.reshape(-1, 3) @ w.T + kappa, axis=1), 1.0)
+        assert value <= radius_entropy(radii, order).min() + 2 * SUPPORT_CUTOFF
+        # KKT for max |W r + kappa|² on the sphere: W^T(W r + kappa) = lam r, lam >= a_1
+        r = to_bloch(state)
+        grad = w.T @ (w @ r + kappa)
+        lam = float(r @ grad)
+        np.testing.assert_allclose(grad, lam * r, atol=1e-12)
+        assert lam >= np.linalg.eigvalsh(w.T @ w)[-1] - 1e-12
+
+    def test_no_runtime_warnings(self):
+        channels = [
+            qubit.pauli_channel([0.4, 0.3, 0.2, 0.1]),
+            qubit.depolarizing(2, 1.0),
+            identity_channel(2),
+            amplitude_damping(1.0),
+            amplitude_damping(0.4),
+            davies.qubit_superoperator(davies.DaviesQubit(a=0.1, c=0.9, p=0.3)),
+        ] + [random_channel(2, 1 + t % 4, stream_rng(73, 10 + t)) for t in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi in channels:
+                for order in ORDERS:
+                    qubit.min_output_entropy(phi, order)
+
+    def test_qubit_path_runs_no_minimize(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize called on the qubit path")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", forbidden)
+        for t in range(10):
+            qubit.min_output_entropy(random_channel(2, 2, stream_rng(73, 40 + t)))
+        with pytest.raises(AssertionError):
+            qubit.min_output_entropy(qubit.depolarizing(3, 0.5), grid=100)
 
 
 class TestScatter:
