@@ -117,14 +117,18 @@ def _holevo_vn(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return ent[..., 0] - (probs * ent[..., 1:]).sum(axis=-1)
 
 
+def _as_channel(phi) -> Channel:
+    """phi itself if it is a Channel, else its Kraus list validated as one."""
+    return phi if isinstance(phi, Channel) else Channel(phi)
+
+
 def correlation_matrix(rho: np.ndarray, kraus, tol: float = 1e-9) -> np.ndarray:
-    """Correlation matrix sigma_ij = tr K^i rho K^j† of a POVM acting on rho."""
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    n = kraus[0].shape[1]
-    ident = sum(k.conj().T @ k for k in kraus)
-    if np.abs(ident - np.eye(n)).max() > tol:
-        raise ValueError("Kraus operators do not resolve the identity")
-    return correlation_from_kraus(kraus, rho)
+    """Correlation matrix sigma_ij = tr K^i rho K^j† of a POVM acting on rho.
+
+    The Kraus list must resolve the identity to tol: otherwise it raises
+    InvalidChannelError, a ValueError.
+    """
+    return correlation_from_kraus(Channel(kraus, tol=tol).kraus, rho)
 
 
 def correlation_from_ensemble(e: Ensemble, unitaries) -> np.ndarray:
@@ -143,25 +147,28 @@ def _purification_gram(probs: np.ndarray, roots: np.ndarray, us: np.ndarray) -> 
 
 
 def theorem1_check(
-    rho: np.ndarray, kraus, slack: float = 1e-9
+    rho: np.ndarray, phi, slack: float = 1e-9
 ) -> tuple[float, float, float, bool]:
     """The chain chi <= S(sigma) <= H(P) for a measurement ensemble.
 
+    phi is a Channel or a Kraus list; a list is validated as one Channel.
     Returns (chi, s_sigma, h_p, ok).
     """
-    sigma = correlation_matrix(rho, kraus)
-    phi = Channel(kraus)
-    e = ensemble_from_channel(phi, rho)
-    chi = holevo(e)
+    phi = _as_channel(phi)
+    sigma = correlation_from_kraus(phi.kraus, rho)
+    chi = holevo(ensemble_from_channel(phi, rho))
     s_sigma = vn_entropy(sigma)
     h_p = shannon(np.diag(sigma).real / np.trace(sigma).real)
     ok = chi <= s_sigma + slack and s_sigma <= h_p + slack
     return chi, s_sigma, h_p, ok
 
 
-def info_gain_check(rho: np.ndarray, kraus, slack: float = 1e-9) -> bool:
-    """Average output entropy does not exceed the input entropy."""
-    e = ensemble_from_channel(Channel(kraus), rho)
+def info_gain_check(rho: np.ndarray, phi, slack: float = 1e-9) -> bool:
+    """Average output entropy does not exceed the input entropy.
+
+    phi is a Channel or a Kraus list; a list is validated as one Channel.
+    """
+    e = ensemble_from_channel(_as_channel(phi), rho)
     avg = sum(p * vn_entropy(s) for p, s in zip(e.probs, e.states))
     return avg <= vn_entropy(rho) + slack
 

@@ -2,10 +2,12 @@
 
 Conventions. Density matrices are vectorized row-major ("lexicographically"),
 so the superoperator of a channel with Kraus list {K} is sum K ⊗ conj(K) and
-the dynamical matrix is its reshuffling. The cached Choi state is the
-normalized dynamical matrix D/N with the identity applied to the first
-factor, so that tracing out the second factor gives I/N for any trace
-preserving map.
+the dynamical matrix is its reshuffling. The Choi state is the normalized
+dynamical matrix D/N with the identity applied to the first factor, so that
+tracing out the second factor gives I/N for any trace preserving map.
+
+A Kraus list is held as one (m, out, in) stack, and every builder below is a
+product over that stack rather than a loop over its operators.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import NotPSDError, hermitize, kron, psd_inv_sqrt, psd_sqrt, regularize_singular, reshuffle
+from .matfun import NotPSDError, hermitize, psd_inv_sqrt, psd_sqrt, regularize_singular, reshuffle
 
 __all__ = [
     "InvalidChannelError",
@@ -41,23 +44,39 @@ class InvalidChannelError(ValueError):
     """Kraus/Choi/superoperator data violates complete positivity or trace preservation."""
 
 
-def _vec_row(k: np.ndarray) -> np.ndarray:
-    return np.asarray(k, dtype=complex).reshape(-1)
-
-
-def _vec_col(k: np.ndarray) -> np.ndarray:
-    return np.asarray(k, dtype=complex).T.reshape(-1)
+def _kraus_stack(kraus) -> np.ndarray:
+    """The Kraus operators as one complex (m, out, in) array."""
+    try:
+        stack = np.array(kraus, dtype=complex)
+    except ValueError:  # ragged: the operators' shapes differ
+        raise InvalidChannelError("Kraus operators must share a shape") from None
+    if stack.ndim != 3 or not len(stack):
+        raise InvalidChannelError("need a nonempty list of Kraus matrices")
+    return stack
 
 
 def kraus_to_superoperator(kraus) -> np.ndarray:
-    """Superoperator sum K ⊗ conj(K) acting on row-major vectorized matrices."""
-    return sum(kron(k, k.conj()) for k in kraus)
+    """Superoperator sum K ⊗ conj(K) acting on row-major vectorized matrices.
+
+    One product of the row-vectorized stack gives the dynamical matrix
+    sum vec(K) vec(K)†; its reshuffling is the superoperator.
+    """
+    stack = np.asarray(kraus, dtype=complex)
+    m, out, n = stack.shape
+    rows = stack.reshape(m, out * n)
+    d = (rows.T @ rows.conj()).reshape(out, n, out, n)
+    return d.transpose(0, 2, 1, 3).reshape(out * out, n * n)
 
 
-def kraus_to_choi(kraus, dim_in: int) -> np.ndarray:
-    """Normalized Choi state [id ⊗ Phi](|phi+><phi+|)."""
-    d = sum(np.outer(_vec_col(k), _vec_col(k).conj()) for k in kraus)
-    return d / dim_in
+def kraus_to_choi(kraus) -> np.ndarray:
+    """Normalized Choi state [id ⊗ Phi](|phi+><phi+|).
+
+    One product of the column-vectorized stack: sum vec(K) vec(K)† / in_dim.
+    """
+    stack = np.asarray(kraus, dtype=complex)
+    m, out, n = stack.shape
+    cols = stack.transpose(0, 2, 1).reshape(m, n * out)
+    return hermitize(cols.T @ cols.conj()) / n
 
 
 @dataclass(frozen=True)
@@ -72,47 +91,54 @@ class CptpReport:
         return self.cp and self.tp
 
 
-def _cptp_report(kraus, dim_in: int, tol: float) -> CptpReport:
-    # min_choi_eig is reported on the normalized (unit trace) Choi scale
-    ident = sum(k.conj().T @ k for k in kraus)
-    tp_residual = float(np.abs(ident - np.eye(dim_in)).max())
-    choi = kraus_to_choi(kraus, dim_in)
-    min_eig = float(np.linalg.eigvalsh(hermitize(choi)).min())
+def _cptp_report(stack: np.ndarray, choi: np.ndarray, tol: float) -> CptpReport:
+    """TP residual max|sum K†K - I| and CP test on the minimum Choi eigenvalue.
+
+    min_choi_eig is on the normalized (unit trace) Choi scale. A NaN or inf
+    Kraus entry makes the residual NaN or inf; the eigenvalue is then NaN
+    rather than whatever an eigensolver makes of it, so neither test passes.
+    """
+    m, out, n = stack.shape
+    flat = stack.reshape(m * out, n)  # flat† flat = sum K†K
+    tp_residual = float(np.abs(flat.conj().T @ flat - np.eye(n)).max())
+    min_eig = float(np.linalg.eigvalsh(choi).min()) if math.isfinite(tp_residual) else math.nan
     return CptpReport(
         cp=min_eig >= -tol, tp=tp_residual <= tol, min_choi_eig=min_eig, tp_residual=tp_residual
     )
 
 
 class Channel:
-    """A CPTP map held as a Kraus list with cached superoperator and Choi state.
+    """A CPTP map held as an (m, out, in) Kraus stack, validated on construction.
 
     Kraus operators may be rectangular (out_dim × in_dim); this happens for
-    complementary channels. Instances are immutable: the caches are built in
-    the constructor and never touched again.
+    complementary channels. The constructor builds the Choi state, because
+    the CP check needs its minimum eigenvalue, and checks trace preservation
+    on sum K†K; a Kraus list that fails either check, or has a NaN or inf
+    entry, raises InvalidChannelError. The superoperator is built on first
+    read and then cached. Instances are immutable: the Kraus stack is a
+    read-only copy of the input.
     """
 
-    def __init__(self, kraus, tol: float = 1e-9, validate: bool = True):
-        kraus = [np.asarray(k, dtype=complex) for k in kraus]
-        if not kraus:
-            raise InvalidChannelError("empty Kraus list")
-        out_dim, in_dim = kraus[0].shape
-        if any(k.shape != (out_dim, in_dim) for k in kraus):
-            raise InvalidChannelError("Kraus operators must share a shape")
-        self.kraus = kraus
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.superoperator = kraus_to_superoperator(kraus)
-        self.choi = kraus_to_choi(kraus, in_dim)
-        if validate:
-            report = _cptp_report(kraus, in_dim, tol)
-            if not report.tp:
-                raise InvalidChannelError(
-                    f"not trace preserving: |sum K†K - I| = {report.tp_residual:.3e}"
-                )
-            if not report.cp:
-                raise InvalidChannelError(
-                    f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}"
-                )
+    def __init__(self, kraus, tol: float = 1e-9):
+        self.kraus = _kraus_stack(kraus)
+        self.kraus.flags.writeable = False
+        if not np.isfinite(self.kraus).all():
+            raise InvalidChannelError("Kraus operator has a NaN or infinite entry")
+        self.out_dim, self.in_dim = self.kraus.shape[1:]
+        self.choi = kraus_to_choi(self.kraus)
+        report = _cptp_report(self.kraus, self.choi, tol)
+        if not report.tp:
+            raise InvalidChannelError(
+                f"not trace preserving: |sum K†K - I| = {report.tp_residual:.3e}"
+            )
+        if not report.cp:
+            raise InvalidChannelError(
+                f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}"
+            )
+
+    @cached_property
+    def superoperator(self) -> np.ndarray:
+        return kraus_to_superoperator(self.kraus)
 
     @property
     def dim(self) -> int:
@@ -126,13 +152,10 @@ class Channel:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.in_dim, self.in_dim):
             raise ValueError(f"state dimension {rho.shape[0]} != channel dimension {self.in_dim}")
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+        return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
     def is_cptp(self, tol: float = 1e-9) -> CptpReport:
-        return _cptp_report(self.kraus, self.in_dim, tol)
+        return _cptp_report(self.kraus, self.choi, tol)
 
     # -- representation conversions ------------------------------------
 
@@ -183,13 +206,13 @@ class Channel:
         """Channel rho -> self(inner(rho)); Kraus products, validated on construction."""
         if inner.out_dim != self.in_dim:
             raise ValueError("dimension mismatch in composition")
-        kraus = [k2 @ k1 for k2 in self.kraus for k1 in inner.kraus]
-        return Channel(kraus)
+        pairs = self.kraus[:, None] @ inner.kraus[None]  # (m2, m1, out, in)
+        return Channel(pairs.reshape(-1, self.out_dim, inner.in_dim))
 
     def tensor(self, other: "Channel") -> "Channel":
         """Tensor product channel with pairwise Kronecker Kraus operators."""
-        kraus = [kron(k1, k2) for k1 in self.kraus for k2 in other.kraus]
-        return Channel(kraus)
+        pairs = np.einsum("aij,bkl->abikjl", self.kraus, other.kraus)
+        return Channel(pairs.reshape(-1, self.out_dim * other.out_dim, self.in_dim * other.in_dim))
 
     def complementary(self) -> "Channel":
         """Channel to the environment: Ktilde^a[i, j] = K^i[a, j].
@@ -197,10 +220,7 @@ class Channel:
         Maps states on C^in to states on C^M where M is the Kraus count;
         the output entries of the complementary channel are tr K^i rho K^j†.
         """
-        m = len(self.kraus)
-        stack = np.stack(self.kraus)  # (m, out, in)
-        kraus = [stack[:, a, :] for a in range(self.out_dim)]
-        return Channel(kraus)
+        return Channel(self.kraus.transpose(1, 0, 2))
 
     # -- serialization ----------------------------------------------------
 
@@ -254,7 +274,8 @@ def is_cptp(obj, tol: float = 1e-9) -> CptpReport:
                 min_choi_eig=min_eig,
                 tp_residual=tp_residual,
             )
-    return _cptp_report([np.asarray(k, dtype=complex) for k in obj], np.asarray(obj[0]).shape[1], tol)
+    stack = _kraus_stack(obj)
+    return _cptp_report(stack, kraus_to_choi(stack), tol)
 
 
 # -- channel-level entropies -------------------------------------------------
@@ -277,14 +298,10 @@ def exchange_entropy(phi: Channel, rho: np.ndarray, order: EntropyOrder = VON_NE
 
 def correlation_from_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     """Correlation matrix sigma_ij = tr K^i rho K^j† of a measurement/channel."""
-    rho = np.asarray(rho, dtype=complex)
-    mats = [k @ rho for k in kraus]
-    m = len(kraus)
-    sigma = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            sigma[i, j] = np.trace(mats[i] @ kraus[j].conj().T)
-    return hermitize(sigma)
+    stack = np.asarray(kraus, dtype=complex)
+    m = len(stack)
+    left = (stack @ np.asarray(rho, dtype=complex)).reshape(m, -1)
+    return hermitize(left @ stack.reshape(m, -1).conj().T)
 
 
 def coherent_information(phi: Channel, rho: np.ndarray) -> float:
@@ -299,16 +316,11 @@ def ensemble_from_channel(phi: Channel, rho: np.ndarray, cutoff: float = 1e-12):
     """
     from .bounds import Ensemble
 
-    probs, states = [], []
-    for k in phi.kraus:
-        out = k @ rho @ k.conj().T
-        p = float(np.trace(out).real)
-        if p < cutoff:
-            continue
-        probs.append(p)
-        states.append(out / p)
-    probs = np.array(probs)
-    return Ensemble(probs / probs.sum(), states)
+    outs = phi.kraus @ np.asarray(rho, dtype=complex) @ phi.kraus.conj().swapaxes(-1, -2)
+    probs = np.trace(outs, axis1=-2, axis2=-1).real
+    kept = probs >= cutoff
+    probs, outs = probs[kept], outs[kept]
+    return Ensemble(probs / probs.sum(), outs / probs[:, None, None])
 
 
 def pair_optimal_unitary(rho1: np.ndarray, rho2: np.ndarray, u1: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ def _trial_theorem1(seed: int, t: int, params: dict) -> dict:
     k = 1 + int(rng.random() * params.get("k", 4))
     rho = hs_random_density(n, rng)
     phi = random_channel(n, k, rng)
-    chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi.kraus)
+    chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi)
     return {"slack": float(np.max([chi - s_sigma, s_sigma - h_p])), "violation": not ok}
 
 
@@ -57,7 +57,7 @@ def _trial_props(seed: int, t: int, params: dict) -> dict:
     rho = hs_random_density(n, rng)
     phi1 = random_channel(n, 1 + int(rng.random() * 3), rng)
     phi2 = random_channel(n, 1 + int(rng.random() * 3), rng)
-    ok_gain = bounds.info_gain_check(rho, phi1.kraus)
+    ok_gain = bounds.info_gain_check(rho, phi1)
     ok3, ok4 = bounds.concat_bound_check(phi1, phi2, rho)
     lower = bounds.composition_map_entropy_lower(phi1, phi2)
     upper = map_entropy(phi2.compose(phi1))
@@ -214,6 +214,8 @@ def run_hierarchy(
     States are drawn from the induced Hilbert-Schmidt measure with the given
     ancilla dimension (ancilla=3 reproduces the published table; ancilla=dim
     is the flat HS measure), probabilities from the flat Dirichlet measure.
+    "violations" counts the kept ensembles with chi > S(G), against the
+    conjecture chi <= S(G) behind the s_fid column.
     """
     params = {"k": k, "dim": dim, "b": b, "ancilla": ancilla}
     if jobs <= 1:
@@ -242,6 +244,7 @@ def run_hierarchy(
         "b": b,
         "ancilla": ancilla,
         "table": table,
+        "violations": sum(r["conjecture"] for r in kept),
     }
 
 
@@ -257,7 +260,8 @@ def _hierarchy_chunk(args) -> list:
         np.array([e.states for e in draws]).reshape(-1, params["k"], params["dim"], params["dim"]),
         b=params["b"],
     )
-    return [None if r is None else {name: getattr(r, name) for name in _HIERARCHY_FIELDS}
+    return [None if r is None else {**{name: getattr(r, name) for name in _HIERARCHY_FIELDS},
+                                    "conjecture": r.violations["conjecture"]}
             for r in reports]
 
 
@@ -472,14 +476,16 @@ def main(argv=None) -> int:
     if args.command == "hierarchy":
         res = run_hierarchy(trials=args.trials, seed=args.seed, k=args.k, dim=args.dim,
                             b=args.b, ancilla=args.ancilla, jobs=args.jobs)
+        # the count is the report's own violations field, not one of the results
+        violations = res.pop("violations")
         config = {"trials": args.trials, "k": args.k, "dim": args.dim, "b": args.b,
                   "ancilla": args.ancilla, "jobs": args.jobs}
-        report = _report("hierarchy", config, res, 0, 0.0, args.seed, t0)
+        report = _report("hierarchy", config, res, violations, 0.0, args.seed, t0)
         _emit(json.dumps(report, indent=2) + "\n", args.output)
         if not args.output:
             for name, cell in res["table"].items():
                 print(f"# {name:10s} {cell['mean']:8.4f} ± {cell['std']:.4f}", file=sys.stderr)
-        return 0
+        return 0 if violations == 0 else 1
 
     # figures
     base = math.e if args.log_base == "e" else 2.0

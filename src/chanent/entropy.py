@@ -79,15 +79,20 @@ def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
     w holds nonnegative weights summing to 1: a probability vector or a
     normalized spectrum, or a (..., n) stack of them. Weights at or below
     SUPPORT_CUTOFF count as exact zeros, which matters for orders q < 1 where
-    numerical noise would otherwise contribute. A NaN weight gives a NaN
-    entropy. Returns a float for one vector and an array for a stack.
+    numerical noise would otherwise contribute. For Rényi and Tsallis orders
+    the kept weights are renormalized before the power sum, so these
+    entropies are never negative; a weight p crossing the cutoff still makes
+    the entropy jump by about p^q, which for q < 1 is far more than p. A NaN
+    weight gives a NaN entropy. Returns a float for one vector and an array
+    for a stack.
     """
     p = np.asarray(w, dtype=float)
     if order.is_limit:
         # log only on the support: p log p is then 0 off it, and NaN stays NaN
         out = -(p * np.log(p, out=np.zeros_like(p), where=p > SUPPORT_CUTOFF)).sum(axis=-1)
     else:
-        power = (np.where(p <= SUPPORT_CUTOFF, 0.0, p) ** order.q).sum(axis=-1)
+        kept = np.where(p <= SUPPORT_CUTOFF, 0.0, p)
+        power = ((kept / kept.sum(axis=-1, keepdims=True)) ** order.q).sum(axis=-1)
         if order.kind == "renyi":
             out = np.log(power) / (1.0 - order.q)
         else:

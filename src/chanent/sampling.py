@@ -103,9 +103,7 @@ def random_channel(n: int, m: int, rng: np.random.Generator):
     """
     from .channels import Channel
 
-    u = haar_unitary(n * m, rng)
-    kraus = [u[i * n : (i + 1) * n, :n] for i in range(m)]
-    return Channel(kraus)
+    return Channel(haar_unitary(n * m, rng)[:, :n].reshape(m, n, n))
 
 
 def random_ensemble(k: int, n: int, rng: np.random.Generator, ancilla: int | None = None):

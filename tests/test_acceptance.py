@@ -77,7 +77,7 @@ class TestCriterion2Theorem1:
             k = 1 + int(rng.random() * 4)
             rho = hs_random_density(n, rng)
             phi = random_channel(n, k, rng)
-            chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi.kraus)
+            chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi)
             worst = max(worst, chi - s_sigma, s_sigma - h_p)
             violations += 0 if ok else 1
         report(2, "theorem-1 chain", violations == 0,
@@ -91,7 +91,7 @@ class TestCriterion2Theorem1:
             n = 2 if rng.random() < 0.5 else 3
             phi = random_channel(n, 1 + int(rng.random() * 4), rng)
             rho = pure_state(random_pure_state(n, rng))
-            chi, s_sigma, _, _ = bounds.theorem1_check(rho, phi.kraus)
+            chi, s_sigma, _, _ = bounds.theorem1_check(rho, phi)
             worst = max(worst, abs(chi - s_sigma))
         report(2, "pure-state saturation", worst <= 1e-9,
                f"10^3 pure inputs, max |chi - S(sigma)| = {worst:.2e}")

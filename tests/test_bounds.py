@@ -125,6 +125,14 @@ class TestTheorem1:
         chi, s_sigma, _, ok = bounds.theorem1_check(rho, phi.kraus)
         assert ok
 
+    def test_channel_or_kraus_list(self):
+        rng = stream_rng(53, 5)
+        phi = random_channel(3, 3, rng)
+        rho = hs_random_density(3, rng)
+        assert bounds.theorem1_check(rho, phi) == bounds.theorem1_check(rho, list(phi.kraus))
+        with pytest.raises(ValueError):
+            bounds.theorem1_check(rho, [0.5 * k for k in phi.kraus])
+
     def test_random_instances(self):
         for t in range(200):
             rng = stream_rng(53, t + 10)

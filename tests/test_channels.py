@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chanent import channels
+from chanent import channels, cli
 from chanent.bounds import Ensemble
 from chanent.channels import Channel
 from chanent.entropy import EntropyOrder, vn_entropy
@@ -16,6 +18,7 @@ from chanent.sampling import (
     stream_rng,
 )
 from chanent.states import purify, root_fidelity
+from tests_support import kraus_lists
 
 
 def depolarizing2():
@@ -279,3 +282,103 @@ class TestSerialization:
         phi = Channel(kraus)
         e = channels.ensemble_from_channel(phi, np.eye(2) / 2)
         assert len(e) == 1 and abs(e.probs[0] - 1.0) < 1e-12
+
+
+def _rho_for(kraus, seed):
+    return hs_random_density(kraus[0].shape[1], stream_rng(seed, 1))
+
+
+class TestStackedBuilders:
+    """Each stacked builder against a per-operator loop over the same Kraus list."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists())
+    def test_superoperator(self, kraus):
+        looped = sum(np.kron(k, k.conj()) for k in kraus)
+        stacked = channels.kraus_to_superoperator(kraus)
+        np.testing.assert_allclose(stacked, looped, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(Channel(kraus).superoperator, looped, rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists())
+    def test_choi(self, kraus):
+        cols = [k.T.reshape(-1) for k in kraus]
+        looped = sum(np.outer(c, c.conj()) for c in cols) / kraus[0].shape[1]
+        np.testing.assert_allclose(channels.kraus_to_choi(kraus), looped, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(Channel(kraus).choi, looped, rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists(), st.integers(0, 2**32))
+    def test_correlation_from_kraus(self, kraus, seed):
+        rho = _rho_for(kraus, seed)
+        m = len(kraus)
+        looped = np.array([[np.trace(kraus[i] @ rho @ kraus[j].conj().T) for j in range(m)]
+                           for i in range(m)])
+        np.testing.assert_allclose(channels.correlation_from_kraus(kraus, rho), looped,
+                                   rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists(), st.integers(0, 2**32))
+    def test_ensemble_from_channel(self, kraus, seed):
+        rho = _rho_for(kraus, seed)
+        outs = [k @ rho @ k.conj().T for k in kraus]
+        probs = np.array([np.trace(o).real for o in outs])
+        kept = probs >= 1e-12
+        e = channels.ensemble_from_channel(Channel(kraus), rho)
+        np.testing.assert_allclose(e.probs, probs[kept] / probs[kept].sum(), rtol=0, atol=1e-13)
+        looped = [o / p for o, p, keep in zip(outs, probs, kept) if keep]
+        np.testing.assert_allclose(np.stack(e.states), np.stack(looped), rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists(), st.integers(0, 2**32))
+    def test_apply(self, kraus, seed):
+        rho = _rho_for(kraus, seed)
+        looped = sum(k @ rho @ k.conj().T for k in kraus)
+        np.testing.assert_allclose(Channel(kraus).apply(rho), looped, rtol=0, atol=1e-13)
+
+    def test_superoperator_built_on_first_read_only(self, monkeypatch):
+        phi = random_channel(2, 3, stream_rng(50, 0))
+        monkeypatch.setattr(channels, "kraus_to_superoperator",
+                            lambda kraus: pytest.fail("superoperator built eagerly"))
+        Channel(phi.kraus)
+        for t in range(20):
+            cli._trial_theorem1(50, t, {"k": 4})
+        monkeypatch.undo()
+        first = phi.superoperator
+        assert phi.superoperator is first
+
+    def test_one_channel_per_theorem1_trial(self, monkeypatch):
+        built = []
+        init = Channel.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "__init__", counted)
+        for t in range(20):
+            before = len(built)
+            cli._trial_theorem1(50, t, {"k": 4})
+            assert len(built) - before == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(kraus_lists(), st.sampled_from([0.9, 1.1]))
+    def test_non_tp_rejected(self, kraus, scale):
+        with pytest.raises(channels.InvalidChannelError, match="not trace preserving"):
+            Channel([scale * k for k in kraus])
+
+    @settings(max_examples=40, deadline=None)
+    @given(kraus_lists(), st.sampled_from([np.nan, np.inf]))
+    def test_non_finite_entry_rejected(self, kraus, bad):
+        kraus[-1] = kraus[-1].copy()
+        kraus[-1][0, -1] = bad
+        with pytest.raises(channels.InvalidChannelError, match="NaN or infinite"):
+            Channel(kraus)
+        if np.isnan(bad):  # the diagnostic fails closed instead of trusting an eigensolver
+            assert not channels.is_cptp(kraus).ok
+
+    def test_shape_errors(self):
+        with pytest.raises(channels.InvalidChannelError, match="nonempty"):
+            Channel([])
+        with pytest.raises(channels.InvalidChannelError, match="share a shape"):
+            Channel([np.eye(2), np.eye(3)])

@@ -167,6 +167,24 @@ class TestHierarchy:
         assert table["h_p"]["mean"] == 1.0 and table["h_p"]["std"] == 0.0
         assert set(table) == {"chi", "s_fid", "s_layered", "s_fid_sq", "s_fid_b", "h_p"}
 
+    def test_conjecture_violation_exits_1(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        batch = cli.bounds.hierarchy_batch
+
+        def one_flagged(*args, **kwargs):
+            reports = batch(*args, **kwargs)
+            reports[3] = dataclasses.replace(reports[3], violations={"conjecture": True})
+            return reports
+
+        monkeypatch.setattr(cli.bounds, "hierarchy_batch", one_flagged)
+        out = tmp_path / "h.json"
+        code = cli.main(["hierarchy", "--trials", "40", "--seed", "5", "--output", str(out)])
+        assert code == 1
+        rep = json.loads(out.read_text())
+        assert rep["violations"] == 1 and rep["max_slack"] == 0.0
+        assert set(rep["results"]) == {"trials", "kept", "skipped", "seed", "b", "ancilla", "table"}
+
     def test_stream_prefix_determinism(self):
         # the first trials of a longer run equal a shorter run bit for bit
         params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}

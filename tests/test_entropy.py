@@ -116,6 +116,18 @@ class TestSpectrumEntropy:
             with_cutoff = entropy.spectrum_entropy([top, SUPPORT_CUTOFF], order)
             assert with_cutoff == entropy.spectrum_entropy([top, 0.0], order)
 
+    @pytest.mark.parametrize("order", [EntropyOrder.renyi(0.5), EntropyOrder.tsallis(0.5),
+                                       EntropyOrder.renyi(2), EntropyOrder.tsallis(2)])
+    def test_never_negative_on_either_side_of_the_cutoff(self, order):
+        # below the cutoff the small weight is dropped and the rest renormalized:
+        # exactly a point mass; just above it the weight contributes about p^q
+        for p in (0.5 * SUPPORT_CUTOFF, SUPPORT_CUTOFF):
+            assert entropy.spectrum_entropy([1.0 - p, p], order) == 0.0
+        above = 1.1 * SUPPORT_CUTOFF
+        assert entropy.spectrum_entropy([1.0 - above, above], order) > 0.0
+        if order.q < 1:
+            assert entropy.spectrum_entropy([1.0 - above, above], order) > above**order.q
+
     def test_nan_weight_propagates(self):
         for order in ORDERS:
             assert math.isnan(entropy.spectrum_entropy([0.5, np.nan], order))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chanent import davies
 from chanent.matfun import matrix_exp
-from chanent.sampling import haar_unitary, stream_rng
+from chanent.sampling import haar_unitary, random_channel, stream_rng
 
 
 def random_thermal_block(rng, with_mu: bool = False) -> davies.DaviesQutritBlock:
@@ -60,3 +60,15 @@ def psd_stacks(draw):
     count = draw(st.integers(1, 5))
     spectra = np.array([[draw(_eigenvalue) for _ in range(n)] for _ in range(count)])
     return stack_from_spectra(spectra, draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def kraus_lists(draw):
+    """Kraus list of a random channel on C^2 or C^3 with 1 to 4 operators, or the
+    rectangular list of that channel's complementary channel."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 4))
+    phi = random_channel(n, m, stream_rng(draw(st.integers(0, 2**32)), 0))
+    if draw(st.booleans()):
+        phi = phi.complementary()
+    return list(phi.kraus)
