@@ -4,7 +4,6 @@ from .bounds import (
     BoundReport,
     Ensemble,
     symmetric_triple_check,
-    conjecture_fuzz,
     correlation_from_ensemble,
     correlation_matrix,
     fidelity_matrix,

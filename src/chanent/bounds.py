@@ -47,7 +47,6 @@ __all__ = [
     "symmetric_triple_check",
     "symmetric_triple_eigenvalues",
     "CONJECTURE_MAX_K",
-    "conjecture_fuzz",
     "find_indefinite_gram",
 ]
 
@@ -599,29 +598,12 @@ def symmetric_triple_check(f: float, b: float, slack: float = 1e-9) -> tuple[flo
     return chi, s_g, chi <= s_g + slack
 
 
-# -- Monte Carlo drivers -------------------------------------------------------
+# -- the root-fidelity conjecture -----------------------------------------------
 
 
 # The root-fidelity matrix G is PSD for up to three states; for more it can be
 # indefinite (find_indefinite_gram), and then S(G) is not an entropy.
 CONJECTURE_MAX_K = 3
-
-
-def conjecture_fuzz(k: int, n: int, trials: int, seed: int) -> dict:
-    """Count violations of chi <= S(root-fidelity matrix) on random ensembles of k <= 3 states."""
-    from .sampling import random_ensemble, stream_rng
-
-    if k > CONJECTURE_MAX_K:
-        raise ValueError(f"the conjecture is stated for k <= {CONJECTURE_MAX_K} states, got {k}")
-    violations = 0
-    max_excess = -math.inf
-    for t in range(trials):
-        e = random_ensemble(k, n, stream_rng(seed, t))
-        excess = holevo(e) - vn_entropy(fidelity_matrix(e, "G"))
-        max_excess = max(max_excess, excess)
-        if excess > 1e-9:
-            violations += 1
-    return {"trials": trials, "violations": violations, "max_excess": max_excess, "seed": seed}
 
 
 def find_indefinite_gram(

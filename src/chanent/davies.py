@@ -123,10 +123,10 @@ def qubit_generator(relaxation: float, dephasing: float, p: float) -> np.ndarray
     )
 
 
-def qubit_superoperator(d: DaviesQubit) -> Channel:
-    """The Davies qubit channel as a Channel (validated CPTP)."""
+def _qubit_superoperator_matrix(d: DaviesQubit) -> np.ndarray:
+    """The 4×4 superoperator of a Davies qubit map on row-major vectorized states."""
     b = d.b
-    s = np.array(
+    return np.array(
         [
             [1.0 - d.a, 0.0, 0.0, b],
             [0.0, d.c, 0.0, 0.0],
@@ -135,7 +135,11 @@ def qubit_superoperator(d: DaviesQubit) -> Channel:
         ],
         dtype=complex,
     )
-    return Channel.from_superoperator(s)
+
+
+def qubit_superoperator(d: DaviesQubit) -> Channel:
+    """The Davies qubit channel as a Channel (validated CPTP)."""
+    return Channel.from_superoperator(_qubit_superoperator_matrix(d))
 
 
 def bloch_params(d: DaviesQubit) -> QubitChannelParams:
@@ -454,10 +458,14 @@ def detailed_balance_residual(block: DaviesQutritBlock, x: np.ndarray, y: np.nda
 
 
 def semigroup_residual(rates: DaviesRates, t1: float, t2: float) -> float:
-    """|Phi(t1) Phi(t2) - Phi(t1 + t2)| for a shared qubit generator."""
+    """|Phi(t1) Phi(t2) - Phi(t1 + t2)| for a shared qubit generator.
+
+    Each map is checked as a DaviesQubit and multiplied as its 4×4 matrix:
+    no Channel (Kraus decomposition) is built.
+    """
     def superop(t):
         d = DaviesQubit.from_rates(DaviesRates(rates.relaxation, rates.dephasing, rates.p, t))
-        return qubit_superoperator(d).superoperator
+        return _qubit_superoperator_matrix(d)
 
     lhs = superop(t1) @ superop(t2)
     rhs = superop(t1 + t2)

@@ -2,9 +2,9 @@
 
 Pauli channels, depolarizing channels and the closed relation between their
 Rényi-2 entropies, the minimal output entropy (exact on qubits, numerical
-beyond), the maximal-output-norm optimizer, the subadditive sandwich, the
-additivity-region predicate, and the transformations preserving the minimal
-output entropy.
+beyond), the maximal output norm (a seesaw iteration), the subadditive
+sandwich, the additivity-region predicate, and the transformations
+preserving the minimal output entropy.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import scipy.optimize
 
 from .channels import Channel, InvalidChannelError, is_cptp, map_entropy
 from .entropy import EntropyOrder, VON_NEUMANN, classical_entropy, spectrum_entropy, vn_entropy
+from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
 
 __all__ = [
@@ -187,8 +188,6 @@ def min_output_entropy(
         return value, from_bloch(r)
 
     # generic small dimension: seeded probes + local refinement
-    from .sampling import random_pure_state, stream_rng
-
     rng = stream_rng(seed, 0)
     candidates = []
     best_val, best_vec = math.inf, None
@@ -428,49 +427,64 @@ def preserve_smin(phi1: Channel, eta, t: float, n: float, p: float, tol: float =
     return Channel.from_superoperator(s, tol=tol)
 
 
-# -- maximal output 2-norm ------------------------------------------------------
+# -- maximal output norm --------------------------------------------------------
+
+# Haar-random starts beside the n basis vectors. From the basis alone the
+# seesaw missed the maximum by up to 0.083 on 200 random and Davies ⊗ random
+# channels; with 2 seeded starts by at most 3e-14, with 4 not at all.
+SEESAW_STARTS = 8
+# A step that lifts no start by more than this is rounding in a top eigenvalue
+# of at most 1: the iteration has converged.
+SEESAW_TOL = 1e-15
+# Converged runs take tens of steps; the cap only bounds the loop.
+SEESAW_MAX_STEPS = 500
+# Multiples of each move tried beyond the plain step (0), all in one stacked
+# evaluation. Where the value is flat to fourth order at the maximum (a qubit
+# channel next to the hard case of `_max_bloch_direction`), the plain
+# move shrinks like the cube of the distance left, and the plain iteration
+# stopped 1.4e-7 short after 1000 steps; the long multiples cross that distance.
+_STRETCH = np.concatenate([[0.0], 8.0 ** np.arange(10)])
 
 
-def max_output_2norm(phi: Channel, starts: int = 8, seed: int = 0, extra_starts=None) -> float:
-    """Maximum over pure inputs of the largest singular value of the output.
+def _gram_eigh(vecs: np.ndarray, flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of sum_m a_m a_m†, a_m the consecutive dim-blocks of vecs @ flat."""
+    a = (vecs @ flat).reshape(*vecs.shape[:-1], -1, dim)
+    return np.linalg.eigh(np.swapaxes(a, -1, -2) @ a.conj())
 
-    Multi-start Nelder-Mead over the pure-state manifold, seeded and
-    deterministic; accurate to about 1e-6 for the desk-scale dimensions
-    used here. extra_starts adds caller-chosen initial vectors (e.g. a
-    product of single-channel maximizers) to the start list.
+
+def max_output_2norm(phi: Channel, seed: int = 0) -> float:
+    """Maximum over pure inputs psi of the largest eigenvalue of Phi(psi psi†).
+
+    Alternating-eigenvector (seesaw) iteration on <phi|Phi(psi psi†)|phi> =
+    <psi|Phi†(phi phi†)|psi>: phi <- top eigenvector of Phi(psi psi†), then
+    psi <- top eigenvector of Phi†(phi phi†) = sum K† phi phi† K. Each step
+    also tries the multiples `_STRETCH` of the move and keeps the best input,
+    the plain step among them, so the value never decreases. It runs from
+    the n basis vectors and SEESAW_STARTS Haar-random vectors of stream
+    (seed, 0), as one stack, until a step lifts no start by more than
+    SEESAW_TOL or for SEESAW_MAX_STEPS steps, and returns the best value.
     """
-    from .sampling import random_pure_state, stream_rng
-
-    n = phi.in_dim
-
-    def value(vec: np.ndarray) -> float:
-        rho = np.outer(vec, vec.conj())
-        return float(np.linalg.svd(phi.apply(rho), compute_uv=False)[0])
-
+    kraus = phi.kraus
+    m, out, n = kraus.shape
+    forward = kraus.reshape(m * out, n).T  # psi @ forward lists every K psi
+    adjoint = kraus.conj().transpose(1, 0, 2).reshape(out, m * n)  # and every K† phi
     rng = stream_rng(seed, 0)
-    probes = [random_pure_state(n, rng) for _ in range(max(starts * 40, 320))]
-    for i in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0
-        probes.append(e)
-    scored = sorted(((value(v), i) for i, v in enumerate(probes)), reverse=True)
-    best = scored[0][0]
-    start_vecs = [probes[i] for _, i in scored[:starts]]
-    if extra_starts is not None:
-        start_vecs.extend(np.asarray(v, dtype=complex) for v in extra_starts)
-    for v in start_vecs:
-        x0 = np.concatenate([v.real, v.imag])
-
-        def objective(x):
-            vec = x[:n] + 1j * x[n:]
-            norm = np.linalg.norm(vec)
-            if norm < 1e-12:
-                return 0.0
-            return -value(vec / norm)
-
-        res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 1500, "maxfev": 2500},
-        )
-        best = max(best, -float(res.fun))
-    return best
+    psi = np.concatenate([np.eye(n, dtype=complex),
+                          [random_pure_state(n, rng) for _ in range(SEESAW_STARTS)]])
+    w, v = _gram_eigh(psi, forward, out)
+    value = w[:, -1]
+    rows = np.arange(len(psi))
+    for _ in range(SEESAW_MAX_STEPS):
+        _, u = _gram_eigh(v[:, :, -1], adjoint, n)
+        step = u[:, :, -1]
+        # an eigenvector's phase is arbitrary: match it to psi before extrapolating
+        step = step * np.exp(-1j * np.angle(np.sum(psi.conj() * step, axis=1)))[:, None]
+        cand = step[:, None, :] + _STRETCH[:, None] * (step - psi)[:, None, :]
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        w, v = _gram_eigh(cand, forward, out)
+        best = np.argmax(w[:, :, -1], axis=1)
+        gain = w[rows, best, -1] - value
+        psi, value, v = cand[rows, best], w[rows, best, -1], v[rows, best]
+        if not np.any(gain > SEESAW_TOL):
+            break
+    return float(value.max())

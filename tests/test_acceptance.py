@@ -9,7 +9,7 @@ import time
 import numpy as np
 from chanent import bounds, davies, qubit
 from chanent.channels import map_entropy
-from chanent.cli import run_hierarchy
+from chanent.cli import run_hierarchy, run_suite
 from chanent.entropy import (
     EntropyOrder,
     entropic_distance,
@@ -69,20 +69,11 @@ class TestCriterion1Hierarchy:
 
 class TestCriterion2Theorem1:
     def test_random_instances(self):
-        worst = -math.inf
-        violations = 0
-        for t in range(10000):
-            rng = stream_rng(SEED, t)
-            n = 2 if rng.random() < 0.5 else 3
-            k = 1 + int(rng.random() * 4)
-            rho = hs_random_density(n, rng)
-            phi = random_channel(n, k, rng)
-            chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi)
-            worst = max(worst, chi - s_sigma, s_sigma - h_p)
-            violations += 0 if ok else 1
-        report(2, "theorem-1 chain", violations == 0,
-               f"10^4 instances, violations={violations}, max slack={worst:.2e}")
-        assert violations == 0
+        rep = run_suite("theorem1", 10000, SEED, params={"k": 4})
+        ok = rep["violations"] == 0
+        report(2, "theorem-1 chain", ok,
+               f"10^4 instances, violations={rep['violations']}, max slack={rep['max_slack']:.2e}")
+        assert ok
 
     def test_pure_state_saturation(self):
         worst = 0.0
@@ -147,11 +138,11 @@ class TestCriterion4Depolarizing:
 
 class TestCriterion5Conjecture:
     def test_fuzz(self):
-        rep = bounds.conjecture_fuzz(3, 2, 10000, seed=SEED + 3)
+        rep = run_suite("conjecture1", 10000, SEED + 3, params={"k": 3, "dim": 2})
         ok = rep["violations"] == 0
         report(5, "conjecture fuzz", ok,
                f"10^4 qubit ensembles, violations={rep['violations']}, "
-               f"max excess={rep['max_excess']:.2e}")
+               f"max excess={rep['max_slack']:.2e}")
         assert ok
 
     def test_indefinite_gram_for_four(self):
@@ -230,23 +221,8 @@ class TestCriterion7DaviesQubit:
             phi = davies.qubit_superoperator(d)
             omega = random_channel(2, 1 + int(rng.random() * 3), rng)
             m_phi = davies.qubit_max_norm(d)
-            m_omega = qubit.max_output_2norm(omega, starts=6, seed=1000 + t)
-            # product of the single-channel maximizers seeds the joint search
-            vecs = []
-            for chan in (phi, omega):
-                best_val, best = -1.0, None
-                for _ in range(200):
-                    v = random_pure_state(2, rng)
-                    val = float(
-                        np.linalg.svd(chan.apply(np.outer(v, v.conj())), compute_uv=False)[0]
-                    )
-                    if val > best_val:
-                        best_val, best = val, v
-                vecs.append(best)
-            m_joint = qubit.max_output_2norm(
-                phi.tensor(omega), starts=5, seed=2000 + t,
-                extra_starts=[np.kron(vecs[0], vecs[1])],
-            )
+            m_omega = qubit.max_output_2norm(omega, seed=1000 + t)
+            m_joint = qubit.max_output_2norm(phi.tensor(omega), seed=2000 + t)
             worst = max(worst, abs(m_joint - m_phi * m_omega))
         report(7, "max 2-norm multiplicativity", worst <= 2e-4,
                f"50 pairs, max |M(joint) - M1*M2| = {worst:.2e}")

@@ -6,6 +6,7 @@ import pytest
 from chanent import bounds
 from chanent.bounds import Ensemble
 from chanent.channels import Channel, ensemble_from_channel
+from chanent.cli import run_suite
 from chanent.entropy import EntropyOrder, shannon, vn_entropy
 from chanent.sampling import (
     dirichlet,
@@ -501,10 +502,10 @@ class TestConjectureFuzz:
         assert bounds.holevo(e) <= vn_entropy(g) + 1e-9
 
     def test_report_shape(self):
-        rep = bounds.conjecture_fuzz(3, 2, 50, seed=5)
+        rep = run_suite("conjecture1", 50, 5, params={"k": 3, "dim": 2})
         assert rep["violations"] == 0 and rep["trials"] == 50
 
     def test_rejects_more_than_three_states(self):
         # for k >= 4 the root-fidelity matrix can be indefinite, so S(G) is no entropy
         with pytest.raises(ValueError):
-            bounds.conjecture_fuzz(4, 2, 5, seed=5)
+            run_suite("conjecture1", 5, 5, params={"k": 4, "dim": 2})

@@ -221,6 +221,17 @@ class TestFigures:
         v_2 = float(out_2.splitlines()[1].split(",")[0])
         assert abs(v_e - v_2 * math.log(2)) < 1e-9
 
+    def test_scatter_trials_not_capped(self, capsys, monkeypatch):
+        seen = []
+
+        def fake(q, trials, seed, base):
+            seen.append(trials)
+            return "s_map,s_min,q,tag\n"
+
+        monkeypatch.setattr(cli, "figure_scatter_q", fake)
+        code, _ = run_main(capsys, ["figure", "--figure", "scatter-q", "--trials", "20001"])
+        assert code == 0 and seen == [20001]
+
     def test_triple_surfaces_ordering(self, capsys):
         code, out = run_main(capsys, ["figure", "--figure", "bunga-surfaces",
                                       "--resolution", "12"])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chanent import davies, qubit
@@ -12,7 +12,8 @@ from chanent.channels import Channel, identity_channel, map_entropy, unitary_cha
 from chanent.entropy import VON_NEUMANN, EntropyOrder, classical_entropy, shannon, spectrum_entropy, vn_entropy
 from chanent.matfun import SUPPORT_CUTOFF
 from chanent.states import PAULI, to_bloch
-from chanent.sampling import dirichlet, haar_unitary, random_channel, stream_rng
+from chanent.sampling import dirichlet, haar_unitary, random_channel, random_pure_state, stream_rng
+from tests_support import kraus_lists
 
 
 class TestPauliChannel:
@@ -420,3 +421,63 @@ class TestMaxOutput2Norm:
         assert abs(closed - 0.5 * (1 + 0.6)) < 1e-12
         opt = qubit.max_output_2norm(qubit_superoperator(d))
         assert abs(opt - closed) < 1e-6
+
+
+def bloch_max_norm(phi: Channel) -> float:
+    """Exact maximal output norm of a qubit channel: (1 + max |W r + kappa|)/2."""
+    w, kappa = qubit._bloch_affine(phi)
+    return (1.0 + np.linalg.norm(w @ qubit._max_bloch_direction(w, kappa) + kappa)) / 2.0
+
+
+def best_probe_norm(phi: Channel, probes: int, seed: int) -> float:
+    """Largest top output eigenvalue over `probes` seeded Haar-random pure inputs."""
+    rng = stream_rng(seed, 0)
+    vecs = np.array([random_pure_state(phi.in_dim, rng) for _ in range(probes)])
+    out = np.einsum("moi,si->smo", phi.kraus, vecs)
+    return float(np.linalg.eigvalsh(np.einsum("smo,smp->sop", out, out.conj()))[:, -1].max())
+
+
+def davies_times_random(t: int) -> Channel:
+    rng = stream_rng(75, t)
+    p = 0.05 + 0.9 * rng.random()
+    a = rng.random() * (1 - p) * 0.99
+    d = davies.DaviesQubit(a=a, c=(0.01 + 0.98 * rng.random()) * math.sqrt(1 - a / (1 - p)), p=p)
+    return davies.qubit_superoperator(d).tensor(random_channel(2, 1 + t % 3, rng))
+
+
+class TestSeesaw:
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists())
+    def test_qubit_channels_match_bloch_value(self, kraus):
+        phi = Channel(kraus)
+        assume(phi.in_dim == 2 and phi.out_dim == 2)
+        assert abs(qubit.max_output_2norm(phi) - bloch_max_norm(phi)) <= 1e-12
+
+    def test_near_the_hard_case_boundary(self):
+        # |z*| just below 1: the value is almost flat to fourth order at the
+        # maximum, where the plain seesaw step shrinks like the distance cubed
+        for p, a, z_star in [(0.3, 0.05, -0.999), (0.7, 0.02, 0.9995), (0.45, 0.2, -0.99)]:
+            eta3 = 1 - a / (1 - p)
+            kappa3 = a * (2 * p - 1) / (1 - p)
+            c = math.sqrt(eta3 ** 2 + kappa3 * eta3 / z_star)
+            d = davies.DaviesQubit(a=a, c=c, p=p)
+            value = qubit.max_output_2norm(davies.qubit_superoperator(d))
+            assert abs(value - davies.qubit_max_norm(d)) <= 1e-12
+
+    @pytest.mark.parametrize("t", range(8))
+    def test_never_below_probes(self, t):
+        for phi in (random_channel(3, 1 + t % 4, stream_rng(74, t)), davies_times_random(t)):
+            assert qubit.max_output_2norm(phi, seed=t) >= best_probe_norm(phi, 2000, 74 + t) - 1e-12
+
+    def test_same_seed_same_value(self):
+        phi = davies_times_random(20)
+        assert qubit.max_output_2norm(phi, seed=5) == qubit.max_output_2norm(phi, seed=5)
+
+    def test_runs_no_minimize(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize called by max_output_2norm")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", forbidden)
+        for phi in (random_channel(2, 3, stream_rng(74, 30)), random_channel(3, 2, stream_rng(74, 31)),
+                    davies_times_random(21)):
+            qubit.max_output_2norm(phi)
