@@ -53,22 +53,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Probability vector paired with density matrices of a common dimension."""
+    """Probability vector paired with density matrices of a common dimension.
+
+    states is given as a sequence of n×n matrices or a (k, n, n) array and
+    held as one (k, n, n) complex array.
+    """
 
     probs: np.ndarray
-    states: list
+    states: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        states = [np.asarray(s, dtype=complex) for s in self.states]
+        if len({np.shape(s) for s in self.states}) > 1:
+            raise ValueError("all states must share a dimension")
+        states = np.asarray(self.states, dtype=complex)
         if len(probs) != len(states):
             raise ValueError("probs and states must have equal length")
         if probs.min(initial=0.0) < -1e-14 or abs(probs.sum() - 1.0) > 1e-10:
             raise ValueError("probs must be a probability vector")
-        dim = states[0].shape[0]
-        for s in states:
-            if s.shape != (dim, dim):
-                raise ValueError("all states must share a dimension")
+        if states.ndim != 3 or states.shape[1] != states.shape[2]:
+            raise ValueError("all states must share a dimension")
         object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
         object.__setattr__(self, "states", states)
 
@@ -77,7 +81,7 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[-1]
 
     def average(self) -> np.ndarray:
         return sum(p * s for p, s in zip(self.probs, self.states))
@@ -96,7 +100,7 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
     log tr (sum p rho^q)^{1/q} / (q - 1).
     """
     if order.is_limit:
-        return float(_holevo_vn(e.probs, np.stack(e.states)))
+        return float(_holevo_vn(e.probs, e.states))
     if order.kind == "tsallis":
         avg = e.average()
         return sum(
@@ -135,7 +139,7 @@ def correlation_from_ensemble(e: Ensemble, unitaries) -> np.ndarray:
     us = np.array(unitaries, dtype=complex)
     if len(us) != len(e):
         raise ValueError("need one unitary per state")
-    return _purification_gram(e.probs, psd_sqrt(np.stack(e.states)), us)
+    return _purification_gram(e.probs, psd_sqrt(e.states), us)
 
 
 def _purification_gram(probs: np.ndarray, roots: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -304,10 +308,9 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
         np.trace(s @ s).real > 1.0 - 1e-10 for s in e.states
     ):
         raise ValueError("F-squared variant needs qubit or pure ensembles")
-    states = np.stack(e.states)
-    rf = _root_fidelity_matrix(states, psd_sqrt(states))
+    rf = _root_fidelity_matrix(e.states, psd_sqrt(e.states))
     if variant == "layered":
-        return _layered_matrix(e.probs, states, rf)
+        return _layered_matrix(e.probs, e.states, rf)
     g = _root_probs(e.probs) * (rf**2 if variant == "F-squared" else rf)
     return _damped(g, b) if variant == "G/b" else g
 
@@ -376,7 +379,7 @@ def hierarchy(e: Ensemble, b: float = math.sqrt(3.0), slack: float = 1e-9) -> Bo
 
     The batch-of-one case of hierarchy_batch.
     """
-    return hierarchy_batch(e.probs[None], np.stack(e.states)[None], b=b, slack=slack)[0]
+    return hierarchy_batch(e.probs[None], e.states[None], b=b, slack=slack)[0]
 
 
 def hierarchy_batch(
@@ -482,7 +485,7 @@ class TripleGeometry:
         return from_bloch(self.point_f), from_bloch(self.point_g), from_bloch(self.point_b)
 
     def ensemble(self) -> Ensemble:
-        return Ensemble(np.full(3, 1.0 / 3.0), list(self.states))
+        return Ensemble(np.full(3, 1.0 / 3.0), self.states)
 
     def pairwise_fidelities(self) -> tuple[float, float, float]:
         """(F12, F13, F23) between the two pure states and the mixed one.

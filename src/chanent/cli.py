@@ -28,6 +28,7 @@ from .sampling import (
     hs_random_density,
     random_channel,
     random_ensemble,
+    random_ensembles,
     stream_rng,
 )
 
@@ -238,17 +239,11 @@ def run_hierarchy(
 
 
 def _hierarchy_chunk(args) -> list:
-    """Rows of trials [start, stop): each drawn from its own stream, all evaluated in one stack."""
+    """Rows of trials [start, stop): one stream per trial, the chunk drawn and evaluated as one stack."""
     seed, start, stop, params = args
-    draws = [
-        random_ensemble(params["k"], params["dim"], stream_rng(seed, t), ancilla=params["ancilla"])
-        for t in range(start, stop)
-    ]
-    reports = bounds.hierarchy_batch(
-        np.array([e.probs for e in draws]).reshape(-1, params["k"]),
-        np.array([e.states for e in draws]).reshape(-1, params["k"], params["dim"], params["dim"]),
-        b=params["b"],
-    )
+    probs, states = random_ensembles(params["k"], params["dim"], seed, start, stop,
+                                     ancilla=params["ancilla"])
+    reports = bounds.hierarchy_batch(probs, states, b=params["b"])
     return [None if r is None else {**{name: getattr(r, name) for name in _HIERARCHY_FIELDS},
                                     "conjecture": r.violations["conjecture"]}
             for r in reports]
@@ -350,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--trials", type=int, default=10000)
+        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--dim", type=int, default=2)
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--q", type=float, default=2.0)
@@ -415,6 +410,10 @@ def _writable(path: str) -> bool:
     return os.access(path if os.path.exists(path) else parent, os.W_OK)
 
 
+# The optimizer-heavy suites default to their stated sizes; every other command to 10 000.
+_DEFAULT_TRIALS = {"davies": 200, "multiplicativity": 50}
+
+
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     """Reject bad parameters as usage errors (exit 2), before any work or output."""
     for name in ("trials", "jobs", "dim", "k", "resolution"):
@@ -445,17 +444,15 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.trials is None:
+        args.trials = _DEFAULT_TRIALS.get(getattr(args, "suite", None), 10000)
     _validate(parser, args)
     t0 = time.time()
 
     if args.command == "verify":
         params = {"dim": args.dim, "k": args.k}
-        trials = args.trials
-        if args.trials == 10000 and args.suite in ("davies", "multiplicativity"):
-            # optimizer-heavy suites default to their stated sizes instead
-            trials = 200 if args.suite == "davies" else 50
-        res = run_suite(args.suite, trials, args.seed, jobs=args.jobs, params=params)
-        config = {"suite": args.suite, "trials": trials, "dim": args.dim, "k": args.k,
+        res = run_suite(args.suite, args.trials, args.seed, jobs=args.jobs, params=params)
+        config = {"suite": args.suite, "trials": args.trials, "dim": args.dim, "k": args.k,
                   "jobs": args.jobs}
         report = _report("verify", config, res, res["violations"], res["max_slack"],
                          args.seed, t0)

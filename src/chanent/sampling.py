@@ -5,6 +5,12 @@ own stream derived from (master seed, stream index), so experiments are
 reproducible bit-for-bit regardless of how trials are distributed over
 workers. Gaussian variates use the Box-Muller transform rather than
 rejection sampling so the number of raw draws per object is fixed.
+
+Each distribution is one transform of a block of uniforms with any leading
+shape: the per-generator functions draw their block with one `random` call,
+and `random_ensembles` stacks one block per trial stream and transforms the
+whole stack at once. Both paths run the same transform, so a trial's numbers
+do not depend on which path drew them.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import numpy as np
 __all__ = [
     "stream_rng",
     "complex_gaussian",
-    "real_gaussian",
     "haar_unitary",
     "hs_random_density",
     "random_pure_state",
     "dirichlet",
     "random_channel",
     "random_ensemble",
+    "random_ensembles",
 ]
 
 
@@ -30,23 +36,46 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def real_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal array via Box-Muller (2 uniforms per variate)."""
-    n = int(np.prod(shape)) if shape else 1
-    u1 = 1.0 - rng.random(n)  # (0, 1]
-    u2 = rng.random(n)
-    out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return out.reshape(shape)
+def _box_muller(u: np.ndarray, shape) -> np.ndarray:
+    """Complex standard normals of shape (..., *shape) from a (..., 2m) block of uniforms.
+
+    The first half of the block gives the radii, the second half the angles.
+    """
+    m = u.shape[-1] // 2
+    u1 = 1.0 - u[..., :m]  # (0, 1]
+    u2 = u[..., m:]
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = r * np.cos(2.0 * np.pi * u2) + 1j * r * np.sin(2.0 * np.pi * u2)
+    return out.reshape(u.shape[:-1] + tuple(shape))
+
+
+def _flat_dirichlet(u: np.ndarray) -> np.ndarray:
+    """Flat Dirichlet points on the last axis's simplex, from exponentials -log(1 - u)."""
+    g = -np.log(1.0 - u)
+    return g / g.sum(axis=-1, keepdims=True)
+
+
+def _induced_ancilla(n: int, ancilla: int | None) -> int:
+    """The checked ancilla dimension of an induced density on C^n (default n)."""
+    a = n if ancilla is None else ancilla
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if a < 1:
+        raise ValueError("ancilla dimension must be at least 1")
+    return a
+
+
+def _induced_density(u: np.ndarray, n: int, a: int) -> np.ndarray:
+    """G G†/tr(G G†) of shape (..., n, n), G the Box-Muller n×a Gaussian of a (..., 2na) block."""
+    g = _box_muller(u, (n, a))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex array with independent standard normal real and imaginary parts."""
-    n = int(np.prod(shape)) if shape else 1
-    u1 = 1.0 - rng.random(n)
-    u2 = rng.random(n)
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = r * np.cos(2.0 * np.pi * u2) + 1j * r * np.sin(2.0 * np.pi * u2)
-    return out.reshape(shape)
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    return _box_muller(rng.random(2 * int(np.prod(shape))), shape)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,14 +93,10 @@ def hs_random_density(n: int, rng: np.random.Generator, ancilla: int | None = No
 
     ancilla = n (the default) gives the flat Hilbert-Schmidt measure; other
     values give the measures induced by tracing a Haar-random pure state on
-    C^n ⊗ C^ancilla.
+    C^n ⊗ C^ancilla. n or ancilla below 1 raises ValueError.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    k = n if ancilla is None else ancilla
-    g = complex_gaussian(rng, (n, k))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    a = _induced_ancilla(n, ancilla)
+    return _induced_density(rng.random(2 * n * a), n, a)
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,9 +114,8 @@ def dirichlet(k: int, rng: np.random.Generator, alpha: float = 1.0) -> np.ndarra
     if k < 1:
         raise ValueError("k must be at least 1")
     if alpha == 1.0:
-        g = -np.log(1.0 - rng.random(k))
-    else:
-        g = rng.gamma(alpha, size=k)
+        return _flat_dirichlet(rng.random(k))
+    g = rng.gamma(alpha, size=k)
     return g / g.sum()
 
 
@@ -106,10 +130,39 @@ def random_channel(n: int, m: int, rng: np.random.Generator):
     return Channel(haar_unitary(n * m, rng)[:, :n].reshape(m, n, n))
 
 
+def _ensemble(draw, k: int, n: int, ancilla: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(probs (..., k), states (..., k, n, n)) from one block of uniforms, drawn by draw(count).
+
+    The block is [k Dirichlet | per state: n·a uniforms for u1, then n·a for u2].
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    a = _induced_ancilla(n, ancilla)
+    u = draw(k * (1 + 2 * n * a))
+    probs = _flat_dirichlet(u[..., :k])
+    states = _induced_density(u[..., k:].reshape(u.shape[:-1] + (k, 2 * n * a)), n, a)
+    return probs, states
+
+
 def random_ensemble(k: int, n: int, rng: np.random.Generator, ancilla: int | None = None):
-    """Ensemble of k states of dimension n: Dirichlet probabilities + HS states."""
+    """Ensemble of k states of dimension n: Dirichlet probabilities + induced HS states."""
     from .bounds import Ensemble
 
-    probs = dirichlet(k, rng)
-    states = [hs_random_density(n, rng, ancilla=ancilla) for _ in range(k)]
-    return Ensemble(probs, states)
+    return Ensemble(*_ensemble(rng.random, k, n, ancilla))
+
+
+def random_ensembles(k: int, n: int, seed: int, start: int, stop: int,
+                     ancilla: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ensembles of trials [start, stop): probs (B, k) and states (B, k, n, n).
+
+    Row t - start is random_ensemble(k, n, stream_rng(seed, t), ancilla), bit
+    for bit: each trial draws its block from its own stream, and the stack of
+    blocks goes through one transform.
+    """
+    def draw(count: int) -> np.ndarray:
+        u = np.empty((max(stop - start, 0), count))
+        for row, t in zip(u, range(start, stop)):
+            stream_rng(seed, t).random(out=row)
+        return u
+
+    return _ensemble(draw, k, n, ancilla)

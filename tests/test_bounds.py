@@ -23,6 +23,22 @@ def random_ens(rng, k=3, n=2):
     return Ensemble(dirichlet(k, rng), [hs_random_density(n, rng) for _ in range(k)])
 
 
+class TestEnsemble:
+    def test_states_held_as_one_stack(self):
+        rho = hs_random_density(2, stream_rng(50, 0))
+        e = Ensemble(np.array([0.5, 0.5]), [rho, np.eye(2) / 2])
+        assert e.states.shape == (2, 2, 2) and e.states.dtype == complex and e.dim == 2
+
+    @pytest.mark.parametrize("states", [
+        [np.eye(2) / 2, np.eye(3) / 3],
+        [np.eye(2) / 2, np.full((2, 3), 0.1)],
+        np.full((2, 2, 3), 0.1),
+    ])
+    def test_mixed_or_non_square_shapes_rejected(self, states):
+        with pytest.raises(ValueError, match="all states must share a dimension"):
+            Ensemble(np.array([0.5, 0.5]), states)
+
+
 class TestHolevo:
     def test_identical_states(self):
         rho = hs_random_density(2, stream_rng(50, 0))

@@ -1,9 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from chanent import cli
+from chanent import cli, sampling
 
 
 def run_main(capsys, argv):
@@ -107,6 +108,26 @@ class TestVerify:
             res = cli.run_suite("lindblad", 4, seed=0)
             assert res["violations"] == 1 and math.isnan(res["max_slack"])
 
+    @pytest.mark.parametrize("suite, given, expected", [
+        ("davies", ["--trials", "10000"], 10000),
+        ("multiplicativity", ["--trials", "10000"], 10000),
+        ("davies", [], 200),
+        ("multiplicativity", [], 50),
+        ("lindblad", [], 10000),
+    ])
+    def test_trials_default_and_explicit(self, suite, given, expected, capsys, monkeypatch):
+        seen = []
+
+        def fake(suite, trials, seed, jobs, params):
+            seen.append(trials)
+            return {"suite": suite, "trials": trials, "violations": 0, "max_slack": 0.0,
+                    "seed": seed}
+
+        monkeypatch.setattr(cli, "run_suite", fake)
+        code, out = run_main(capsys, ["verify", "--suite", suite, *given])
+        assert code == 0 and seen == [expected]
+        assert json.loads(out)["config"]["trials"] == expected
+
     def test_jobs_do_not_change_results(self, tmp_path):
         for argv in (["verify", "--suite", "conjecture1"], ["hierarchy"]):
             p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -191,6 +212,28 @@ class TestHierarchy:
         short = cli._hierarchy_chunk((42, 0, 25, params))
         long = cli._hierarchy_chunk((42, 0, 60, params))
         assert short == long[:25]
+
+    def test_one_stream_and_one_draw_per_trial(self, monkeypatch):
+        calls = Counter()
+        real = sampling.stream_rng
+
+        class CountedRng:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self, *args, **kwargs):
+                calls["random"] += 1
+                return self._rng.random(*args, **kwargs)
+
+        def counted(seed, stream=0):
+            calls["stream_rng"] += 1
+            return CountedRng(real(seed, stream))
+
+        params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}
+        expected = cli._hierarchy_chunk((42, 5, 45, params))
+        monkeypatch.setattr(sampling, "stream_rng", counted)
+        assert cli._hierarchy_chunk((42, 5, 45, params)) == expected
+        assert calls == {"stream_rng": 40, "random": 40}
 
     def test_rows_independent_of_chunk_size(self):
         # each chunk is one stacked evaluation; a row never depends on its neighbours

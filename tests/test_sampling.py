@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import sampling
 
@@ -139,3 +142,57 @@ class TestRandomEnsemble:
         e = sampling.random_ensemble(3, 2, sampling.stream_rng(39, 1))
         assert abs(e.probs.sum() - 1.0) < 1e-10
         e.validate()
+
+
+def _sequential_ensemble(k, n, rng, ancilla):
+    """The draw order the stacked layout must keep: k Dirichlet uniforms, then
+    per state n·a uniforms for u1 and n·a for u2, each from its own call."""
+    g = -np.log(1.0 - rng.random(k))
+    probs = g / g.sum()
+    states = []
+    for _ in range(k):
+        u1 = 1.0 - rng.random(n * ancilla)
+        u2 = rng.random(n * ancilla)
+        r = np.sqrt(-2.0 * np.log(u1))
+        x = (r * np.cos(2.0 * np.pi * u2) + 1j * r * np.sin(2.0 * np.pi * u2)).reshape(n, ancilla)
+        rho = x @ x.conj().T
+        states.append(rho / np.trace(rho).real)
+    return probs, np.array(states)
+
+
+class TestStackedEnsembles:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**65)),
+        k=st.integers(1, 4),
+        n=st.sampled_from([2, 3]),
+        ancilla=st.integers(1, 4),
+        start=st.integers(0, 50),
+        size=st.integers(0, 12),
+    )
+    def test_rows_equal_per_stream_ensembles(self, seed, k, n, ancilla, start, size):
+        probs, states = sampling.random_ensembles(k, n, seed, start, start + size, ancilla)
+        assert probs.shape == (size, k) and states.shape == (size, k, n, n)
+        for row, t in enumerate(range(start, start + size)):
+            e = sampling.random_ensemble(k, n, sampling.stream_rng(seed, t), ancilla)
+            assert probs[row].tobytes() == e.probs.tobytes()
+            assert states[row].tobytes() == e.states.tobytes()
+
+    @pytest.mark.parametrize("k, n, ancilla", [(1, 2, 1), (3, 2, 3), (4, 3, 2), (2, 3, 5)])
+    def test_block_layout_is_the_sequential_draw_order(self, k, n, ancilla):
+        for t in range(5):
+            e = sampling.random_ensemble(k, n, sampling.stream_rng(2**63 + 3, t), ancilla)
+            probs, states = _sequential_ensemble(k, n, sampling.stream_rng(2**63 + 3, t), ancilla)
+            assert e.probs.tobytes() == probs.tobytes()
+            assert e.states.tobytes() == states.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ancilla", [0, -1])
+    def test_ancilla_below_one_raises(self, ancilla):
+        rng = sampling.stream_rng(40, 0)
+        with pytest.raises(ValueError, match="ancilla"):
+            sampling.hs_random_density(2, rng, ancilla=ancilla)
+        with pytest.raises(ValueError, match="ancilla"):
+            sampling.random_ensemble(3, 2, rng, ancilla=ancilla)
+        with pytest.raises(ValueError, match="ancilla"):
+            sampling.random_ensembles(3, 2, 40, 0, 5, ancilla=ancilla)
