@@ -229,12 +229,6 @@ class DaviesQutritBlock:
         if np.diag(f).min() < -1e-12:
             raise ValueError("column sums exceed 1: diagonal went negative")
 
-    @classmethod
-    def from_energies(cls, f21, f31, f32, energies, beta, mu=None) -> "DaviesQutritBlock":
-        """Gibbs weights from energies eps_i and inverse temperature beta."""
-        w = np.exp(-beta * np.asarray(energies, dtype=float))
-        return cls(f21, f31, f32, p=w / w.sum(), mu=mu)
-
     def stochastic_block(self) -> np.ndarray:
         """The 3×3 column-stochastic zero-frequency block."""
         p = self.p

@@ -33,7 +33,6 @@ __all__ = [
     "polar",
     "sqrt_product",
     "schur_positive",
-    "sqrt2x2",
     "stochastic3_log",
     "matrix_exp",
 ]
@@ -232,22 +231,6 @@ def schur_positive(
         raise NotPSDError("block A must be positive definite")
     comp = hermitize(np.asarray(c) - np.asarray(b).conj().T @ np.linalg.solve(a, b))
     return bool(np.linalg.eigvalsh(comp).min() >= -tol_psd)
-
-
-def sqrt2x2(x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Square root of a 2×2 PSD matrix via (x + sqrt(det x) I)/tr sqrt(x)."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (2, 2):
-        raise ValueError("sqrt2x2 needs a 2×2 matrix")
-    det = np.linalg.det(x).real
-    tr = np.trace(x).real
-    if tr < -tol or det < -max(tol, tol * tr * tr):
-        raise NotPSDError("matrix is not PSD")
-    det = max(det, 0.0)
-    tr_sqrt = math.sqrt(max(tr + 2 * math.sqrt(det), 0.0))
-    if tr_sqrt <= tol:
-        raise ValueError("zero matrix has no normalized square root")
-    return (x + math.sqrt(det) * np.eye(2)) / tr_sqrt
 
 
 def _stochastic3_check(f: np.ndarray, tol: float) -> None:

@@ -12,7 +12,6 @@ __all__ = [
     "InvalidStateError",
     "PAULI",
     "assert_state",
-    "is_pure",
     "from_bloch",
     "to_bloch",
     "pure_state",
@@ -52,11 +51,6 @@ def assert_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if np.linalg.eigvalsh(hermitize(rho)).min() < -tol:
         raise InvalidStateError("state has a negative eigenvalue")
     return rho
-
-
-def is_pure(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    """Purity test: tr rho² > 1 - tol."""
-    return float(np.trace(rho @ rho).real) > 1.0 - tol
 
 
 def pure_state(amplitudes: np.ndarray) -> np.ndarray:

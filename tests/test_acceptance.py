@@ -121,7 +121,7 @@ class TestCriterion4Depolarizing:
             for s in np.linspace(0.02, 0.98, 20):
                 phi = qubit.depolarizing(n, float(s))
                 predicted = qubit.smin_from_smap(map_entropy(phi, r2), n)
-                s_min, _ = qubit.min_output_entropy(phi, r2, grid=4000)
+                s_min, _ = qubit.min_output_entropy(phi, r2)
                 worst = max(worst, abs(s_min - predicted))
         endpoints = max(
             abs(qubit.smin_from_smap(0.0, 2)),

@@ -216,25 +216,6 @@ class TestSchurPositive:
             assert matfun.schur_positive(a, b, c) == direct
 
 
-class TestSqrt2x2:
-    def test_identity(self):
-        np.testing.assert_allclose(matfun.sqrt2x2(np.eye(2)), np.eye(2), atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(matfun.sqrt2x2(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_matches_psd_sqrt(self):
-        rng = stream_rng(7, 0)
-        for _ in range(20):
-            g = rand_complex(rng, (2, 2))
-            h = g @ g.conj().T
-            np.testing.assert_allclose(matfun.sqrt2x2(h), matfun.psd_sqrt(h), atol=1e-10)
-
-    def test_zero_matrix(self):
-        with pytest.raises(ValueError):
-            matfun.sqrt2x2(np.zeros((2, 2)))
-
-
 def random_balance_generator(rng, p=(0.5, 0.3, 0.2)):
     low = 0.05 + 0.5 * rng.random(3)
     gen = np.zeros((3, 3))
