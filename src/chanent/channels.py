@@ -7,7 +7,8 @@ dynamical matrix D/N with the identity applied to the first factor, so that
 tracing out the second factor gives I/N for any trace preserving map.
 
 A Kraus list is held as one (m, out, in) stack, and every builder below is a
-product over that stack rather than a loop over its operators.
+product over that stack rather than a loop over its operators. A channel
+holds the representation it was built from and builds the other on first read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import NotPSDError, hermitize, psd_inv_sqrt, psd_sqrt, regularize_singular, reshuffle
+from .matfun import (NotPSDError, hermitize, partial_trace, psd_inv_sqrt, psd_sqrt,
+                     regularize_singular, reshuffle)
 
 __all__ = [
     "InvalidChannelError",
@@ -79,8 +81,16 @@ def kraus_to_choi(kraus) -> np.ndarray:
     return hermitize(cols.T @ cols.conj()) / n
 
 
+def _swap_factors(m: np.ndarray) -> np.ndarray:
+    """out[(j,i),(l,k)] = m[(i,j),(k,l)]: the row-major dynamical matrix <-> n·Choi."""
+    n = math.isqrt(len(m))
+    return m.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+
+
 @dataclass(frozen=True)
 class CptpReport:
+    """min_choi_eig is on the normalized (unit trace) Choi scale."""
+
     cp: bool
     tp: bool
     min_choi_eig: float
@@ -94,32 +104,46 @@ class CptpReport:
 def _cptp_report(stack: np.ndarray, choi: np.ndarray, tol: float) -> CptpReport:
     """TP residual max|sum K†K - I| and CP test on the minimum Choi eigenvalue.
 
-    min_choi_eig is on the normalized (unit trace) Choi scale. A NaN or inf
-    Kraus entry makes the residual NaN or inf; the eigenvalue is then NaN
-    rather than whatever an eigensolver makes of it, so neither test passes.
+    A NaN or inf Kraus entry makes the residual NaN or inf; the eigenvalue is
+    then NaN rather than whatever an eigensolver makes of it, so neither test passes.
     """
     m, out, n = stack.shape
     flat = stack.reshape(m * out, n)  # flat† flat = sum K†K
     tp_residual = float(np.abs(flat.conj().T @ flat - np.eye(n)).max())
     min_eig = float(np.linalg.eigvalsh(choi).min()) if math.isfinite(tp_residual) else math.nan
-    return CptpReport(
-        cp=min_eig >= -tol, tp=tp_residual <= tol, min_choi_eig=min_eig, tp_residual=tp_residual
-    )
+    return CptpReport(min_eig >= -tol, tp_residual <= tol, min_eig, tp_residual)
+
+
+def _superoperator_report(s: np.ndarray, tol: float) -> tuple[CptpReport, np.ndarray]:
+    """The report on a square superoperator, and the dynamical matrix d it checked.
+
+    d = hermitize(reshuffle(s)) is n·choi; CP means no eigenvalue of d (not
+    of the Choi state) below -tol, TP means max|Tr_out d - I| <= tol. A NaN or
+    inf entry gives a NaN eigenvalue without an eigensolver call.
+    """
+    d = hermitize(reshuffle(s))
+    n = math.isqrt(len(d))
+    tp_residual = float(np.abs(partial_trace(d, (n, n), 1) - np.eye(n)).max())
+    min_eig = float(np.linalg.eigvalsh(d).min()) if np.isfinite(d).all() else math.nan
+    return CptpReport(min_eig >= -tol, tp_residual <= tol, min_eig / n, tp_residual), d
 
 
 class Channel:
-    """A CPTP map held as an (m, out, in) Kraus stack, validated on construction.
+    """A CPTP map, validated on construction in the representation it is given.
 
-    Kraus operators may be rectangular (out_dim × in_dim); this happens for
-    complementary channels. The constructor builds the Choi state, because
-    the CP check needs its minimum eigenvalue, and checks trace preservation
-    on sum K†K; a Kraus list that fails either check, or has a NaN or inf
-    entry, raises InvalidChannelError. The superoperator is built on first
-    read and then cached. Instances are immutable: the Kraus stack is a
-    read-only copy of the input.
+    `Channel(kraus)` holds an (m, out, in) Kraus stack; the operators may be
+    rectangular (out_dim × in_dim), as for complementary channels. The
+    constructor builds the Choi state, because the CP check needs its
+    minimum eigenvalue, and checks trace preservation on sum K†K; a Kraus
+    list that fails either check, or has a NaN or inf entry, raises
+    InvalidChannelError. The superoperator is built on first read and cached.
+    `from_superoperator` and `from_choi` hold the superoperator and the Choi
+    state instead, and build (and validate) the Kraus stack on first read.
+    Instances are immutable: the given representation is a read-only copy.
     """
 
     def __init__(self, kraus, tol: float = 1e-9):
+        self._kraus_given = True
         self.kraus = _kraus_stack(kraus)
         self.kraus.flags.writeable = False
         if not np.isfinite(self.kraus).all():
@@ -128,17 +152,18 @@ class Channel:
         self.choi = kraus_to_choi(self.kraus)
         report = _cptp_report(self.kraus, self.choi, tol)
         if not report.tp:
-            raise InvalidChannelError(
-                f"not trace preserving: |sum K†K - I| = {report.tp_residual:.3e}"
-            )
+            raise InvalidChannelError(f"not trace preserving: |sum K†K - I| = {report.tp_residual:.3e}")
         if not report.cp:
-            raise InvalidChannelError(
-                f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}"
-            )
+            raise InvalidChannelError(f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}")
 
     @cached_property
     def superoperator(self) -> np.ndarray:
         return kraus_to_superoperator(self.kraus)
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """Built on first read for a superoperator or Choi channel; `Channel(kraus)` stores it."""
+        return self._from_outer_sum(reshuffle(self.superoperator), self.in_dim, self._tol).kraus
 
     @property
     def dim(self) -> int:
@@ -155,50 +180,66 @@ class Channel:
         return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
     def is_cptp(self, tol: float = 1e-9) -> CptpReport:
-        return _cptp_report(self.kraus, self.choi, tol)
+        """The constructor's check at tolerance tol, on the representation it was given."""
+        if self._kraus_given:
+            return _cptp_report(self.kraus, self.choi, tol)
+        return _superoperator_report(self.superoperator, tol)[0]
 
     # -- representation conversions ------------------------------------
 
     @classmethod
     def from_superoperator(cls, s: np.ndarray, tol: float = 1e-9) -> "Channel":
-        """Channel from a superoperator matrix (square dimensions only)."""
+        """Channel from a superoperator matrix (square dimensions only).
+
+        A NaN or inf entry, or a map that fails `_superoperator_report`'s CP or
+        TP test, raises InvalidChannelError. The channel keeps the checked
+        (Hermitian) dynamical matrix as its superoperator and Choi state.
+        """
         s = np.asarray(s, dtype=complex)
-        d = reshuffle(s)  # sum vec_row(K) vec_row(K)†
-        n = math.isqrt(s.shape[0])
-        return cls._from_outer_sum(hermitize(d), n, unvec=lambda v: v.reshape(n, n), tol=tol)
+        if not np.isfinite(s).all():
+            raise InvalidChannelError("superoperator has a NaN or infinite entry")
+        report, d = _superoperator_report(s, tol)
+        if not report.cp:
+            raise InvalidChannelError(f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}")
+        if not report.tp:
+            raise InvalidChannelError(f"not trace preserving: |Tr_out D - I| = {report.tp_residual:.3e}")
+        phi = cls.__new__(cls)
+        phi._kraus_given, phi._tol = False, tol
+        phi.in_dim = phi.out_dim = math.isqrt(len(d))
+        phi.superoperator = reshuffle(d)
+        phi.choi = _swap_factors(d) / phi.in_dim
+        phi.superoperator.flags.writeable = phi.choi.flags.writeable = False
+        return phi
 
     @classmethod
     def from_choi(cls, choi: np.ndarray, tol: float = 1e-9) -> "Channel":
-        """Channel from a normalized Choi state (trace one, Tr_2 choi = I/N)."""
+        """Channel from a normalized Choi state (trace one, Tr_2 choi = I/N, both to
+        1e-8), then checked and held as `from_superoperator` holds its map."""
         choi = np.asarray(choi, dtype=complex)
+        if not np.isfinite(choi).all():
+            raise InvalidChannelError("Choi state has a NaN or infinite entry")
         n = math.isqrt(choi.shape[0])
         if abs(np.trace(choi).real - 1.0) > 1e-8:
             raise InvalidChannelError("Choi state must have unit trace")
-        from .matfun import partial_trace
-
         marg = partial_trace(choi, (n, n), 2)
         if np.abs(marg - np.eye(n) / n).max() > 1e-8:
             raise InvalidChannelError("Choi state violates the partial trace condition")
-        return cls._from_outer_sum(
-            hermitize(choi * n), n, unvec=lambda v: v.reshape(n, n).T, tol=tol
-        )
+        return cls.from_superoperator(reshuffle(_swap_factors(choi * n)), tol=tol)
 
     @classmethod
-    def _from_outer_sum(cls, d: np.ndarray, n: int, unvec, tol: float) -> "Channel":
+    def _from_outer_sum(cls, d: np.ndarray, n: int, tol: float) -> "Channel":
+        """Kraus channel from a checked dynamical matrix d = sum vec_row(K) vec_row(K)†.
+
+        Eigenvectors with eigenvalue above 1e-10 become Kraus operators, the
+        largest first, each with its first nonzero component real positive.
+        """
         w, v = np.linalg.eigh(d)
-        if w.min() < -tol:
-            raise InvalidChannelError(f"not completely positive: min eigenvalue {w.min():.3e}")
         order = np.argsort(w)[::-1]
-        kraus = []
-        for idx in order:
-            if w[idx] <= 1e-10:
-                continue
-            vec = v[:, idx]
-            nz = np.flatnonzero(np.abs(vec) > 1e-12)
-            if nz.size:  # phase convention: first nonzero component real positive
-                vec = vec / (vec[nz[0]] / abs(vec[nz[0]]))
-            kraus.append(math.sqrt(w[idx]) * unvec(vec))
-        return cls(kraus, tol=tol)
+        order = order[w[order] > 1e-10]
+        vecs = v[:, order].T
+        lead = vecs[np.arange(len(order)), np.argmax(np.abs(vecs) > 1e-12, axis=1)]
+        vecs = vecs / (lead / np.abs(lead))[:, None]
+        return cls(np.sqrt(w[order])[:, None, None] * vecs.reshape(-1, n, n), tol=tol)
 
     # -- composition ----------------------------------------------------
 
@@ -232,12 +273,8 @@ class Channel:
     @classmethod
     def from_json(cls, text: str) -> "Channel":
         data = json.loads(text)
-        n = int(data["dim"])
-        kraus = []
-        for flat in data["kraus"]:
-            arr = np.array([complex(re, im) for re, im in flat])
-            kraus.append(arr.reshape(-1, n))
-        return cls(kraus)
+        return cls([np.array([complex(*z) for z in flat]).reshape(-1, int(data["dim"]))
+                    for flat in data["kraus"]])
 
     def __repr__(self):
         return f"Channel(in_dim={self.in_dim}, out_dim={self.out_dim}, kraus={len(self.kraus)})"
@@ -255,25 +292,14 @@ def is_cptp(obj, tol: float = 1e-9) -> CptpReport:
     """CP/TP diagnostic for a Channel, a Kraus list, or a raw superoperator matrix.
 
     Unlike the Channel constructor this never raises on violation, so it can
-    probe maps that are not channels (e.g. the transpose map).
+    probe maps that are not channels (e.g. the transpose map). A raw matrix
+    gets the test `Channel.from_superoperator` applies.
     """
     if isinstance(obj, Channel):
         return obj.is_cptp(tol)
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
-        n = math.isqrt(obj.shape[0])
-        if n * n == obj.shape[0]:
-            d = hermitize(reshuffle(np.asarray(obj, dtype=complex))) / n
-            min_eig = float(np.linalg.eigvalsh(d).min())
-            from .matfun import partial_trace
-
-            marg = partial_trace(d, (n, n), 1)  # = (sum K†K)^T / n for a Kraus map
-            tp_residual = float(np.abs(n * marg - np.eye(n)).max())
-            return CptpReport(
-                cp=min_eig >= -tol,
-                tp=tp_residual <= tol,
-                min_choi_eig=min_eig,
-                tp_residual=tp_residual,
-            )
+        if math.isqrt(obj.shape[0]) ** 2 == obj.shape[0]:
+            return _superoperator_report(np.asarray(obj, dtype=complex), tol)[0]
     stack = _kraus_stack(obj)
     return _cptp_report(stack, kraus_to_choi(stack), tol)
 

@@ -37,6 +37,11 @@ FIGURES = ("scatter-q", "additivity-region", "bunga-surfaces", "davies-qutrit-se
 
 LN2 = math.log(2.0)
 
+#: How far past its bound a trial's inequality may land before it counts as a violation:
+#: far above the rounding of entropies of matrices of at most 16×16, far below a real
+#: counterexample. It is also the default slack of `bounds`.
+VIOLATION_SLACK = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # per-trial suite functions (top level so process pools can pickle them)
@@ -62,7 +67,7 @@ def _trial_props(seed: int, t: int, params: dict) -> dict:
     ok3, ok4 = bounds.concat_bound_check(phi1, phi2, rho)
     lower = bounds.composition_map_entropy_lower(phi1, phi2)
     upper = map_entropy(phi2.compose(phi1))
-    ok_lower = -1e-9 <= lower <= upper + 1e-9
+    ok_lower = -VIOLATION_SLACK <= lower <= upper + VIOLATION_SLACK
     bad = not (ok_gain and ok3 and ok4 and ok_lower)
     return {"slack": max(lower - upper, -lower, 0.0), "violation": bad}
 
@@ -74,7 +79,7 @@ def _trial_lindblad(seed: int, t: int, params: dict) -> dict:
     phi = random_channel(n, 1 + int(rng.random() * 3), rng)
     rep = bounds.lindblad_check(rho, phi)
     worst = -float(np.min([rep.lower_slack, rep.upper_slack, rep.chi_slack]))
-    return {"slack": worst, "violation": worst > 1e-9}
+    return {"slack": worst, "violation": worst > VIOLATION_SLACK}
 
 
 def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
@@ -90,7 +95,7 @@ def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
         rep.upper_tsallis2 - rep.middle_tsallis2,
         rep.middle_renyi2 - rep.renyi2_lower,
     ]))
-    return {"slack": worst, "violation": worst > 1e-9}
+    return {"slack": worst, "violation": worst > VIOLATION_SLACK}
 
 
 def _trial_conjecture1(seed: int, t: int, params: dict) -> dict:
@@ -101,7 +106,7 @@ def _trial_conjecture1(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
     e = random_ensemble(k, params.get("dim", 2), rng)
     excess = bounds.holevo(e) - vn_entropy(bounds.fidelity_matrix(e, "G"))
-    return {"slack": excess, "violation": excess > 1e-9}
+    return {"slack": excess, "violation": excess > VIOLATION_SLACK}
 
 
 def _random_davies(rng) -> davies.DaviesQubit:
@@ -127,7 +132,7 @@ def _trial_davies(seed: int, t: int, params: dict) -> dict:
     rates = davies.DaviesRates(rel, gam, 0.2 + 0.6 * rng.random(), t=0.0)
     res = davies.semigroup_residual(rates, 0.3 + rng.random(), 0.3 + rng.random())
     # np.max, unlike max, carries a NaN from any position into the slack
-    worst = np.max([gap - 1e-6, res - 1e-9, 0.0])
+    worst = np.max([gap - 1e-6, res - VIOLATION_SLACK, 0.0])
     return {"slack": float(np.max([gap, res])), "violation": bool(worst > 0.0)}
 
 
@@ -220,12 +225,7 @@ def run_hierarchy(
     table = {}
     for name in _HIERARCHY_FIELDS:
         vals = np.array([r[name] for r in kept])
-        table[name] = {
-            "mean": float(vals.mean()),
-            "std": float(vals.std()),
-            "min": float(vals.min()),
-            "max": float(vals.max()),
-        }
+        table[name] = {stat: float(getattr(vals, stat)()) for stat in ("mean", "std", "min", "max")}
     return {
         "trials": trials,
         "kept": len(kept),
@@ -276,11 +276,8 @@ def figure_scatter_q(q: float, trials: int, seed: int, base: float = math.e) -> 
     rows = []
     scale = 1.0 if base == math.e else math.log(base)
     for t in range(trials):
-        rng = stream_rng(seed, t)
-        weights = dirichlet(4, rng)
-        phi = qubit.pauli_channel(weights)
-        pts = qubit.scatter([phi], q, tags=[f"pauli{t}"])
-        p = pts[0]
+        phi = qubit.pauli_channel(dirichlet(4, stream_rng(seed, t)))
+        p = qubit.scatter([phi], q, tags=[f"pauli{t}"])[0]
         rows.append((p.s_map / scale, p.s_min / scale, q, p.tag))
     return _csv(["s_map", "s_min", "q", "tag"], rows)
 
@@ -288,10 +285,7 @@ def figure_scatter_q(q: float, trials: int, seed: int, base: float = math.e) -> 
 def figure_additivity_region(resolution: int, n: int = 2, m: int = 2) -> str:
     smax = 2.0 * math.log(n)
     grid = np.linspace(0.0, smax, resolution)
-    rows = []
-    for s1 in grid:
-        for s2 in grid:
-            rows.append((s1, s2, qubit.additivity_region_values(s1, s2, n, m)))
+    rows = [(s1, s2, qubit.additivity_region_values(s1, s2, n, m)) for s1 in grid for s2 in grid]
     return _csv(["s1", "s2", "inside"], rows)
 
 
@@ -391,15 +385,8 @@ def _csv_to_json(text: str) -> str:
 
 def _report(command: str, config: dict, results: dict, violations: int,
             max_slack: float, seed: int, t0: float) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "results": results,
-        "violations": violations,
-        "max_slack": max_slack,
-        "elapsed_ms": int((time.time() - t0) * 1000),
-        "seed": seed,
-    }
+    return dict(command=command, config=config, results=results, violations=violations,
+                max_slack=max_slack, elapsed_ms=int((time.time() - t0) * 1000), seed=seed)
 
 
 def _writable(path: str) -> bool:

@@ -138,7 +138,8 @@ def _qubit_superoperator_matrix(d: DaviesQubit) -> np.ndarray:
 
 
 def qubit_superoperator(d: DaviesQubit) -> Channel:
-    """The Davies qubit channel as a Channel (validated CPTP)."""
+    """The Davies qubit channel, held as its superoperator: CP and TP are checked
+    on that matrix here, and Kraus operators are built only if something reads them."""
     return Channel.from_superoperator(_qubit_superoperator_matrix(d))
 
 
@@ -235,14 +236,13 @@ class DaviesQutritBlock:
         f12 = self.f21 * p[0] / p[1]
         f13 = self.f31 * p[0] / p[2]
         f23 = self.f32 * p[1] / p[2]
-        f = np.array(
+        return np.array(
             [
                 [1.0 - self.f21 - self.f31, f12, f13],
                 [self.f21, 1.0 - f12 - self.f32, f23],
                 [self.f31, self.f32, 1.0 - f13 - f23],
             ]
         )
-        return f
 
 
 def zero_block_constraints(f21: float, f31: float, f32: float) -> bool:
@@ -426,19 +426,11 @@ def davies_set_sweep(resolution: int = 50, temperature_mode: str = "infinite"):
                     continue
                 block = DaviesQutritBlock(f21=f23, f31=f13, f32=f12)
                 res = membership(block)
-                rows.append(
-                    {
-                        "f12": f12,
-                        "f13": f13,
-                        "f23": f23,
-                        "member": res.is_member,
-                        "boundary": res.boundary,
-                        "l21": res.l21,
-                        "l31": res.l31,
-                        "l32": res.l32,
-                        "in_cross_section": abs(f12 + f13 + f23 - 0.5) < 0.5 / resolution,
-                    }
-                )
+                rows.append(dict(
+                    f12=f12, f13=f13, f23=f23, member=res.is_member, boundary=res.boundary,
+                    l21=res.l21, l31=res.l31, l32=res.l32,
+                    in_cross_section=abs(f12 + f13 + f23 - 0.5) < 0.5 / resolution,
+                ))
     return rows
 
 
@@ -455,7 +447,7 @@ def semigroup_residual(rates: DaviesRates, t1: float, t2: float) -> float:
     """|Phi(t1) Phi(t2) - Phi(t1 + t2)| for a shared qubit generator.
 
     Each map is checked as a DaviesQubit and multiplied as its 4×4 matrix:
-    no Channel (Kraus decomposition) is built.
+    no Channel is built.
     """
     def superop(t):
         d = DaviesQubit.from_rates(DaviesRates(rates.relaxation, rates.dephasing, rates.p, t))

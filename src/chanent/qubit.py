@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .channels import Channel, InvalidChannelError, is_cptp, map_entropy
+from .channels import Channel, map_entropy
 from .entropy import EntropyOrder, VON_NEUMANN, classical_entropy, spectrum_entropy, vn_entropy
 from .matfun import SUPPORT_CUTOFF
 from .sampling import random_pure_state, stream_rng
@@ -495,8 +495,9 @@ def preserve_smin(phi1: Channel, eta, t: float, n: float, p: float, tol: float =
     the minimizer rho_p, E squeezes the Bloch ball onto an ellipsoid tangent
     at the north pole, and D tilts the ellipsoid axes. The caller supplies p,
     the diagonal parameter of Phi1's (real, positive off-diagonal) minimizer.
-    Raises InvalidChannelError (with the Choi eigenvalue) if the requested
-    parameters leave the CP cone.
+    `Channel.from_superoperator` raises InvalidChannelError (with the Choi
+    eigenvalue or the TP residual) if the requested parameters leave the
+    CPTP set.
     """
     if phi1.in_dim != 2 or phi1.out_dim != 2:
         raise ValueError("preserve_smin acts on qubit channels")
@@ -509,10 +510,4 @@ def preserve_smin(phi1: Channel, eta, t: float, n: float, p: float, tol: float =
         if not 0.0 < p < 1.0:
             raise ValueError("a nonzero axis tilt needs p strictly inside (0, 1)")
         s = s + _phi_direction(p, t, n)
-    report = is_cptp(s, tol)
-    if not report.ok:
-        raise InvalidChannelError(
-            f"transformed map is not CPTP (min Choi eigenvalue {report.min_choi_eig:.3e}, "
-            f"TP residual {report.tp_residual:.3e})"
-        )
     return Channel.from_superoperator(s, tol=tol)

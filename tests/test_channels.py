@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chanent import channels, cli
 from chanent.bounds import Ensemble
 from chanent.channels import Channel
 from chanent.entropy import EntropyOrder, vn_entropy
-from chanent.matfun import partial_trace
+from chanent.matfun import hermitize, partial_trace, reshuffle
 from chanent.sampling import (
     dirichlet,
     haar_unitary,
@@ -89,12 +89,7 @@ class TestIsCptp:
         assert report.cp and report.tp and report.ok
 
     def test_transpose_map_not_cp(self):
-        # superoperator of the transpose is the SWAP matrix
-        swap = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                swap[2 * i + j, 2 * j + i] = 1.0
-        report = channels.is_cptp(swap)
+        report = channels.is_cptp(_transpose_superoperator())
         assert report.tp and not report.cp
         assert abs(report.min_choi_eig + 0.5) < 1e-12
 
@@ -102,6 +97,124 @@ class TestIsCptp:
         phi = random_channel(2, 2, stream_rng(42, 1))
         report = channels.is_cptp([0.9 * k for k in phi.kraus])
         assert not report.tp
+
+
+def _transpose_superoperator() -> np.ndarray:
+    """The transpose map on qubits: its superoperator is the SWAP matrix."""
+    swap = np.zeros((4, 4))
+    for i in range(2):
+        for j in range(2):
+            swap[2 * i + j, 2 * j + i] = 1.0
+    return swap
+
+
+def _slightly_negative_superoperator(eps: float) -> np.ndarray:
+    """A trace-preserving qubit map whose dynamical matrix has minimum eigenvalue -eps.
+
+    The identity map's dynamical matrix |vec I><vec I| plus eps·(|00><00| - |10><10|),
+    whose trace over the output factor is zero.
+    """
+    vec_id = np.array([1.0, 0.0, 0.0, 1.0])
+    d = np.outer(vec_id, vec_id) + eps * np.diag([1.0, 0.0, -1.0, 0.0])
+    return reshuffle(d)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_superoperator(self, bad, monkeypatch):
+        s = np.eye(4, dtype=complex)
+        s[0, 0] = bad
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigensolver called"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolver called"))
+        with pytest.raises(channels.InvalidChannelError, match="NaN or infinite"):
+            Channel.from_superoperator(s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_choi(self, bad):
+        choi = channels.identity_channel(2).choi.copy()
+        choi[1, 2] = bad
+        with pytest.raises(channels.InvalidChannelError, match="NaN or infinite"):
+            Channel.from_choi(choi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_raw_is_cptp(self, bad, where, monkeypatch):
+        s = np.eye(4, dtype=complex)
+        s[where] = bad
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolver called"))
+        report = channels.is_cptp(s)
+        assert not report.cp and not report.ok
+        assert math.isnan(report.min_choi_eig)
+
+
+def _looped_outer_sum(d: np.ndarray, n: int) -> np.ndarray:
+    """Reference for Channel._from_outer_sum: one eigenvector at a time."""
+    w, v = np.linalg.eigh(d)
+    kraus = []
+    for idx in np.argsort(w)[::-1]:
+        if w[idx] <= 1e-10:
+            continue
+        vec = v[:, idx]
+        first = np.flatnonzero(np.abs(vec) > 1e-12)[0]
+        vec = vec / (vec[first] / abs(vec[first]))
+        kraus.append(math.sqrt(w[idx]) * vec.reshape(n, n))
+    return np.array(kraus)
+
+
+class TestSuperoperatorChannel:
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists())
+    def test_round_trip(self, kraus):
+        assume(kraus[0].shape[0] == kraus[0].shape[1])
+        phi = Channel(kraus)
+        psi = Channel.from_superoperator(phi.superoperator)
+        np.testing.assert_allclose(psi.choi, phi.choi, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(psi.superoperator, phi.superoperator, rtol=0, atol=1e-13)
+        assert "kraus" not in vars(psi)
+        d = hermitize(reshuffle(phi.superoperator))
+        direct = Channel._from_outer_sum(d, phi.in_dim, 1e-9)
+        assert psi.kraus.tobytes() == direct.kraus.tobytes()
+        assert psi.kraus.tobytes() == _looped_outer_sum(d, phi.in_dim).tobytes()
+        assert psi.kraus is psi.kraus
+
+    def test_is_cptp_builds_no_kraus(self):
+        psi = Channel.from_superoperator(random_channel(3, 2, stream_rng(44, 0)).superoperator)
+        report = psi.is_cptp(1e-9)
+        assert report.ok
+        assert "kraus" not in vars(psi)
+
+    def test_choi_built_channel_is_lazy_too(self):
+        phi = random_channel(2, 3, stream_rng(44, 1))
+        psi = Channel.from_choi(phi.choi)
+        assert "kraus" not in vars(psi)
+        np.testing.assert_allclose(psi.superoperator, phi.superoperator, rtol=0, atol=1e-13)
+
+    def test_stored_arrays_read_only(self):
+        psi = Channel.from_superoperator(np.eye(4))
+        with pytest.raises(ValueError):
+            psi.superoperator[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            psi.choi[0, 0] = 2.0
+
+    def test_transpose_map_rejected(self):
+        with pytest.raises(channels.InvalidChannelError, match="not completely positive"):
+            Channel.from_superoperator(_transpose_superoperator())
+
+    def test_scaled_identity_rejected(self):
+        with pytest.raises(channels.InvalidChannelError, match="not trace preserving"):
+            Channel.from_superoperator(0.9 * np.eye(4))
+
+    def test_threshold_is_on_the_dynamical_matrix(self):
+        # min eigenvalue -1.5e-9 of D lies in (-n·tol, -tol): the Choi state's
+        # -7.5e-10 would pass a test on the normalized scale, and D's does not
+        tol = 1e-9
+        s = _slightly_negative_superoperator(1.5e-9)
+        report = channels.is_cptp(s, tol)
+        assert report.tp and not report.cp
+        assert -tol < report.min_choi_eig < -tol / 2
+        with pytest.raises(channels.InvalidChannelError, match="not completely positive"):
+            Channel.from_superoperator(s, tol)
+        Channel.from_superoperator(_slightly_negative_superoperator(0.5e-9), tol)
 
 
 class TestComplementary:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chanent import davies
-from chanent.channels import InvalidChannelError
+from chanent import cli, davies
+from chanent.channels import Channel, InvalidChannelError
 from chanent.matfun import matrix_exp, stochastic3_log
 from chanent.sampling import complex_gaussian, stream_rng
 
@@ -84,6 +84,15 @@ class TestDaviesQubit:
         monkeypatch.setattr(davies.Channel, "from_superoperator", forbidden)
         for rates, t1, t2, expected in draws:
             assert abs(davies.semigroup_residual(rates, t1, t2) - expected) <= 1e-14
+
+    def test_davies_trial_runs_no_kraus_decomposition(self, monkeypatch):
+        expected = [cli._trial_davies(1108, t, {}) for t in range(40)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Kraus decomposition run by _trial_davies")
+
+        monkeypatch.setattr(Channel, "_from_outer_sum", forbidden)
+        assert [cli._trial_davies(1108, t, {}) for t in range(40)] == expected
 
     def test_semigroup_residual_validates_each_map(self):
         # DaviesRates leaves p unchecked; the DaviesQubit built for each time rejects it
