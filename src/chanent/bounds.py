@@ -15,6 +15,7 @@ from .channels import Channel, correlation_from_kraus, ensemble_from_channel
 from .entropy import (
     EntropyOrder,
     VON_NEUMANN,
+    _clean_probs,
     relative_entropy,
     shannon,
     spectrum_entropy,
@@ -22,6 +23,8 @@ from .entropy import (
 )
 from .matfun import hermitize, psd_power, psd_sqrt, regularize_singular, sqrt_product
 from .states import assert_state, from_bloch, root_fidelity
+from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
+                         PSD_TOL, VIOLATION_SLACK)
 
 __all__ = [
     "Ensemble",
@@ -69,11 +72,10 @@ class Ensemble:
         states = np.asarray(self.states, dtype=complex)
         if len(probs) != len(states):
             raise ValueError("probs and states must have equal length")
-        if probs.min(initial=0.0) < -1e-14 or abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError("probs must be a probability vector")
+        probs = _clean_probs(probs)
         if states.ndim != 3 or states.shape[1] != states.shape[2]:
             raise ValueError("all states must share a dimension")
-        object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
+        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
@@ -86,9 +88,9 @@ class Ensemble:
     def average(self) -> np.ndarray:
         return sum(p * s for p, s in zip(self.probs, self.states))
 
-    def validate(self, tol: float = 1e-10) -> "Ensemble":
+    def validate(self) -> "Ensemble":
         for s in self.states:
-            assert_state(s, tol)
+            assert_state(s)
         return self
 
 
@@ -125,13 +127,13 @@ def _as_channel(phi) -> Channel:
     return phi if isinstance(phi, Channel) else Channel(phi)
 
 
-def correlation_matrix(rho: np.ndarray, kraus, tol: float = 1e-9) -> np.ndarray:
+def correlation_matrix(rho: np.ndarray, kraus) -> np.ndarray:
     """Correlation matrix sigma_ij = tr K^i rho K^j† of a POVM acting on rho.
 
-    The Kraus list must resolve the identity to tol: otherwise it raises
-    InvalidChannelError, a ValueError.
+    The Kraus list must be a channel: otherwise it raises InvalidChannelError,
+    a ValueError.
     """
-    return correlation_from_kraus(Channel(kraus, tol=tol).kraus, rho)
+    return correlation_from_kraus(Channel(kraus).kraus, rho)
 
 
 def correlation_from_ensemble(e: Ensemble, unitaries) -> np.ndarray:
@@ -149,10 +151,8 @@ def _purification_gram(probs: np.ndarray, roots: np.ndarray, us: np.ndarray) -> 
     return hermitize(_root_probs(probs) * np.trace(products, axis1=-2, axis2=-1))
 
 
-def theorem1_check(
-    rho: np.ndarray, phi, slack: float = 1e-9
-) -> tuple[float, float, float, bool]:
-    """The chain chi <= S(sigma) <= H(P) for a measurement ensemble.
+def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
+    """The chain chi <= S(sigma) <= H(P) for a measurement ensemble, to VIOLATION_SLACK.
 
     phi is a Channel or a Kraus list; a list is validated as one Channel.
     Returns (chi, s_sigma, h_p, ok).
@@ -162,24 +162,22 @@ def theorem1_check(
     chi = holevo(ensemble_from_channel(phi, rho))
     s_sigma = vn_entropy(sigma)
     h_p = shannon(np.diag(sigma).real / np.trace(sigma).real)
-    ok = chi <= s_sigma + slack and s_sigma <= h_p + slack
+    ok = chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK
     return chi, s_sigma, h_p, ok
 
 
-def info_gain_check(rho: np.ndarray, phi, slack: float = 1e-9) -> bool:
-    """Average output entropy does not exceed the input entropy.
+def info_gain_check(rho: np.ndarray, phi) -> bool:
+    """Average output entropy does not exceed the input entropy (to VIOLATION_SLACK).
 
     phi is a Channel or a Kraus list; a list is validated as one Channel.
     """
     e = ensemble_from_channel(_as_channel(phi), rho)
     avg = sum(p * vn_entropy(s) for p, s in zip(e.probs, e.states))
-    return avg <= vn_entropy(rho) + slack
+    return avg <= vn_entropy(rho) + VIOLATION_SLACK
 
 
-def concat_bound_check(
-    phi1: Channel, phi2: Channel, rho: np.ndarray, slack: float = 1e-9
-) -> tuple[bool, bool]:
-    """Both concatenation bounds for the Holevo quantity of a two-step process.
+def concat_bound_check(phi1: Channel, phi2: Channel, rho: np.ndarray) -> tuple[bool, bool]:
+    """Both concatenation bounds for the Holevo quantity of a two-step process, to VIOLATION_SLACK.
 
     First: S(Phi2 Phi1(rho)) - sum p S(Phi2(rho_i)) <= S(Phi1(rho)) - sum p S(rho_i).
     Second: the same left side is bounded by the exchange entropy of the
@@ -194,7 +192,7 @@ def concat_bound_check(
     )
     composed = phi2.compose(phi1)
     sigma_ii = vn_entropy(correlation_from_kraus(composed.kraus, rho))
-    return lhs <= rhs1 + slack, lhs <= sigma_ii + slack
+    return lhs <= rhs1 + VIOLATION_SLACK, lhs <= sigma_ii + VIOLATION_SLACK
 
 
 def composition_map_entropy_lower(phi1: Channel, phi2: Channel) -> float:
@@ -226,7 +224,7 @@ class LindbladReport:
 
     @property
     def ok(self) -> bool:
-        return min(self.lower_slack, self.upper_slack, self.chi_slack) >= -1e-9
+        return min(self.lower_slack, self.upper_slack, self.chi_slack) >= -VIOLATION_SLACK
 
 
 def lindblad_check(rho: np.ndarray, phi: Channel) -> LindbladReport:
@@ -284,7 +282,7 @@ def _damped(g: np.ndarray, b: float) -> np.ndarray:
 def check_b(b: float, dim: int) -> None:
     """Raise ValueError unless b reaches the damping floor of G/b: sqrt(3) for qubits, 2 beyond."""
     min_b = math.sqrt(3.0) if dim == 2 else 2.0
-    if not b >= min_b - 1e-12:
+    if not b >= min_b - DOMAIN_EDGE:
         raise ValueError(f"b must be at least {min_b} for dimension {dim}")
 
 
@@ -305,7 +303,7 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
             b = 2.0 if e.dim > 2 else math.sqrt(3.0)
         check_b(b, e.dim)
     if variant == "F-squared" and e.dim != 2 and not all(
-        np.trace(s @ s).real > 1.0 - 1e-10 for s in e.states
+        np.trace(s @ s).real > 1.0 - NORMALIZATION_TOL for s in e.states
     ):
         raise ValueError("F-squared variant needs qubit or pure ensembles")
     rf = _root_fidelity_matrix(e.states, psd_sqrt(e.states))
@@ -315,8 +313,7 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
     return _damped(g, b) if variant == "G/b" else g
 
 
-def _layered_matrix(probs: np.ndarray, states: np.ndarray, rf: np.ndarray,
-                    eps: float = 1e-9) -> np.ndarray:
+def _layered_matrix(probs: np.ndarray, states: np.ndarray, rf: np.ndarray) -> np.ndarray:
     """Correlation matrix with root fidelities on the tridiagonal, for (..., k) stacks.
 
     sigma_ij for j > i+1 is the chained product
@@ -332,7 +329,7 @@ def _layered_matrix(probs: np.ndarray, states: np.ndarray, rf: np.ndarray,
     sigma[(...,) + d] = probs
     sigma[..., u, u + 1] = sigma[..., u + 1, u] = root_p[..., u, u + 1] * rf[..., u, u + 1]
     if k > 2:
-        states = regularize_singular(states, eps)
+        states = regularize_singular(states)
         # steps[..., m-1] = sqrt(rho_m rho_{m-1}); invs[..., m-1] = rho_m^{-1}
         steps = sqrt_product(states[..., 1:, :, :], states[..., :-1, :, :])
         invs = np.linalg.inv(states[..., 1:-1, :, :])
@@ -374,22 +371,23 @@ class BoundReport:
         return json.dumps(data)
 
 
-def hierarchy(e: Ensemble, b: float = math.sqrt(3.0), slack: float = 1e-9) -> BoundReport | None:
+def hierarchy(e: Ensemble, b: float = math.sqrt(3.0)) -> BoundReport | None:
     """Normalized bound report for a k=3 qubit ensemble; None if H(P) = chi.
 
     The batch-of-one case of hierarchy_batch.
     """
-    return hierarchy_batch(e.probs[None], e.states[None], b=b, slack=slack)[0]
+    return hierarchy_batch(e.probs[None], e.states[None], b=b)[0]
 
 
 def hierarchy_batch(
-    probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0), slack: float = 1e-9
+    probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0)
 ) -> list[BoundReport | None]:
     """Normalized bound reports for a stack of k=3 qubit ensembles.
 
     probs has shape (B, 3) and states (B, 3, 2, 2). Each ensemble's report
     is on the scale with chi at 0 and H(P) at 1, or None if H(P) - chi is
-    below 1e-10. s_sigma and s_gram both refer to the canonical
+    below HIERARCHY_SKIP_GAP; violations["conjecture"] is chi > S(G) +
+    VIOLATION_SLACK. s_sigma and s_gram both refer to the canonical
     purification Gram matrix (identity unitaries). The root-fidelity matrix
     is computed once per ensemble, from one square root per state, and the
     entropies of all five auxiliary matrices come from one stacked
@@ -400,10 +398,7 @@ def hierarchy_batch(
     if probs.ndim != 2 or probs.shape[1] != 3 or states.shape != probs.shape + (2, 2):
         raise ValueError("hierarchy is defined for k=3 qubit ensembles")
     check_b(b, 2)
-    if not (np.isfinite(probs).all() and probs.min(initial=0.0) >= -1e-14
-            and (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-10).all()):
-        raise ValueError("probs must be probability vectors")
-    probs = np.maximum(probs, 0.0)
+    probs = _clean_probs(probs)
     chi = _holevo_vn(probs, states)
     h_p = spectrum_entropy(probs)
     roots = psd_sqrt(states)
@@ -415,9 +410,9 @@ def hierarchy_batch(
         g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, states, rf),
     ], axis=1)
     ent = vn_entropy(aux)  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
-    kept = ~(h_p - chi < 1e-10)  # a NaN gap keeps its row, so it cannot pass as a skip
+    kept = ~(h_p - chi < HIERARCHY_SKIP_GAP)  # a NaN gap keeps its row, so it cannot pass as a skip
     norm = (ent - chi[:, None]) / np.where(kept, h_p - chi, 1.0)[:, None]
-    conjecture = chi > ent[:, 1] + slack
+    conjecture = chi > ent[:, 1] + VIOLATION_SLACK
     return [
         BoundReport(chi=0.0, s_sigma=gram, s_gram=gram, s_fid=fid, s_fid_b=fid_b,
                     s_fid_sq=fid_sq, s_layered=layered, h_p=1.0, normalized=True,
@@ -428,21 +423,15 @@ def hierarchy_batch(
     ]
 
 
-def holevo_mutual_check(
-    e: Ensemble, povm_kraus, slack: float = 1e-9
-) -> tuple[float, float, bool]:
-    """Holevo theorem: accessible mutual information <= chi.
+def holevo_mutual_check(e: Ensemble, povm_kraus) -> tuple[float, float, bool]:
+    """Holevo theorem: accessible mutual information <= chi (to VIOLATION_SLACK).
 
-    The joint distribution is p(x, y) = p_x tr K^y† K^y rho_x.
+    The joint distribution is p(x, y) = p_x tr K^y† K^y rho_x. The Kraus list
+    must be a channel: otherwise it raises InvalidChannelError, a ValueError.
     """
     from .entropy import mutual_information_classical
 
-    kraus = [np.asarray(k, dtype=complex) for k in povm_kraus]
-    n = e.dim
-    ident = sum(k.conj().T @ k for k in kraus)
-    if np.abs(ident - np.eye(n)).max() > 1e-9:
-        raise ValueError("POVM does not resolve the identity")
-    effects = [k.conj().T @ k for k in kraus]
+    effects = [k.conj().T @ k for k in Channel(povm_kraus).kraus]
     joint = np.array(
         [[p * np.trace(eff @ s).real for eff in effects] for p, s in zip(e.probs, e.states)]
     )
@@ -450,7 +439,7 @@ def holevo_mutual_check(
     joint /= joint.sum()
     mi = mutual_information_classical(joint)
     chi = holevo(e)
-    return mi, chi, mi <= chi + slack
+    return mi, chi, mi <= chi + VIOLATION_SLACK
 
 
 # -- two pure + one mixed qubit geometry --------------------------------------
@@ -522,19 +511,19 @@ def triple_from_params(a: float, b: float, alpha: float, beta: float) -> TripleG
     if not (0.0 <= b <= 1.0):
         raise ValueError("b must lie in [0, 1]")
     oc_len = 0.5 * math.sqrt(9 * a * a - 6 * a * b * math.cos(alpha) + b * b)
-    if oc_len > 1.0 + 1e-12:
+    if oc_len > 1.0 + DOMAIN_EDGE:
         raise ValueError(f"|OC| = {oc_len:.6f} exceeds 1: no pure pair exists")
     oa = np.array([0.0, 0.0, a])
     ob = b * np.array([0.0, math.sin(alpha), math.cos(alpha)])
     oc = 0.5 * (3 * oa - ob)
     oc_len = min(oc_len, 1.0)
-    if oc_len > 1e-14:
+    if oc_len > BLOCH_NULL_LENGTH:
         c_hat = oc / np.linalg.norm(oc)
     else:
         c_hat = np.array([0.0, 0.0, 1.0])
     # unit vector orthogonal to c_hat in the y-z plane (the plane of OA, OB)
     u0 = np.array([0.0, c_hat[2], -c_hat[1]])
-    if np.linalg.norm(u0) < 1e-14:
+    if np.linalg.norm(u0) < BLOCH_NULL_LENGTH:
         u0 = np.array([0.0, 1.0, 0.0])
     u0 /= np.linalg.norm(u0)
     # cos(gamma) = |OC| directly, avoiding an acos/cos round trip
@@ -542,7 +531,7 @@ def triple_from_params(a: float, b: float, alpha: float, beta: float) -> TripleG
     sin_g = math.sqrt(max(1.0 - oc_len * oc_len, 0.0))
     od = cos_g * c_hat + sin_g * u0
     oe = cos_g * c_hat - sin_g * u0
-    rot = _rotation_about(c_hat, beta) if oc_len > 1e-14 else _rotation_about(np.array([0.0, 0.0, 1.0]), beta)
+    rot = _rotation_about(c_hat if oc_len > BLOCH_NULL_LENGTH else np.array([0.0, 0.0, 1.0]), beta)
     of, og = rot @ od, rot @ oe
     return TripleGeometry(
         a=a, b=b, alpha=alpha, beta=beta,
@@ -575,30 +564,31 @@ def symmetric_triple_eigenvalues(f12: float, f13: float, f23: float) -> np.ndarr
     return np.sort(lams)
 
 
-def symmetric_triple_check(f: float, b: float, slack: float = 1e-9) -> tuple[float, float, bool]:
-    """Two-pure-one-mixed bound chi <= S(G) on the symmetric (beta = alpha = 0) family.
+def symmetric_triple_check(f: float, b: float) -> tuple[float, float, bool]:
+    """Two-pure-one-mixed bound chi <= S(G) (to VIOLATION_SLACK) on the symmetric
+    (beta = alpha = 0) family.
 
-    G has off-corner |2F - 1|/b; at b = 0 the entry is defined by the limit
-    (F must equal 1/2 there). Returns (chi, s_G, ok).
+    G has off-corner |2F - 1|/b; at b = 0 (within DOMAIN_EDGE) the entry is
+    defined by the limit (F must equal 1/2 there). Returns (chi, s_G, ok).
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must lie in [0, 1]")
-    if not 0.5 * (1 - b) - 1e-12 <= f <= 0.5 * (1 + b) + 1e-12:
+    if not 0.5 * (1 - b) - DOMAIN_EDGE <= f <= 0.5 * (1 + b) + DOMAIN_EDGE:
         raise ValueError(f"F = {f} outside [{(1-b)/2}, {(1+b)/2}]")
-    if b <= 1e-12:
-        if abs(2 * f - 1.0) > 1e-12:
+    if b <= DOMAIN_EDGE:
+        if abs(2 * f - 1.0) > DOMAIN_EDGE:
             raise ValueError("b = 0 requires F = 1/2")
         corner = 0.0
     else:
         corner = abs(2 * f - 1.0) / b
     g = np.array([[1.0, math.sqrt(f), corner], [math.sqrt(f), 1.0, math.sqrt(f)], [corner, math.sqrt(f), 1.0]]) / 3.0
     s_g = vn_entropy(g)
-    a = (b + 2 * (2 * f - 1.0) / b) / 3.0 if b > 1e-12 else 0.0
+    a = (b + 2 * (2 * f - 1.0) / b) / 3.0 if b > DOMAIN_EDGE else 0.0
     a = min(abs(a), 1.0)
     chi = vn_entropy(np.diag([(1 + a) / 2, (1 - a) / 2])) - vn_entropy(
         np.diag([(1 + b) / 2, (1 - b) / 2])
     ) / 3.0
-    return chi, s_g, chi <= s_g + slack
+    return chi, s_g, chi <= s_g + VIOLATION_SLACK
 
 
 # -- the root-fidelity conjecture -----------------------------------------------
@@ -615,7 +605,7 @@ def find_indefinite_gram(
     """Search random pure ensembles for an indefinite root-fidelity matrix.
 
     Returns (matrix, min eigenvalue) of the first instance with an
-    eigenvalue below -1e-10, or None.
+    eigenvalue below -PSD_TOL, or None.
     """
     from .sampling import random_pure_state, stream_rng
     from .states import pure_state
@@ -626,6 +616,6 @@ def find_indefinite_gram(
         e = Ensemble(np.full(k, 1.0 / k), states)
         g = fidelity_matrix(e, "G")
         min_eig = float(np.linalg.eigvalsh(g).min())
-        if min_eig < -1e-10:
+        if min_eig < -PSD_TOL:
             return g, min_eig
     return None

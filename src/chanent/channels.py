@@ -21,8 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import (NotPSDError, hermitize, partial_trace, psd_inv_sqrt, psd_sqrt,
-                     regularize_singular, reshuffle)
+from .matfun import hermitize, partial_trace, psd_inv_sqrt, psd_sqrt, regularize_singular, reshuffle
+from .tolerances import (CHOI_TOL, CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF,
+                         SUPPORT_CUTOFF)
 
 __all__ = [
     "InvalidChannelError",
@@ -114,18 +115,20 @@ def _cptp_report(stack: np.ndarray, choi: np.ndarray, tol: float) -> CptpReport:
     return CptpReport(min_eig >= -tol, tp_residual <= tol, min_eig, tp_residual)
 
 
-def _superoperator_report(s: np.ndarray, tol: float) -> tuple[CptpReport, np.ndarray]:
+def _superoperator_report(s: np.ndarray) -> tuple[CptpReport, np.ndarray | None]:
     """The report on a square superoperator, and the dynamical matrix d it checked.
 
     d = hermitize(reshuffle(s)) is n·choi; CP means no eigenvalue of d (not
-    of the Choi state) below -tol, TP means max|Tr_out d - I| <= tol. A NaN or
-    inf entry gives a NaN eigenvalue without an eigensolver call.
+    of the Choi state) below -CPTP_TOL, TP means max|Tr_out d - I| <= CPTP_TOL.
+    A NaN or inf entry gives a NaN report and no d, before any arithmetic on s.
     """
+    if not np.isfinite(s).all():
+        return CptpReport(False, False, math.nan, math.nan), None
     d = hermitize(reshuffle(s))
     n = math.isqrt(len(d))
     tp_residual = float(np.abs(partial_trace(d, (n, n), 1) - np.eye(n)).max())
-    min_eig = float(np.linalg.eigvalsh(d).min()) if np.isfinite(d).all() else math.nan
-    return CptpReport(min_eig >= -tol, tp_residual <= tol, min_eig / n, tp_residual), d
+    min_eig = float(np.linalg.eigvalsh(d).min())
+    return CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual), d
 
 
 class Channel:
@@ -135,14 +138,14 @@ class Channel:
     rectangular (out_dim × in_dim), as for complementary channels. The
     constructor builds the Choi state, because the CP check needs its
     minimum eigenvalue, and checks trace preservation on sum K†K; a Kraus
-    list that fails either check, or has a NaN or inf entry, raises
-    InvalidChannelError. The superoperator is built on first read and cached.
+    list that fails either check at `tol` (CPTP_TOL unless given), or has a
+    NaN or inf entry, raises InvalidChannelError. The superoperator is built on first read and cached.
     `from_superoperator` and `from_choi` hold the superoperator and the Choi
     state instead, and build (and validate) the Kraus stack on first read.
     Instances are immutable: the given representation is a read-only copy.
     """
 
-    def __init__(self, kraus, tol: float = 1e-9):
+    def __init__(self, kraus, tol: float = CPTP_TOL):
         self._kraus_given = True
         self.kraus = _kraus_stack(kraus)
         self.kraus.flags.writeable = False
@@ -163,7 +166,7 @@ class Channel:
     @cached_property
     def kraus(self) -> np.ndarray:
         """Built on first read for a superoperator or Choi channel; `Channel(kraus)` stores it."""
-        return self._from_outer_sum(reshuffle(self.superoperator), self.in_dim, self._tol).kraus
+        return self._from_outer_sum(reshuffle(self.superoperator), self.in_dim).kraus
 
     @property
     def dim(self) -> int:
@@ -179,16 +182,16 @@ class Channel:
             raise ValueError(f"state dimension {rho.shape[0]} != channel dimension {self.in_dim}")
         return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
-    def is_cptp(self, tol: float = 1e-9) -> CptpReport:
-        """The constructor's check at tolerance tol, on the representation it was given."""
+    def is_cptp(self) -> CptpReport:
+        """The constructor's check at CPTP_TOL, on the representation it was given."""
         if self._kraus_given:
-            return _cptp_report(self.kraus, self.choi, tol)
-        return _superoperator_report(self.superoperator, tol)[0]
+            return _cptp_report(self.kraus, self.choi, CPTP_TOL)
+        return _superoperator_report(self.superoperator)[0]
 
     # -- representation conversions ------------------------------------
 
     @classmethod
-    def from_superoperator(cls, s: np.ndarray, tol: float = 1e-9) -> "Channel":
+    def from_superoperator(cls, s: np.ndarray) -> "Channel":
         """Channel from a superoperator matrix (square dimensions only).
 
         A NaN or inf entry, or a map that fails `_superoperator_report`'s CP or
@@ -198,13 +201,13 @@ class Channel:
         s = np.asarray(s, dtype=complex)
         if not np.isfinite(s).all():
             raise InvalidChannelError("superoperator has a NaN or infinite entry")
-        report, d = _superoperator_report(s, tol)
+        report, d = _superoperator_report(s)
         if not report.cp:
             raise InvalidChannelError(f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}")
         if not report.tp:
             raise InvalidChannelError(f"not trace preserving: |Tr_out D - I| = {report.tp_residual:.3e}")
         phi = cls.__new__(cls)
-        phi._kraus_given, phi._tol = False, tol
+        phi._kraus_given = False
         phi.in_dim = phi.out_dim = math.isqrt(len(d))
         phi.superoperator = reshuffle(d)
         phi.choi = _swap_factors(d) / phi.in_dim
@@ -212,34 +215,34 @@ class Channel:
         return phi
 
     @classmethod
-    def from_choi(cls, choi: np.ndarray, tol: float = 1e-9) -> "Channel":
+    def from_choi(cls, choi: np.ndarray) -> "Channel":
         """Channel from a normalized Choi state (trace one, Tr_2 choi = I/N, both to
-        1e-8), then checked and held as `from_superoperator` holds its map."""
+        CHOI_TOL), then checked and held as `from_superoperator` holds its map."""
         choi = np.asarray(choi, dtype=complex)
         if not np.isfinite(choi).all():
             raise InvalidChannelError("Choi state has a NaN or infinite entry")
         n = math.isqrt(choi.shape[0])
-        if abs(np.trace(choi).real - 1.0) > 1e-8:
+        if abs(np.trace(choi).real - 1.0) > CHOI_TOL:
             raise InvalidChannelError("Choi state must have unit trace")
         marg = partial_trace(choi, (n, n), 2)
-        if np.abs(marg - np.eye(n) / n).max() > 1e-8:
+        if np.abs(marg - np.eye(n) / n).max() > CHOI_TOL:
             raise InvalidChannelError("Choi state violates the partial trace condition")
-        return cls.from_superoperator(reshuffle(_swap_factors(choi * n)), tol=tol)
+        return cls.from_superoperator(reshuffle(_swap_factors(choi * n)))
 
     @classmethod
-    def _from_outer_sum(cls, d: np.ndarray, n: int, tol: float) -> "Channel":
+    def _from_outer_sum(cls, d: np.ndarray, n: int) -> "Channel":
         """Kraus channel from a checked dynamical matrix d = sum vec_row(K) vec_row(K)†.
 
-        Eigenvectors with eigenvalue above 1e-10 become Kraus operators, the
-        largest first, each with its first nonzero component real positive.
+        Eigenvectors with eigenvalue above KRAUS_CUTOFF become Kraus operators, the
+        largest first, each with its first component above PHASE_CUTOFF real positive.
         """
         w, v = np.linalg.eigh(d)
         order = np.argsort(w)[::-1]
-        order = order[w[order] > 1e-10]
+        order = order[w[order] > KRAUS_CUTOFF]
         vecs = v[:, order].T
-        lead = vecs[np.arange(len(order)), np.argmax(np.abs(vecs) > 1e-12, axis=1)]
+        lead = vecs[np.arange(len(order)), np.argmax(np.abs(vecs) > PHASE_CUTOFF, axis=1)]
         vecs = vecs / (lead / np.abs(lead))[:, None]
-        return cls(np.sqrt(w[order])[:, None, None] * vecs.reshape(-1, n, n), tol=tol)
+        return cls(np.sqrt(w[order])[:, None, None] * vecs.reshape(-1, n, n))
 
     # -- composition ----------------------------------------------------
 
@@ -288,7 +291,7 @@ def unitary_channel(u: np.ndarray) -> Channel:
     return Channel([np.asarray(u, dtype=complex)])
 
 
-def is_cptp(obj, tol: float = 1e-9) -> CptpReport:
+def is_cptp(obj) -> CptpReport:
     """CP/TP diagnostic for a Channel, a Kraus list, or a raw superoperator matrix.
 
     Unlike the Channel constructor this never raises on violation, so it can
@@ -296,12 +299,12 @@ def is_cptp(obj, tol: float = 1e-9) -> CptpReport:
     gets the test `Channel.from_superoperator` applies.
     """
     if isinstance(obj, Channel):
-        return obj.is_cptp(tol)
+        return obj.is_cptp()
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
         if math.isqrt(obj.shape[0]) ** 2 == obj.shape[0]:
-            return _superoperator_report(np.asarray(obj, dtype=complex), tol)[0]
+            return _superoperator_report(np.asarray(obj, dtype=complex))[0]
     stack = _kraus_stack(obj)
-    return _cptp_report(stack, kraus_to_choi(stack), tol)
+    return _cptp_report(stack, kraus_to_choi(stack), CPTP_TOL)
 
 
 # -- channel-level entropies -------------------------------------------------
@@ -335,16 +338,16 @@ def coherent_information(phi: Channel, rho: np.ndarray) -> float:
     return vn_entropy(phi.apply(rho)) - exchange_entropy(phi, rho)
 
 
-def ensemble_from_channel(phi: Channel, rho: np.ndarray, cutoff: float = 1e-12):
+def ensemble_from_channel(phi: Channel, rho: np.ndarray):
     """Measurement ensemble {p_i = tr K rho K†, rho_i = K rho K†/p_i}.
 
-    Outcomes with p_i < cutoff are dropped and the rest renormalized.
+    Outcomes with p_i below SUPPORT_CUTOFF are dropped and the rest renormalized.
     """
     from .bounds import Ensemble
 
     outs = phi.kraus @ np.asarray(rho, dtype=complex) @ phi.kraus.conj().swapaxes(-1, -2)
     probs = np.trace(outs, axis1=-2, axis2=-1).real
-    kept = probs >= cutoff
+    kept = probs >= SUPPORT_CUTOFF
     probs, outs = probs[kept], outs[kept]
     return Ensemble(probs / probs.sum(), outs / probs[:, None, None])
 
@@ -361,12 +364,12 @@ def pair_optimal_unitary(rho1: np.ndarray, rho2: np.ndarray, u1: np.ndarray) -> 
     return m @ u1
 
 
-def kraus_from_ensemble(ensemble, unitaries, eps: float = 1e-9) -> tuple[Channel, np.ndarray]:
+def kraus_from_ensemble(ensemble, unitaries) -> tuple[Channel, np.ndarray]:
     """Kraus operators K^i = sqrt(p_i rho_i) U_i rho^{-1/2} preparing a given ensemble.
 
     The initial state is rho = sum p_i U_i† rho_i U_i; then K^i rho K^i† equals
-    p_i rho_i and the K^i resolve the identity. Singular rho is regularized by
-    mixing in eps·I/N (set eps=0 to insist on invertibility).
+    p_i rho_i and the K^i resolve the identity, checked to ENSEMBLE_CHANNEL_TOL.
+    A singular rho is regularized by `regularize_singular`.
     """
     probs = np.asarray(ensemble.probs, dtype=float)
     states = [np.asarray(s, dtype=complex) for s in ensemble.states]
@@ -374,10 +377,7 @@ def kraus_from_ensemble(ensemble, unitaries, eps: float = 1e-9) -> tuple[Channel
     if len(unitaries) != len(states):
         raise ValueError("need one unitary per state")
     rho = hermitize(sum(p * u.conj().T @ s @ u for p, s, u in zip(probs, states, unitaries)))
-    try:
-        rho = regularize_singular(rho, eps)
-    except NotPSDError:
-        raise InvalidChannelError("average state is singular") from None
+    rho = regularize_singular(rho)
     inv_sqrt = psd_inv_sqrt(rho)
     kraus = [psd_sqrt(p * s) @ u @ inv_sqrt for p, s, u in zip(probs, states, unitaries)]
-    return Channel(kraus, tol=1e-7 if eps else 1e-9), rho
+    return Channel(kraus, tol=ENSEMBLE_CHANNEL_TOL), rho

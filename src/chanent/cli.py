@@ -31,16 +31,12 @@ from .sampling import (
     random_ensembles,
     stream_rng,
 )
+from .tolerances import DAVIES_MINIMIZER_GAP, MULTIPLICATIVITY_GAP, VIOLATION_SLACK
 
 SUITES = ("theorem1", "props", "lindblad", "sandwich", "conjecture1", "davies", "multiplicativity")
 FIGURES = ("scatter-q", "additivity-region", "bunga-surfaces", "davies-qutrit-set", "davies-qubit-region")
 
 LN2 = math.log(2.0)
-
-#: How far past its bound a trial's inequality may land before it counts as a violation:
-#: far above the rounding of entropies of matrices of at most 16×16, far below a real
-#: counterexample. It is also the default slack of `bounds`.
-VIOLATION_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +128,7 @@ def _trial_davies(seed: int, t: int, params: dict) -> dict:
     rates = davies.DaviesRates(rel, gam, 0.2 + 0.6 * rng.random(), t=0.0)
     res = davies.semigroup_residual(rates, 0.3 + rng.random(), 0.3 + rng.random())
     # np.max, unlike max, carries a NaN from any position into the slack
-    worst = np.max([gap - 1e-6, res - VIOLATION_SLACK, 0.0])
+    worst = np.max([gap - DAVIES_MINIMIZER_GAP, res - VIOLATION_SLACK, 0.0])
     return {"slack": float(np.max([gap, res])), "violation": bool(worst > 0.0)}
 
 
@@ -145,7 +141,7 @@ def _trial_multiplicativity(seed: int, t: int, params: dict) -> dict:
     m_omega = qubit.max_output_2norm(omega, seed=seed + 7 * t + 1)
     m_joint = qubit.max_output_2norm(phi.tensor(omega), seed=seed + 13 * t + 2)
     gap = abs(m_joint - m_phi * m_omega)
-    return {"slack": gap, "violation": gap > 2e-4}
+    return {"slack": gap, "violation": gap > MULTIPLICATIVITY_GAP}
 
 
 _TRIALS = {
@@ -159,6 +155,21 @@ _TRIALS = {
 }
 
 
+def _in_chunks(chunk, args_of, trials: int, jobs: int) -> list:
+    """The rows of trials [0, trials) in trial order, from chunk(args_of(start, stop)).
+
+    jobs > 1 splits the trials into that many contiguous chunks and runs them
+    in a process pool, so chunk and its arguments must pickle; a trial's row
+    never depends on the chunk it falls in.
+    """
+    if jobs <= 1:
+        return chunk(args_of(0, trials))
+    edges = np.linspace(0, trials, jobs + 1, dtype=int)
+    chunks = [args_of(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [row for rows in pool.map(chunk, chunks) for row in rows]
+
+
 def _run_chunk(args) -> list:
     suite, seed, start, stop, params = args
     fn = _TRIALS[suite]
@@ -168,13 +179,7 @@ def _run_chunk(args) -> list:
 def run_suite(suite: str, trials: int, seed: int, jobs: int = 1, params: dict | None = None) -> dict:
     """Run a property suite; returns the aggregate report dictionary."""
     params = params or {}
-    if jobs <= 1:
-        rows = _run_chunk((suite, seed, 0, trials, params))
-    else:
-        bounds_ = np.linspace(0, trials, jobs + 1, dtype=int)
-        chunks = [(suite, seed, int(a), int(b), params) for a, b in zip(bounds_[:-1], bounds_[1:])]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [r for chunk in pool.map(_run_chunk, chunks) for r in chunk]
+    rows = _in_chunks(_run_chunk, lambda a, b: (suite, seed, a, b, params), trials, jobs)
     slacks = np.array([r["slack"] for r in rows], dtype=float)
     # a slack that is not finite means the check itself broke: count it as a
     # violation, and let np.max carry a NaN into max_slack whatever its trial
@@ -213,13 +218,7 @@ def run_hierarchy(
     conjecture chi <= S(G) behind the s_fid column.
     """
     params = {"k": k, "dim": dim, "b": b, "ancilla": ancilla}
-    if jobs <= 1:
-        rows = _hierarchy_chunk((seed, 0, trials, params))
-    else:
-        edges = np.linspace(0, trials, jobs + 1, dtype=int)
-        chunks = [(seed, int(a), int(bnd), params) for a, bnd in zip(edges[:-1], edges[1:])]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [r for chunk in pool.map(_hierarchy_chunk, chunks) for r in chunk]
+    rows = _in_chunks(_hierarchy_chunk, lambda a, c: (seed, a, c, params), trials, jobs)
     kept = [r for r in rows if r is not None]
     skipped = len(rows) - len(kept)
     table = {}

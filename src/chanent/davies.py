@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, InvalidChannelError
-from .entropy import spectrum_entropy
+from .entropy import _clean_probs, spectrum_entropy
 from .matfun import (
     DegenerateSpectrumError,
     NoRealLogError,
@@ -23,6 +23,8 @@ from .matfun import (
     stochastic3_log,
     stochastic3_xy,
 )
+from .tolerances import (DAVIES_COEFF_CUTOFF, DAVIES_LIMIT_BAND, DAVIES_LOG_RESIDUAL,
+                         DAVIES_PERTURBATION, DOMAIN_EDGE, MEMBERSHIP_TOL)
 
 __all__ = [
     "DaviesQubit",
@@ -61,7 +63,7 @@ class DaviesQubit:
         if not 0.0 <= self.a < 1.0 - self.p:
             raise ValueError(f"need a + p < 1, got a = {self.a}, p = {self.p}")
         cmax = math.sqrt(1.0 - self.a / (1.0 - self.p))
-        if not 0.0 < self.c <= cmax + 1e-12:
+        if not 0.0 < self.c <= cmax + DOMAIN_EDGE:
             raise ValueError(f"need 0 < c <= sqrt(1 - a/(1-p)) = {cmax:.6f}, got c = {self.c}")
 
     @property
@@ -170,7 +172,7 @@ def qubit_minimizer(d: DaviesQubit) -> tuple[float, float]:
 
     candidates = [0.0, 1.0]
     denom = 2.0 * c * c - 2.0 * (1.0 - a - b) ** 2
-    if abs(denom) > 1e-12:
+    if abs(denom) > DAVIES_COEFF_CUTOFF:
         mu_star = (c * c + (1.0 - a - b) * (2.0 * b - 1.0)) / denom
         if 0.0 < mu_star < 1.0 and c * c > (1.0 - a - b) ** 2:
             candidates.append(mu_star)
@@ -218,16 +220,16 @@ class DaviesQutritBlock:
     mu: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        p = np.full(3, 1.0 / 3.0) if self.p is None else np.asarray(self.p, dtype=float)
-        if abs(p.sum() - 1.0) > 1e-10 or p.min() <= 0:
-            raise ValueError("Gibbs weights must be positive and sum to 1")
+        p = _clean_probs(np.full(3, 1.0 / 3.0) if self.p is None else self.p)
+        if p.min() <= 0:
+            raise ValueError("Gibbs weights must be positive")
         object.__setattr__(self, "p", p)
         mu = np.ones(3) if self.mu is None else np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "mu", mu)
         if min(self.f21, self.f31, self.f32) < 0:
             raise ValueError("off-diagonal rates must be nonnegative")
         f = self.stochastic_block()
-        if np.diag(f).min() < -1e-12:
+        if np.diag(f).min() < -DOMAIN_EDGE:
             raise ValueError("column sums exceed 1: diagonal went negative")
 
     def stochastic_block(self) -> np.ndarray:
@@ -249,7 +251,7 @@ def zero_block_constraints(f21: float, f31: float, f32: float) -> bool:
     """Positivity constraints of the symmetric zero-frequency block."""
     s = f21 + f31 + f32
     pair = f32 * f31 + f31 * f21 + f21 * f32
-    return s <= 1.0 + 1e-12 and 3.0 - 4.0 * s + 3.0 * pair >= -1e-12
+    return s <= 1.0 + DOMAIN_EDGE and 3.0 - 4.0 * s + 3.0 * pair >= -DOMAIN_EDGE
 
 
 #: coherence slot (row index of the superoperator) -> mu index
@@ -277,7 +279,7 @@ def qutrit_superoperator(block: DaviesQutritBlock) -> Channel:
         raise InvalidChannelError(f"qutrit block is not a channel: {exc}") from exc
 
 
-def l21_closed_form(f: np.ndarray, coeff_tol: float = 1e-12) -> float:
+def l21_closed_form(f: np.ndarray) -> float:
     """Closed-form L21 entry of the logarithm of a 3×3 stochastic block.
 
     With x, y from the spectrum {1, x+y, x-y} and
@@ -285,31 +287,32 @@ def l21_closed_form(f: np.ndarray, coeff_tol: float = 1e-12) -> float:
 
         L21 = F21/(4y) [ (s - 2y) log(x-y)/(1-x+y) - (s + 2y) log(x+y)/(1-x-y) ]
 
-    Terms with a vanishing coefficient follow the 0·log 0 = 0 convention, and
-    the removable singularity at x + y = 1 is evaluated by its limit.
+    Terms with a coefficient at most DAVIES_COEFF_CUTOFF follow the 0·log 0 = 0
+    convention, and within DAVIES_LIMIT_BAND of the removable singularity at
+    x + y = 1 the quotient is evaluated by its limit.
     """
     f = np.asarray(f, dtype=float)
     x, y = stochastic3_xy(f)
     f12, f21 = f[0, 1], f[1, 0]
     f13, f31 = f[0, 2], f[2, 0]
     f23, f32 = f[1, 2], f[2, 1]
-    if f21 <= coeff_tol:
+    if f21 <= DAVIES_COEFF_CUTOFF:
         # no 1 <-> 2 transition: the generator entry vanishes by continuity
         return 0.0
-    if y <= coeff_tol:
+    if y <= DAVIES_COEFF_CUTOFF:
         raise DegenerateSpectrumError("y = 0: closed form undefined")
-    cross = 0.0 if f23 * f31 <= coeff_tol * coeff_tol else 2.0 * f23 * f31 / f21
+    cross = 0.0 if f23 * f31 <= DAVIES_COEFF_CUTOFF**2 else 2.0 * f23 * f31 / f21
     s = -f12 - f21 + f13 - f31 + f23 - f32 + cross
     y1 = s + 2.0 * y
     y2m4 = s - 2.0 * y
 
     def ratio(coeff: float, lam: float, one_minus: float) -> float:
         # coeff * log(lam) / one_minus with 0·log 0 = 0 and the x+y=1 limit
-        if abs(coeff) <= coeff_tol:
+        if abs(coeff) <= DAVIES_COEFF_CUTOFF:
             return 0.0
         if lam <= 0.0:
             raise NoRealLogError("zero eigenvalue with nonvanishing coefficient")
-        if abs(one_minus) <= 1e-9:
+        if abs(one_minus) <= DAVIES_LIMIT_BAND:
             return -coeff  # log(lam)/(1 - lam) -> -1 as lam -> 1
         return coeff * math.log(lam) / one_minus
 
@@ -329,13 +332,14 @@ class MembershipResult:
     reason: str = ""
 
 
-def membership(block: DaviesQutritBlock, tol: float = 1e-9) -> MembershipResult:
+def membership(block: DaviesQutritBlock) -> MembershipResult:
     """Decide whether the zero-frequency block belongs to the Davies semigroup.
 
     Member iff the block has a real positive spectrum, its logarithm has
-    nonnegative off-diagonal entries, and the zero-block positivity constraints hold. A
-    degenerate positive spectrum falls back to the eigensolver log; a zero
-    eigenvalue is handled by the limit convention and flagged as boundary.
+    off-diagonal entries of at least -MEMBERSHIP_TOL, and the zero-block
+    positivity constraints hold. A degenerate positive spectrum falls back to
+    the eigensolver log; a zero eigenvalue is handled by the limit convention
+    and flagged as boundary.
     """
     import scipy.linalg
 
@@ -346,18 +350,18 @@ def membership(block: DaviesQutritBlock, tol: float = 1e-9) -> MembershipResult:
     except NoRealLogError:
         return MembershipResult(False, False, math.nan, math.nan, math.nan, None, math.nan,
                                 reason="complex spectrum")
-    if x - y < -1e-12:
+    if x - y < -DAVIES_COEFF_CUTOFF:
         return MembershipResult(False, False, math.nan, math.nan, math.nan, None, math.nan,
                                 reason="negative eigenvalue")
     try:
         l21_closed = l21_closed_form(f)
     except (DegenerateSpectrumError, NoRealLogError):
         l21_closed = math.nan
-    boundary = x - y <= 1e-12
+    boundary = x - y <= DAVIES_COEFF_CUTOFF
 
     def result(gen: np.ndarray) -> MembershipResult:
         offs = np.array([gen[1, 0], gen[2, 0], gen[2, 1], gen[0, 1], gen[0, 2], gen[1, 2]])
-        member = bool(offs.min() >= -tol) and constraints_ok
+        member = bool(offs.min() >= -MEMBERSHIP_TOL) and constraints_ok
         return MembershipResult(member, boundary, float(gen[1, 0]), float(gen[2, 0]),
                                 float(gen[2, 1]), gen, l21_closed)
 
@@ -372,7 +376,7 @@ def membership(block: DaviesQutritBlock, tol: float = 1e-9) -> MembershipResult:
     if not boundary:
         # degenerate but strictly positive spectrum: eigensolver fallback
         gen = scipy.linalg.logm(f).real
-        if np.abs(matrix_exp(gen) - f).max() < 1e-8:
+        if np.abs(matrix_exp(gen) - f).max() < DAVIES_LOG_RESIDUAL:
             return result(gen)
         return MembershipResult(False, False, math.nan, math.nan, math.nan, None,
                                 l21_closed, reason="no real logarithm")
@@ -380,18 +384,18 @@ def membership(block: DaviesQutritBlock, tol: float = 1e-9) -> MembershipResult:
     l31 = _limit_offdiag(f, (2, 0))
     l32 = _limit_offdiag(f, (2, 1))
     vals = [v for v in (l21_closed, l31, l32) if not math.isnan(v)]
-    member = bool(vals and min(vals) >= -tol) and constraints_ok
+    member = bool(vals and min(vals) >= -MEMBERSHIP_TOL) and constraints_ok
     return MembershipResult(member, True, l21_closed, l31, l32, None, l21_closed)
 
 
-def _limit_offdiag(f: np.ndarray, pos: tuple[int, int], delta: float = 1e-7) -> float:
+def _limit_offdiag(f: np.ndarray, pos: tuple[int, int]) -> float:
     """Off-diagonal log entry at a degenerate point, via a small perturbation.
 
-    Shrinks the off-diagonal part toward the identity, which moves the zero
-    eigenvalue into (0, 1); entries that stay bounded converge, entries that
-    diverge to +inf stay nonnegative either way.
+    Shrinks the off-diagonal part toward the identity by DAVIES_PERTURBATION,
+    which moves the zero eigenvalue into (0, 1); entries that stay bounded
+    converge, entries that diverge to +inf stay nonnegative either way.
     """
-    g = np.eye(3) * delta + (1.0 - delta) * f
+    g = np.eye(3) * DAVIES_PERTURBATION + (1.0 - DAVIES_PERTURBATION) * f
     try:
         gen, _ = stochastic3_log(g)
         return float(gen[pos])
@@ -422,7 +426,7 @@ def davies_set_sweep(resolution: int = 50, temperature_mode: str = "infinite"):
     for f12 in grid:
         for f13 in grid:
             for f23 in grid:
-                if f12 + f13 + f23 > 1.0 + 1e-12:
+                if f12 + f13 + f23 > 1.0 + DOMAIN_EDGE:
                     continue
                 block = DaviesQutritBlock(f21=f23, f31=f13, f32=f12)
                 res = membership(block)
@@ -435,11 +439,16 @@ def davies_set_sweep(resolution: int = 50, temperature_mode: str = "infinite"):
 
 
 def detailed_balance_residual(block: DaviesQutritBlock, x: np.ndarray, y: np.ndarray) -> float:
-    """|<X, Phi(Y)>_beta - <Phi(X), Y>_beta| with <A,B>_beta = tr rho_beta^{-1} A† B."""
-    phi = qutrit_superoperator(block)
+    """|<X, Phi(Y)>_beta - <Phi(X), Y>_beta| with <A,B>_beta = tr rho_beta^{-1} A† B.
+
+    Phi acts as its superoperator on row-major vectorized X and Y: no Kraus
+    decomposition is built.
+    """
+    s = qutrit_superoperator(block).superoperator
+    phi_x, phi_y = (np.array([x, y], dtype=complex).reshape(2, 9) @ s.T).reshape(2, 3, 3)
     g_inv = np.diag(1.0 / block.p).astype(complex)
-    lhs = np.trace(g_inv @ x.conj().T @ phi.apply(y))
-    rhs = np.trace(g_inv @ phi.apply(x).conj().T @ y)
+    lhs = np.trace(g_inv @ x.conj().T @ phi_y)
+    rhs = np.trace(g_inv @ phi_x.conj().T @ y)
     return float(abs(lhs - rhs))
 
 

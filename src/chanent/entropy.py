@@ -2,7 +2,7 @@
 
 Everything is computed in nats; converting to bits is left to the output
 layer. The 0·log 0 = 0 convention applies throughout, and weights and
-eigenvalues at or below matfun.SUPPORT_CUTOFF count as outside the support.
+eigenvalues at or below tolerances.SUPPORT_CUTOFF count as outside the support.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfun import SUPPORT_CUTOFF, psd_log, psd_power, spectral, spectrum
+from .matfun import psd_log, psd_power, spectral, spectrum
 from .states import root_fidelity
+from .tolerances import NORMALIZATION_TOL, PROB_NEGATIVITY_TOL, SUPPORT_CUTOFF, SUPPORT_LEAK
 
 __all__ = [
     "EntropyOrder",
@@ -62,14 +63,21 @@ class EntropyOrder:
 VON_NEUMANN = EntropyOrder()
 
 
-def _clean_probs(p, tol: float = 1e-10) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
+def _clean_probs(p) -> np.ndarray:
+    """p as a float array of probability vectors along its last axis, clipped at 0.
+
+    The one check of every probability vector in the package. An entry below
+    -PROB_NEGATIVITY_TOL, or NaN, raises ValueError; so does a vector whose sum
+    misses 1 by more than NORMALIZATION_TOL (an inf entry fails this).
+    """
+    p = np.asarray(p, dtype=float)
     low = p.min(initial=0.0)
-    if not low >= -1e-14:  # also catches NaN; inf fails the sum check
+    if not low >= -PROB_NEGATIVITY_TOL:  # also catches NaN
         raise ValueError(f"probability {low:.3e} is negative or not a number")
     p = np.maximum(p, 0.0)
-    if not abs(p.sum() - 1.0) <= tol:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    total = p.sum(axis=-1)
+    if not (np.abs(total - 1.0) <= NORMALIZATION_TOL).all():
+        raise ValueError(f"probabilities sum to {total}, not 1")
     return p
 
 
@@ -102,12 +110,12 @@ def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
 
 def shannon(p) -> float:
     """Shannon entropy -sum p log p of a probability vector, in nats."""
-    return spectrum_entropy(_clean_probs(p))
+    return spectrum_entropy(_clean_probs(np.ravel(p)))
 
 
 def classical_entropy(p, order: EntropyOrder = VON_NEUMANN) -> float:
     """Shannon / Rényi / Tsallis entropy of a probability vector, in nats."""
-    return spectrum_entropy(_clean_probs(p), order)
+    return spectrum_entropy(_clean_probs(np.ravel(p)), order)
 
 
 def vn_entropy(rho: np.ndarray, order: EntropyOrder = VON_NEUMANN):
@@ -139,7 +147,7 @@ def relative_entropy(
     if order.is_limit:
         # support check: weight of rho1 on the kernel of rho2
         kernel = spectral(rho2, lambda w: w <= SUPPORT_CUTOFF)
-        if np.trace(kernel @ rho1).real > 1e-10:
+        if np.trace(kernel @ rho1).real > SUPPORT_LEAK:
             return math.inf
         return float(np.trace(rho1 @ (psd_log(rho1) - psd_log(rho2))).real)
     q = order.q
@@ -155,12 +163,7 @@ def relative_entropy(
 
 def mutual_information_classical(joint: np.ndarray) -> float:
     """H(X) + H(Y) - H(X,Y) of a joint probability matrix."""
-    joint = np.asarray(joint, dtype=float)
-    if joint.min(initial=0.0) < -1e-14:
-        raise ValueError("joint distribution has a negative entry")
-    joint = np.clip(joint, 0.0, None)
-    if abs(joint.sum() - 1.0) > 1e-10:
-        raise ValueError("joint distribution must sum to 1")
+    joint = _clean_probs(np.ravel(joint)).reshape(np.shape(joint))
     hx = shannon(joint.sum(axis=1))
     hy = shannon(joint.sum(axis=0))
     hxy = shannon(joint.ravel())
@@ -189,7 +192,7 @@ def jsd(dists, weights=None) -> float:
     k = len(dists)
     if weights is None:
         weights = np.full(k, 1.0 / k)
-    weights = _clean_probs(weights)
+    weights = _clean_probs(np.ravel(weights))
     mix = sum(a * p for a, p in zip(weights, dists))
     return shannon(mix) - sum(a * shannon(p) for a, p in zip(weights, dists))
 

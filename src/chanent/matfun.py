@@ -12,6 +12,9 @@ import math
 import numpy as np
 import scipy.linalg
 
+from .tolerances import (DAVIES_COEFF_CUTOFF, DOMAIN_EDGE, PROB_NEGATIVITY_TOL, PSD_TOL,
+                         REGULARIZATION_EPS, SINGULAR_CUTOFF, SUPPORT_CUTOFF)
+
 __all__ = [
     "SUPPORT_CUTOFF",
     "SINGULAR_CUTOFF",
@@ -36,18 +39,6 @@ __all__ = [
     "stochastic3_log",
     "matrix_exp",
 ]
-
-#: Eigenvalues at or below this count as outside a matrix's support: logs and
-#: powers of them are taken as 0, and a probability this small as an exact zero.
-#: An eigensolver leaves ~1e-16 of rounding on a zero eigenvalue, and x**q of
-#: that noise would add 1e-8 per eigenvalue at q = 1/2. A true weight of 1e-12
-#: adds at most 3e-11 to a von Neumann entropy, far below every tolerance.
-SUPPORT_CUTOFF = 1e-12
-
-#: Smallest eigenvalue at which a state still counts as invertible; a state at
-#: or below it is mixed with eps·I/N before it is inverted.
-SINGULAR_CUTOFF = 1e-10
-
 
 class NotPSDError(ValueError):
     """Matrix expected to be positive semi-definite is not."""
@@ -126,22 +117,22 @@ def spectrum(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitize(_finite(h)))
 
 
-def spectral(h: np.ndarray, f, tol: float = 1e-10) -> np.ndarray:
+def spectral(h: np.ndarray, f) -> np.ndarray:
     """v f(w) v† for each PSD Hermitian matrix v diag(w) v† of a (..., n, n) stack.
 
     One eigh covers the whole stack, and each matrix is decomposed exactly
     as it would be alone, so a result never depends on the stack around it.
-    Eigenvalues below -tol raise NotPSDError; those in [-tol, 0) are
+    Eigenvalues below -PSD_TOL raise NotPSDError; those in [-PSD_TOL, 0) are
     clipped to 0 before f sees them. Non-finite input raises NonFiniteError.
     """
     w, v = np.linalg.eigh(hermitize(_finite(h)))
-    if w.min(initial=0.0) < -tol:
-        raise NotPSDError(f"min eigenvalue {w.min():.3e} below -{tol:.0e}")
+    if w.min(initial=0.0) < -PSD_TOL:
+        raise NotPSDError(f"min eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
     return (v * f(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _inv_sqrt(w: np.ndarray, tol: float) -> np.ndarray:
-    if w.min(initial=np.inf) <= tol:
+def _inv_sqrt(w: np.ndarray) -> np.ndarray:
+    if w.min(initial=np.inf) <= SINGULAR_CUTOFF:
         raise NotPSDError("matrix is singular, inverse square root undefined")
     return 1.0 / np.sqrt(w)
 
@@ -151,27 +142,28 @@ def _on_support(w: np.ndarray, fn) -> np.ndarray:
     return np.where(support, fn(np.where(support, w, 1.0)), 0.0)
 
 
-def psd_sqrt(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix (or of each in a stack)."""
-    return spectral(h, np.sqrt, tol)
+    return spectral(h, np.sqrt)
 
 
-def psd_inv_sqrt(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix (or of each in a stack)."""
-    return spectral(h, lambda w: _inv_sqrt(w, tol), tol)
+def psd_inv_sqrt(h: np.ndarray) -> np.ndarray:
+    """Inverse square root of a positive definite Hermitian matrix (or of each in a
+    stack); a smallest eigenvalue at or below SINGULAR_CUTOFF raises NotPSDError."""
+    return spectral(h, _inv_sqrt)
 
 
-def psd_power(h: np.ndarray, a: float, tol: float = 1e-10) -> np.ndarray:
+def psd_power(h: np.ndarray, a: float) -> np.ndarray:
     """h**a on the support of a PSD matrix (eigenvalues above SUPPORT_CUTOFF), 0 off it."""
-    return spectral(h, lambda w: _on_support(w, lambda x: x**a), tol)
+    return spectral(h, lambda w: _on_support(w, lambda x: x**a))
 
 
-def psd_log(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_log(h: np.ndarray) -> np.ndarray:
     """log h on the support of a PSD matrix (eigenvalues above SUPPORT_CUTOFF), 0 off it."""
-    return spectral(h, lambda w: _on_support(w, np.log), tol)
+    return spectral(h, lambda w: _on_support(w, np.log))
 
 
-def regularize_singular(rho: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+def regularize_singular(rho: np.ndarray, eps: float = REGULARIZATION_EPS) -> np.ndarray:
     """Replace each matrix of a stack whose smallest eigenvalue is at most
     SINGULAR_CUTOFF by (1-eps) rho + eps I/N; others pass unchanged.
 
@@ -200,7 +192,7 @@ def polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, w
 
 
-def sqrt_product(rho: np.ndarray, sigma: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+def sqrt_product(rho: np.ndarray, sigma: np.ndarray, eps: float = REGULARIZATION_EPS) -> np.ndarray:
     """Square root of the product of two density matrices (or of each pair of two stacks).
 
     Returns rho^{1/2} (rho^{1/2} sigma rho^{1/2})^{1/2} rho^{-1/2}. Its trace
@@ -213,34 +205,27 @@ def sqrt_product(rho: np.ndarray, sigma: np.ndarray, eps: float = 1e-9) -> np.nd
     return sr @ psd_sqrt(sr @ sigma @ sr) @ psd_inv_sqrt(rho)
 
 
-def schur_positive(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    tol_pd: float = 1e-12,
-    tol_psd: float = 1e-10,
-) -> bool:
+def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     """Whether the block matrix [[a, b], [b†, c]] is PSD, via the Schur complement.
 
-    Requires a to be Hermitian positive definite; then positivity of the
-    block matrix is equivalent to c - b† a^{-1} b being PSD.
+    Requires a to be Hermitian positive definite (every eigenvalue above
+    SUPPORT_CUTOFF); then positivity of the block matrix is equivalent to
+    c - b† a^{-1} b being PSD, to PSD_TOL.
     """
     a = np.asarray(a, dtype=complex)
     wa = np.linalg.eigvalsh(hermitize(a))
-    if wa.min() <= tol_pd:
+    if wa.min() <= SUPPORT_CUTOFF:
         raise NotPSDError("block A must be positive definite")
     comp = hermitize(np.asarray(c) - np.asarray(b).conj().T @ np.linalg.solve(a, b))
-    return bool(np.linalg.eigvalsh(comp).min() >= -tol_psd)
+    return bool(np.linalg.eigvalsh(comp).min() >= -PSD_TOL)
 
 
-def _stochastic3_check(f: np.ndarray, tol: float) -> None:
+def _stochastic3_check(f: np.ndarray) -> None:
     if f.shape != (3, 3):
         raise ValueError("expected a 3×3 matrix")
-    if np.abs(f.imag).max(initial=0.0) > tol:
-        raise ValueError("expected a real matrix")
-    if np.max(np.abs(f.sum(axis=0) - 1.0)) > 1e-12:
+    if np.max(np.abs(f.sum(axis=0) - 1.0)) > DOMAIN_EDGE:
         raise ValueError("columns must sum to 1")
-    if f.min() < -1e-14:
+    if f.min() < -PROB_NEGATIVITY_TOL:
         raise ValueError("entries must be nonnegative")
 
 
@@ -250,33 +235,31 @@ def stochastic3_xy(f: np.ndarray) -> tuple[float, float]:
     tr = float(np.trace(f))
     x = (tr - 1.0) / 2.0
     disc = 2.0 * float(np.trace(f @ f)) - tr * tr + 2.0 * tr - 3.0
-    if disc < -1e-12:
+    if disc < -DAVIES_COEFF_CUTOFF:
         raise NoRealLogError(f"complex eigenvalue pair (discriminant {disc:.3e})")
     y = 0.5 * math.sqrt(max(disc, 0.0))
     return x, y
 
 
-def stochastic3_log(
-    f: np.ndarray, tol: float = 1e-9, coeff_tol: float = 1e-12
-) -> tuple[np.ndarray, tuple[float, float, float]]:
+def stochastic3_log(f: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
     """Analytic logarithm of a 3×3 column-stochastic matrix with spectrum {1, x+y, x-y}.
 
     The log is assembled from the spectral projectors (Z² ± Z)/2 built out
     of F itself, without diagonalizing. Terms coeff·log(eig) with
-    |coeff| <= coeff_tol are set to 0, so boundary points with a zero
-    eigenvalue evaluate by continuity. Returns (L, spectrum).
+    |coeff| <= DAVIES_COEFF_CUTOFF are set to 0, so boundary points with a
+    zero eigenvalue evaluate by continuity. Returns (L, spectrum).
     """
     f = np.asarray(f, dtype=float)
-    _stochastic3_check(f.astype(complex), tol)
-    if np.abs(f - np.eye(3)).max() <= coeff_tol:
+    _stochastic3_check(f)
+    if np.abs(f - np.eye(3)).max() <= DAVIES_COEFF_CUTOFF:
         return np.zeros((3, 3)), (1.0, 1.0, 1.0)
     x, y = stochastic3_xy(f)
     lam_p, lam_m = x + y, x - y
     for lam in (lam_p, lam_m):
-        if lam < -coeff_tol or lam > 1.0 + 1e-12:
+        if lam < -DAVIES_COEFF_CUTOFF or lam > 1.0 + DAVIES_COEFF_CUTOFF:
             raise NoRealLogError(f"eigenvalue {lam:.6g} outside (0, 1]")
     denom = y * y - (x - 1.0) ** 2
-    if abs(denom) < 1e-12 or y < 1e-12:
+    if abs(denom) < DAVIES_COEFF_CUTOFF or y < DAVIES_COEFF_CUTOFF:
         raise DegenerateSpectrumError(
             "y² = (x-1)² or y = 0: fall back to an eigensolver"
         )
@@ -288,7 +271,7 @@ def stochastic3_log(
 
     def term(proj: np.ndarray, lam: float) -> np.ndarray:
         out = np.zeros((3, 3))
-        mask = np.abs(proj) > coeff_tol
+        mask = np.abs(proj) > DAVIES_COEFF_CUTOFF
         if mask.any():
             if lam <= 0.0:
                 raise NoRealLogError("zero eigenvalue with nonzero projector entry")

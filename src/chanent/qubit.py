@@ -16,10 +16,12 @@ import numpy as np
 import scipy.optimize
 
 from .channels import Channel, map_entropy
-from .entropy import EntropyOrder, VON_NEUMANN, classical_entropy, spectrum_entropy, vn_entropy
-from .matfun import SUPPORT_CUTOFF
+from .entropy import (EntropyOrder, VON_NEUMANN, _clean_probs, classical_entropy, spectrum_entropy,
+                      vn_entropy)
 from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
+from .tolerances import (DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM,
+                         SUPPORT_CUTOFF, VIOLATION_SLACK)
 
 __all__ = [
     "pauli_channel",
@@ -43,10 +45,9 @@ _SIGMA = (np.eye(2, dtype=complex),) + PAULI
 
 def pauli_channel(p) -> Channel:
     """Bistochastic qubit channel sum p_i sigma_i rho sigma_i."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or p.min() < -1e-14 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError("need 4 nonnegative weights summing to 1")
-    kraus = [math.sqrt(w) * s for w, s in zip(np.clip(p, 0, None), _SIGMA) if w > 0]
+    if np.shape(p) != (4,):
+        raise ValueError("need 4 weights")
+    kraus = [math.sqrt(w) * s for w, s in zip(_clean_probs(p), _SIGMA) if w > 0]
     return Channel(kraus)
 
 
@@ -87,7 +88,7 @@ def smin_from_smap(s_map: float, n: int) -> float:
     -log((1 + n exp(-s_map))/(n + 1)): increases from 0 at s_map = 0 to
     log n at s_map = 2 log n.
     """
-    if not -1e-12 <= s_map <= 2.0 * math.log(n) + 1e-12:
+    if not -DOMAIN_EDGE <= s_map <= 2.0 * math.log(n) + DOMAIN_EDGE:
         raise ValueError(f"s_map = {s_map} outside [0, {2 * math.log(n)}]")
     return -math.log((1.0 + n * math.exp(-s_map)) / (n + 1.0))
 
@@ -272,13 +273,14 @@ def _min_entropy_probes(phi: Channel, order: EntropyOrder, seed: int) -> tuple[f
     def objective(x):
         vec = x[:n] + 1j * x[n:]
         norm = np.linalg.norm(vec)
-        return entropy_at(vec / norm) if norm >= 1e-12 else math.log(n)
+        return entropy_at(vec / norm) if norm >= NULL_VECTOR_NORM else math.log(n)
 
     rng = stream_rng(seed, 0)
     probes = np.array([random_pure_state(n, rng) for _ in range(_CONCAVE_PROBES)])
     # Nelder-Mead never ends above its start, so the best run beats every probe
     res = min((scipy.optimize.minimize(objective, np.concatenate([v.real, v.imag]), method="Nelder-Mead",
-                                       options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000})
+                                       options={"xatol": NELDER_MEAD_XATOL, "fatol": NELDER_MEAD_FATOL,
+                                                "maxiter": 2000})
                for v in probes[np.argsort([entropy_at(v) for v in probes], kind="stable")[:3]]),
               key=lambda r: r.fun)
     vec = res.x[:n] + 1j * res.x[n:]
@@ -386,7 +388,7 @@ class SandwichReport:
 
     @property
     def ok(self) -> bool:
-        slack = 1e-9
+        slack = VIOLATION_SLACK
         return (
             self.lower_vn <= self.middle_vn + slack
             and self.middle_vn <= self.upper_vn + slack
@@ -442,7 +444,7 @@ def additivity_region(phi1: Channel, phi2: Channel) -> bool:
 
 def additivity_region_values(s1: float, s2: float, n: int, m: int) -> bool:
     nm = n * m
-    return 1.0 - (nm + 1.0) / nm * abs(math.exp(-s1) - math.exp(-s2)) <= math.exp(-(s1 + s2)) + 1e-12
+    return 1.0 - (nm + 1.0) / nm * abs(math.exp(-s1) - math.exp(-s2)) <= math.exp(-(s1 + s2)) + DOMAIN_EDGE
 
 
 # -- minimal-output-entropy preserving transformations -------------------------
@@ -488,7 +490,7 @@ def _phi_direction(p: float, t: float, n: float) -> np.ndarray:
     )
 
 
-def preserve_smin(phi1: Channel, eta, t: float, n: float, p: float, tol: float = 1e-9) -> Channel:
+def preserve_smin(phi1: Channel, eta, t: float, n: float, p: float) -> Channel:
     """Transform a qubit channel without changing its minimal output entropy.
 
     Builds Phi1 · R · E(eta) · Rᵀ + D(t, n) where R rotates the north pole to
@@ -510,4 +512,4 @@ def preserve_smin(phi1: Channel, eta, t: float, n: float, p: float, tol: float =
         if not 0.0 < p < 1.0:
             raise ValueError("a nonzero axis tilt needs p strictly inside (0, 1)")
         s = s + _phi_direction(p, t, n)
-    return Channel.from_superoperator(s, tol=tol)
+    return Channel.from_superoperator(s)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .matfun import hermitize, kron, polar, psd_sqrt
+from .tolerances import HERMITIAN_TOL, NORMALIZATION_TOL, PHASE_CUTOFF, PSD_TOL, SCHMIDT_CUTOFF
 
 __all__ = [
     "InvalidStateError",
@@ -38,17 +39,18 @@ PAULI = (
 )
 
 
-def assert_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate trace one, Hermiticity and positivity; return the array."""
+def assert_state(rho: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity (HERMITIAN_TOL), trace one (NORMALIZATION_TOL) and
+    positivity (PSD_TOL); return the array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError("state must be a square matrix")
     scale = max(np.abs(rho).max(), 1.0)
-    if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
+    if np.abs(rho - rho.conj().T).max() > HERMITIAN_TOL * scale:
         raise InvalidStateError("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > NORMALIZATION_TOL:
         raise InvalidStateError(f"trace is {np.trace(rho).real}, not 1")
-    if np.linalg.eigvalsh(hermitize(rho)).min() < -tol:
+    if np.linalg.eigvalsh(hermitize(rho)).min() < -PSD_TOL:
         raise InvalidStateError("state has a negative eigenvalue")
     return rho
 
@@ -57,7 +59,7 @@ def pure_state(amplitudes: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| from a normalized amplitude vector."""
     psi = np.asarray(amplitudes, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise InvalidStateError(f"amplitude norm is {norm}, not 1")
     return np.outer(psi, psi.conj())
 
@@ -67,7 +69,7 @@ def from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise InvalidStateError("Bloch vector must have 3 components")
-    if np.linalg.norm(r) > 1.0 + 1e-10:
+    if np.linalg.norm(r) > 1.0 + NORMALIZATION_TOL:
         raise InvalidStateError(f"Bloch vector length {np.linalg.norm(r)} exceeds 1")
     rho = np.eye(2, dtype=complex)
     for ri, sigma in zip(r, PAULI):
@@ -83,20 +85,20 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     return np.array([np.trace(rho @ sigma).real for sigma in PAULI])
 
 
-def purify(rho: np.ndarray, u: np.ndarray | None = None, tol: float = 1e-10) -> np.ndarray:
+def purify(rho: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     """Purification of rho on C^N ⊗ C^N: sum_i lambda_i (U v_i) ⊗ v_i.
 
     Here lambda_i² and v_i are the eigenpairs of rho, so tracing out the
     first factor recovers rho. The unitary u parametrizes the freedom of
     purification (identity by default).
     """
-    rho = assert_state(rho, tol)
+    rho = assert_state(rho)
     n = rho.shape[0]
     if u is None:
         u = np.eye(n, dtype=complex)
     else:
         u = np.asarray(u, dtype=complex)
-        if np.abs(u.conj().T @ u - np.eye(n)).max() > 1e-10:
+        if np.abs(u.conj().T @ u - np.eye(n)).max() > NORMALIZATION_TOL:
             raise ValueError("u must be unitary")
     w, v = np.linalg.eigh(hermitize(rho))
     w = np.clip(w, 0.0, None)
@@ -106,13 +108,13 @@ def purify(rho: np.ndarray, u: np.ndarray | None = None, tol: float = 1e-10) -> 
     return psi
 
 
-def _fix_phase(u: np.ndarray, vh: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _fix_phase(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # rotate each (left, right) pair so the first nonzero left component is real positive
     u = u.copy()
     vh = vh.copy()
     for i in range(u.shape[1]):
         col = u[:, i]
-        nz = np.flatnonzero(np.abs(col) > tol)
+        nz = np.flatnonzero(np.abs(col) > PHASE_CUTOFF)
         if nz.size:
             phase = col[nz[0]] / abs(col[nz[0]])
             u[:, i] = col / phase
@@ -140,10 +142,10 @@ def schmidt(psi: np.ndarray, dims: tuple[int, int]):
     return s[:k], u[:, :k], vh[:k, :].T
 
 
-def schmidt_number(psi: np.ndarray, dims: tuple[int, int], tol: float = 1e-10) -> int:
-    """Number of Schmidt coefficients above tol."""
+def schmidt_number(psi: np.ndarray, dims: tuple[int, int]) -> int:
+    """Number of Schmidt coefficients above SCHMIDT_CUTOFF."""
     coeffs, _, _ = schmidt(psi, dims)
-    return int(np.count_nonzero(coeffs > tol))
+    return int(np.count_nonzero(coeffs > SCHMIDT_CUTOFF))
 
 
 def root_fidelity(rho1: np.ndarray, rho2: np.ndarray, sqrt_rho1: np.ndarray | None = None):

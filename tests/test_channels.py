@@ -18,6 +18,7 @@ from chanent.sampling import (
     stream_rng,
 )
 from chanent.states import purify, root_fidelity
+from chanent.tolerances import CPTP_TOL
 from tests_support import kraus_lists
 
 
@@ -85,7 +86,7 @@ class TestConversions:
 
 class TestIsCptp:
     def test_valid_random(self):
-        report = random_channel(2, 3, stream_rng(42, 0)).is_cptp(1e-9)
+        report = random_channel(2, 3, stream_rng(42, 0)).is_cptp()
         assert report.cp and report.tp and report.ok
 
     def test_transpose_map_not_cp(self):
@@ -136,6 +137,7 @@ class TestNonFiniteInput:
         with pytest.raises(channels.InvalidChannelError, match="NaN or infinite"):
             Channel.from_choi(choi)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
     def test_raw_is_cptp(self, bad, where, monkeypatch):
@@ -172,14 +174,14 @@ class TestSuperoperatorChannel:
         np.testing.assert_allclose(psi.superoperator, phi.superoperator, rtol=0, atol=1e-13)
         assert "kraus" not in vars(psi)
         d = hermitize(reshuffle(phi.superoperator))
-        direct = Channel._from_outer_sum(d, phi.in_dim, 1e-9)
+        direct = Channel._from_outer_sum(d, phi.in_dim)
         assert psi.kraus.tobytes() == direct.kraus.tobytes()
         assert psi.kraus.tobytes() == _looped_outer_sum(d, phi.in_dim).tobytes()
         assert psi.kraus is psi.kraus
 
     def test_is_cptp_builds_no_kraus(self):
         psi = Channel.from_superoperator(random_channel(3, 2, stream_rng(44, 0)).superoperator)
-        report = psi.is_cptp(1e-9)
+        report = psi.is_cptp()
         assert report.ok
         assert "kraus" not in vars(psi)
 
@@ -207,14 +209,14 @@ class TestSuperoperatorChannel:
     def test_threshold_is_on_the_dynamical_matrix(self):
         # min eigenvalue -1.5e-9 of D lies in (-n·tol, -tol): the Choi state's
         # -7.5e-10 would pass a test on the normalized scale, and D's does not
-        tol = 1e-9
+        tol = CPTP_TOL
         s = _slightly_negative_superoperator(1.5e-9)
-        report = channels.is_cptp(s, tol)
+        report = channels.is_cptp(s)
         assert report.tp and not report.cp
         assert -tol < report.min_choi_eig < -tol / 2
         with pytest.raises(channels.InvalidChannelError, match="not completely positive"):
-            Channel.from_superoperator(s, tol)
-        Channel.from_superoperator(_slightly_negative_superoperator(0.5e-9), tol)
+            Channel.from_superoperator(s)
+        Channel.from_superoperator(_slightly_negative_superoperator(0.5e-9))
 
 
 class TestComplementary:

@@ -28,7 +28,7 @@ class TestDaviesQubit:
             phi = davies.qubit_superoperator(d)
             star = np.diag([d.p, 1 - d.p]).astype(complex)
             np.testing.assert_allclose(phi.apply(star), star, atol=1e-10)
-            assert phi.is_cptp(1e-9).ok
+            assert phi.is_cptp().ok
 
     def test_bistochastic_at_half(self):
         d = davies.DaviesQubit(a=0.2, c=0.5, p=0.5)
@@ -192,6 +192,23 @@ class TestQutritSuperoperator:
             x = complex_gaussian(rng, (3, 3))
             y = complex_gaussian(rng, (3, 3))
             assert davies.detailed_balance_residual(block, x, y) < 1e-9
+
+    def test_detailed_balance_runs_no_kraus_decomposition(self, monkeypatch):
+        block = random_thermal_block(stream_rng(83, 300))
+        x, y = complex_gaussian(stream_rng(83, 301), (2, 3, 3))
+        phi = davies.qutrit_superoperator(block)
+        g_inv = np.diag(1.0 / block.p)
+        # the residual at a weight that is not the Gibbs state's, through Kraus operators
+        lhs = np.trace(g_inv @ x.conj().T @ phi.apply(y))
+        rhs = np.trace(g_inv @ phi.apply(x).conj().T @ y)
+        expected = davies.detailed_balance_residual(block, x, y)
+        assert expected == pytest.approx(abs(lhs - rhs), abs=1e-12)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Kraus decomposition run by detailed_balance_residual")
+
+        monkeypatch.setattr(Channel, "_from_outer_sum", forbidden)
+        assert davies.detailed_balance_residual(block, x, y) == expected
 
     def test_choi_negativity_rejected(self):
         block = davies.DaviesQutritBlock(0.3, 0.3, 0.3, mu=np.ones(3))

@@ -121,7 +121,7 @@ class TestRandomChannel:
     def test_all_draws_cptp(self):
         for t in range(30):
             phi = sampling.random_channel(2, 3, sampling.stream_rng(37, t + 1))
-            assert phi.is_cptp(1e-9).ok
+            assert phi.is_cptp().ok
 
     def test_choi_rank(self):
         for t in range(10):
