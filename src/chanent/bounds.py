@@ -21,7 +21,7 @@ from .entropy import (
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import hermitize, psd_power, psd_sqrt, regularize_singular, sqrt_product
+from .matfun import _regularized, _sqrt_product, from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt
 from .states import assert_state, from_bloch, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
                          PSD_TOL, VIOLATION_SLACK)
@@ -306,33 +306,36 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
         np.trace(s @ s).real > 1.0 - NORMALIZATION_TOL for s in e.states
     ):
         raise ValueError("F-squared variant needs qubit or pure ensembles")
-    rf = _root_fidelity_matrix(e.states, psd_sqrt(e.states))
+    w, v = psd_eigh(e.states)
+    rf = _root_fidelity_matrix(e.states, from_eigh(np.sqrt(w), v))
     if variant == "layered":
-        return _layered_matrix(e.probs, e.states, rf)
+        return _layered_matrix(e.probs, rf, w, v)
     g = _root_probs(e.probs) * (rf**2 if variant == "F-squared" else rf)
     return _damped(g, b) if variant == "G/b" else g
 
 
-def _layered_matrix(probs: np.ndarray, states: np.ndarray, rf: np.ndarray) -> np.ndarray:
+def _layered_matrix(probs: np.ndarray, rf: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Correlation matrix with root fidelities on the tridiagonal, for (..., k) stacks.
 
     sigma_ij for j > i+1 is the chained product
     tr sqrt(rho_j rho_{j-1}) rho_{j-1}^{-1} ... rho_{i+1}^{-1} sqrt(rho_{i+1} rho_i),
-    using the square-root-of-a-product convention for each factor. Singular
-    states are regularized for the chain; rf holds the root fidelities of
-    the states as given.
+    using the square-root-of-a-product convention for each factor. (w, v) is
+    the psd_eigh decomposition of the states; the chain reads it with
+    singular spectra regularized, and rf holds the root fidelities of the
+    states as given.
     """
-    k = states.shape[-3]
+    k = w.shape[-2]
     root_p = _root_probs(probs)
     d, u = np.diag_indices(k), np.arange(k - 1)
     sigma = np.zeros(rf.shape, dtype=complex)
     sigma[(...,) + d] = probs
     sigma[..., u, u + 1] = sigma[..., u + 1, u] = root_p[..., u, u + 1] * rf[..., u, u + 1]
     if k > 2:
-        states = regularize_singular(states)
+        w = _regularized(w)[0]
+        rho = from_eigh(w, v)
         # steps[..., m-1] = sqrt(rho_m rho_{m-1}); invs[..., m-1] = rho_m^{-1}
-        steps = sqrt_product(states[..., 1:, :, :], states[..., :-1, :, :])
-        invs = np.linalg.inv(states[..., 1:-1, :, :])
+        steps = _sqrt_product(w[..., 1:, :], v[..., 1:, :, :], rho[..., :-1, :, :])
+        invs = from_eigh(1.0 / w[..., 1:-1, :], v[..., 1:-1, :, :])
         for i in range(k):
             for j in range(i + 2, k):
                 chain = steps[..., j - 1, :, :]
@@ -388,9 +391,11 @@ def hierarchy_batch(
     is on the scale with chi at 0 and H(P) at 1, or None if H(P) - chi is
     below HIERARCHY_SKIP_GAP; violations["conjecture"] is chi > S(G) +
     VIOLATION_SLACK. s_sigma and s_gram both refer to the canonical
-    purification Gram matrix (identity unitaries). The root-fidelity matrix
-    is computed once per ensemble, from one square root per state, and the
-    entropies of all five auxiliary matrices come from one stacked
+    purification Gram matrix (identity unitaries). Each state is decomposed
+    once (psd_eigh): its square root, its regularized square root, inverse
+    square root and inverse for the layered chain all read that one
+    decomposition. The root-fidelity matrix is computed once per ensemble,
+    and the entropies of all five auxiliary matrices come from one stacked
     eigvalsh. Every report is bit-identical whatever the stack around it.
     """
     probs = np.asarray(probs, dtype=float)
@@ -401,13 +406,14 @@ def hierarchy_batch(
     probs = _clean_probs(probs)
     chi = _holevo_vn(probs, states)
     h_p = spectrum_entropy(probs)
-    roots = psd_sqrt(states)
+    w, v = psd_eigh(states)
+    roots = from_eigh(np.sqrt(w), v)
     rf = _root_fidelity_matrix(states, roots)
     root_p = _root_probs(probs)
     g = root_p * rf
     aux = np.stack([
         _purification_gram(probs, roots, np.broadcast_to(np.eye(2), states.shape)),
-        g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, states, rf),
+        g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, rf, w, v),
     ], axis=1)
     ent = vn_entropy(aux)  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
     kept = ~(h_p - chi < HIERARCHY_SKIP_GAP)  # a NaN gap keeps its row, so it cannot pass as a skip

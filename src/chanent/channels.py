@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import hermitize, partial_trace, psd_inv_sqrt, psd_sqrt, regularize_singular, reshuffle
+from .matfun import from_eigh, hermitize, partial_trace, psd_eigh, psd_inv_sqrt, psd_sqrt, reshuffle
 from .tolerances import (CHOI_TOL, CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF,
-                         SUPPORT_CUTOFF)
+                         SINGULAR_CUTOFF, SUPPORT_CUTOFF)
 
 __all__ = [
     "InvalidChannelError",
@@ -369,7 +369,9 @@ def kraus_from_ensemble(ensemble, unitaries) -> tuple[Channel, np.ndarray]:
 
     The initial state is rho = sum p_i U_i† rho_i U_i; then K^i rho K^i† equals
     p_i rho_i and the K^i resolve the identity, checked to ENSEMBLE_CHANNEL_TOL.
-    A singular rho is regularized by `regularize_singular`.
+    The construction needs rho invertible: a rho with an eigenvalue at or
+    below SINGULAR_CUTOFF raises ValueError, since on its kernel the K^i†K^i
+    sum to 0 instead of the identity.
     """
     probs = np.asarray(ensemble.probs, dtype=float)
     states = [np.asarray(s, dtype=complex) for s in ensemble.states]
@@ -377,7 +379,10 @@ def kraus_from_ensemble(ensemble, unitaries) -> tuple[Channel, np.ndarray]:
     if len(unitaries) != len(states):
         raise ValueError("need one unitary per state")
     rho = hermitize(sum(p * u.conj().T @ s @ u for p, s, u in zip(probs, states, unitaries)))
-    rho = regularize_singular(rho)
-    inv_sqrt = psd_inv_sqrt(rho)
+    w, v = psd_eigh(rho)
+    if w[0] <= SINGULAR_CUTOFF:
+        raise ValueError(f"average state sum p_i U_i† rho_i U_i is singular (smallest "
+                         f"eigenvalue {w[0]:.3e}), so rho^(-1/2) is undefined")
+    inv_sqrt = from_eigh(1.0 / np.sqrt(w), v)
     kraus = [psd_sqrt(p * s) @ u @ inv_sqrt for p, s, u in zip(probs, states, unitaries)]
     return Channel(kraus, tol=ENSEMBLE_CHANNEL_TOL), rho

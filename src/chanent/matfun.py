@@ -27,6 +27,8 @@ __all__ = [
     "kron",
     "hermitize",
     "spectrum",
+    "psd_eigh",
+    "from_eigh",
     "spectral",
     "psd_sqrt",
     "psd_inv_sqrt",
@@ -117,18 +119,34 @@ def spectrum(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitize(_finite(h)))
 
 
-def spectral(h: np.ndarray, f) -> np.ndarray:
-    """v f(w) v† for each PSD Hermitian matrix v diag(w) v† of a (..., n, n) stack.
+def psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked eigendecomposition (w, v), h = v diag(w) v†, of each PSD Hermitian
+    matrix of a (..., n, n) stack; w ascending along the last axis.
 
     One eigh covers the whole stack, and each matrix is decomposed exactly
     as it would be alone, so a result never depends on the stack around it.
     Eigenvalues below -PSD_TOL raise NotPSDError; those in [-PSD_TOL, 0) are
-    clipped to 0 before f sees them. Non-finite input raises NonFiniteError.
+    clipped to 0. Non-finite input raises NonFiniteError.
     """
     w, v = np.linalg.eigh(hermitize(_finite(h)))
     if w.min(initial=0.0) < -PSD_TOL:
         raise NotPSDError(f"min eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
-    return (v * f(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.maximum(w, 0.0), v
+
+
+def from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v diag(w) v† for each pair of a (..., n) stack of spectra and a (..., n, n) stack of bases."""
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def spectral(h: np.ndarray, f) -> np.ndarray:
+    """v f(w) v† for each PSD Hermitian matrix v diag(w) v† of a (..., n, n) stack.
+
+    (w, v) is the checked decomposition of psd_eigh, so f sees eigenvalues
+    clipped at 0, and the checks are psd_eigh's.
+    """
+    w, v = psd_eigh(h)
+    return from_eigh(f(w), v)
 
 
 def _inv_sqrt(w: np.ndarray) -> np.ndarray:
@@ -163,21 +181,32 @@ def psd_log(h: np.ndarray) -> np.ndarray:
     return spectral(h, lambda w: _on_support(w, np.log))
 
 
+def _regularized(w: np.ndarray, eps: float = REGULARIZATION_EPS) -> tuple[np.ndarray, np.ndarray]:
+    """The one regularization rule, on a (..., n) stack of ascending spectra.
+
+    A spectrum whose smallest eigenvalue is at most SINGULAR_CUTOFF becomes
+    (1-eps) w + eps/n, the spectrum of (1-eps) rho + eps I/n; others pass
+    unchanged. Returns (spectra, singular mask). eps=0 raises NotPSDError on
+    a singular spectrum instead.
+    """
+    singular = w[..., 0] <= SINGULAR_CUTOFF
+    if not singular.any():
+        return w, singular
+    if not eps:
+        raise NotPSDError("matrix is singular and regularization is disabled")
+    return np.where(singular[..., None], (1 - eps) * w + eps / w.shape[-1], w), singular
+
+
 def regularize_singular(rho: np.ndarray, eps: float = REGULARIZATION_EPS) -> np.ndarray:
-    """Replace each matrix of a stack whose smallest eigenvalue is at most
+    """Replace each PSD matrix of a stack whose smallest eigenvalue is at most
     SINGULAR_CUTOFF by (1-eps) rho + eps I/N; others pass unchanged.
 
     eps=0 raises NotPSDError on a singular matrix instead.
     """
     rho = np.asarray(rho, dtype=complex)
-    singular = spectrum(rho)[..., 0] <= SINGULAR_CUTOFF
-    if not singular.any():
-        return rho
-    if not eps:
-        raise NotPSDError("matrix is singular and regularization is disabled")
-    n = rho.shape[-1]
-    mixed = (1 - eps) * rho + eps * np.eye(n) / n
-    return np.where(singular[..., None, None], mixed, rho)
+    w, v = psd_eigh(rho)
+    w, singular = _regularized(w, eps)
+    return np.where(singular[..., None, None], from_eigh(w, v), rho)
 
 
 def polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +229,14 @@ def sqrt_product(rho: np.ndarray, sigma: np.ndarray, eps: float = REGULARIZATION
     (1-eps) rho + eps I/N before inverting; pass eps=0 to disable the
     regularization and get an error instead.
     """
-    rho = regularize_singular(rho, eps)
-    sr = psd_sqrt(rho)
-    return sr @ psd_sqrt(sr @ sigma @ sr) @ psd_inv_sqrt(rho)
+    w, v = psd_eigh(rho)
+    return _sqrt_product(_regularized(w, eps)[0], v, np.asarray(sigma))
+
+
+def _sqrt_product(w: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """sqrt_product of rho = v diag(w) v† and sigma, from rho's (regularized) decomposition."""
+    sr = from_eigh(np.sqrt(w), v)
+    return sr @ psd_sqrt(sr @ sigma @ sr) @ from_eigh(_inv_sqrt(w), v)
 
 
 def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
@@ -220,6 +254,16 @@ def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(comp).min() >= -PSD_TOL)
 
 
+def _real(f) -> np.ndarray:
+    """f as a float array; a complex f with a nonzero imaginary part raises ValueError."""
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        if (f.imag != 0).any():  # a NaN imaginary part is nonzero too
+            raise ValueError("expected a real matrix")
+        f = f.real
+    return np.asarray(f, dtype=float)
+
+
 def _stochastic3_check(f: np.ndarray) -> None:
     if f.shape != (3, 3):
         raise ValueError("expected a 3×3 matrix")
@@ -231,7 +275,7 @@ def _stochastic3_check(f: np.ndarray) -> None:
 
 def stochastic3_xy(f: np.ndarray) -> tuple[float, float]:
     """The (x, y) parameters of a 3×3 stochastic matrix with spectrum {1, x+y, x-y}."""
-    f = np.asarray(f, dtype=float)
+    f = _real(f)
     tr = float(np.trace(f))
     x = (tr - 1.0) / 2.0
     disc = 2.0 * float(np.trace(f @ f)) - tr * tr + 2.0 * tr - 3.0
@@ -249,7 +293,7 @@ def stochastic3_log(f: np.ndarray) -> tuple[np.ndarray, tuple[float, float, floa
     |coeff| <= DAVIES_COEFF_CUTOFF are set to 0, so boundary points with a
     zero eigenvalue evaluate by continuity. Returns (L, spectrum).
     """
-    f = np.asarray(f, dtype=float)
+    f = _real(f)
     _stochastic3_check(f)
     if np.abs(f - np.eye(3)).max() <= DAVIES_COEFF_CUTOFF:
         return np.zeros((3, 3)), (1.0, 1.0, 1.0)

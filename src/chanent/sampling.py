@@ -8,9 +8,10 @@ rejection sampling so the number of raw draws per object is fixed.
 
 Each distribution is one transform of a block of uniforms with any leading
 shape: the per-generator functions draw their block with one `random` call,
-and `random_ensembles` stacks one block per trial stream and transforms the
-whole stack at once. Both paths run the same transform, so a trial's numbers
-do not depend on which path drew them.
+and `random_ensembles` draws one block per trial stream from the stacked
+Philox kernel `stream_uniforms` and transforms the whole stack at once. Both
+paths produce the same uniforms and run the same transform, so a trial's
+numbers do not depend on which path drew them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "stream_rng",
+    "stream_uniforms",
     "complex_gaussian",
     "haar_unitary",
     "hs_random_density",
@@ -34,6 +36,46 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); same pair -> same sequence."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011): round multipliers and Weyl key increments, as (word 0, word 2)
+# and (key 0, key 1) columns.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_LOW32 = np.uint64(0xFFFFFFFF)
+_M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> np.uint64(32)
+
+
+def stream_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """(stop - start, count) uniforms; row t - start is stream_rng(seed, t).random(count).
+
+    The rows are the same bits, computed as one array computation instead
+    of one Generator per stream: Philox4x64-10 is a pure function of its
+    key (seed & 0xFFFF_FFFF_FFFF_FFFF, t) and its counter, which numpy's
+    Philox starts at 1 and steps once per four 64-bit words. A word x
+    becomes the double (x >> 11) * 2**-53, as in Generator.random.
+    """
+    rows, blocks = max(stop - start, 0), -(-count // 4)
+    # every uint64 operation is on arrays, which wrap silently, as Philox needs
+    key = np.empty((2, rows, 1), dtype=np.uint64)
+    key[0] = seed & 0xFFFFFFFFFFFFFFFF
+    key[1, :, 0] = np.arange(rows, dtype=np.uint64) + np.uint64(start)
+    even = np.zeros((2, rows, blocks), dtype=np.uint64)  # counter words 0 and 2
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)  # counter words 1 and 3
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        # high 64 bits of M * even from 32-bit halves (the low ones wrap)
+        x_lo, x_hi = even & _LOW32, even >> np.uint64(32)
+        t = _M_LO * x_hi + ((_M_LO * x_lo) >> np.uint64(32))
+        u = _M_HI * x_lo + (t & _LOW32)
+        hi = _M_HI * x_hi + (t >> np.uint64(32)) + (u >> np.uint64(32))
+        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    words = np.stack([even, odd], axis=1).reshape(4, rows, blocks)
+    raw = words.transpose(1, 2, 0).reshape(rows, 4 * blocks)[:, :count]
+    return (raw >> np.uint64(11)) * 2.0**-53
 
 
 def _box_muller(u: np.ndarray, shape) -> np.ndarray:
@@ -156,13 +198,7 @@ def random_ensembles(k: int, n: int, seed: int, start: int, stop: int,
     """Stacked ensembles of trials [start, stop): probs (B, k) and states (B, k, n, n).
 
     Row t - start is random_ensemble(k, n, stream_rng(seed, t), ancilla), bit
-    for bit: each trial draws its block from its own stream, and the stack of
-    blocks goes through one transform.
+    for bit: each trial's block comes from its own stream through
+    stream_uniforms, and the stack of blocks goes through one transform.
     """
-    def draw(count: int) -> np.ndarray:
-        u = np.empty((max(stop - start, 0), count))
-        for row, t in zip(u, range(start, stop)):
-            stream_rng(seed, t).random(out=row)
-        return u
-
-    return _ensemble(draw, k, n, ancilla)
+    return _ensemble(lambda count: stream_uniforms(seed, start, stop, count), k, n, ancilla)

@@ -20,8 +20,9 @@ SUPPORT_CUTOFF = 1e-12
 
 #: Smallest eigenvalue at which a state still counts as invertible; a state at
 #: or below it is mixed with REGULARIZATION_EPS·I/N before it is inverted, and
-#: its inverse square root is refused. Its inverse is then at most 1e10, so
-#: rounding in an inverted product stays below 1e-6.
+#: its inverse square root (or, in kraus_from_ensemble, the state) is refused.
+#: Its inverse is then at most 1e10, so rounding in an inverted product stays
+#: below 1e-6.
 SINGULAR_CUTOFF = 1e-10
 
 #: An eigenvalue of a dynamical matrix at or below this adds no Kraus operator:

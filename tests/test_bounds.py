@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chanent import bounds
+from chanent import bounds, matfun
 from chanent.bounds import Ensemble
 from chanent.channels import Channel, ensemble_from_channel
 from chanent.cli import run_suite
@@ -13,10 +15,12 @@ from chanent.sampling import (
     haar_unitary,
     hs_random_density,
     random_channel,
+    random_ensemble,
     random_pure_state,
     stream_rng,
 )
 from chanent.states import pure_state
+from chanent.tolerances import PSD_TOL
 
 
 def random_ens(rng, k=3, n=2):
@@ -301,6 +305,76 @@ class TestFidelityMatrix:
             assert abs(sym2(mod) - sym2(gram)) < 1e-10
             assert np.linalg.det(mod) >= np.linalg.det(gram).real - 1e-10
             assert vn_entropy(mod) >= vn_entropy(gram) - 1e-9
+
+
+def _layered_on_matrices(probs, states, rf):
+    """The layered chain on matrices, as bounds computed it before it read one
+    decomposition per state: regularize_singular, sqrt_product of neighbours
+    and np.linalg.inv of the inner states. The reference for _layered_matrix."""
+    k = states.shape[-3]
+    root_p = bounds._root_probs(probs)
+    d, u = np.diag_indices(k), np.arange(k - 1)
+    sigma = np.zeros(rf.shape, dtype=complex)
+    sigma[(...,) + d] = probs
+    sigma[..., u, u + 1] = sigma[..., u + 1, u] = root_p[..., u, u + 1] * rf[..., u, u + 1]
+    states = matfun.regularize_singular(states)
+    steps = matfun.sqrt_product(states[..., 1:, :, :], states[..., :-1, :, :])
+    invs = np.linalg.inv(states[..., 1:-1, :, :])
+    for i in range(k):
+        for j in range(i + 2, k):
+            chain = steps[..., j - 1, :, :]
+            for m in range(j - 1, i, -1):
+                chain = chain @ invs[..., m - 1, :, :] @ steps[..., m - 1, :, :]
+            sigma[..., i, j] = root_p[..., i, j] * np.trace(chain, axis1=-2, axis2=-1)
+            sigma[..., j, i] = np.conj(sigma[..., i, j])
+    return matfun.hermitize(sigma)
+
+
+class TestLayeredMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), t=st.integers(0, 10**6), n=st.sampled_from([2, 3]),
+           ancilla=st.integers(1, 4))
+    def test_one_decomposition_equals_the_matrix_chain(self, seed, t, n, ancilla):
+        # ancilla < n draws rank-deficient states, which take the regularized branch
+        e = random_ensemble(3, n, stream_rng(seed, t), ancilla)
+        w, v = matfun.psd_eigh(e.states)
+        rf = bounds._root_fidelity_matrix(e.states, matfun.from_eigh(np.sqrt(w), v))
+        got = bounds._layered_matrix(e.probs, rf, w, v)
+        smallest = matfun._regularized(w)[0][:, 0].min()
+        assert (smallest < 1e-9) == (ancilla < n)
+        # the chain inverts the (regularized) states, so rounding grows like
+        # eps/smallest eigenvalue: 1e-12 for well-conditioned states, and about
+        # 7e-7 at the regularized eigenvalue REGULARIZATION_EPS/n
+        tol = max(1e-12, 10 * np.finfo(float).eps / smallest)
+        np.testing.assert_allclose(got, _layered_on_matrices(e.probs, e.states, rf), rtol=0, atol=tol)
+
+    def test_fidelity_matrix_is_the_batch_row(self, monkeypatch):
+        aux = []
+        real = bounds.vn_entropy
+
+        def recorded(rho, *args):
+            if np.shape(rho)[-3:] == (5, 3, 3):
+                aux.append(rho)
+            return real(rho, *args)
+
+        monkeypatch.setattr(bounds, "vn_entropy", recorded)
+        rng = stream_rng(61, 0)
+        ens = [random_ens(rng) for _ in range(3)] + [Ensemble(
+            np.full(3, 1 / 3), [pure_state(random_pure_state(2, rng)) for _ in range(3)])]
+        bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
+        (aux,) = aux
+        for e, row in zip(ens, aux):
+            assert bounds.fidelity_matrix(e, "layered").tobytes() == row[4].tobytes()
+
+    def test_state_below_psd_tol_raises(self):
+        e = random_ens(stream_rng(61, 1))
+        states = e.states.copy()
+        states[1] = np.diag([1.0 + 2 * PSD_TOL, -2 * PSD_TOL])
+        bad = Ensemble(e.probs, states)
+        with pytest.raises(matfun.NotPSDError):
+            bounds.fidelity_matrix(bad, "layered")
+        with pytest.raises(matfun.NotPSDError):
+            bounds.hierarchy_batch(bad.probs[None], bad.states[None])
 
 
 class TestHierarchy:

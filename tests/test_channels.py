@@ -384,6 +384,14 @@ class TestKrausFromEnsemble:
         for p, s, k in zip(probs, sts, phi.kraus):
             np.testing.assert_allclose(k @ rho0 @ k.conj().T, p * s, atol=1e-9)
 
+    @pytest.mark.parametrize("second", [np.diag([1.0, 0.0]), np.diag([1.0 - 2e-11, 2e-11])])
+    def test_singular_average_raises(self, second):
+        # averages diag(1, 0) and diag(1 - 1e-11, 1e-11): on the kernel the
+        # operators cannot resolve the identity, so the construction refuses
+        e = Ensemble(np.full(2, 0.5), [np.diag([1.0, 0.0]), second])
+        with pytest.raises(ValueError, match="average state .* is singular"):
+            channels.kraus_from_ensemble(e, [np.eye(2)] * 2)
+
 
 class TestSerialization:
     def test_json_round_trip(self):

@@ -1,7 +1,7 @@
 import json
 import math
-from collections import Counter
 
+import numpy as np
 import pytest
 
 from chanent import cli, sampling
@@ -213,27 +213,24 @@ class TestHierarchy:
         long = cli._hierarchy_chunk((42, 0, 60, params))
         assert short == long[:25]
 
-    def test_one_stream_and_one_draw_per_trial(self, monkeypatch):
-        calls = Counter()
-        real = sampling.stream_rng
-
-        class CountedRng:
-            def __init__(self, rng):
-                self._rng = rng
-
-            def random(self, *args, **kwargs):
-                calls["random"] += 1
-                return self._rng.random(*args, **kwargs)
-
-        def counted(seed, stream=0):
-            calls["stream_rng"] += 1
-            return CountedRng(real(seed, stream))
-
+    def test_chunk_builds_no_generator(self, monkeypatch):
+        # the chunk draws its uniforms from the stacked Philox kernel: no Generator,
+        # and still the rows of one hierarchy call per trial on its own stream
         params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}
-        expected = cli._hierarchy_chunk((42, 5, 45, params))
-        monkeypatch.setattr(sampling, "stream_rng", counted)
+        expected = []
+        for t in range(5, 45):
+            e = sampling.random_ensemble(3, 2, sampling.stream_rng(42, t), ancilla=3)
+            r = cli.bounds.hierarchy(e, b=params["b"])
+            expected.append(None if r is None else {
+                **{name: getattr(r, name) for name in cli._HIERARCHY_FIELDS},
+                "conjecture": r.violations["conjecture"]})
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a Generator was built")
+
+        monkeypatch.setattr(sampling, "stream_rng", no_generator)
+        monkeypatch.setattr(np.random, "Generator", no_generator)
         assert cli._hierarchy_chunk((42, 5, 45, params)) == expected
-        assert calls == {"stream_rng": 40, "random": 40}
 
     def test_rows_independent_of_chunk_size(self):
         # each chunk is one stacked evaluation; a row never depends on its neighbours

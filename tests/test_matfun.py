@@ -260,6 +260,16 @@ class TestStochastic3Log:
         with pytest.raises(matfun.NoRealLogError):
             matfun.stochastic3_log(f)
 
+    @pytest.mark.parametrize("fn", [matfun.stochastic3_log, matfun.stochastic3_xy])
+    def test_complex_block_rejected(self, fn):
+        # a float cast would drop the imaginary part and return the identity's answer
+        f = np.eye(3, dtype=complex)
+        np.testing.assert_equal(fn(f), fn(np.eye(3)))  # a zero imaginary part is fine
+        for bad in (0.5j, complex(0.0, np.nan)):
+            f[0, 1] = bad
+            with pytest.raises(ValueError, match="expected a real matrix"):
+                fn(f)
+
 
 class TestMatrixExp:
     def test_zero(self):

@@ -160,6 +160,26 @@ def _sequential_ensemble(k, n, rng, ancilla):
     return probs, np.array(states)
 
 
+class TestStreamUniforms:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**65), st.integers(-2**64, -1)),
+        start=st.one_of(st.integers(0, 50), st.integers(2**32, 2**64 - 20)),
+        size=st.integers(0, 6),
+        count=st.one_of(st.just(1), st.integers(0, 10).map(lambda m: 4 * m),
+                        st.integers(0, 10).map(lambda m: 4 * m + 3), st.integers(0, 45)),
+    )
+    def test_rows_are_the_streams_bytes(self, seed, start, size, count):
+        u = sampling.stream_uniforms(seed, start, start + size, count)
+        assert u.shape == (size, count) and u.dtype == np.float64
+        for row, t in zip(u, range(start, start + size)):
+            assert row.tobytes() == sampling.stream_rng(seed, t).random(count).tobytes()
+
+    def test_empty_range(self):
+        assert sampling.stream_uniforms(5, 7, 7, 9).shape == (0, 9)
+        assert sampling.stream_uniforms(5, 7, 3, 9).shape == (0, 9)
+
+
 class TestStackedEnsembles:
     @settings(max_examples=60, deadline=None)
     @given(
