@@ -21,7 +21,7 @@ from .entropy import (
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import _regularized, _sqrt_product, from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt
+from .matfun import hermitize, psd_power, psd_sqrt, root_svd
 from .states import assert_state, from_bloch, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
                          PSD_TOL, VIOLATION_SLACK)
@@ -255,18 +255,19 @@ def sigma_min_two(rho1: np.ndarray, rho2: np.ndarray, lam: float) -> np.ndarray:
     return np.array([[lam, off], [off, 1.0 - lam]])
 
 
-def _root_fidelity_matrix(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """(..., k, k) root fidelities of a (..., k, n, n) stack of states, given their square roots.
+def _root_fidelity_matrix(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., k, k) root fidelities of a (..., k, n, n) stack of state square roots,
+    and the (..., k-1, n, n) polar factors W_{m,m-1} of sqrt(rho_m) sqrt(rho_{m-1}).
 
-    One stacked root_fidelity call covers the k(k-1)/2 pairs.
+    One root_svd call covers the k(k-1)/2 pairs; the neighbour pairs' polar
+    factors are the steps of the layered chain.
     """
-    k = states.shape[-3]
+    k = roots.shape[-3]
     i, j = np.triu_indices(k, 1)
-    rf = np.ones(states.shape[:-3] + (k, k))
-    rf[..., i, j] = rf[..., j, i] = root_fidelity(
-        states[..., i, :, :], states[..., j, :, :], sqrt_rho1=roots[..., i, :, :]
-    )
-    return rf
+    s, w = root_svd(roots[..., j, :, :] @ roots[..., i, :, :])
+    rf = np.ones(roots.shape[:-3] + (k, k))
+    rf[..., i, j] = rf[..., j, i] = np.clip(s.sum(axis=-1), 0.0, 1.0)
+    return rf, w[..., np.flatnonzero(j == i + 1), :, :]
 
 
 def _root_probs(probs: np.ndarray) -> np.ndarray:
@@ -293,8 +294,8 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
     possibly indefinite for k>3). "G/b": off-diagonals divided by b (>= 2 in
     general, >= sqrt(3) for qubits). "F-squared": sqrt(p_i p_j) F_ij, a bound
     for qubit or pure-state ensembles. "layered": root fidelities on the
-    first off-diagonal, chained products beyond (a true correlation matrix,
-    needs invertible states; singular ones are regularized).
+    first off-diagonal, chained products beyond (a true correlation matrix;
+    see _layered_matrix for singular states).
     """
     if variant not in ("G", "G/b", "F-squared", "layered"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -306,44 +307,44 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
         np.trace(s @ s).real > 1.0 - NORMALIZATION_TOL for s in e.states
     ):
         raise ValueError("F-squared variant needs qubit or pure ensembles")
-    w, v = psd_eigh(e.states)
-    rf = _root_fidelity_matrix(e.states, from_eigh(np.sqrt(w), v))
+    roots = psd_sqrt(e.states)
+    rf, steps = _root_fidelity_matrix(roots)
     if variant == "layered":
-        return _layered_matrix(e.probs, rf, w, v)
+        return _layered_matrix(e.probs, rf, roots, steps)
     g = _root_probs(e.probs) * (rf**2 if variant == "F-squared" else rf)
     return _damped(g, b) if variant == "G/b" else g
 
 
-def _layered_matrix(probs: np.ndarray, rf: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _layered_matrix(probs: np.ndarray, rf: np.ndarray, roots: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Correlation matrix with root fidelities on the tridiagonal, for (..., k) stacks.
 
     sigma_ij for j > i+1 is the chained product
     tr sqrt(rho_j rho_{j-1}) rho_{j-1}^{-1} ... rho_{i+1}^{-1} sqrt(rho_{i+1} rho_i),
-    using the square-root-of-a-product convention for each factor. (w, v) is
-    the psd_eigh decomposition of the states; the chain reads it with
-    singular spectra regularized, and rf holds the root fidelities of the
-    states as given.
+    using the square-root-of-a-product convention for each factor. With
+    sqrt(rho_m rho_{m-1}) = sqrt(rho_m) W_{m,m-1} sqrt(rho_{m-1}) every inverse
+    cancels: sigma_ij = sqrt(p_i p_j) tr sqrt(rho_i) sqrt(rho_j) W_{j,j-1} ... W_{i+1,i}.
+    roots holds the square roots of the states, steps the det-one polar
+    factors W_{m,m-1} of _root_fidelity_matrix. For singular states this is
+    the limit along invertible ones wherever each neighbour product
+    sqrt(rho_m) sqrt(rho_{m-1}) has a kernel of dimension at most 1. Where a
+    kernel has dimension 2 or more (orthogonal pure neighbours, or states of
+    rank n-2 or less beyond qubits) the limit can depend on how the states
+    are approached, and the det-one value is returned.
     """
-    k = w.shape[-2]
+    k = roots.shape[-3]
     root_p = _root_probs(probs)
     d, u = np.diag_indices(k), np.arange(k - 1)
     sigma = np.zeros(rf.shape, dtype=complex)
     sigma[(...,) + d] = probs
     sigma[..., u, u + 1] = sigma[..., u + 1, u] = root_p[..., u, u + 1] * rf[..., u, u + 1]
-    if k > 2:
-        w = _regularized(w)[0]
-        rho = from_eigh(w, v)
-        # steps[..., m-1] = sqrt(rho_m rho_{m-1}); invs[..., m-1] = rho_m^{-1}
-        steps = _sqrt_product(w[..., 1:, :], v[..., 1:, :, :], rho[..., :-1, :, :])
-        invs = from_eigh(1.0 / w[..., 1:-1, :], v[..., 1:-1, :, :])
-        for i in range(k):
-            for j in range(i + 2, k):
-                chain = steps[..., j - 1, :, :]
-                for m in range(j - 1, i, -1):
-                    chain = chain @ invs[..., m - 1, :, :] @ steps[..., m - 1, :, :]
-                val = root_p[..., i, j] * np.trace(chain, axis1=-2, axis2=-1)
-                sigma[..., i, j] = val
-                sigma[..., j, i] = np.conj(val)
+    for i in range(k - 2):
+        chain = steps[..., i, :, :]
+        for j in range(i + 2, k):
+            chain = steps[..., j - 1, :, :] @ chain
+            ends = roots[..., i, :, :] @ roots[..., j, :, :]
+            val = root_p[..., i, j] * np.trace(ends @ chain, axis1=-2, axis2=-1)
+            sigma[..., i, j] = val
+            sigma[..., j, i] = np.conj(val)
     return hermitize(sigma)
 
 
@@ -392,11 +393,11 @@ def hierarchy_batch(
     below HIERARCHY_SKIP_GAP; violations["conjecture"] is chi > S(G) +
     VIOLATION_SLACK. s_sigma and s_gram both refer to the canonical
     purification Gram matrix (identity unitaries). Each state is decomposed
-    once (psd_eigh): its square root, its regularized square root, inverse
-    square root and inverse for the layered chain all read that one
-    decomposition. The root-fidelity matrix is computed once per ensemble,
-    and the entropies of all five auxiliary matrices come from one stacked
-    eigvalsh. Every report is bit-identical whatever the stack around it.
+    once (one eigh for its square root); one SVD of sqrt(rho_j) sqrt(rho_i)
+    per pair gives the root fidelities and the polar factors of the layered
+    chain, and the entropies of all five auxiliary matrices come from one
+    stacked eigvalsh. Every report is bit-identical whatever the stack
+    around it.
     """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states, dtype=complex)
@@ -406,14 +407,13 @@ def hierarchy_batch(
     probs = _clean_probs(probs)
     chi = _holevo_vn(probs, states)
     h_p = spectrum_entropy(probs)
-    w, v = psd_eigh(states)
-    roots = from_eigh(np.sqrt(w), v)
-    rf = _root_fidelity_matrix(states, roots)
+    roots = psd_sqrt(states)
+    rf, steps = _root_fidelity_matrix(roots)
     root_p = _root_probs(probs)
     g = root_p * rf
     aux = np.stack([
         _purification_gram(probs, roots, np.broadcast_to(np.eye(2), states.shape)),
-        g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, rf, w, v),
+        g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, rf, roots, steps),
     ], axis=1)
     ent = vn_entropy(aux)  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
     kept = ~(h_p - chi < HIERARCHY_SKIP_GAP)  # a NaN gap keeps its row, so it cannot pass as a skip

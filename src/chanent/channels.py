@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import from_eigh, hermitize, partial_trace, psd_eigh, psd_inv_sqrt, psd_sqrt, reshuffle
+from .matfun import from_eigh, hermitize, partial_trace, psd_eigh, psd_sqrt, reshuffle, root_svd
 from .tolerances import (CHOI_TOL, CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF,
                          SINGULAR_CUTOFF, SUPPORT_CUTOFF)
 
@@ -115,20 +115,25 @@ def _cptp_report(stack: np.ndarray, choi: np.ndarray, tol: float) -> CptpReport:
     return CptpReport(min_eig >= -tol, tp_residual <= tol, min_eig, tp_residual)
 
 
-def _superoperator_report(s: np.ndarray) -> tuple[CptpReport, np.ndarray | None]:
-    """The report on a square superoperator, and the dynamical matrix d it checked.
+def _superoperator_report(s: np.ndarray) -> tuple[CptpReport, np.ndarray | None, float]:
+    """The report on a square superoperator, the dynamical matrix d it checked,
+    and the weight sum |w| of the eigenvalues w <= KRAUS_CUTOFF of d.
 
     d = hermitize(reshuffle(s)) is n·choi; CP means no eigenvalue of d (not
     of the Choi state) below -CPTP_TOL, TP means max|Tr_out d - I| <= CPTP_TOL.
-    A NaN or inf entry gives a NaN report and no d, before any arithmetic on s.
+    Dropping the eigenvalues at or below KRAUS_CUTOFF (as the Kraus stack
+    does) moves Tr_out d by at most their weight. A NaN or inf entry gives
+    a NaN report and no d, before any arithmetic on s.
     """
     if not np.isfinite(s).all():
-        return CptpReport(False, False, math.nan, math.nan), None
+        return CptpReport(False, False, math.nan, math.nan), None, math.nan
     d = hermitize(reshuffle(s))
     n = math.isqrt(len(d))
     tp_residual = float(np.abs(partial_trace(d, (n, n), 1) - np.eye(n)).max())
-    min_eig = float(np.linalg.eigvalsh(d).min())
-    return CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual), d
+    w = np.linalg.eigvalsh(d)
+    min_eig = float(w[0])
+    report = CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual)
+    return report, d, float(np.abs(w[w <= KRAUS_CUTOFF]).sum())
 
 
 class Channel:
@@ -196,12 +201,15 @@ class Channel:
 
         A NaN or inf entry, or a map that fails `_superoperator_report`'s CP or
         TP test, raises InvalidChannelError. The channel keeps the checked
-        (Hermitian) dynamical matrix as its superoperator and Choi state.
+        (Hermitian) dynamical matrix as its superoperator and Choi state. A map
+        so close to the CP margin that dropping its eigenvalues at or below
+        KRAUS_CUTOFF could break TP gets its Kraus stack built (and checked)
+        here, so that it raises now rather than on the first `.kraus` read.
         """
         s = np.asarray(s, dtype=complex)
         if not np.isfinite(s).all():
             raise InvalidChannelError("superoperator has a NaN or infinite entry")
-        report, d = _superoperator_report(s)
+        report, d, dropped = _superoperator_report(s)
         if not report.cp:
             raise InvalidChannelError(f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}")
         if not report.tp:
@@ -212,6 +220,8 @@ class Channel:
         phi.superoperator = reshuffle(d)
         phi.choi = _swap_factors(d) / phi.in_dim
         phi.superoperator.flags.writeable = phi.choi.flags.writeable = False
+        if report.tp_residual + dropped > CPTP_TOL:
+            phi.kraus  # builds and checks the truncated Kraus stack
         return phi
 
     @classmethod
@@ -355,13 +365,12 @@ def ensemble_from_channel(phi: Channel, rho: np.ndarray):
 def pair_optimal_unitary(rho1: np.ndarray, rho2: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """The second construction unitary that makes sigma_12 equal the root fidelity.
 
-    Given u1, returns u2 = sqrt(rho2) sqrt(rho1) (sqrt(rho1) rho2 sqrt(rho1))^{-1/2} u1,
-    the choice saturating the Uhlmann bound in the two-state Kraus construction.
+    Given u1, returns u2 = W u1, with W the polar factor of sqrt(rho2) sqrt(rho1)
+    (root_svd): for invertible states W = sqrt(rho2) sqrt(rho1)
+    (sqrt(rho1) rho2 sqrt(rho1))^{-1/2}, the choice saturating the Uhlmann
+    bound in the two-state Kraus construction.
     """
-    sr1 = psd_sqrt(rho1)
-    x = sr1 @ rho2 @ sr1
-    m = psd_sqrt(rho2) @ sr1 @ psd_inv_sqrt(x)
-    return m @ u1
+    return root_svd(psd_sqrt(rho2) @ psd_sqrt(rho1))[1] @ u1
 
 
 def kraus_from_ensemble(ensemble, unitaries) -> tuple[Channel, np.ndarray]:

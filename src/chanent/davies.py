@@ -407,8 +407,8 @@ def _limit_offdiag(f: np.ndarray, pos: tuple[int, int]) -> float:
 MIN_SWEEP_RESOLUTION = 10
 
 
-def davies_set_sweep(resolution: int = 50, temperature_mode: str = "infinite"):
-    """Classify the simplex of symmetric bistochastic blocks by membership.
+def davies_set_sweep(resolution: int = 50):
+    """Classify the simplex of symmetric bistochastic (infinite-temperature) blocks by membership.
 
     Sweeps figure coordinates f = (f12, f13, f23) with f12 + f13 + f23 <= 1
     on a grid of the given resolution; the coordinates map to the block's
@@ -419,8 +419,6 @@ def davies_set_sweep(resolution: int = 50, temperature_mode: str = "infinite"):
     """
     if resolution < MIN_SWEEP_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_SWEEP_RESOLUTION}")
-    if temperature_mode != "infinite":
-        raise ValueError("only the infinite-temperature (bistochastic) sweep is defined")
     grid = np.linspace(0.0, 1.0, resolution)
     rows = []
     for f12 in grid:

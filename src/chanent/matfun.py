@@ -12,12 +12,10 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .tolerances import (DAVIES_COEFF_CUTOFF, DOMAIN_EDGE, PROB_NEGATIVITY_TOL, PSD_TOL,
-                         REGULARIZATION_EPS, SINGULAR_CUTOFF, SUPPORT_CUTOFF)
+from .tolerances import DAVIES_COEFF_CUTOFF, DOMAIN_EDGE, PROB_NEGATIVITY_TOL, PSD_TOL, SUPPORT_CUTOFF
 
 __all__ = [
     "SUPPORT_CUTOFF",
-    "SINGULAR_CUTOFF",
     "NotPSDError",
     "NonFiniteError",
     "DegenerateSpectrumError",
@@ -31,11 +29,10 @@ __all__ = [
     "from_eigh",
     "spectral",
     "psd_sqrt",
-    "psd_inv_sqrt",
     "psd_power",
     "psd_log",
-    "regularize_singular",
     "polar",
+    "root_svd",
     "sqrt_product",
     "schur_positive",
     "stochastic3_log",
@@ -149,12 +146,6 @@ def spectral(h: np.ndarray, f) -> np.ndarray:
     return from_eigh(f(w), v)
 
 
-def _inv_sqrt(w: np.ndarray) -> np.ndarray:
-    if w.min(initial=np.inf) <= SINGULAR_CUTOFF:
-        raise NotPSDError("matrix is singular, inverse square root undefined")
-    return 1.0 / np.sqrt(w)
-
-
 def _on_support(w: np.ndarray, fn) -> np.ndarray:
     support = w > SUPPORT_CUTOFF
     return np.where(support, fn(np.where(support, w, 1.0)), 0.0)
@@ -165,12 +156,6 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     return spectral(h, np.sqrt)
 
 
-def psd_inv_sqrt(h: np.ndarray) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix (or of each in a
-    stack); a smallest eigenvalue at or below SINGULAR_CUTOFF raises NotPSDError."""
-    return spectral(h, _inv_sqrt)
-
-
 def psd_power(h: np.ndarray, a: float) -> np.ndarray:
     """h**a on the support of a PSD matrix (eigenvalues above SUPPORT_CUTOFF), 0 off it."""
     return spectral(h, lambda w: _on_support(w, lambda x: x**a))
@@ -179,34 +164,6 @@ def psd_power(h: np.ndarray, a: float) -> np.ndarray:
 def psd_log(h: np.ndarray) -> np.ndarray:
     """log h on the support of a PSD matrix (eigenvalues above SUPPORT_CUTOFF), 0 off it."""
     return spectral(h, lambda w: _on_support(w, np.log))
-
-
-def _regularized(w: np.ndarray, eps: float = REGULARIZATION_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """The one regularization rule, on a (..., n) stack of ascending spectra.
-
-    A spectrum whose smallest eigenvalue is at most SINGULAR_CUTOFF becomes
-    (1-eps) w + eps/n, the spectrum of (1-eps) rho + eps I/n; others pass
-    unchanged. Returns (spectra, singular mask). eps=0 raises NotPSDError on
-    a singular spectrum instead.
-    """
-    singular = w[..., 0] <= SINGULAR_CUTOFF
-    if not singular.any():
-        return w, singular
-    if not eps:
-        raise NotPSDError("matrix is singular and regularization is disabled")
-    return np.where(singular[..., None], (1 - eps) * w + eps / w.shape[-1], w), singular
-
-
-def regularize_singular(rho: np.ndarray, eps: float = REGULARIZATION_EPS) -> np.ndarray:
-    """Replace each PSD matrix of a stack whose smallest eigenvalue is at most
-    SINGULAR_CUTOFF by (1-eps) rho + eps I/N; others pass unchanged.
-
-    eps=0 raises NotPSDError on a singular matrix instead.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    w, v = psd_eigh(rho)
-    w, singular = _regularized(w, eps)
-    return np.where(singular[..., None, None], from_eigh(w, v), rho)
 
 
 def polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,22 +178,34 @@ def polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, w
 
 
-def sqrt_product(rho: np.ndarray, sigma: np.ndarray, eps: float = REGULARIZATION_EPS) -> np.ndarray:
+def root_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values s and the det-one unitary polar factor W = U V† of each
+    x = sqrt(rho_a) sqrt(rho_b) of a (..., n, n) stack, from one SVD x = U diag(s) V†.
+
+    s.sum() is the root fidelity of the pair, and x = |x†| W = W |x|. Every
+    invertible x of this form has det x > 0, which forces det W = 1; a
+    singular x leaves W free on its kernel. U's last column is multiplied by
+    the phase that makes det W = 1: rounding for an invertible x, and on a
+    kernel of dimension at most 1 the one completion that is the limit of
+    the invertible case.
+    """
+    u, s, vh = np.linalg.svd(x)
+    det = np.linalg.det(u @ vh)
+    u[..., :, -1] *= (det.conj() / np.abs(det))[..., None]
+    return s, u @ vh
+
+
+def sqrt_product(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Square root of the product of two density matrices (or of each pair of two stacks).
 
-    Returns rho^{1/2} (rho^{1/2} sigma rho^{1/2})^{1/2} rho^{-1/2}. Its trace
-    is the root fidelity of the pair. A singular rho is replaced by
-    (1-eps) rho + eps I/N before inverting; pass eps=0 to disable the
-    regularization and get an error instead.
+    rho^{1/2} (rho^{1/2} sigma rho^{1/2})^{1/2} rho^{-1/2} equals
+    sqrt(rho) W sqrt(sigma), with W the polar factor of root_svd(sqrt(rho)
+    sqrt(sigma)); that form needs no inverse, so it also holds for singular
+    rho (as the limit along invertible ones). Its trace is the root fidelity
+    of the pair.
     """
-    w, v = psd_eigh(rho)
-    return _sqrt_product(_regularized(w, eps)[0], v, np.asarray(sigma))
-
-
-def _sqrt_product(w: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """sqrt_product of rho = v diag(w) v† and sigma, from rho's (regularized) decomposition."""
-    sr = from_eigh(np.sqrt(w), v)
-    return sr @ psd_sqrt(sr @ sigma @ sr) @ from_eigh(_inv_sqrt(w), v)
+    sr, ss = psd_sqrt(rho), psd_sqrt(sigma)
+    return sr @ root_svd(sr @ ss)[1] @ ss
 
 
 def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .matfun import hermitize, kron, polar, psd_sqrt
+from .matfun import hermitize, kron, polar, psd_sqrt, root_svd
 from .tolerances import HERMITIAN_TOL, NORMALIZATION_TOL, PHASE_CUTOFF, PSD_TOL, SCHMIDT_CUTOFF
 
 __all__ = [
@@ -148,20 +148,18 @@ def schmidt_number(psi: np.ndarray, dims: tuple[int, int]) -> int:
     return int(np.count_nonzero(coeffs > SCHMIDT_CUTOFF))
 
 
-def root_fidelity(rho1: np.ndarray, rho2: np.ndarray, sqrt_rho1: np.ndarray | None = None):
-    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), clipped to [0, 1], via two PSD square roots.
+def root_fidelity(rho1: np.ndarray, rho2: np.ndarray):
+    """tr |sqrt(rho1) sqrt(rho2)| = tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), clipped to [0, 1].
 
-    Takes one pair (returns a float) or two (..., n, n) stacks of states
-    (returns an array). sqrt_rho1 is psd_sqrt(rho1), when the caller
-    already holds it.
+    The sum of the singular values of sqrt(rho1) sqrt(rho2) (Jozsa's form),
+    which stays exact for pure and other singular states. Takes one pair
+    (returns a float) or two (..., n, n) stacks of states (returns an array).
     """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError("states must share a dimension")
-    sr = psd_sqrt(rho1) if sqrt_rho1 is None else sqrt_rho1
-    val = np.trace(psd_sqrt(sr @ rho2 @ sr), axis1=-2, axis2=-1).real
-    val = np.minimum(np.maximum(val, 0.0), 1.0)
+    val = np.clip(root_svd(psd_sqrt(rho1) @ psd_sqrt(rho2))[0].sum(axis=-1), 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 

@@ -18,11 +18,9 @@ two names. This module holds constants only.
 #: to a von Neumann entropy, far below every tolerance.
 SUPPORT_CUTOFF = 1e-12
 
-#: Smallest eigenvalue at which a state still counts as invertible; a state at
-#: or below it is mixed with REGULARIZATION_EPS·I/N before it is inverted, and
-#: its inverse square root (or, in kraus_from_ensemble, the state) is refused.
-#: Its inverse is then at most 1e10, so rounding in an inverted product stays
-#: below 1e-6.
+#: Smallest eigenvalue at which the average state of `kraus_from_ensemble` still
+#: counts as invertible; at or below it the construction is refused. Its inverse
+#: square root, which every Kraus operator carries, is then at most 1e5.
 SINGULAR_CUTOFF = 1e-10
 
 #: An eigenvalue of a dynamical matrix at or below this adds no Kraus operator:
@@ -72,10 +70,6 @@ ENSEMBLE_CHANNEL_TOL = 1e-7
 
 #: Trace and Tr_2 marginal tolerance of a Choi state given to `Channel.from_choi`.
 CHOI_TOL = 1e-8
-
-#: Weight eps of I/N mixed into a singular state before it is inverted: small
-#: enough to move an entropy by ~1e-8, large enough to keep the inverse finite.
-REGULARIZATION_EPS = 1e-9
 
 # -- inequalities and domains -----------------------------------------------------
 

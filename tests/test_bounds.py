@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from chanent.sampling import (
 )
 from chanent.states import pure_state
 from chanent.tolerances import PSD_TOL
+from tests_support import polar_2x2
 
 
 def random_ens(rng, k=3, n=2):
@@ -308,17 +310,18 @@ class TestFidelityMatrix:
 
 
 def _layered_on_matrices(probs, states, rf):
-    """The layered chain on matrices, as bounds computed it before it read one
-    decomposition per state: regularize_singular, sqrt_product of neighbours
-    and np.linalg.inv of the inner states. The reference for _layered_matrix."""
+    """The layered chain with explicit inverses, as bounds computed it before the
+    polar form: sqrt(rho_m rho_{m-1}) = rho_m^{1/2} (rho_m^{1/2} rho_{m-1}
+    rho_m^{1/2})^{1/2} rho_m^{-1/2} of neighbours and np.linalg.inv of the inner
+    states. The reference for _layered_matrix on invertible states."""
     k = states.shape[-3]
     root_p = bounds._root_probs(probs)
     d, u = np.diag_indices(k), np.arange(k - 1)
     sigma = np.zeros(rf.shape, dtype=complex)
     sigma[(...,) + d] = probs
     sigma[..., u, u + 1] = sigma[..., u + 1, u] = root_p[..., u, u + 1] * rf[..., u, u + 1]
-    states = matfun.regularize_singular(states)
-    steps = matfun.sqrt_product(states[..., 1:, :, :], states[..., :-1, :, :])
+    sr = matfun.psd_sqrt(states[..., 1:, :, :])
+    steps = sr @ matfun.psd_sqrt(sr @ states[..., :-1, :, :] @ sr) @ np.linalg.inv(sr)
     invs = np.linalg.inv(states[..., 1:-1, :, :])
     for i in range(k):
         for j in range(i + 2, k):
@@ -330,23 +333,69 @@ def _layered_on_matrices(probs, states, rf):
     return matfun.hermitize(sigma)
 
 
+def _layered(e):
+    roots = matfun.psd_sqrt(e.states)
+    rf, steps = bounds._root_fidelity_matrix(roots)
+    return bounds._layered_matrix(e.probs, rf, roots, steps)
+
+
+def _bargmann(probs, vecs):
+    """Layered matrix of a pure ensemble in closed form: sigma_ij = sqrt(p_i p_j) <a_i|a_j>
+    times the phases of <a_m|a_{m-1}> for m = i+1 .. j."""
+    k = len(vecs)
+    gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
+    sigma = np.diag(probs).astype(complex)
+    for i in range(k):
+        for j in range(i + 1, k):
+            phases = np.prod([gram[m, m - 1] / abs(gram[m, m - 1]) for m in range(i + 1, j + 1)])
+            sigma[i, j] = math.sqrt(probs[i] * probs[j]) * gram[i, j] * phases
+            sigma[j, i] = np.conj(sigma[i, j])
+    return sigma
+
+
 class TestLayeredMatrix:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32), t=st.integers(0, 10**6), n=st.sampled_from([2, 3]),
-           ancilla=st.integers(1, 4))
-    def test_one_decomposition_equals_the_matrix_chain(self, seed, t, n, ancilla):
-        # ancilla < n draws rank-deficient states, which take the regularized branch
-        e = random_ensemble(3, n, stream_rng(seed, t), ancilla)
-        w, v = matfun.psd_eigh(e.states)
-        rf = bounds._root_fidelity_matrix(e.states, matfun.from_eigh(np.sqrt(w), v))
-        got = bounds._layered_matrix(e.probs, rf, w, v)
-        smallest = matfun._regularized(w)[0][:, 0].min()
-        assert (smallest < 1e-9) == (ancilla < n)
-        # the chain inverts the (regularized) states, so rounding grows like
-        # eps/smallest eigenvalue: 1e-12 for well-conditioned states, and about
-        # 7e-7 at the regularized eigenvalue REGULARIZATION_EPS/n
+           extra=st.integers(0, 2))
+    def test_one_decomposition_equals_the_matrix_chain(self, seed, t, n, extra):
+        # ancilla >= n draws invertible states, where the inverse chain is defined
+        e = random_ensemble(3, n, stream_rng(seed, t), n + extra)
+        roots = matfun.psd_sqrt(e.states)
+        rf, _ = bounds._root_fidelity_matrix(roots)
+        smallest = np.linalg.eigvalsh(e.states)[:, 0].min()
+        # the reference inverts the states, so its rounding grows like eps/smallest eigenvalue
         tol = max(1e-12, 10 * np.finfo(float).eps / smallest)
-        np.testing.assert_allclose(got, _layered_on_matrices(e.probs, e.states, rf), rtol=0, atol=tol)
+        np.testing.assert_allclose(_layered(e), _layered_on_matrices(e.probs, e.states, rf),
+                                   rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pure_ensembles_are_the_bargmann_form(self, n, k):
+        rng = stream_rng(62, 10 * n + k)
+        for _ in range(40):
+            vecs = [random_pure_state(n, rng) for _ in range(k)]
+            e = Ensemble(dirichlet(k, rng), [pure_state(a) for a in vecs])
+            np.testing.assert_allclose(_layered(e), _bargmann(e.probs, vecs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ranks", [(2, 1, 2), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 1, 1, 1), (2, 1, 1, 2)])
+    def test_qubit_ranks_are_the_closed_form_chain(self, ranks):
+        # every qubit neighbour product but that of orthogonal pure states has a kernel
+        # of dimension <= 1, where the chain is the limit along invertible states
+        rng = stream_rng(63, len(ranks) * 10 + sum(ranks))
+        k = len(ranks)
+        for _ in range(40):
+            states = np.array([hs_random_density(2, rng) if r == 2 else pure_state(random_pure_state(2, rng))
+                               for r in ranks])
+            e = Ensemble(dirichlet(k, rng), states)
+            roots = matfun.psd_sqrt(states)
+            steps = [polar_2x2(roots[m] @ roots[m - 1]) for m in range(1, k)]
+            want = np.diag(e.probs).astype(complex)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    chain = functools.reduce(np.matmul, steps[i:j][::-1])
+                    want[i, j] = math.sqrt(e.probs[i] * e.probs[j]) * np.trace(roots[i] @ roots[j] @ chain)
+                    want[j, i] = np.conj(want[i, j])
+            np.testing.assert_allclose(_layered(e), want, rtol=0, atol=1e-13)
 
     def test_fidelity_matrix_is_the_batch_row(self, monkeypatch):
         aux = []
@@ -413,17 +462,17 @@ class TestHierarchy:
 
     def test_root_fidelities_once_per_pair(self, monkeypatch):
         pairs = []
-        real = bounds.root_fidelity
+        real = bounds.root_svd
 
-        def counted(rho1, rho2, sqrt_rho1=None):
-            pairs.append(int(np.prod(np.shape(rho1)[:-2])))
-            return real(rho1, rho2, sqrt_rho1)
+        def counted(x):
+            pairs.append(int(np.prod(np.shape(x)[:-2])))
+            return real(x)
 
-        monkeypatch.setattr(bounds, "root_fidelity", counted)
+        monkeypatch.setattr(bounds, "root_svd", counted)
         rng = stream_rng(60, 4)
         ens = [random_ens(rng) for _ in range(5)]
         bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
-        assert pairs == [3 * 5]  # one stacked call: 3 pairs per ensemble
+        assert pairs == [3 * 5]  # one root_svd call: 3 pairs per ensemble
 
     def test_non_finite_state_fails_the_batch(self):
         rng = stream_rng(60, 5)

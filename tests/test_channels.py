@@ -218,6 +218,17 @@ class TestSuperoperatorChannel:
             Channel.from_superoperator(s)
         Channel.from_superoperator(_slightly_negative_superoperator(0.5e-9))
 
+    def test_cp_margin_raises_at_construction(self):
+        # two eigenvalues -0.9e-9 of D pass the CP check; the Kraus stack drops them,
+        # which moves sum K†K by 1.8e-9, so the map must fail now, not on a .kraus read
+        d = reshuffle(np.eye(9)).astype(complex)
+        d[3, 3] -= 0.9e-9  # composite index (1, 0)
+        d[6, 6] -= 0.9e-9  # (2, 0)
+        d[0, 0] += 1.8e-9  # (0, 0): Tr_out D stays I
+        assert channels.is_cptp(reshuffle(d)).ok
+        with pytest.raises(channels.InvalidChannelError, match="not trace preserving"):
+            Channel.from_superoperator(reshuffle(d))
+
 
 class TestComplementary:
     def test_unitary_channel(self):

@@ -206,6 +206,12 @@ class TestHierarchy:
         assert rep["violations"] == 1 and rep["max_slack"] == 0.0
         assert set(rep["results"]) == {"trials", "kept", "skipped", "seed", "b", "ancilla", "table"}
 
+    @pytest.mark.parametrize("seed", [42, 7, 1108])
+    def test_pure_qubits_never_violate(self, seed):
+        # for pure k = 3 ensembles chi <= S(G) is a theorem: G is the entrywise
+        # modulus of the Gram matrix, so every flagged row would be rounding
+        assert cli.run_hierarchy(trials=10000, seed=seed, ancilla=1)["violations"] == 0
+
     def test_stream_prefix_determinism(self):
         # the first trials of a longer run equal a shorter run bit for bit
         params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}

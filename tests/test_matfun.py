@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 
 from chanent import matfun
-from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, stream_rng
-from tests_support import psd_stacks
+from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
+from chanent.states import pure_state
+from tests_support import polar_2x2, psd_stacks
 
 
 def rand_complex(rng, shape):
@@ -170,14 +171,39 @@ class TestSqrtProduct:
             tr = np.trace(matfun.sqrt_product(r1, r2))
             assert abs(abs(tr) ** 2 - fidelity(r1, r2)) < 1e-8
 
-    def test_singular_rho_needs_regularization(self):
+    def test_singular_rho_is_exact(self):
+        # the polar form needs no inverse: the commuting limit comes out to rounding
         singular = np.diag([1.0, 0.0]).astype(complex)
         sigma = np.eye(2, dtype=complex) / 2
-        with pytest.raises(matfun.NotPSDError):
-            matfun.sqrt_product(singular, sigma, eps=0)
-        # the regularized path stays close to the commuting-limit answer
         out = matfun.sqrt_product(singular, sigma)
-        assert abs(np.trace(out) - np.sqrt(0.5)) < 1e-4
+        assert abs(np.trace(out) - np.sqrt(0.5)) < 1e-15
+
+
+def _qubit_of_rank(rank, rng):
+    return hs_random_density(2, rng) if rank == 2 else pure_state(random_pure_state(2, rng))
+
+
+class TestRootSvd:
+    @pytest.mark.parametrize("ranks", [(2, 2), (2, 1), (1, 2), (1, 1)])
+    def test_qubit_polar_factor_is_the_closed_form(self, ranks):
+        # (2, 1) and (1, 2) are the two products around a pure state between mixed ones
+        rng = stream_rng(7, sum(ranks) + ranks[0])
+        pairs = np.array([[_qubit_of_rank(r, rng) for r in ranks] for _ in range(50)])
+        x = matfun.psd_sqrt(pairs[:, 0]) @ matfun.psd_sqrt(pairs[:, 1])
+        _, w = matfun.root_svd(x)
+        for xi, wi in zip(x, w):
+            np.testing.assert_allclose(wi, polar_2x2(xi), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.linalg.det(w), 1.0, rtol=0, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(psd_stacks())
+    def test_stack_equals_loop(self, hs):
+        x = matfun.psd_sqrt(hs) @ matfun.psd_sqrt(hs[::-1])
+        s, w = matfun.root_svd(x)
+        for xi, si, wi in zip(x, s, w):
+            s1, w1 = matfun.root_svd(xi)
+            np.testing.assert_array_equal(si, s1)
+            np.testing.assert_array_equal(wi, w1)
 
 
 class TestSchurPositive:
@@ -314,12 +340,6 @@ class TestSpectral:
         out = matfun.psd_sqrt(np.diag([1.0, -1e-12]))
         np.testing.assert_array_equal(out, np.diag([1.0, 0.0]))
 
-    def test_inverse_sqrt(self):
-        h = np.diag([4.0, 0.25])
-        np.testing.assert_allclose(matfun.psd_inv_sqrt(h), np.diag([0.5, 2.0]))
-        with pytest.raises(matfun.NotPSDError):
-            matfun.psd_inv_sqrt(np.diag([1.0, 0.0]))
-
     def test_power_and_log_vanish_off_support(self):
         h = np.diag([0.5, matfun.SUPPORT_CUTOFF, 0.0])
         np.testing.assert_allclose(matfun.psd_power(h, -1.0), np.diag([2.0, 0.0, 0.0]))
@@ -329,7 +349,7 @@ class TestSpectral:
     def test_non_finite_input_raises(self, bad):
         # an eigensolver maps [[1, 0], [0, nan]] to finite eigenvalues [0, -0]
         h = np.array([[1.0, 0.0], [0.0, bad]])
-        for fn in (matfun.psd_sqrt, matfun.psd_inv_sqrt, matfun.spectrum,
+        for fn in (matfun.psd_sqrt, matfun.spectrum,
                    lambda m: matfun.spectral(m, np.sqrt)):
             with pytest.raises(matfun.NonFiniteError):
                 fn(h)
@@ -354,15 +374,3 @@ class TestSpectral:
     def test_sqrt_squares_back(self, hs):
         s = matfun.psd_sqrt(hs)
         np.testing.assert_allclose(s @ s, hs, atol=1e-9)
-
-
-class TestRegularizeSingular:
-    def test_only_singular_matrices_move(self):
-        stack = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
-        out = matfun.regularize_singular(stack, eps=1e-9)
-        np.testing.assert_array_equal(out[0], stack[0])
-        np.testing.assert_allclose(out[1], np.diag([1.0 - 0.5e-9, 0.5e-9]), rtol=0, atol=1e-15)
-
-    def test_disabled_regularization_raises(self):
-        with pytest.raises(matfun.NotPSDError):
-            matfun.regularize_singular(np.diag([1.0, 0.0]), eps=0)

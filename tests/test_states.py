@@ -118,6 +118,14 @@ class TestFidelity:
         if np.abs(a - b).max() > 1e-8:
             assert states.fidelity(a, b) < 1.0 - 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pure_pairs_are_the_overlap(self, n):
+        rng = stream_rng(12, 3 + n)
+        for _ in range(50):
+            a, b = random_pure_state(n, rng), random_pure_state(n, rng)
+            got = states.root_fidelity(states.pure_state(a), states.pure_state(b))
+            assert abs(got - abs(np.vdot(a, b))) < 1e-14
+
 
 class TestFidelityBloch:
     def test_pure_states_at_angle(self):

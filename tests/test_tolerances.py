@@ -48,7 +48,7 @@ def test_tolerances_module_holds_constants_only():
 
 
 def test_public_tolerance_parameters():
-    # Channel(tol) has two values in use; the eps=0 mode of the other two is tested
+    # Channel(tol) has two values in use: CPTP_TOL and ENSEMBLE_CHANNEL_TOL
     public = set()
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -56,8 +56,7 @@ def test_public_tolerance_parameters():
                     not node.name.startswith("_") or node.name == "__init__"):
                 public |= {(name, node.name, a.arg) for a in node.args.args + node.args.kwonlyargs
                            if a.arg in TOLERANCE_ARGS}
-    assert public == {("channels.py", "__init__", "tol"), ("matfun.py", "regularize_singular", "eps"),
-                      ("matfun.py", "sqrt_product", "eps")}
+    assert public == {("channels.py", "__init__", "tol")}
 
 
 # -- one probability-vector check -------------------------------------------------

@@ -8,6 +8,13 @@ from chanent.matfun import matrix_exp
 from chanent.sampling import haar_unitary, random_channel, stream_rng
 
 
+def polar_2x2(x: np.ndarray) -> np.ndarray:
+    """The det-one unitary polar factor of a 2×2 x with det x >= 0, in closed form:
+    (x + adj(x)†)/sqrt(|x|_F² + 2 det x)."""
+    adj = np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
+    return (x + adj.conj().T) / np.sqrt(np.sum(np.abs(x) ** 2) + 2 * np.linalg.det(x).real)
+
+
 def random_thermal_block(rng, with_mu: bool = False) -> davies.DaviesQutritBlock:
     """A Davies qutrit zero-frequency block built from a valid thermal generator."""
     energies = np.sort(rng.random(3))[::-1]
