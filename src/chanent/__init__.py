@@ -36,7 +36,7 @@ from .entropy import (
     transmission_distance,
     vn_entropy,
 )
-from .matfun import matrix_exp, partial_trace, polar, psd_sqrt, reshuffle, stochastic3_log
+from .matfun import matrix_exp, partial_trace, polar, psd_sqrt, reshuffle
 from .qubit import (
     additivity_region,
     depolarizing,

@@ -158,10 +158,12 @@ _TRIALS = {
 def _in_chunks(chunk, args_of, trials: int, jobs: int) -> list:
     """The rows of trials [0, trials) in trial order, from chunk(args_of(start, stop)).
 
-    jobs > 1 splits the trials into that many contiguous chunks and runs them
-    in a process pool, so chunk and its arguments must pickle; a trial's row
-    never depends on the chunk it falls in.
+    jobs > 1 splits the trials into contiguous chunks, one per worker, and runs
+    them in a process pool, so chunk and its arguments must pickle; a trial's
+    row never depends on the chunk it falls in. The pool starts every worker at
+    once, so it never has more workers than trials or CPUs.
     """
+    jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs <= 1:
         return chunk(args_of(0, trials))
     edges = np.linspace(0, trials, jobs + 1, dtype=int)

@@ -3,8 +3,9 @@
 The qubit family is parametrized by (a, c, p); the qutrit family by the
 zero-frequency stochastic block (lower off-diagonals F21, F31, F32), the
 Gibbs weights, and the coherence damping factors mu. Membership in the
-semigroup is decided through the analytic logarithm of the 3×3 stochastic
-block and positivity of the generator's off-diagonal rates.
+semigroup is decided through the logarithm of the 3×3 stochastic block, from
+one symmetric eigendecomposition, and positivity of the generator's
+off-diagonal rates.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ import numpy as np
 
 from .channels import Channel, InvalidChannelError
 from .entropy import _clean_probs, spectrum_entropy
-from .matfun import (
-    DegenerateSpectrumError,
-    NoRealLogError,
-    matrix_exp,
-    stochastic3_log,
-    stochastic3_xy,
-)
-from .tolerances import (DAVIES_COEFF_CUTOFF, DAVIES_LIMIT_BAND, DAVIES_LOG_RESIDUAL,
-                         DAVIES_PERTURBATION, DOMAIN_EDGE, MEMBERSHIP_TOL)
+from .tolerances import DAVIES_COEFF_CUTOFF, DAVIES_LIMIT_BAND, DOMAIN_EDGE, MEMBERSHIP_TOL
 
 __all__ = [
     "DaviesQubit",
@@ -203,6 +196,18 @@ def qubit_max_norm(d: DaviesQubit) -> float:
 # -- qutrit -------------------------------------------------------------------
 
 
+#: Gibbs weights at infinite temperature, the default of a qutrit block.
+_UNIFORM = np.full(3, 1.0 / 3.0)
+
+
+def _finite_reals(x, what: str) -> np.ndarray:
+    """x as a float array of three entries; anything but three finite real numbers raises ValueError."""
+    x = np.asarray(x)
+    if x.shape != (3,) or x.dtype.kind not in "iuf" or not np.isfinite(x).all():
+        raise ValueError(f"{what} must be three finite real numbers, got {x}")
+    return x.astype(float)
+
+
 @dataclass(frozen=True)
 class DaviesQutritBlock:
     """Zero-frequency block of a Davies qutrit map.
@@ -220,13 +225,13 @@ class DaviesQutritBlock:
     mu: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        p = _clean_probs(np.full(3, 1.0 / 3.0) if self.p is None else self.p)
+        p = _clean_probs(_UNIFORM if self.p is None else self.p)
         if p.min() <= 0:
             raise ValueError("Gibbs weights must be positive")
         object.__setattr__(self, "p", p)
-        mu = np.ones(3) if self.mu is None else np.asarray(self.mu, dtype=float)
+        mu = _finite_reals(np.ones(3) if self.mu is None else self.mu, "mu")
         object.__setattr__(self, "mu", mu)
-        if min(self.f21, self.f31, self.f32) < 0:
+        if _finite_reals([self.f21, self.f31, self.f32], "off-diagonal rates").min() < 0:
             raise ValueError("off-diagonal rates must be nonnegative")
         f = self.stochastic_block()
         if np.diag(f).min() < -DOMAIN_EDGE:
@@ -234,24 +239,28 @@ class DaviesQutritBlock:
 
     def stochastic_block(self) -> np.ndarray:
         """The 3×3 column-stochastic zero-frequency block."""
-        p = self.p
-        f12 = self.f21 * p[0] / p[1]
-        f13 = self.f31 * p[0] / p[2]
-        f23 = self.f32 * p[1] / p[2]
-        return np.array(
-            [
-                [1.0 - self.f21 - self.f31, f12, f13],
-                [self.f21, 1.0 - f12 - self.f32, f23],
-                [self.f31, self.f32, 1.0 - f13 - f23],
-            ]
-        )
+        return _stochastic_blocks(np.array([self.f21, self.f31, self.f32]), self.p)
 
 
-def zero_block_constraints(f21: float, f31: float, f32: float) -> bool:
-    """Positivity constraints of the symmetric zero-frequency block."""
+def _stochastic_blocks(rates: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Column-stochastic blocks of a (..., 3) stack of lower off-diagonals (F21, F31, F32)
+    and a (..., 3) stack of Gibbs weights; the uppers follow from detailed balance."""
+    f21, f31, f32 = np.moveaxis(rates, -1, 0)
+    f12 = f21 * p[..., 0] / p[..., 1]
+    f13 = f31 * p[..., 0] / p[..., 2]
+    f23 = f32 * p[..., 1] / p[..., 2]
+    return np.stack([
+        np.stack([1.0 - f21 - f31, f12, f13], axis=-1),
+        np.stack([f21, 1.0 - f12 - f32, f23], axis=-1),
+        np.stack([f31, f32, 1.0 - f13 - f23], axis=-1),
+    ], axis=-2)
+
+
+def zero_block_constraints(f21, f31, f32):
+    """Positivity constraints of the symmetric zero-frequency block (elementwise on arrays)."""
     s = f21 + f31 + f32
     pair = f32 * f31 + f31 * f21 + f21 * f32
-    return s <= 1.0 + DOMAIN_EDGE and 3.0 - 4.0 * s + 3.0 * pair >= -DOMAIN_EDGE
+    return (s <= 1.0 + DOMAIN_EDGE) & (3.0 - 4.0 * s + 3.0 * pair >= -DOMAIN_EDGE)
 
 
 #: coherence slot (row index of the superoperator) -> mu index
@@ -282,17 +291,27 @@ def qutrit_superoperator(block: DaviesQutritBlock) -> Channel:
 def l21_closed_form(f: np.ndarray) -> float:
     """Closed-form L21 entry of the logarithm of a 3×3 stochastic block.
 
-    With x, y from the spectrum {1, x+y, x-y} and
+    With x, y from the spectrum {1, x+y, x-y}, that is 2x + 1 = tr F and
+    4y² = 2 tr F² - (tr F)² + 2 tr F - 3, and
     s = -F12 - F21 + F13 - F31 + F23 - F32 + 2 F23 F31/F21:
 
         L21 = F21/(4y) [ (s - 2y) log(x-y)/(1-x+y) - (s + 2y) log(x+y)/(1-x-y) ]
 
     Terms with a coefficient at most DAVIES_COEFF_CUTOFF follow the 0·log 0 = 0
     convention, and within DAVIES_LIMIT_BAND of the removable singularity at
-    x + y = 1 the quotient is evaluated by its limit.
+    x + y = 1 the quotient is evaluated by its limit. Raises ValueError where
+    the formula is undefined: a complex block, a complex eigenvalue pair,
+    y = 0, or a zero eigenvalue with a nonvanishing coefficient.
     """
-    f = np.asarray(f, dtype=float)
-    x, y = stochastic3_xy(f)
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        raise ValueError("expected a real matrix")
+    tr = float(np.trace(f))
+    x = (tr - 1.0) / 2.0
+    disc = 2.0 * float(np.trace(f @ f)) - tr * tr + 2.0 * tr - 3.0
+    if disc < -DAVIES_COEFF_CUTOFF:
+        raise ValueError(f"complex eigenvalue pair (discriminant {disc:.3e})")
+    y = 0.5 * math.sqrt(max(disc, 0.0))
     f12, f21 = f[0, 1], f[1, 0]
     f13, f31 = f[0, 2], f[2, 0]
     f23, f32 = f[1, 2], f[2, 1]
@@ -300,7 +319,7 @@ def l21_closed_form(f: np.ndarray) -> float:
         # no 1 <-> 2 transition: the generator entry vanishes by continuity
         return 0.0
     if y <= DAVIES_COEFF_CUTOFF:
-        raise DegenerateSpectrumError("y = 0: closed form undefined")
+        raise ValueError("y = 0: closed form undefined")
     cross = 0.0 if f23 * f31 <= DAVIES_COEFF_CUTOFF**2 else 2.0 * f23 * f31 / f21
     s = -f12 - f21 + f13 - f31 + f23 - f32 + cross
     y1 = s + 2.0 * y
@@ -311,7 +330,7 @@ def l21_closed_form(f: np.ndarray) -> float:
         if abs(coeff) <= DAVIES_COEFF_CUTOFF:
             return 0.0
         if lam <= 0.0:
-            raise NoRealLogError("zero eigenvalue with nonvanishing coefficient")
+            raise ValueError("zero eigenvalue with nonvanishing coefficient")
         if abs(one_minus) <= DAVIES_LIMIT_BAND:
             return -coeff  # log(lam)/(1 - lam) -> -1 as lam -> 1
         return coeff * math.log(lam) / one_minus
@@ -332,75 +351,65 @@ class MembershipResult:
     reason: str = ""
 
 
+def _membership_stack(rates: np.ndarray, p: np.ndarray):
+    """Logarithms and membership of a stack of blocks: (L, member, boundary, negative).
+
+    rates holds the lower off-diagonals (F21, F31, F32) and p the Gibbs weights,
+    both (B, 3). Detailed balance makes S = D^{-1/2} F D^{1/2} (D = diag p) real
+    symmetric, so one eigh S = V diag(w) Vᵀ of the stack gives F's real spectrum
+    and its eigenprojectors P_k = D^{1/2} v_k v_kᵀ D^{-1/2}, exact also where
+    eigenvalues repeat, and log F = Σ_k log(w_k) P_k. Each block is decomposed
+    as it would be alone, so a row never depends on the stack around it.
+
+    - negative: an eigenvalue below -DAVIES_COEFF_CUTOFF. There is no real
+      logarithm; L is NaN and the block is not a member.
+    - boundary: otherwise, an eigenvalue of at most DAVIES_COEFF_CUTOFF in
+      magnitude. L is the limit of log(εI + (1-ε)F) as ε → 0, whose spectrum
+      ε + (1-ε)w keeps F's projectors: an entry whose zero-mode coefficient
+      c = Σ_{w_k = 0} P_k has |c| > DAVIES_COEFF_CUTOFF diverges to -sign(c)·∞,
+      every other entry is the sum over the eigenvalues above the cutoff.
+    - member: every off-diagonal of L at least -MEMBERSHIP_TOL, and the
+      zero-block constraints.
+    """
+    root = np.sqrt(p)
+    s = _stochastic_blocks(rates, p) * (root[:, None, :] / root[:, :, None])
+    w, v = np.linalg.eigh((s + s.swapaxes(-1, -2)) / 2.0)
+    proj = v[:, :, None, :] * v[:, None, :, :] * (root[:, :, None] / root[:, None, :])[..., None]
+    live = w > DAVIES_COEFF_CUTOFF
+    zero = ~live & (w >= -DAVIES_COEFF_CUTOFF)
+    gen = (proj * np.log(np.where(live, w, 1.0))[:, None, None, :]).sum(axis=-1)
+    c = (proj * zero[:, None, None, :]).sum(axis=-1)
+    gen = np.where(np.abs(c) > DAVIES_COEFF_CUTOFF, np.copysign(np.inf, -c), gen)
+    negative = w[:, 0] < -DAVIES_COEFF_CUTOFF
+    gen[negative] = np.nan
+    boundary = ~negative & zero.any(axis=-1)
+    member = (~negative & (gen[:, ~np.eye(3, dtype=bool)] >= -MEMBERSHIP_TOL).all(axis=-1)
+              & zero_block_constraints(*rates.T))
+    return gen, member, boundary, negative
+
+
 def membership(block: DaviesQutritBlock) -> MembershipResult:
     """Decide whether the zero-frequency block belongs to the Davies semigroup.
 
-    Member iff the block has a real positive spectrum, its logarithm has
+    Member iff the block's spectrum is nonnegative, its logarithm has
     off-diagonal entries of at least -MEMBERSHIP_TOL, and the zero-block
-    positivity constraints hold. A degenerate positive spectrum falls back to
-    the eigensolver log; a zero eigenvalue is handled by the limit convention
-    and flagged as boundary.
+    positivity constraints hold: the one-block case of the stacked kernel
+    `_membership_stack`, whose docstring gives the boundary limit. The
+    generator is None on the boundary (where rates diverge) and for a
+    negative eigenvalue.
     """
-    import scipy.linalg
-
-    f = block.stochastic_block()
-    constraints_ok = zero_block_constraints(block.f21, block.f31, block.f32)
-    try:
-        x, y = stochastic3_xy(f)
-    except NoRealLogError:
-        return MembershipResult(False, False, math.nan, math.nan, math.nan, None, math.nan,
-                                reason="complex spectrum")
-    if x - y < -DAVIES_COEFF_CUTOFF:
+    gen, member, boundary, negative = _membership_stack(
+        np.array([[block.f21, block.f31, block.f32]], dtype=float), block.p[None])
+    if negative[0]:
         return MembershipResult(False, False, math.nan, math.nan, math.nan, None, math.nan,
                                 reason="negative eigenvalue")
     try:
-        l21_closed = l21_closed_form(f)
-    except (DegenerateSpectrumError, NoRealLogError):
+        l21_closed = l21_closed_form(block.stochastic_block())
+    except ValueError:
         l21_closed = math.nan
-    boundary = x - y <= DAVIES_COEFF_CUTOFF
-
-    def result(gen: np.ndarray) -> MembershipResult:
-        offs = np.array([gen[1, 0], gen[2, 0], gen[2, 1], gen[0, 1], gen[0, 2], gen[1, 2]])
-        member = bool(offs.min() >= -MEMBERSHIP_TOL) and constraints_ok
-        return MembershipResult(member, boundary, float(gen[1, 0]), float(gen[2, 0]),
-                                float(gen[2, 1]), gen, l21_closed)
-
-    try:
-        gen, _ = stochastic3_log(f)
-        return result(gen)
-    except NoRealLogError as exc:
-        return MembershipResult(False, boundary, math.nan, math.nan, math.nan, None,
-                                l21_closed, reason=str(exc))
-    except DegenerateSpectrumError:
-        pass
-    if not boundary:
-        # degenerate but strictly positive spectrum: eigensolver fallback
-        gen = scipy.linalg.logm(f).real
-        if np.abs(matrix_exp(gen) - f).max() < DAVIES_LOG_RESIDUAL:
-            return result(gen)
-        return MembershipResult(False, False, math.nan, math.nan, math.nan, None,
-                                l21_closed, reason="no real logarithm")
-    # zero eigenvalue: classify through the closed form and perturbation limits
-    l31 = _limit_offdiag(f, (2, 0))
-    l32 = _limit_offdiag(f, (2, 1))
-    vals = [v for v in (l21_closed, l31, l32) if not math.isnan(v)]
-    member = bool(vals and min(vals) >= -MEMBERSHIP_TOL) and constraints_ok
-    return MembershipResult(member, True, l21_closed, l31, l32, None, l21_closed)
-
-
-def _limit_offdiag(f: np.ndarray, pos: tuple[int, int]) -> float:
-    """Off-diagonal log entry at a degenerate point, via a small perturbation.
-
-    Shrinks the off-diagonal part toward the identity by DAVIES_PERTURBATION,
-    which moves the zero eigenvalue into (0, 1); entries that stay bounded
-    converge, entries that diverge to +inf stay nonnegative either way.
-    """
-    g = np.eye(3) * DAVIES_PERTURBATION + (1.0 - DAVIES_PERTURBATION) * f
-    try:
-        gen, _ = stochastic3_log(g)
-        return float(gen[pos])
-    except (DegenerateSpectrumError, NoRealLogError):
-        return math.nan
+    gen = gen[0]
+    return MembershipResult(bool(member[0]), bool(boundary[0]), float(gen[1, 0]), float(gen[2, 0]),
+                            float(gen[2, 1]), None if boundary[0] else gen, l21_closed)
 
 
 #: Coarsest grid davies_set_sweep accepts.
@@ -411,29 +420,27 @@ def davies_set_sweep(resolution: int = 50):
     """Classify the simplex of symmetric bistochastic (infinite-temperature) blocks by membership.
 
     Sweeps figure coordinates f = (f12, f13, f23) with f12 + f13 + f23 <= 1
-    on a grid of the given resolution; the coordinates map to the block's
-    lower off-diagonals as (F32, F31, F21) = (f12, f13, f23), the level
-    relabeling under which the printed L21 formula matches the published
-    points. Yields dict rows; the cross-section rows (plane sum = 1/2) are
-    marked with in_cross_section.
+    on a grid of the given resolution, f12 outermost; the coordinates map to
+    the block's lower off-diagonals as (F32, F31, F21) = (f12, f13, f23), the
+    level relabeling under which the printed L21 formula matches the published
+    points. The whole grid is one `_membership_stack`. Yields dict rows; the
+    cross-section rows (plane sum = 1/2) are marked with in_cross_section. On
+    the boundary, a rate that diverges is ±inf.
     """
     if resolution < MIN_SWEEP_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_SWEEP_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
-    rows = []
-    for f12 in grid:
-        for f13 in grid:
-            for f23 in grid:
-                if f12 + f13 + f23 > 1.0 + DOMAIN_EDGE:
-                    continue
-                block = DaviesQutritBlock(f21=f23, f31=f13, f32=f12)
-                res = membership(block)
-                rows.append(dict(
-                    f12=f12, f13=f13, f23=f23, member=res.is_member, boundary=res.boundary,
-                    l21=res.l21, l31=res.l31, l32=res.l32,
-                    in_cross_section=abs(f12 + f13 + f23 - 0.5) < 0.5 / resolution,
-                ))
-    return rows
+    f12, f13, f23 = (a.ravel() for a in np.meshgrid(grid, grid, grid, indexing="ij"))
+    total = f12 + f13 + f23
+    keep = total <= 1.0 + DOMAIN_EDGE
+    f12, f13, f23, total = f12[keep], f13[keep], f23[keep], total[keep]
+    rates = np.stack([f23, f13, f12], axis=-1)
+    gen, member, boundary, _ = _membership_stack(rates, np.broadcast_to(_UNIFORM, rates.shape))
+    columns = dict(f12=f12, f13=f13, f23=f23, member=member, boundary=boundary,
+                   l21=gen[:, 1, 0], l31=gen[:, 2, 0], l32=gen[:, 2, 1],
+                   in_cross_section=np.abs(total - 0.5) < 0.5 / resolution)
+    values = [col.tolist() for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def detailed_balance_residual(block: DaviesQutritBlock, x: np.ndarray, y: np.ndarray) -> float:

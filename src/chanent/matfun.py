@@ -12,14 +12,12 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .tolerances import DAVIES_COEFF_CUTOFF, DOMAIN_EDGE, PROB_NEGATIVITY_TOL, PSD_TOL, SUPPORT_CUTOFF
+from .tolerances import PSD_TOL, SUPPORT_CUTOFF
 
 __all__ = [
     "SUPPORT_CUTOFF",
     "NotPSDError",
     "NonFiniteError",
-    "DegenerateSpectrumError",
-    "NoRealLogError",
     "reshuffle",
     "partial_trace",
     "kron",
@@ -35,7 +33,6 @@ __all__ = [
     "root_svd",
     "sqrt_product",
     "schur_positive",
-    "stochastic3_log",
     "matrix_exp",
 ]
 
@@ -45,14 +42,6 @@ class NotPSDError(ValueError):
 
 class NonFiniteError(ValueError):
     """Matrix has a NaN or infinite entry."""
-
-
-class DegenerateSpectrumError(ValueError):
-    """Spectrum too degenerate for the closed-form construction."""
-
-
-class NoRealLogError(ValueError):
-    """Matrix has no real logarithm (non-positive or complex spectrum)."""
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -221,78 +210,6 @@ def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
         raise NotPSDError("block A must be positive definite")
     comp = hermitize(np.asarray(c) - np.asarray(b).conj().T @ np.linalg.solve(a, b))
     return bool(np.linalg.eigvalsh(comp).min() >= -PSD_TOL)
-
-
-def _real(f) -> np.ndarray:
-    """f as a float array; a complex f with a nonzero imaginary part raises ValueError."""
-    f = np.asarray(f)
-    if np.iscomplexobj(f):
-        if (f.imag != 0).any():  # a NaN imaginary part is nonzero too
-            raise ValueError("expected a real matrix")
-        f = f.real
-    return np.asarray(f, dtype=float)
-
-
-def _stochastic3_check(f: np.ndarray) -> None:
-    if f.shape != (3, 3):
-        raise ValueError("expected a 3×3 matrix")
-    if np.max(np.abs(f.sum(axis=0) - 1.0)) > DOMAIN_EDGE:
-        raise ValueError("columns must sum to 1")
-    if f.min() < -PROB_NEGATIVITY_TOL:
-        raise ValueError("entries must be nonnegative")
-
-
-def stochastic3_xy(f: np.ndarray) -> tuple[float, float]:
-    """The (x, y) parameters of a 3×3 stochastic matrix with spectrum {1, x+y, x-y}."""
-    f = _real(f)
-    tr = float(np.trace(f))
-    x = (tr - 1.0) / 2.0
-    disc = 2.0 * float(np.trace(f @ f)) - tr * tr + 2.0 * tr - 3.0
-    if disc < -DAVIES_COEFF_CUTOFF:
-        raise NoRealLogError(f"complex eigenvalue pair (discriminant {disc:.3e})")
-    y = 0.5 * math.sqrt(max(disc, 0.0))
-    return x, y
-
-
-def stochastic3_log(f: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """Analytic logarithm of a 3×3 column-stochastic matrix with spectrum {1, x+y, x-y}.
-
-    The log is assembled from the spectral projectors (Z² ± Z)/2 built out
-    of F itself, without diagonalizing. Terms coeff·log(eig) with
-    |coeff| <= DAVIES_COEFF_CUTOFF are set to 0, so boundary points with a
-    zero eigenvalue evaluate by continuity. Returns (L, spectrum).
-    """
-    f = _real(f)
-    _stochastic3_check(f)
-    if np.abs(f - np.eye(3)).max() <= DAVIES_COEFF_CUTOFF:
-        return np.zeros((3, 3)), (1.0, 1.0, 1.0)
-    x, y = stochastic3_xy(f)
-    lam_p, lam_m = x + y, x - y
-    for lam in (lam_p, lam_m):
-        if lam < -DAVIES_COEFF_CUTOFF or lam > 1.0 + DAVIES_COEFF_CUTOFF:
-            raise NoRealLogError(f"eigenvalue {lam:.6g} outside (0, 1]")
-    denom = y * y - (x - 1.0) ** 2
-    if abs(denom) < DAVIES_COEFF_CUTOFF or y < DAVIES_COEFF_CUTOFF:
-        raise DegenerateSpectrumError(
-            "y² = (x-1)² or y = 0: fall back to an eigensolver"
-        )
-    g = f - np.eye(3)
-    z2 = g @ (g - 2.0 * (x - 1.0) * np.eye(3)) / denom
-    z = (g - (x - 1.0) * z2) / y
-    proj_p = (z2 + z) / 2.0
-    proj_m = (z2 - z) / 2.0
-
-    def term(proj: np.ndarray, lam: float) -> np.ndarray:
-        out = np.zeros((3, 3))
-        mask = np.abs(proj) > DAVIES_COEFF_CUTOFF
-        if mask.any():
-            if lam <= 0.0:
-                raise NoRealLogError("zero eigenvalue with nonzero projector entry")
-            out[mask] = proj[mask] * math.log(lam)
-        return out
-
-    log_f = term(proj_p, lam_p) + term(proj_m, lam_m)
-    return log_f, (1.0, lam_p, lam_m)
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:

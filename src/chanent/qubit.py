@@ -1,8 +1,8 @@
 """One-qubit channel families and the (map entropy, minimal output entropy) plane.
 
 Pauli channels, depolarizing channels and the closed relation between their
-Rényi-2 entropies, the minimal output entropy (exact on qubits, a fixed-point
-iteration beyond) and the maximal output norm (the same iteration), the subadditive
+Rényi-2 entropies, the minimal output entropy and the maximal output norm (both
+exact on qubits, one fixed-point iteration beyond), the subadditive
 sandwich, the additivity-region predicate, and the transformations
 preserving the minimal output entropy.
 """
@@ -157,6 +157,13 @@ def _max_bloch_direction(w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return q @ (y / np.linalg.norm(y))
 
 
+def _max_bloch_radius(phi: Channel) -> tuple[float, np.ndarray]:
+    """Largest output Bloch radius of a qubit channel (at most 1) and the input Bloch vector reaching it."""
+    w, kappa = _bloch_affine(phi)
+    r = _max_bloch_direction(w, kappa)
+    return min(float(np.linalg.norm(w @ r + kappa)), 1.0), r
+
+
 # -- output extrema: one fixed-point iteration ----------------------------------
 
 # Haar-random starts beside the n basis vectors. From the basis alone the
@@ -297,9 +304,7 @@ def min_output_entropy(phi: Channel, order: EntropyOrder = VON_NEUMANN, seed: in
     and q > 1, `_min_entropy_probes` for q < 1, where that iteration is not reliable.
     """
     if phi.in_dim == phi.out_dim == 2:
-        w, kappa = _bloch_affine(phi)
-        r = _max_bloch_direction(w, kappa)
-        rad = min(float(np.linalg.norm(w @ r + kappa)), 1.0)
+        rad, r = _max_bloch_radius(phi)
         return float(spectrum_entropy([(1 + rad) / 2, (1 - rad) / 2], order)), from_bloch(r)
     if not (order.is_limit or order.q > 1.0):
         return _min_entropy_probes(phi, order, seed)
@@ -308,9 +313,14 @@ def min_output_entropy(phi: Channel, order: EntropyOrder = VON_NEUMANN, seed: in
 
 
 def max_output_2norm(phi: Channel, seed: int = 0) -> float:
-    """Maximum over pure inputs psi of the largest eigenvalue of Phi(psi psi†): the
-    seesaw, psi <- top eigenvector of Phi†(phi phi†) with phi the top eigenvector
-    of Phi(psi psi†), as the order-None member of `_output_extremum`."""
+    """Maximum over pure inputs psi of the largest eigenvalue of Phi(psi psi†).
+
+    Exact for a qubit channel (2 -> 2): (1 + rad)/2 with rad the largest output
+    Bloch radius (`_max_bloch_radius`); `seed` is not used. Other channels run
+    the seesaw, psi <- top eigenvector of Phi†(phi phi†) with phi the top
+    eigenvector of Phi(psi psi†), as the order-None member of `_output_extremum`."""
+    if phi.in_dim == phi.out_dim == 2:
+        return (1.0 + _max_bloch_radius(phi)[0]) / 2.0
     return float(_output_extremum(phi, None, seed)[1][-1])
 
 

@@ -97,9 +97,10 @@ BLOCH_NULL_LENGTH = 1e-14
 # -- Davies maps ------------------------------------------------------------------
 
 #: In the closed forms of Davies maps (the logarithm of a 3×3 stochastic block,
-#: L21, the qubit minimizer), a coefficient, projector entry, rate, discriminant
-#: or spectral gap at most this counts as zero: a term drops out by 0·log 0 = 0,
-#: or the degenerate branch is taken.
+#: L21, the qubit minimizer), a coefficient, projector entry, rate, discriminant,
+#: eigenvalue or spectral gap at most this in magnitude counts as zero: a term
+#: drops out by 0·log 0 = 0, a zero eigenvalue puts the block on the boundary,
+#: or the degenerate branch is taken. An eigenvalue below its negative is negative.
 DAVIES_COEFF_CUTOFF = 1e-12
 
 #: Within this of the removable singularity at x + y = 1, log(λ)/(1 - λ) in L21
@@ -109,15 +110,6 @@ DAVIES_LIMIT_BAND = 1e-9
 #: A generator rate this far below zero still counts as nonnegative in the
 #: Davies membership test.
 MEMBERSHIP_TOL = 1e-9
-
-#: Largest |exp(L) - F| entry at which an eigensolver logarithm L of a degenerate
-#: block F is accepted as real.
-DAVIES_LOG_RESIDUAL = 1e-8
-
-#: Step towards the identity that moves a zero eigenvalue of a stochastic block
-#: into (0, 1), where the closed-form log is defined; entries that stay bounded
-#: move by O(1e-7), entries that diverge keep their sign.
-DAVIES_PERTURBATION = 1e-7
 
 #: Largest gap between the closed-form and the numerical minimal output entropy of
 #: a Davies qubit map that the `davies` suite accepts.

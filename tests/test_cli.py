@@ -141,6 +141,43 @@ class TestVerify:
             assert a == b
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+
+class TestPoolSize:
+    # the pool starts every worker at its first submit, so --jobs 64 would fork 64 interpreters
+    @pytest.mark.parametrize("trials, jobs, cpus, workers", [
+        (10, 64, 4, [4]), (3, 64, 4, [3]), (1, 64, 4, []), (10, 64, None, []), (10, 2, 4, [2]),
+    ], ids=["cpus", "trials", "one-trial", "no-cpu-count", "jobs"])
+    def test_workers_bounded_by_trials_and_cpus(self, monkeypatch, trials, jobs, cpus, workers):
+        sizes = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: FakePool(max_workers, sizes))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        rows = cli._in_chunks(lambda args: list(range(*args)), lambda a, b: (a, b), trials, jobs)
+        assert rows == list(range(trials)) and sizes == workers
+
+    def test_one_trial_runs_in_process(self, monkeypatch, capsys):
+        sizes = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: FakePool(max_workers, sizes))
+        code, out = run_main(capsys, ["verify", "--suite", "conjecture1", "--trials", "1",
+                                      "--jobs", "64"])
+        assert code == 0 and sizes == []
+        assert json.loads(out)["results"]["trials"] == 1
+
+
 class TestUsageErrors:
     # each of these once ended in a traceback (exit 1, the "violations found"
     # code) or was silently accepted

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chanent import cli, davies
 from chanent.channels import Channel, InvalidChannelError
-from chanent.matfun import matrix_exp, stochastic3_log
+from chanent.matfun import matrix_exp
 from chanent.sampling import complex_gaussian, stream_rng
 
 
@@ -172,6 +173,19 @@ def random_thermal_block(rng, with_mu=True) -> davies.DaviesQutritBlock:
     return _thermal_block(rng, with_mu=with_mu)
 
 
+class TestQutritBlock:
+    @pytest.mark.parametrize("rates, mu", [
+        ((math.nan, 0.0, 0.0), None),
+        ((0.1, math.inf, 0.0), None),
+        ((0.1 + 0.2j, 0.0, 0.0), None),
+        ((0.1, 0.1, 0.1), (1.0, math.nan, 1.0)),
+    ], ids=["nan-rate", "inf-rate", "complex-rate", "nan-mu"])
+    def test_non_finite_or_complex_parameters_raise(self, rates, mu):
+        # a NaN rate once built a block whose logarithm read as all zeros
+        with pytest.raises(ValueError, match="finite real"):
+            davies.DaviesQutritBlock(*rates, mu=mu)
+
+
 class TestQutritSuperoperator:
     def test_identity(self):
         block = davies.DaviesQutritBlock(0.0, 0.0, 0.0, mu=np.ones(3))
@@ -250,7 +264,7 @@ class TestMembership:
         for t in range(50):
             block = random_thermal_block(stream_rng(85, t), with_mu=False)
             f = block.stochastic_block()
-            log_f, _ = stochastic3_log(f)
+            log_f = davies.membership(block).generator
             assert np.abs(matrix_exp(log_f) - f).max() < 1e-9
 
     def test_negative_spectrum_not_member(self):
@@ -284,6 +298,46 @@ class TestSweep:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             davies.davies_set_sweep(resolution=5)
+
+
+@pytest.fixture(scope="module")
+def sweep50():
+    return davies.davies_set_sweep(resolution=50)
+
+
+def block_of(row) -> davies.DaviesQutritBlock:
+    return davies.DaviesQutritBlock(f21=row["f23"], f31=row["f13"], f32=row["f12"])
+
+
+class TestSweepAtFigureResolution:
+    def test_members_invariant_under_relabelling(self, sweep50):
+        # with uniform weights, relabelling two levels swaps two figure coordinates
+        member = {(r["f12"], r["f13"], r["f23"]): r["member"] for r in sweep50}
+        for swap in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
+            for point, m in member.items():
+                assert member[tuple(point[i] for i in swap)] == m, (point, swap)
+
+    def test_boundary_rates_are_the_limit_from_inside(self, sweep50):
+        # log(εI + (1-ε)F) as ε -> 0: a diverging entry grows like log ε, the others converge
+        rows = [r for r in sweep50 if r["boundary"]]
+        assert len(rows) == 30
+        for r in rows:
+            f = block_of(r).stochastic_block()
+            near, nearer = (scipy.linalg.logm(eps * np.eye(3) + (1 - eps) * f).real
+                            for eps in (1e-6, 1e-9))
+            for value, (i, j) in zip((r["l21"], r["l31"], r["l32"]), ((1, 0), (2, 0), (2, 1))):
+                if math.isinf(value):
+                    assert (nearer[i, j] - near[i, j]) * value > 1.0
+                else:
+                    assert abs(value - nearer[i, j]) <= 1e-6
+
+    def test_membership_equals_the_sweep_row(self, sweep50):
+        # the stacked kernel decomposes each block as it would alone
+        for r in sweep50[::7]:
+            res = davies.membership(block_of(r))
+            assert (res.is_member, res.boundary) == (r["member"], r["boundary"])
+            got = np.array([res.l21, res.l31, res.l32])
+            assert got.tobytes() == np.array([r["l21"], r["l31"], r["l32"]]).tobytes()
 
 
 class TestMultiplicativity:

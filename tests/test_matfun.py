@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from chanent import matfun
+from chanent import davies, matfun
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
 from chanent.states import pure_state
 from tests_support import polar_2x2, psd_stacks
@@ -255,46 +257,30 @@ def random_balance_generator(rng, p=(0.5, 0.3, 0.2)):
 
 
 class TestStochastic3Log:
-    def test_identity(self):
-        log_f, spectrum = matfun.stochastic3_log(np.eye(3))
-        np.testing.assert_allclose(log_f, np.zeros((3, 3)))
-        assert spectrum == (1.0, 1.0, 1.0)
-
+    # the logarithm of a 3×3 stochastic block with detailed balance, as davies.membership takes it
     def test_recovers_generator(self):
         rng = stream_rng(8, 0)
         gen = random_balance_generator(rng)
         f = matfun.matrix_exp(gen * 0.7)
-        log_f, _ = matfun.stochastic3_log(f)
+        block = davies.DaviesQutritBlock(f21=f[1, 0], f31=f[2, 0], f32=f[2, 1], p=(0.5, 0.3, 0.2))
+        log_f = davies.membership(block).generator
         np.testing.assert_allclose(log_f, 0.7 * gen, atol=1e-9)
         np.testing.assert_allclose(matfun.matrix_exp(log_f), f, atol=1e-9)
 
     def test_bistochastic_boundary_point(self):
         # off-diagonals {0.5, 0, 0}: spectrum {1, 1, 0} from the
-        # characteristic polynomial of the assembled matrix
+        # characteristic polynomial of the assembled matrix; the zero mode
+        # (1, -1, 0)/sqrt(2) has coefficient -1/2 at (2, 1), so L21 = +inf
         f = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        x, y = matfun.stochastic3_xy(f)
-        assert abs(x - 0.5) < 1e-12 and abs(y - 0.5) < 1e-12
         coeffs = np.poly(f)
         roots = np.sort(np.roots(coeffs).real)
         np.testing.assert_allclose(roots, [0.0, 1.0, 1.0], atol=1e-12)
-        with pytest.raises(matfun.DegenerateSpectrumError):
-            matfun.stochastic3_log(f)
-
-    def test_complex_spectrum_rejected(self):
-        # a rotation-heavy stochastic matrix has a complex eigenvalue pair
-        f = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=float)
-        with pytest.raises(matfun.NoRealLogError):
-            matfun.stochastic3_log(f)
-
-    @pytest.mark.parametrize("fn", [matfun.stochastic3_log, matfun.stochastic3_xy])
-    def test_complex_block_rejected(self, fn):
-        # a float cast would drop the imaginary part and return the identity's answer
-        f = np.eye(3, dtype=complex)
-        np.testing.assert_equal(fn(f), fn(np.eye(3)))  # a zero imaginary part is fine
-        for bad in (0.5j, complex(0.0, np.nan)):
-            f[0, 1] = bad
-            with pytest.raises(ValueError, match="expected a real matrix"):
-                fn(f)
+        block = davies.DaviesQutritBlock(f21=0.5, f31=0.0, f32=0.0)
+        np.testing.assert_array_equal(block.stochastic_block(), f)
+        res = davies.membership(block)
+        assert res.is_member and res.boundary and res.generator is None
+        assert res.l21 == math.inf
+        assert abs(res.l31) <= 1e-12 and abs(res.l32) <= 1e-12
 
 
 class TestMatrixExp:

@@ -429,6 +429,11 @@ def bloch_max_norm(phi: Channel) -> float:
     return (1.0 + np.linalg.norm(w @ qubit._max_bloch_direction(w, kappa) + kappa)) / 2.0
 
 
+def seesaw_max_norm(phi: Channel) -> float:
+    """The seesaw's value, which max_output_2norm runs beyond qubit channels."""
+    return float(qubit._output_extremum(phi, None)[1][-1])
+
+
 def best_probe_norm(phi: Channel, probes: int, seed: int) -> float:
     """Largest top output eigenvalue over `probes` seeded Haar-random pure inputs."""
     rng = stream_rng(seed, 0)
@@ -451,6 +456,7 @@ class TestSeesaw:
     def test_qubit_channels_match_bloch_value(self, kraus):
         phi = Channel(kraus)
         assume(phi.in_dim == 2 and phi.out_dim == 2)
+        assert abs(seesaw_max_norm(phi) - bloch_max_norm(phi)) <= 1e-12
         assert abs(qubit.max_output_2norm(phi) - bloch_max_norm(phi)) <= 1e-12
 
     def test_near_the_hard_case_boundary(self):
@@ -461,8 +467,9 @@ class TestSeesaw:
             kappa3 = a * (2 * p - 1) / (1 - p)
             c = math.sqrt(eta3 ** 2 + kappa3 * eta3 / z_star)
             d = davies.DaviesQubit(a=a, c=c, p=p)
-            value = qubit.max_output_2norm(davies.qubit_superoperator(d))
-            assert abs(value - davies.qubit_max_norm(d)) <= 1e-12
+            phi = davies.qubit_superoperator(d)
+            assert abs(seesaw_max_norm(phi) - davies.qubit_max_norm(d)) <= 1e-12
+            assert abs(qubit.max_output_2norm(phi) - davies.qubit_max_norm(d)) <= 1e-12
 
     @pytest.mark.parametrize("t", range(8))
     def test_never_below_probes(self, t):
