@@ -178,8 +178,9 @@ class TestQutritBlock:
         ((math.nan, 0.0, 0.0), None),
         ((0.1, math.inf, 0.0), None),
         ((0.1 + 0.2j, 0.0, 0.0), None),
+        ((complex(0.0, math.nan), 0.0, 0.0), None),
         ((0.1, 0.1, 0.1), (1.0, math.nan, 1.0)),
-    ], ids=["nan-rate", "inf-rate", "complex-rate", "nan-mu"])
+    ], ids=["nan-rate", "inf-rate", "complex-rate", "complex-nan-rate", "nan-mu"])
     def test_non_finite_or_complex_parameters_raise(self, rates, mu):
         # a NaN rate once built a block whose logarithm read as all zeros
         with pytest.raises(ValueError, match="finite real"):
