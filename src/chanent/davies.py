@@ -297,6 +297,9 @@ def l21_closed_form(f: np.ndarray) -> float:
 
         L21 = F21/(4y) [ (s - 2y) log(x-y)/(1-x+y) - (s + 2y) log(x+y)/(1-x-y) ]
 
+    evaluated with F21 multiplied into s, so that the cross term is 2 F23 F31
+    and L21 stays finite, and nonzero, as F21 -> 0.
+
     Terms with a coefficient at most DAVIES_COEFF_CUTOFF follow the 0·log 0 = 0
     convention, and within DAVIES_LIMIT_BAND of the removable singularity at
     x + y = 1 the quotient is evaluated by its limit. Raises ValueError where
@@ -315,15 +318,9 @@ def l21_closed_form(f: np.ndarray) -> float:
     f12, f21 = f[0, 1], f[1, 0]
     f13, f31 = f[0, 2], f[2, 0]
     f23, f32 = f[1, 2], f[2, 1]
-    if f21 <= DAVIES_COEFF_CUTOFF:
-        # no 1 <-> 2 transition: the generator entry vanishes by continuity
-        return 0.0
     if y <= DAVIES_COEFF_CUTOFF:
         raise ValueError("y = 0: closed form undefined")
-    cross = 0.0 if f23 * f31 <= DAVIES_COEFF_CUTOFF**2 else 2.0 * f23 * f31 / f21
-    s = -f12 - f21 + f13 - f31 + f23 - f32 + cross
-    y1 = s + 2.0 * y
-    y2m4 = s - 2.0 * y
+    s = f21 * (-f12 - f21 + f13 - f31 + f23 - f32) + 2.0 * f23 * f31  # F21 times the s above
 
     def ratio(coeff: float, lam: float, one_minus: float) -> float:
         # coeff * log(lam) / one_minus with 0·log 0 = 0 and the x+y=1 limit
@@ -335,8 +332,8 @@ def l21_closed_form(f: np.ndarray) -> float:
             return -coeff  # log(lam)/(1 - lam) -> -1 as lam -> 1
         return coeff * math.log(lam) / one_minus
 
-    val = ratio(y2m4, x - y, 1.0 - x + y) - ratio(y1, x + y, 1.0 - x - y)
-    return f21 * val / (4.0 * y)
+    val = ratio(s - 2.0 * y * f21, x - y, 1.0 - x + y) - ratio(s + 2.0 * y * f21, x + y, 1.0 - x - y)
+    return val / (4.0 * y)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EntropyOrder:
-    """Entropy family selector: kind in {"shannon", "renyi", "tsallis"} and order q > 0.
+    """Entropy family selector: kind in {"shannon", "renyi", "tsallis"} and a finite order q > 0.
 
     q = 1 routes renyi/tsallis to the Shannon/von Neumann limit.
     """
@@ -44,8 +44,8 @@ class EntropyOrder:
     def __post_init__(self):
         if self.kind not in ("shannon", "renyi", "tsallis"):
             raise ValueError(f"unknown entropy kind {self.kind!r}")
-        if self.q <= 0:
-            raise ValueError("entropy order q must be positive")
+        if not 0 < self.q < math.inf:  # also catches NaN
+            raise ValueError(f"entropy order q must be positive and finite, got {self.q}")
 
     @classmethod
     def renyi(cls, q: float) -> "EntropyOrder":
@@ -100,11 +100,15 @@ def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
         out = -(p * np.log(p, out=np.zeros_like(p), where=p > SUPPORT_CUTOFF)).sum(axis=-1)
     else:
         kept = np.where(p <= SUPPORT_CUTOFF, 0.0, p)
-        power = ((kept / kept.sum(axis=-1, keepdims=True)) ** order.q).sum(axis=-1)
+        kept = kept / kept.sum(axis=-1, keepdims=True)
         if order.kind == "renyi":
-            out = np.log(power) / (1.0 - order.q)
+            # log sum p^q = q log p_max + log sum (p/p_max)^q: the sum stays in
+            # [1, n], where sum p^q itself underflows to 0 at large q
+            top = kept.max(axis=-1, keepdims=True)
+            log_power = order.q * np.log(top[..., 0]) + np.log(((kept / top) ** order.q).sum(axis=-1))
+            out = log_power / (1.0 - order.q)
         else:
-            out = (1.0 - power) / (order.q - 1.0)
+            out = (1.0 - (kept**order.q).sum(axis=-1)) / (order.q - 1.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,7 +1,9 @@
 """One-qubit channel families and the (map entropy, minimal output entropy) plane.
 
-Pauli channels, depolarizing channels and the closed relation between their
-Rényi-2 entropies, the minimal output entropy and the maximal output norm (both
+Pauli channels and their (map entropy, minimal output entropy) points in
+closed form, for a whole stack of weight vectors at once (`pauli_points`),
+depolarizing channels and the closed relation between their Rényi-2
+entropies, the minimal output entropy and the maximal output norm (both
 exact on qubits, one fixed-point iteration beyond), the subadditive
 sandwich, the additivity-region predicate, and the transformations
 preserving the minimal output entropy.
@@ -16,8 +18,7 @@ import numpy as np
 import scipy.optimize
 
 from .channels import Channel, map_entropy
-from .entropy import (EntropyOrder, VON_NEUMANN, _clean_probs, classical_entropy, spectrum_entropy,
-                      vn_entropy)
+from .entropy import EntropyOrder, VON_NEUMANN, _clean_probs, spectrum_entropy, vn_entropy
 from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
 from .tolerances import (DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM,
@@ -29,8 +30,7 @@ __all__ = [
     "depolarizing",
     "smin_from_smap",
     "min_output_entropy",
-    "ScatterPoint",
-    "scatter",
+    "pauli_points",
     "pauli_edge_curves",
     "SandwichReport",
     "sandwich_check",
@@ -57,7 +57,8 @@ def tetrahedron_edges() -> dict:
     Vertices A = (1,0,0,0), B = (1/2,1/2,0,0), C = (1/3,1/3,1/3,0),
     D = (1/4,1/4,1/4,1/4). AB are dephasing channels, BD classical
     bistochastic maps, AD and CD depolarizing families. Each entry maps
-    t in [0, 1] to a weight vector.
+    t in [0, 1] to a weight vector, and a column of m values of t to an
+    (m, 4) stack.
     """
     verts = {
         "A": np.array([1.0, 0.0, 0.0, 0.0]),
@@ -324,56 +325,30 @@ def max_output_2norm(phi: Channel, seed: int = 0) -> float:
     return float(_output_extremum(phi, None, seed)[1][-1])
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    s_map: float
-    s_min: float
-    q: float
-    tag: str
+def pauli_points(p, order: EntropyOrder = VON_NEUMANN):
+    """(s_map, s_min) of the Pauli channels with weights p, (..., 4), in closed form.
 
-
-def scatter(channels, q: float, tags=None) -> list[ScatterPoint]:
-    """(S_q^map, S_q^min) pairs for a family of channels, S_q^min from `min_output_entropy`."""
-    order = EntropyOrder.renyi(q) if q != 1.0 else VON_NEUMANN
-    if tags is None:
-        tags = [f"chan{i}" for i in range(len(channels))]
-    points = []
-    for phi, tag in zip(channels, tags):
-        s_map = map_entropy(phi, order)
-        s_min, _ = min_output_entropy(phi, order)
-        points.append(ScatterPoint(s_map=s_map, s_min=max(s_min, 0.0), q=q, tag=tag))
-    return points
+    The Choi state is diagonal in the Bell basis with the weights as its
+    spectrum, so s_map is the entropy of p. The channel scales the Bloch axes
+    by eta_i = 2(p_0 + p_i) - 1, so s_min is the entropy of ((1 ± r)/2) with
+    r = max |eta_i| (King & Ruskai, IEEE TIT 2001), clamped at 0. Floats for
+    one weight vector, arrays for a stack.
+    """
+    p = _clean_probs(p)
+    if p.shape[-1:] != (4,):
+        raise ValueError("need 4 weights")
+    r = np.minimum(np.abs(2.0 * (p[..., :1] + p[..., 1:]) - 1.0).max(axis=-1), 1.0)
+    s_min = spectrum_entropy(np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1), order)
+    return spectrum_entropy(p, order), np.maximum(s_min, 0.0)
 
 
 def pauli_edge_curves(q: float, samples: int = 400) -> dict:
-    """Sampled (s_map, s_min) curves along the AB, BD, AD tetrahedron edges.
-
-    For Pauli channels both coordinates have closed forms: the Choi is
-    diagonal in the Bell basis with the weight vector as spectrum, and the
-    output at a Bloch vector r has radius |W r|.
-    """
+    """Sampled (s_map, s_min) curves along the AB, BD, AD tetrahedron edges, from `pauli_points`."""
     order = EntropyOrder.renyi(q) if q != 1.0 else VON_NEUMANN
     edges = tetrahedron_edges()
-    curves = {}
-    for name in ("AB", "BD", "AD"):
-        ts = np.linspace(0.0, 1.0, samples)
-        pts = []
-        for t in ts:
-            w = edges[name](t)
-            s_map = classical_entropy(w, order)
-            # eta_i = w0 + w_i - (other two); minimal entropy at the largest |eta|
-            eta = np.array(
-                [
-                    w[0] + w[1] - w[2] - w[3],
-                    w[0] + w[2] - w[1] - w[3],
-                    w[0] + w[3] - w[1] - w[2],
-                ]
-            )
-            r = np.abs(eta).max()
-            s_min = classical_entropy([(1 + r) / 2, (1 - r) / 2], order)
-            pts.append((s_map, s_min))
-        curves[name] = np.array(pts)
-    return curves
+    ts = np.linspace(0.0, 1.0, samples)
+    return {name: np.stack(pauli_points(edges[name](ts[:, None]), order), axis=-1)
+            for name in ("AB", "BD", "AD")}
 
 
 # -- sandwich and additivity region -------------------------------------------

@@ -196,6 +196,7 @@ class TestUsageErrors:
             ["figure", "--figure", "additivity-region", "--resolution", "0"],
             ["figure", "--figure", "scatter-q", "--q", "nan"],
             ["verify", "--suite", "conjecture1", "--k", "4"],
+            ["figure", "--figure", "scatter-q", "--q", "inf"],
         ],
     )
     def test_bad_parameter_exits_2(self, argv, capsys):
@@ -314,6 +315,28 @@ class TestFigures:
         monkeypatch.setattr(cli, "figure_scatter_q", fake)
         code, _ = run_main(capsys, ["figure", "--figure", "scatter-q", "--trials", "20001"])
         assert code == 0 and seen == [20001]
+
+    def test_scatter_builds_no_generator(self, monkeypatch):
+        # one stacked Philox block and the closed forms: no Generator, no Channel
+        # and no optimizer, and still row t is the channel of dirichlet(4, stream_rng(seed, t))
+        r2 = cli.EntropyOrder.renyi(2.0)
+        points = [cli.qubit.pauli_points(sampling.dirichlet(4, sampling.stream_rng(42, t)), r2)
+                  for t in range(40)]
+        expected = cli._csv(["s_map", "s_min", "q", "tag"],
+                            [(a, b, 2.0, f"pauli{t}") for t, (a, b) in enumerate(points)])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the scatter-q path")
+
+        monkeypatch.setattr(sampling, "stream_rng", forbidden)
+        monkeypatch.setattr(np.random, "Generator", forbidden)
+        monkeypatch.setattr(cli.qubit, "Channel", forbidden)
+        monkeypatch.setattr(cli.qubit, "min_output_entropy", forbidden)
+        assert cli.figure_scatter_q(2.0, 40, 42) == expected
+
+    def test_scatter_rows_independent_of_trials(self):
+        short = cli.figure_scatter_q(2.0, 25, 42).splitlines()
+        assert cli.figure_scatter_q(2.0, 60, 42).splitlines()[:26] == short
 
     def test_triple_surfaces_ordering(self, capsys):
         code, out = run_main(capsys, ["figure", "--figure", "bunga-surfaces",

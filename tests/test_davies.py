@@ -261,6 +261,15 @@ class TestMembership:
             assert res.is_member
             assert abs(res.l21_closed - res.l21) < 1e-7
 
+    @pytest.mark.parametrize("rates, l21", [((0.0, 0.3, 0.3), -0.2054267101963083),
+                                            ((1e-13, 0.2, 0.1), -0.01646314647637709)])
+    def test_closed_form_at_vanishing_f21(self, rates, l21):
+        # the cross term 2 F23 F31/F21 diverges and F21 times it stays finite:
+        # L21 does not vanish with F21
+        res = davies.membership(davies.DaviesQutritBlock(*rates))
+        assert abs(res.l21_closed - l21) <= 1e-15
+        assert abs(res.l21_closed - res.l21) <= 1e-15
+
     def test_exp_log_round_trip(self):
         for t in range(50):
             block = random_thermal_block(stream_rng(85, t), with_mu=False)

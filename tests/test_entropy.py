@@ -53,8 +53,20 @@ class TestClassicalEntropy:
                 assert abs(val_t - shannon) <= abs(eps) * second + 1e-9
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            EntropyOrder.renyi(0.0)
+        # inf and NaN once passed the check and gave NaN entropies
+        for q in (0.0, math.inf, math.nan):
+            for kind in ("renyi", "tsallis"):
+                with pytest.raises(ValueError):
+                    EntropyOrder(kind, q)
+
+    @pytest.mark.parametrize("q", [600.0, 1e6])
+    def test_large_renyi_order(self, q):
+        # sum p^q underflows to 0 here; the entropy of a uniform vector is log n
+        # for every order, and as q grows the Rényi entropy tends to -log p_max
+        uniform = entropy.spectrum_entropy([0.25] * 4, EntropyOrder.renyi(q))
+        assert abs(uniform - math.log(4)) < 1e-12
+        skewed = entropy.spectrum_entropy([0.5, 0.3, 0.2], EntropyOrder.renyi(q))
+        assert abs(skewed - q / (q - 1.0) * math.log(2)) < 1e-12
 
 
 class TestVnEntropy:

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from chanent import davies, qubit
 from chanent.channels import Channel, identity_channel, map_entropy, unitary_channel
-from chanent.entropy import VON_NEUMANN, EntropyOrder, classical_entropy, shannon, spectrum_entropy, vn_entropy
+from chanent.entropy import VON_NEUMANN, EntropyOrder, shannon, spectrum_entropy, vn_entropy
 from chanent.matfun import SUPPORT_CUTOFF, psd_log, psd_power
 from chanent.states import PAULI, to_bloch
-from chanent.sampling import dirichlet, haar_unitary, random_channel, random_pure_state, stream_rng
+from chanent.sampling import (_flat_dirichlet, dirichlet, haar_unitary, random_channel, random_pure_state,
+                              stream_rng, stream_uniforms)
 from tests_support import kraus_lists
 
 
@@ -248,15 +249,41 @@ class TestExactQubitMinimizer:
             qubit.min_output_entropy(qubit.depolarizing(3, 0.5), EntropyOrder.renyi(0.5))
 
 
+R2 = EntropyOrder.renyi(2.0)
+VERTICES = ([1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3, 0.0], [0.25] * 4)
+
+
 class TestScatter:
+    # the (s_map, s_min) points of Pauli channels that `figure scatter-q` plots
     def test_identity_point(self):
-        pts = qubit.scatter([identity_channel(2)], 2.0)
-        assert abs(pts[0].s_map) < 1e-10 and abs(pts[0].s_min) < 1e-10
+        s_map, s_min = qubit.pauli_points([1.0, 0.0, 0.0, 0.0], R2)
+        assert abs(s_map) < 1e-10 and abs(s_min) < 1e-10
+        phi = identity_channel(2)
+        assert abs(map_entropy(phi, R2)) < 1e-10 and abs(qubit.min_output_entropy(phi, R2)[0]) < 1e-10
 
     def test_depolarizing_point(self):
-        pts = qubit.scatter([qubit.depolarizing(2, 1.0)], 2.0)
-        assert abs(pts[0].s_map - 2 * math.log(2)) < 1e-10
-        assert abs(pts[0].s_min - math.log(2)) < 1e-10
+        s_map, s_min = qubit.pauli_points([0.25] * 4, R2)
+        assert abs(s_map - 2 * math.log(2)) < 1e-10
+        assert abs(s_min - math.log(2)) < 1e-10
+        phi = qubit.depolarizing(2, 1.0)
+        assert abs(map_entropy(phi, R2) - 2 * math.log(2)) < 1e-10
+        assert abs(qubit.min_output_entropy(phi, R2)[0] - math.log(2)) < 1e-10
+
+    @pytest.mark.parametrize("order", ORDERS + (EntropyOrder.renyi(3.0),), ids=repr)
+    def test_agrees_with_the_general_path(self, order):
+        # the closed forms against the Choi spectrum and the exact qubit minimizer
+        weights = np.array([dirichlet(4, stream_rng(81, t)) for t in range(2000)] + list(VERTICES))
+        s_map, s_min = qubit.pauli_points(weights, order)
+        for w, a, b in zip(weights, s_map, s_min):
+            phi = qubit.pauli_channel(w)
+            assert abs(a - map_entropy(phi, order)) <= 1e-12
+            assert abs(b - qubit.min_output_entropy(phi, order)[0]) <= 1e-12
+
+    def test_one_vector_gives_floats(self):
+        s_map, s_min = qubit.pauli_points(VERTICES[2], R2)
+        assert np.ndim(s_map) == np.ndim(s_min) == 0
+        with pytest.raises(ValueError, match="4 weights"):
+            qubit.pauli_points([0.5, 0.5, 0.0])
 
     def test_envelope_for_random_pauli(self):
         # no sampled point exceeds the depolarizing (AD) curve; none dips
@@ -266,31 +293,20 @@ class TestScatter:
         for t in range(300):
             w = dirichlet(4, stream_rng(72, t))
             phi = qubit.pauli_channel(w)
-            pts = qubit.scatter([phi], 2.0)
-            p = pts[0]
-            upper = qubit.smin_from_smap(min(p.s_map, 2 * math.log(2)), 2)
-            assert p.s_min <= upper + 1e-6
-            if p.s_map > math.log(2):
-                lower = np.interp(p.s_map, bd[:, 0][::-1], bd[:, 1][::-1])
-                assert p.s_min >= lower - 1e-6
+            s_map = map_entropy(phi, R2)
+            s_min = max(qubit.min_output_entropy(phi, R2)[0], 0.0)
+            upper = qubit.smin_from_smap(min(s_map, 2 * math.log(2)), 2)
+            assert s_min <= upper + 1e-6
+            if s_map > math.log(2):
+                lower = np.interp(s_map, bd[:, 0][::-1], bd[:, 1][::-1])
+                assert s_min >= lower - 1e-6
 
     def test_envelope_closed_form_large_sample(self):
         # 10^4 Pauli channels via the exact Pauli closed forms: the Rényi-2
         # point never rises above the depolarizing curve
-        r2 = EntropyOrder.renyi(2.0)
-        for t in range(10000):
-            w = dirichlet(4, stream_rng(76, t))
-            s_map = classical_entropy(w, r2)
-            eta = np.array(
-                [
-                    w[0] + w[1] - w[2] - w[3],
-                    w[0] + w[2] - w[1] - w[3],
-                    w[0] + w[3] - w[1] - w[2],
-                ]
-            )
-            r = np.abs(eta).max()
-            s_min = classical_entropy([(1 + r) / 2, (1 - r) / 2], r2)
-            assert s_min <= qubit.smin_from_smap(min(s_map, 2 * math.log(2)), 2) + 1e-9
+        s_map, s_min = qubit.pauli_points(_flat_dirichlet(stream_uniforms(76, 0, 10000, 4)), R2)
+        upper = [qubit.smin_from_smap(min(s, 2 * math.log(2)), 2) for s in s_map]
+        assert np.all(s_min <= np.array(upper) + 1e-9)
 
 
 class TestSandwich:

@@ -89,6 +89,7 @@ ENTRY_POINTS = {
     "Ensemble": (_ensemble, 4, False),
     "hierarchy_batch": (_hierarchy, 3, False),
     "pauli_channel": (qubit.pauli_channel, 4, False),
+    "pauli_points": (qubit.pauli_points, 4, False),
     "mutual_information_classical": (_mutual_information, 4, False),
     "DaviesQutritBlock": (_davies, 3, True),
     "shannon": (entropy.shannon, 4, False),
