@@ -2,13 +2,13 @@
 
 Conventions. Density matrices are vectorized row-major ("lexicographically"),
 so the superoperator of a channel with Kraus list {K} is sum K ⊗ conj(K) and
-the dynamical matrix is its reshuffling. The Choi state is the normalized
-dynamical matrix D/N with the identity applied to the first factor, so that
-tracing out the second factor gives I/N for any trace preserving map.
+the dynamical matrix D = sum vec(K) vec(K)† is its reshuffling. The Choi state
+is D/N with its factors swapped: the identity acts on the first factor, and
+tracing out the second gives I/N for any trace preserving map.
 
-A Kraus list is held as one (m, out, in) stack, and every builder below is a
-product over that stack rather than a loop over its operators. A channel
-holds the representation it was built from and builds the other on first read.
+A channel holds its (m, out, in) Kraus stack or its dynamical matrix as an
+(out, in, out, in) array; the superoperator and the Choi state are index
+permutations of that array.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import from_eigh, hermitize, partial_trace, psd_eigh, psd_sqrt, reshuffle, root_svd
-from .tolerances import (CHOI_TOL, CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF,
-                         SINGULAR_CUTOFF, SUPPORT_CUTOFF)
+from .matfun import from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd
+from .tolerances import (CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF, SINGULAR_CUTOFF,
+                         SUPPORT_CUTOFF)
 
 __all__ = [
     "InvalidChannelError",
@@ -58,34 +58,40 @@ def _kraus_stack(kraus) -> np.ndarray:
     return stack
 
 
-def kraus_to_superoperator(kraus) -> np.ndarray:
-    """Superoperator sum K ⊗ conj(K) acting on row-major vectorized matrices.
-
-    One product of the row-vectorized stack gives the dynamical matrix
-    sum vec(K) vec(K)†; its reshuffling is the superoperator.
-    """
-    stack = np.asarray(kraus, dtype=complex)
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """d[i, j, k, l] = sum K[i, j] conj(K[k, l]): one product of the row-vectorized stack."""
     m, out, n = stack.shape
     rows = stack.reshape(m, out * n)
-    d = (rows.T @ rows.conj()).reshape(out, n, out, n)
+    return (rows.T @ rows.conj()).reshape(out, n, out, n)
+
+
+def _superoperator(d: np.ndarray) -> np.ndarray:
+    """S[(i, k), (j, l)] = d[i, j, k, l]."""
+    out, n = d.shape[:2]
     return d.transpose(0, 2, 1, 3).reshape(out * out, n * n)
 
 
+def _choi(d: np.ndarray) -> np.ndarray:
+    """choi[(j, i), (l, k)] = d[i, j, k, l] / in_dim."""
+    out, n = d.shape[:2]
+    return hermitize(d.transpose(1, 0, 3, 2).reshape(n * out, n * out)) / n
+
+
+def _unshuffle(s) -> np.ndarray:
+    """d[i, j, k, l] = S[(i, k), (j, l)] of an out² × in² superoperator S."""
+    s = np.asarray(s, dtype=complex)
+    out, n = math.isqrt(s.shape[0]), math.isqrt(s.shape[1])
+    return s.reshape(out, out, n, n).transpose(0, 2, 1, 3)
+
+
+def kraus_to_superoperator(kraus) -> np.ndarray:
+    """Superoperator sum K ⊗ conj(K) acting on row-major vectorized matrices."""
+    return _superoperator(_gram(np.asarray(kraus, dtype=complex)))
+
+
 def kraus_to_choi(kraus) -> np.ndarray:
-    """Normalized Choi state [id ⊗ Phi](|phi+><phi+|).
-
-    One product of the column-vectorized stack: sum vec(K) vec(K)† / in_dim.
-    """
-    stack = np.asarray(kraus, dtype=complex)
-    m, out, n = stack.shape
-    cols = stack.transpose(0, 2, 1).reshape(m, n * out)
-    return hermitize(cols.T @ cols.conj()) / n
-
-
-def _swap_factors(m: np.ndarray) -> np.ndarray:
-    """out[(j,i),(l,k)] = m[(i,j),(k,l)]: the row-major dynamical matrix <-> n·Choi."""
-    n = math.isqrt(len(m))
-    return m.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    """Normalized Choi state [id ⊗ Phi](|phi+><phi+|) = sum vec_col(K) vec_col(K)† / in_dim."""
+    return _choi(_gram(np.asarray(kraus, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -102,76 +108,72 @@ class CptpReport:
         return self.cp and self.tp
 
 
-def _cptp_report(stack: np.ndarray, choi: np.ndarray, tol: float) -> CptpReport:
-    """TP residual max|sum K†K - I| and CP test on the minimum Choi eigenvalue.
+def _report(d: np.ndarray) -> tuple[CptpReport, np.ndarray | None, float]:
+    """The CP/TP report on an (out, in, out, in) dynamical matrix d, the Hermitian
+    part of d that it checked, and the weight sum |w| of its eigenvalues w <= KRAUS_CUTOFF.
 
-    A NaN or inf Kraus entry makes the residual NaN or inf; the eigenvalue is
-    then NaN rather than whatever an eigensolver makes of it, so neither test passes.
+    CP means no eigenvalue of d (in_dim times the Choi state's) below
+    -CPTP_TOL, TP means max|Tr_out d - I| <= CPTP_TOL. Dropping the
+    eigenvalues at or below KRAUS_CUTOFF (as the Kraus stack does) moves
+    Tr_out d by at most their weight. A NaN or inf entry gives a NaN report
+    and no d, before any arithmetic on d.
     """
-    m, out, n = stack.shape
-    flat = stack.reshape(m * out, n)  # flat† flat = sum K†K
-    tp_residual = float(np.abs(flat.conj().T @ flat - np.eye(n)).max())
-    min_eig = float(np.linalg.eigvalsh(choi).min()) if math.isfinite(tp_residual) else math.nan
-    return CptpReport(min_eig >= -tol, tp_residual <= tol, min_eig, tp_residual)
-
-
-def _superoperator_report(s: np.ndarray) -> tuple[CptpReport, np.ndarray | None, float]:
-    """The report on a square superoperator, the dynamical matrix d it checked,
-    and the weight sum |w| of the eigenvalues w <= KRAUS_CUTOFF of d.
-
-    d = hermitize(reshuffle(s)) is n·choi; CP means no eigenvalue of d (not
-    of the Choi state) below -CPTP_TOL, TP means max|Tr_out d - I| <= CPTP_TOL.
-    Dropping the eigenvalues at or below KRAUS_CUTOFF (as the Kraus stack
-    does) moves Tr_out d by at most their weight. A NaN or inf entry gives
-    a NaN report and no d, before any arithmetic on s.
-    """
-    if not np.isfinite(s).all():
+    if not np.isfinite(d).all():
         return CptpReport(False, False, math.nan, math.nan), None, math.nan
-    d = hermitize(reshuffle(s))
-    n = math.isqrt(len(d))
-    tp_residual = float(np.abs(partial_trace(d, (n, n), 1) - np.eye(n)).max())
-    w = np.linalg.eigvalsh(d)
+    out, n = d.shape[:2]
+    d = hermitize(d.reshape(out * n, out * n)).reshape(out, n, out, n)
+    tp_residual = float(np.abs(np.trace(d, axis1=0, axis2=2) - np.eye(n)).max())
+    w = np.linalg.eigvalsh(d.reshape(out * n, out * n))
     min_eig = float(w[0])
     report = CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual)
     return report, d, float(np.abs(w[w <= KRAUS_CUTOFF]).sum())
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class Channel:
-    """A CPTP map, validated on construction in the representation it is given.
+    """A CPTP map, held as its Kraus stack or as its dynamical matrix.
 
     `Channel(kraus)` holds an (m, out, in) Kraus stack; the operators may be
-    rectangular (out_dim × in_dim), as for complementary channels. The
-    constructor builds the Choi state, because the CP check needs its
-    minimum eigenvalue, and checks trace preservation on sum K†K; a Kraus
-    list that fails either check at `tol` (CPTP_TOL unless given), or has a
-    NaN or inf entry, raises InvalidChannelError. The superoperator is built on first read and cached.
-    `from_superoperator` and `from_choi` hold the superoperator and the Choi
-    state instead, and build (and validate) the Kraus stack on first read.
-    Instances are immutable: the given representation is a read-only copy.
+    rectangular, as for complementary channels. Its dynamical matrix
+    sum vec(K) vec(K)† is a Gram matrix, PSD whatever the operators, so a Kraus
+    list is CP and the constructor checks only what can fail: a NaN or inf
+    entry, and max|sum K†K - I| <= `tol`. Either raises InvalidChannelError;
+    no eigensolver runs. `from_superoperator` and `from_choi` hold the checked
+    dynamical matrix instead. The superoperator, the Choi state and the Kraus
+    stack are derived on first read, cached and read-only.
     """
 
     def __init__(self, kraus, tol: float = CPTP_TOL):
-        self._kraus_given = True
-        self.kraus = _kraus_stack(kraus)
-        self.kraus.flags.writeable = False
+        self.kraus = _read_only(_kraus_stack(kraus))
         if not np.isfinite(self.kraus).all():
             raise InvalidChannelError("Kraus operator has a NaN or infinite entry")
         self.out_dim, self.in_dim = self.kraus.shape[1:]
-        self.choi = kraus_to_choi(self.kraus)
-        report = _cptp_report(self.kraus, self.choi, tol)
-        if not report.tp:
-            raise InvalidChannelError(f"not trace preserving: |sum K†K - I| = {report.tp_residual:.3e}")
-        if not report.cp:
-            raise InvalidChannelError(f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}")
+        flat = self.kraus.reshape(-1, self.in_dim)  # flat† flat = sum K†K
+        tp_residual = float(np.abs(flat.conj().T @ flat - np.eye(self.in_dim)).max())
+        if not tp_residual <= tol:
+            raise InvalidChannelError(f"not trace preserving: |sum K†K - I| = {tp_residual:.3e}")
+
+    @cached_property
+    def _d(self) -> np.ndarray:
+        """The dynamical matrix as an (out, in, out, in) array; stored by the dense constructors."""
+        return _gram(self.kraus)
 
     @cached_property
     def superoperator(self) -> np.ndarray:
-        return kraus_to_superoperator(self.kraus)
+        return _read_only(_superoperator(self._d))
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        return _read_only(_choi(self._d))
 
     @cached_property
     def kraus(self) -> np.ndarray:
         """Built on first read for a superoperator or Choi channel; `Channel(kraus)` stores it."""
-        return self._from_outer_sum(reshuffle(self.superoperator), self.in_dim).kraus
+        return self._from_outer_sum(self._d.reshape(self.out_dim * self.in_dim, -1), self.in_dim).kraus
 
     @property
     def dim(self) -> int:
@@ -188,60 +190,54 @@ class Channel:
         return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
     def is_cptp(self) -> CptpReport:
-        """The constructor's check at CPTP_TOL, on the representation it was given."""
-        if self._kraus_given:
-            return _cptp_report(self.kraus, self.choi, CPTP_TOL)
-        return _superoperator_report(self.superoperator)[0]
+        """The dense constructors' check at CPTP_TOL, on the dynamical matrix."""
+        return _report(self._d)[0]
 
     # -- representation conversions ------------------------------------
 
     @classmethod
     def from_superoperator(cls, s: np.ndarray) -> "Channel":
-        """Channel from a superoperator matrix (square dimensions only).
+        """Channel from an out_dim² × in_dim² superoperator matrix, checked by `_dense`."""
+        return cls._dense(_unshuffle(s), "superoperator")
 
-        A NaN or inf entry, or a map that fails `_superoperator_report`'s CP or
-        TP test, raises InvalidChannelError. The channel keeps the checked
-        (Hermitian) dynamical matrix as its superoperator and Choi state. A map
-        so close to the CP margin that dropping its eigenvalues at or below
+    @classmethod
+    def from_choi(cls, choi: np.ndarray) -> "Channel":
+        """Channel from a normalized Choi state on C^N ⊗ C^N. Its unit trace and its
+        marginal I/N are the TP test that `_dense` applies to N·choi."""
+        choi = np.asarray(choi, dtype=complex)
+        if not np.isfinite(choi).all():  # before the scaling, where inf·0j would make a NaN
+            raise InvalidChannelError("Choi state has a NaN or infinite entry")
+        n = math.isqrt(len(choi))
+        return cls._dense(n * choi.reshape(n, n, n, n).transpose(1, 0, 3, 2), "Choi state")
+
+    @classmethod
+    def _dense(cls, d: np.ndarray, name: str) -> "Channel":
+        """Channel holding the (out, in, out, in) dynamical matrix d, checked by `_report`.
+
+        A NaN or inf entry, or a map that fails the CP or TP test, raises
+        InvalidChannelError. The channel keeps the Hermitian part of d. A map so
+        close to the CP margin that dropping its eigenvalues at or below
         KRAUS_CUTOFF could break TP gets its Kraus stack built (and checked)
         here, so that it raises now rather than on the first `.kraus` read.
         """
-        s = np.asarray(s, dtype=complex)
-        if not np.isfinite(s).all():
-            raise InvalidChannelError("superoperator has a NaN or infinite entry")
-        report, d, dropped = _superoperator_report(s)
+        report, d, dropped = _report(d)
+        if d is None:
+            raise InvalidChannelError(f"{name} has a NaN or infinite entry")
         if not report.cp:
             raise InvalidChannelError(f"not completely positive: min Choi eigenvalue {report.min_choi_eig:.3e}")
         if not report.tp:
             raise InvalidChannelError(f"not trace preserving: |Tr_out D - I| = {report.tp_residual:.3e}")
         phi = cls.__new__(cls)
-        phi._kraus_given = False
-        phi.in_dim = phi.out_dim = math.isqrt(len(d))
-        phi.superoperator = reshuffle(d)
-        phi.choi = _swap_factors(d) / phi.in_dim
-        phi.superoperator.flags.writeable = phi.choi.flags.writeable = False
+        phi._d = d
+        phi.out_dim, phi.in_dim = d.shape[:2]
         if report.tp_residual + dropped > CPTP_TOL:
             phi.kraus  # builds and checks the truncated Kraus stack
         return phi
 
     @classmethod
-    def from_choi(cls, choi: np.ndarray) -> "Channel":
-        """Channel from a normalized Choi state (trace one, Tr_2 choi = I/N, both to
-        CHOI_TOL), then checked and held as `from_superoperator` holds its map."""
-        choi = np.asarray(choi, dtype=complex)
-        if not np.isfinite(choi).all():
-            raise InvalidChannelError("Choi state has a NaN or infinite entry")
-        n = math.isqrt(choi.shape[0])
-        if abs(np.trace(choi).real - 1.0) > CHOI_TOL:
-            raise InvalidChannelError("Choi state must have unit trace")
-        marg = partial_trace(choi, (n, n), 2)
-        if np.abs(marg - np.eye(n) / n).max() > CHOI_TOL:
-            raise InvalidChannelError("Choi state violates the partial trace condition")
-        return cls.from_superoperator(reshuffle(_swap_factors(choi * n)))
-
-    @classmethod
     def _from_outer_sum(cls, d: np.ndarray, n: int) -> "Channel":
-        """Kraus channel from a checked dynamical matrix d = sum vec_row(K) vec_row(K)†.
+        """Kraus channel from a checked dynamical matrix d = sum vec_row(K) vec_row(K)†
+        on C^out ⊗ C^n.
 
         Eigenvectors with eigenvalue above KRAUS_CUTOFF become Kraus operators, the
         largest first, each with its first component above PHASE_CUTOFF real positive.
@@ -252,7 +248,7 @@ class Channel:
         vecs = v[:, order].T
         lead = vecs[np.arange(len(order)), np.argmax(np.abs(vecs) > PHASE_CUTOFF, axis=1)]
         vecs = vecs / (lead / np.abs(lead))[:, None]
-        return cls(np.sqrt(w[order])[:, None, None] * vecs.reshape(-1, n, n))
+        return cls(np.sqrt(w[order])[:, None, None] * vecs.reshape(-1, len(d) // n, n))
 
     # -- composition ----------------------------------------------------
 
@@ -305,16 +301,15 @@ def is_cptp(obj) -> CptpReport:
     """CP/TP diagnostic for a Channel, a Kraus list, or a raw superoperator matrix.
 
     Unlike the Channel constructor this never raises on violation, so it can
-    probe maps that are not channels (e.g. the transpose map). A raw matrix
-    gets the test `Channel.from_superoperator` applies.
+    probe maps that are not channels (e.g. the transpose map). Every input
+    gets the test `Channel.from_superoperator` applies, on its dynamical
+    matrix (for a Kraus list, the Gram matrix sum vec(K) vec(K)†).
     """
     if isinstance(obj, Channel):
         return obj.is_cptp()
-    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
-        if math.isqrt(obj.shape[0]) ** 2 == obj.shape[0]:
-            return _superoperator_report(np.asarray(obj, dtype=complex))[0]
-    stack = _kraus_stack(obj)
-    return _cptp_report(stack, kraus_to_choi(stack), CPTP_TOL)
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        return _report(_unshuffle(obj))[0]
+    return _report(_gram(_kraus_stack(obj)))[0]
 
 
 # -- channel-level entropies -------------------------------------------------

@@ -101,14 +101,17 @@ def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
     else:
         kept = np.where(p <= SUPPORT_CUTOFF, 0.0, p)
         kept = kept / kept.sum(axis=-1, keepdims=True)
+        # with x = (q - 1) log p, sum p^q = 1 + sum p expm1(x): the 1 cancels in
+        # closed form, so no digits are lost as q -> 1. Off the support log 0 is
+        # taken as inf with the sign of 1 - q, which makes x = -inf there.
+        log_p = np.log(kept, out=np.full_like(kept, math.copysign(math.inf, 1.0 - order.q)), where=kept != 0.0)
+        x = (order.q - 1.0) * log_p
         if order.kind == "renyi":
-            # log sum p^q = q log p_max + log sum (p/p_max)^q: the sum stays in
-            # [1, n], where sum p^q itself underflows to 0 at large q
-            top = kept.max(axis=-1, keepdims=True)
-            log_power = order.q * np.log(top[..., 0]) + np.log(((kept / top) ** order.q).sum(axis=-1))
-            out = log_power / (1.0 - order.q)
+            # m = min(max x, 0) keeps the top e^(x - m) at 1 where p^q underflows at large q
+            m = np.minimum(x.max(axis=-1, keepdims=True), 0.0)
+            out = (m[..., 0] + np.log1p((kept * np.expm1(x - m)).sum(axis=-1))) / (1.0 - order.q)
         else:
-            out = (1.0 - (kept**order.q).sum(axis=-1)) / (order.q - 1.0)
+            out = -(kept * np.expm1(x)).sum(axis=-1) / (order.q - 1.0)
     return float(out) if out.ndim == 0 else out
 
 

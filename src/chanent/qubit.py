@@ -244,8 +244,8 @@ def _output_extremum(phi: Channel, order: EntropyOrder | None,
     and is maximized by a pure state, the top eigenvector of Phi†(gradient): a
     majorization-minimization (unit Frank-Wolfe) step, for order None the
     seesaw. Starts: the n basis vectors and SEESAW_STARTS Haar-random vectors of
-    stream (seed, 0), plus, for every order but von Neumann, the von Neumann
-    fixed point (without it Rényi 5 stopped 7.4e-3 high on a 4-Kraus qutrit channel).
+    stream (seed, 0), plus, for Rényi and Tsallis orders, the von Neumann fixed
+    point (without it Rényi 5 stopped 7.4e-3 high on a 4-Kraus qutrit channel).
     """
     m, out, n = phi.kraus.shape
     forward = phi.kraus.reshape(m * out, n).T  # psi @ forward lists every K psi
@@ -253,7 +253,7 @@ def _output_extremum(phi: Channel, order: EntropyOrder | None,
     rng = stream_rng(seed, 0)
     starts = np.concatenate([np.eye(n, dtype=complex),
                              [random_pure_state(n, rng) for _ in range(SEESAW_STARTS)]])
-    if order is not None and order.is_limit:
+    if order is None or order.is_limit:
         return _ascend(forward, adjoint, starts, order)
     vn_start, _ = _ascend(forward, adjoint, starts, VON_NEUMANN)
     return _ascend(forward, adjoint, np.concatenate([starts, vn_start[None]]), order)

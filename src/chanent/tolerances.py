@@ -59,17 +59,15 @@ HERMITIAN_TOL = 1e-12
 
 # -- channels ---------------------------------------------------------------------
 
-#: Default CP and TP tolerance of a channel: no Choi (Kraus input) or dynamical
-#: matrix (superoperator input) eigenvalue below -CPTP_TOL, and
-#: max|sum K†K - I| (or |Tr_out D - I|) at most CPTP_TOL.
+#: Default TP tolerance of a Kraus list, max|sum K†K - I| (a Kraus list is CP
+#: by construction), and the CP and TP tolerance of a dynamical matrix D
+#: (superoperator or Choi input): no eigenvalue of D below -CPTP_TOL, and
+#: max|Tr_out D - I| at most CPTP_TOL.
 CPTP_TOL = 1e-9
 
-#: CP/TP tolerance of `channels.kraus_from_ensemble`: its operators carry
+#: TP tolerance of `channels.kraus_from_ensemble`: its operators carry
 #: rho^{-1/2}, which multiplies rounding by up to 1/sqrt(SINGULAR_CUTOFF).
 ENSEMBLE_CHANNEL_TOL = 1e-7
-
-#: Trace and Tr_2 marginal tolerance of a Choi state given to `Channel.from_choi`.
-CHOI_TOL = 1e-8
 
 # -- inequalities and domains -----------------------------------------------------
 

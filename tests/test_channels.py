@@ -516,3 +516,54 @@ class TestStackedBuilders:
             Channel([])
         with pytest.raises(channels.InvalidChannelError, match="share a shape"):
             Channel([np.eye(2), np.eye(3)])
+
+
+class TestStoredForms:
+    """A channel holds its Kraus stack or its dynamical matrix; the rest is derived."""
+
+    def test_kraus_channels_run_no_eigensolver(self, monkeypatch):
+        rng = stream_rng(51, 0)
+        kraus2, kraus3 = random_channel(2, 3, rng).kraus, random_channel(3, 2, rng).kraus
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigensolver called"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolver called"))
+        phi, psi = Channel(kraus2), Channel(kraus3)
+        phi.compose(phi)
+        phi.tensor(psi)
+        phi.complementary()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus_lists())
+    def test_kraus_lists_are_completely_positive(self, kraus):
+        # the dynamical matrix of a Kraus list is a Gram matrix, so the
+        # constructor's CP check, now deleted, could not fail
+        report = channels.is_cptp(kraus)
+        assert report.cp and report.min_choi_eig >= -1e-14
+
+    @pytest.mark.parametrize("build", [lambda phi: Channel(phi.kraus),
+                                       lambda phi: Channel.from_superoperator(phi.superoperator),
+                                       lambda phi: Channel.from_choi(phi.choi)],
+                             ids=["kraus", "superoperator", "choi"])
+    def test_derived_forms_read_only(self, build):
+        phi = build(random_channel(2, 3, stream_rng(51, 1)))
+        for derived in (phi.superoperator, phi.choi, phi.kraus):
+            with pytest.raises(ValueError):
+                derived[0, 0] = 2.0
+
+    def test_complementary_report_matches_kraus_residual(self):
+        for t in range(10):
+            comp = random_channel(2 + t % 2, 1 + t % 4, stream_rng(51, 10 + t)).complementary()
+            flat = comp.kraus.reshape(-1, comp.in_dim)
+            residual = np.abs(flat.conj().T @ flat - np.eye(comp.in_dim)).max()
+            report = comp.is_cptp()
+            assert report.ok and report.min_choi_eig >= -1e-14
+            assert abs(report.tp_residual - residual) <= 1e-15
+            assert channels.is_cptp(list(comp.kraus)) == report
+
+    def test_rectangular_superoperator_round_trip(self):
+        rng = stream_rng(51, 20)
+        comp = random_channel(3, 2, rng).complementary()  # C^3 -> C^2
+        psi = Channel.from_superoperator(comp.superoperator)
+        assert (psi.out_dim, psi.in_dim) == (2, 3)
+        rho = hs_random_density(3, rng)
+        np.testing.assert_allclose(psi.apply(rho), comp.apply(rho), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(psi.choi, comp.choi, rtol=0, atol=1e-15)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ class TestVnEntropy:
             np.testing.assert_array_equal(stacked, looped)
 
 
+def _decimal_entropy(p, kind: str, q: float) -> Decimal:
+    """Rényi or Tsallis entropy of the weights above SUPPORT_CUTOFF, renormalized, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        kept = [Decimal(float(x)) for x in p if x > SUPPORT_CUTOFF]
+        q = Decimal(q)
+        power = sum((x / sum(kept)) ** q for x in kept)
+        return power.ln() / (1 - q) if kind == "renyi" else (1 - power) / (q - 1)
+
+
 class TestSpectrumEntropy:
     def test_matches_classical_entropy(self):
         rng = stream_rng(20, 3)
@@ -148,6 +159,16 @@ class TestSpectrumEntropy:
         for fn in (entropy.shannon, entropy.classical_entropy):
             with pytest.raises(ValueError):
                 fn([0.5, np.nan, 0.5])
+
+    @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
+    def test_full_precision_near_and_far_from_q_one(self, kind):
+        # (log sum p^q)/(1 - q) and (1 - sum p^q)/(q - 1) once cancelled to an error
+        # of about 1e-16/|q - 1|: 3.1e-8 at q = 1 + 1e-8
+        ps = np.array([dirichlet(4, stream_rng(81, t)) for t in range(300)])
+        for q in (1 + 1e-8, 1 - 1e-8, 1 + 1e-4, 1 - 1e-4, 0.5, 2.0, 50.0, 1e4):
+            got = entropy.spectrum_entropy(ps, EntropyOrder(kind, q))
+            worst = max(abs(Decimal(float(g)) - _decimal_entropy(p, kind, q)) for g, p in zip(got, ps))
+            assert worst <= Decimal("1e-15"), (q, worst)
 
 
 class TestRelativeEntropy:

@@ -48,7 +48,8 @@ def test_tolerances_module_holds_constants_only():
 
 
 def test_public_tolerance_parameters():
-    # Channel(tol) has two values in use: CPTP_TOL and ENSEMBLE_CHANNEL_TOL
+    # Channel(tol), the TP tolerance of a Kraus list, has two values in use:
+    # CPTP_TOL and ENSEMBLE_CHANNEL_TOL
     public = set()
     for name, tree in _modules():
         for node in ast.walk(tree):
