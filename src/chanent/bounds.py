@@ -16,12 +16,13 @@ from .entropy import (
     EntropyOrder,
     VON_NEUMANN,
     _clean_probs,
+    _eigenvalue_entropy,
     relative_entropy,
     shannon,
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import hermitize, psd_power, psd_sqrt, root_svd
+from .matfun import from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum
 from .states import assert_state, from_bloch, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
                          PSD_TOL, VIOLATION_SLACK)
@@ -86,7 +87,7 @@ class Ensemble:
         return self.states.shape[-1]
 
     def average(self) -> np.ndarray:
-        return sum(p * s for p, s in zip(self.probs, self.states))
+        return _average(self.probs, self.states)
 
     def validate(self) -> "Ensemble":
         for s in self.states:
@@ -102,7 +103,8 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
     log tr (sum p rho^q)^{1/q} / (q - 1).
     """
     if order.is_limit:
-        return float(_holevo_vn(e.probs, e.states))
+        w = spectrum(np.concatenate([e.average()[None], e.states]))
+        return float(_holevo_vn(e.probs, w[0], w[1:]))
     if order.kind == "tsallis":
         avg = e.average()
         return sum(
@@ -115,10 +117,15 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
     return math.log(val) / (q - 1.0)
 
 
-def _holevo_vn(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """S(sum p rho) - sum p S(rho) over (..., k) stacks, with one stacked eigvalsh."""
-    avg = sum(probs[..., i, None, None] * states[..., i, :, :] for i in range(probs.shape[-1]))
-    ent = vn_entropy(np.concatenate([avg[..., None, :, :], states], axis=-3))
+def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum p rho over (..., k) stacks of probabilities and states."""
+    return sum(probs[..., i, None, None] * states[..., i, :, :] for i in range(probs.shape[-1]))
+
+
+def _holevo_vn(probs: np.ndarray, avg_spectrum: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """S(sum p rho) - sum p S(rho) over (..., k) stacks, from the (..., n)
+    eigenvalues of the average state and the (..., k, n) ones of the states."""
+    ent = _eigenvalue_entropy(np.concatenate([avg_spectrum[..., None, :], spectra], axis=-2))
     return ent[..., 0] - (probs * ent[..., 1:]).sum(axis=-1)
 
 
@@ -141,14 +148,14 @@ def correlation_from_ensemble(e: Ensemble, unitaries) -> np.ndarray:
     us = np.array(unitaries, dtype=complex)
     if len(us) != len(e):
         raise ValueError("need one unitary per state")
-    return _purification_gram(e.probs, psd_sqrt(e.states), us)
+    return hermitize(_purification_gram(e.probs, (us @ psd_sqrt(e.states)).reshape(len(e), -1)))
 
 
-def _purification_gram(probs: np.ndarray, roots: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """correlation_from_ensemble over (..., k) stacks, given the states' square roots."""
-    products = (roots[..., :, None, :, :] @ roots[..., None, :, :, :]
-                @ us.conj().swapaxes(-1, -2)[..., None, :, :, :] @ us[..., :, None, :, :])
-    return hermitize(_root_probs(probs) * np.trace(products, axis1=-2, axis2=-1))
+def _purification_gram(probs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """sqrt(p_i p_j) <vec_j, vec_i> over (..., k) stacks of probabilities and
+    (..., k, m) purification vectors: with vec_i = vec(U_i sqrt(rho_i)) the entry
+    is sqrt(p_i p_j) tr(sqrt(rho_j) U_j† U_i sqrt(rho_i))."""
+    return _root_probs(probs) * (vecs @ vecs.conj().swapaxes(-1, -2))
 
 
 def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
@@ -264,9 +271,9 @@ def _root_fidelity_matrix(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k = roots.shape[-3]
     i, j = np.triu_indices(k, 1)
-    s, w = root_svd(roots[..., j, :, :] @ roots[..., i, :, :])
+    tr_abs, w = root_svd(roots[..., j, :, :] @ roots[..., i, :, :])
     rf = np.ones(roots.shape[:-3] + (k, k))
-    rf[..., i, j] = rf[..., j, i] = np.clip(s.sum(axis=-1), 0.0, 1.0)
+    rf[..., i, j] = rf[..., j, i] = np.clip(tr_abs, 0.0, 1.0)
     return rf, w[..., np.flatnonzero(j == i + 1), :, :]
 
 
@@ -392,12 +399,14 @@ def hierarchy_batch(
     is on the scale with chi at 0 and H(P) at 1, or None if H(P) - chi is
     below HIERARCHY_SKIP_GAP; violations["conjecture"] is chi > S(G) +
     VIOLATION_SLACK. s_sigma and s_gram both refer to the canonical
-    purification Gram matrix (identity unitaries). Each state is decomposed
-    once (one eigh for its square root); one SVD of sqrt(rho_j) sqrt(rho_i)
-    per pair gives the root fidelities and the polar factors of the layered
-    chain, and the entropies of all five auxiliary matrices come from one
-    stacked eigvalsh. Every report is bit-identical whatever the stack
-    around it.
+    purification Gram matrix (identity unitaries): the Gram matrix
+    sqrt(p_i p_j) tr sqrt(rho_i) sqrt(rho_j) of the purifications vec(sqrt(rho_i)).
+    Each state is decomposed once, by one stacked eigh: its eigenvalues enter
+    chi and give its square root. The pair products sqrt(rho_j) sqrt(rho_i)
+    give the root fidelities and the polar factors of the layered chain
+    (root_svd, in closed form for qubits). One eigvalsh covers the average
+    states and one the five auxiliary matrices. Every report is bit-identical
+    whatever the stack around it.
     """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states, dtype=complex)
@@ -405,14 +414,15 @@ def hierarchy_batch(
         raise ValueError("hierarchy is defined for k=3 qubit ensembles")
     check_b(b, 2)
     probs = _clean_probs(probs)
-    chi = _holevo_vn(probs, states)
+    w, v = psd_eigh(states)
+    chi = _holevo_vn(probs, spectrum(_average(probs, states)), w)
     h_p = spectrum_entropy(probs)
-    roots = psd_sqrt(states)
+    roots = from_eigh(np.sqrt(w), v)
     rf, steps = _root_fidelity_matrix(roots)
     root_p = _root_probs(probs)
     g = root_p * rf
     aux = np.stack([
-        _purification_gram(probs, roots, np.broadcast_to(np.eye(2), states.shape)),
+        _purification_gram(probs, roots.reshape(roots.shape[:2] + (4,))),
         g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, rf, roots, steps),
     ], axis=1)
     ent = vn_entropy(aux)  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)

@@ -132,7 +132,12 @@ def vn_entropy(rho: np.ndarray, order: EntropyOrder = VON_NEUMANN):
     array). Negative eigenvalues are clipped to 0; NaN or inf in the input
     raises NonFiniteError and a zero matrix raises ValueError.
     """
-    w = np.maximum(spectrum(rho), 0.0)
+    return _eigenvalue_entropy(spectrum(rho), order)
+
+
+def _eigenvalue_entropy(w: np.ndarray, order: EntropyOrder = VON_NEUMANN):
+    """vn_entropy of each matrix of a stack, given its (..., n) eigenvalues instead."""
+    w = np.maximum(w, 0.0)
     total = w.sum(axis=-1, keepdims=True)
     if not (total > 0.0).all():
         raise ValueError("a zero matrix has no entropy")

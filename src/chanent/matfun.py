@@ -168,20 +168,43 @@ def polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def root_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values s and the det-one unitary polar factor W = U V† of each
-    x = sqrt(rho_a) sqrt(rho_b) of a (..., n, n) stack, from one SVD x = U diag(s) V†.
+    """Trace norm tr|x| and the det-one unitary polar factor W of each
+    x = sqrt(rho_a) sqrt(rho_b) of a (..., n, n) stack.
 
-    s.sum() is the root fidelity of the pair, and x = |x†| W = W |x|. Every
+    tr|x| is the root fidelity of the pair, and x = |x†| W = W |x|. Every
     invertible x of this form has det x > 0, which forces det W = 1; a
-    singular x leaves W free on its kernel. U's last column is multiplied by
-    the phase that makes det W = 1: rounding for an invertible x, and on a
-    kernel of dimension at most 1 the one completion that is the limit of
-    the invertible case.
+    singular x leaves W free on its kernel, and W is the one completion that
+    is the limit of the invertible case wherever that kernel has dimension
+    at most 1. x = 0 gives (0, I). NaN or inf input raises NonFiniteError.
+
+    For 2×2 input both come in closed form: with alpha = a + conj(d) and
+    beta = b - conj(c), W = [[alpha, beta], [-conj(beta), conj(alpha)]] / N
+    and tr|x| = N = sqrt(|alpha|² + |beta|²) = sqrt(|x|_F² + 2 det x). This
+    holds only where det x is real and >= 0, as it is for every product of
+    two PSD square roots; other 2×2 input is outside the contract and gets a
+    wrong result without an error. Larger input takes one SVD
+    x = U diag(s) V†, valid for any x: W = U V† with U's last column
+    multiplied by the phase that makes det W = 1, and tr|x| = s.sum().
     """
+    x = _finite(x)
+    if x.shape[-1] == 2:
+        # W is that of x scaled by 2^-exp, which is exact and brings the largest entry
+        # into [0.5, 1): subnormal entries keep their digits, and N >= 0.5 unless x = 0
+        exp = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
+        x = np.ldexp(x.real, -exp[..., None, None]) + 1j * np.ldexp(x.imag, -exp[..., None, None])
+        alpha = x[..., 0, 0] + x[..., 1, 1].conj()
+        beta = x[..., 0, 1] - x[..., 1, 0].conj()
+        norm = np.hypot(np.abs(alpha), np.abs(beta))  # 0 only where x = 0
+        nonzero = norm > 0.0
+        scale = np.where(nonzero, norm, 1.0)
+        alpha = np.where(nonzero, alpha / scale, 1.0)
+        beta = beta / scale
+        w = np.stack([alpha, beta, -beta.conj(), alpha.conj()], axis=-1)
+        return np.ldexp(norm, exp), w.reshape(x.shape[:-2] + (2, 2))
     u, s, vh = np.linalg.svd(x)
     det = np.linalg.det(u @ vh)
     u[..., :, -1] *= (det.conj() / np.abs(det))[..., None]
-    return s, u @ vh
+    return s.sum(axis=-1), u @ vh
 
 
 def sqrt_product(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:

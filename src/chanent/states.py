@@ -159,7 +159,7 @@ def root_fidelity(rho1: np.ndarray, rho2: np.ndarray):
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError("states must share a dimension")
-    val = np.clip(root_svd(psd_sqrt(rho1) @ psd_sqrt(rho2))[0].sum(axis=-1), 0.0, 1.0)
+    val = np.clip(root_svd(psd_sqrt(rho1) @ psd_sqrt(rho2))[0], 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
 
 

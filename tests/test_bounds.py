@@ -129,6 +129,20 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(np.diag(sigma).real, e.probs, atol=1e-10)
         assert np.linalg.eigvalsh(sigma).min() > -1e-10
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ensemble_form_entries(self, n):
+        # each entry against the trace of the docstring, one pair at a time
+        rng = stream_rng(52, 301 + n)
+        e = random_ens(rng, k=3, n=n)
+        us = [haar_unitary(n, rng) for _ in range(3)]
+        roots = [matfun.psd_sqrt(s) for s in e.states]
+        sigma = bounds.correlation_from_ensemble(e, us)
+        for i in range(3):
+            for j in range(3):
+                want = math.sqrt(e.probs[i] * e.probs[j]) * np.trace(
+                    roots[i] @ roots[j] @ us[j].conj().T @ us[i])
+                assert abs(sigma[i, j] - want) < 1e-14
+
     def test_povm_completeness_rejected(self):
         with pytest.raises(ValueError):
             bounds.correlation_matrix(np.eye(2) / 2, [0.5 * np.eye(2)])
@@ -460,6 +474,25 @@ class TestHierarchy:
         for e, row in zip(ens, batch):
             assert bounds.hierarchy(e) == row  # bit for bit, field by field
 
+    @pytest.mark.parametrize("ancilla", [1, 2, 3])
+    def test_fields_are_the_public_entropies(self, ancilla):
+        # each field against the public function that defines it, on the unnormalized scale
+        for t in range(20):
+            e = random_ensemble(3, 2, stream_rng(62, t), ancilla)
+            row = bounds.hierarchy(e)
+            chi = bounds.holevo(e)
+            gap = shannon(e.probs) - chi
+            public = {
+                "s_gram": bounds.correlation_from_ensemble(e, [np.eye(2)] * 3),
+                "s_fid": bounds.fidelity_matrix(e, "G"),
+                "s_fid_b": bounds.fidelity_matrix(e, "G/b", b=math.sqrt(3.0)),
+                "s_fid_sq": bounds.fidelity_matrix(e, "F-squared"),
+                "s_layered": bounds.fidelity_matrix(e, "layered"),
+            }
+            for name, m in public.items():
+                assert abs(getattr(row, name) * gap - (vn_entropy(m) - chi)) < 1e-12, name
+            assert row.s_sigma == row.s_gram
+
     def test_root_fidelities_once_per_pair(self, monkeypatch):
         pairs = []
         real = bounds.root_svd
@@ -473,6 +506,24 @@ class TestHierarchy:
         ens = [random_ens(rng) for _ in range(5)]
         bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
         assert pairs == [3 * 5]  # one root_svd call: 3 pairs per ensemble
+
+    def test_one_eigh_per_chunk_and_no_svd(self, monkeypatch):
+        calls = {"eigh": [], "eigvalsh": [], "svd": []}
+        for name, shapes in calls.items():
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, _shapes=shapes, **kwargs):
+                _shapes.append(np.shape(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = stream_rng(60, 4)
+        ens = [random_ens(rng) for _ in range(5)]
+        bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
+        assert calls["svd"] == []
+        assert calls["eigh"] == [(5, 3, 2, 2)]  # the states, once
+        # no state reaches an eigvalsh: only the average states and the five auxiliary matrices
+        assert sorted(calls["eigvalsh"]) == [(5, 2, 2), (5, 5, 3, 3)]
 
     def test_non_finite_state_fails_the_batch(self):
         rng = stream_rng(60, 5)

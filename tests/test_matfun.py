@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanent import davies, matfun
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
 from chanent.states import pure_state
-from tests_support import polar_2x2, psd_stacks
+from tests_support import polar_2x2, psd_stacks, stack_from_spectra
 
 
 def rand_complex(rng, shape):
@@ -196,6 +197,37 @@ class TestRootSvd:
         for xi, wi in zip(x, w):
             np.testing.assert_allclose(wi, polar_2x2(xi), rtol=0, atol=1e-13)
         np.testing.assert_allclose(np.linalg.det(w), 1.0, rtol=0, atol=1e-14)
+
+    # rank 0, rank 1 (also with a tiny second eigenvalue), near-degenerate and generic qubit
+    # spectra, and one whose products with itself are subnormal
+    _EDGE_SPECTRA = np.array([[0.0, 0.0], [0.0, 0.7], [0.0, 1e-10], [1e-10, 0.6],
+                              [0.25, 0.25 + 1e-11], [0.5, 0.5], [0.1, 0.9], [1e-315, 3e-316]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(psd_stacks(dims=st.just(2)))
+    def test_qubit_trace_norm_is_the_svd_sum(self, hs):
+        roots = matfun.psd_sqrt(np.concatenate([stack_from_spectra(self._EDGE_SPECTRA, 3), hs]))
+        x = (roots[:, None] @ roots[None]).reshape(-1, 2, 2)  # every ordered pair, each with itself
+        tr, w = matfun.root_svd(x)
+        np.testing.assert_allclose(tr, np.linalg.svd(x, compute_uv=False).sum(axis=-1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w @ w.conj().swapaxes(-1, -2), np.broadcast_to(np.eye(2), w.shape),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.det(w), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_is_trace_zero_and_identity(self, n):
+        # x = 0: an orthogonal pure pair, with no kernel-free direction to fix W
+        tr, w = matfun.root_svd(np.zeros((4, n, n), dtype=complex))
+        np.testing.assert_array_equal(tr, np.zeros(4))
+        np.testing.assert_array_equal(w, np.broadcast_to(np.eye(n), (4, n, n)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, n, bad):
+        x = np.stack([np.eye(n, dtype=complex)] * 3)
+        x[1, 0, n - 1] = bad
+        with pytest.raises(matfun.NonFiniteError):
+            matfun.root_svd(x)
 
     @settings(max_examples=40, deadline=None)
     @given(psd_stacks())

@@ -62,8 +62,8 @@ _eigenvalue = st.one_of(
 
 
 @st.composite
-def psd_stacks(draw):
-    n = draw(st.integers(2, 4))
+def psd_stacks(draw, dims=st.integers(2, 4)):
+    n = draw(dims)
     count = draw(st.integers(1, 5))
     spectra = np.array([[draw(_eigenvalue) for _ in range(n)] for _ in range(count)])
     return stack_from_spectra(spectra, draw(st.integers(0, 2**32)))
