@@ -1,7 +1,6 @@
 """Quantum channel machinery: representations, entropies, Holevo bounds, Davies maps."""
 
 from .bounds import (
-    BoundReport,
     Ensemble,
     symmetric_triple_check,
     correlation_from_ensemble,

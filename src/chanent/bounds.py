@@ -5,9 +5,8 @@ two-pure-one-mixed qubit geometry.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NOR
 
 __all__ = [
     "Ensemble",
-    "BoundReport",
     "TripleGeometry",
     "holevo",
     "correlation_matrix",
@@ -51,6 +49,7 @@ __all__ = [
     "symmetric_triple_check",
     "symmetric_triple_eigenvalues",
     "CONJECTURE_MAX_K",
+    "conjecture_excess",
     "find_indefinite_gram",
 ]
 
@@ -355,69 +354,42 @@ def _layered_matrix(probs: np.ndarray, rf: np.ndarray, roots: np.ndarray, steps:
     return hermitize(sigma)
 
 
-@dataclass
-class BoundReport:
-    """Named entropies/bounds for one ensemble, in nats.
+def hierarchy(e: Ensemble, b: float = math.sqrt(3.0)) -> dict | None:
+    """The hierarchy_batch row of a k=3 qubit ensemble as a dict; None if H(P) = chi."""
+    cols = hierarchy_batch(e.probs[None], e.states[None], b=b)
+    return {name: col[0].item() for name, col in cols.items()} if cols["kept"][0] else None
 
-    On the normalized scale ((x - chi)/(H(P) - chi)) chi maps to 0 and h_p
-    to 1; `normalized` records which scale the numbers are on.
+
+def _decomposed(probs: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(probs, chi, roots) of (B, k) probabilities and (B, k, n, n) states: the checked
+    probabilities, the Holevo quantities and the square roots, from one eigh of the states
+    (its eigenvalues enter chi) and one eigvalsh of the average states.
     """
-
-    chi: float
-    s_sigma: float
-    s_gram: float
-    s_fid: float
-    s_fid_b: float
-    s_fid_sq: float
-    s_layered: float
-    h_p: float
-    normalized: bool = False
-    violations: dict = field(default_factory=dict)
-
-    _JSON_FIELDS = ("chi", "s_sigma", "s_gram", "s_fid", "s_fid_b", "s_fid_sq", "s_layered", "h_p")
-
-    def to_json(self) -> str:
-        data = {name: getattr(self, name) for name in self._JSON_FIELDS}
-        data["normalized"] = self.normalized
-        return json.dumps(data)
-
-
-def hierarchy(e: Ensemble, b: float = math.sqrt(3.0)) -> BoundReport | None:
-    """Normalized bound report for a k=3 qubit ensemble; None if H(P) = chi.
-
-    The batch-of-one case of hierarchy_batch.
-    """
-    return hierarchy_batch(e.probs[None], e.states[None], b=b)[0]
-
-
-def hierarchy_batch(
-    probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0)
-) -> list[BoundReport | None]:
-    """Normalized bound reports for a stack of k=3 qubit ensembles.
-
-    probs has shape (B, 3) and states (B, 3, 2, 2). Each ensemble's report
-    is on the scale with chi at 0 and H(P) at 1, or None if H(P) - chi is
-    below HIERARCHY_SKIP_GAP; violations["conjecture"] is chi > S(G) +
-    VIOLATION_SLACK. s_sigma and s_gram both refer to the canonical
-    purification Gram matrix (identity unitaries): the Gram matrix
-    sqrt(p_i p_j) tr sqrt(rho_i) sqrt(rho_j) of the purifications vec(sqrt(rho_i)).
-    Each state is decomposed once, by one stacked eigh: its eigenvalues enter
-    chi and give its square root. The pair products sqrt(rho_j) sqrt(rho_i)
-    give the root fidelities and the polar factors of the layered chain
-    (root_svd, in closed form for qubits). One eigvalsh covers the average
-    states and one the five auxiliary matrices. Every report is bit-identical
-    whatever the stack around it.
-    """
-    probs = np.asarray(probs, dtype=float)
-    states = np.asarray(states, dtype=complex)
-    if probs.ndim != 2 or probs.shape[1] != 3 or states.shape != probs.shape + (2, 2):
-        raise ValueError("hierarchy is defined for k=3 qubit ensembles")
-    check_b(b, 2)
-    probs = _clean_probs(probs)
+    probs, states = _clean_probs(probs), np.asarray(states, dtype=complex)
+    if probs.ndim != 2 or states.shape != probs.shape + states.shape[-1:] * 2:
+        raise ValueError("need (B, k) probabilities and (B, k, n, n) states")
     w, v = psd_eigh(states)
     chi = _holevo_vn(probs, spectrum(_average(probs, states)), w)
+    return probs, chi, from_eigh(np.sqrt(w), v)
+
+
+def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0)) -> dict:
+    """Normalized bound hierarchy of a stack of k=3 qubit ensembles, as (B,) columns.
+
+    probs has shape (B, 3) and states (B, 3, 2, 2). s_gram, s_fid, s_fid_b, s_fid_sq
+    and s_layered are the entropies of the purification Gram matrix sqrt(p_i p_j) tr
+    sqrt(rho_i) sqrt(rho_j) and of G, G/b, F-squared and the layered matrix, on the scale
+    with chi at 0 and H(P) at 1. kept is False, and the row's entropies NaN, where H(P) -
+    chi is below HIERARCHY_SKIP_GAP. conjecture is kept & (chi > S(G) + VIOLATION_SLACK).
+    One root_svd of the pair products gives the root fidelities and the polar factors of
+    the layered chain, and one eigvalsh the five matrices' spectra.
+    Every row is bit-identical whatever the stack around it.
+    """
+    if np.shape(probs)[-1:] != (3,) or np.shape(states)[-1:] != (2,):
+        raise ValueError("hierarchy is defined for k=3 qubit ensembles")
+    check_b(b, 2)
+    probs, chi, roots = _decomposed(probs, states)
     h_p = spectrum_entropy(probs)
-    roots = from_eigh(np.sqrt(w), v)
     rf, steps = _root_fidelity_matrix(roots)
     root_p = _root_probs(probs)
     g = root_p * rf
@@ -427,16 +399,9 @@ def hierarchy_batch(
     ], axis=1)
     ent = vn_entropy(aux)  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
     kept = ~(h_p - chi < HIERARCHY_SKIP_GAP)  # a NaN gap keeps its row, so it cannot pass as a skip
-    norm = (ent - chi[:, None]) / np.where(kept, h_p - chi, 1.0)[:, None]
-    conjecture = chi > ent[:, 1] + VIOLATION_SLACK
-    return [
-        BoundReport(chi=0.0, s_sigma=gram, s_gram=gram, s_fid=fid, s_fid_b=fid_b,
-                    s_fid_sq=fid_sq, s_layered=layered, h_p=1.0, normalized=True,
-                    violations={"conjecture": conj})
-        if keep else None
-        for keep, conj, (gram, fid, fid_b, fid_sq, layered)
-        in zip(kept.tolist(), conjecture.tolist(), norm.tolist())
-    ]
+    norm = np.where(kept[:, None], (ent - chi[:, None]) / np.where(kept, h_p - chi, 1.0)[:, None], np.nan)
+    cols = dict(zip(("s_gram", "s_fid", "s_fid_b", "s_fid_sq", "s_layered"), norm.T))
+    return {**cols, "kept": kept, "conjecture": kept & (chi > ent[:, 1] + VIOLATION_SLACK)}
 
 
 def holevo_mutual_check(e: Ensemble, povm_kraus) -> tuple[float, float, bool]:
@@ -613,6 +578,15 @@ def symmetric_triple_check(f: float, b: float) -> tuple[float, float, bool]:
 # The root-fidelity matrix G is PSD for up to three states; for more it can be
 # indefinite (find_indefinite_gram), and then S(G) is not an entropy.
 CONJECTURE_MAX_K = 3
+
+
+def conjecture_excess(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """chi - S(G) of each ensemble of a stack: (B, k) probabilities, k <= CONJECTURE_MAX_K,
+    and (B, k, n, n) states. Row t is holevo(e) - vn_entropy(fidelity_matrix(e, "G"))."""
+    probs, chi, roots = _decomposed(probs, states)
+    if probs.shape[1] > CONJECTURE_MAX_K:
+        raise ValueError(f"the conjecture is stated for k <= {CONJECTURE_MAX_K} states, got {probs.shape[1]}")
+    return chi - vn_entropy(_root_probs(probs) * _root_fidelity_matrix(roots)[0])
 
 
 def find_indefinite_gram(

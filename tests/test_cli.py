@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chanent import cli, sampling
+from tests_support import conjecture_reference
 
 
 def run_main(capsys, argv):
@@ -166,8 +167,8 @@ class TestPoolSize:
         sizes = []
         monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: FakePool(max_workers, sizes))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        rows = cli._in_chunks(lambda args: list(range(*args)), lambda a, b: (a, b), trials, jobs)
-        assert rows == list(range(trials)) and sizes == workers
+        cols = cli._in_chunks(lambda args: {"t": np.arange(*args)}, lambda a, b: (a, b), trials, jobs)
+        assert cols["t"].tolist() == list(range(trials)) and sizes == workers
 
     def test_one_trial_runs_in_process(self, monkeypatch, capsys):
         sizes = []
@@ -227,14 +228,13 @@ class TestHierarchy:
         assert set(table) == {"chi", "s_fid", "s_layered", "s_fid_sq", "s_fid_b", "h_p"}
 
     def test_conjecture_violation_exits_1(self, tmp_path, monkeypatch):
-        import dataclasses
-
         batch = cli.bounds.hierarchy_batch
 
         def one_flagged(*args, **kwargs):
-            reports = batch(*args, **kwargs)
-            reports[3] = dataclasses.replace(reports[3], violations={"conjecture": True})
-            return reports
+            cols = batch(*args, **kwargs)
+            assert cols["kept"][3]
+            cols["conjecture"][3] = True
+            return cols
 
         monkeypatch.setattr(cli.bounds, "hierarchy_batch", one_flagged)
         out = tmp_path / "h.json"
@@ -255,36 +255,89 @@ class TestHierarchy:
         params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}
         short = cli._hierarchy_chunk((42, 0, 25, params))
         long = cli._hierarchy_chunk((42, 0, 60, params))
-        assert short == long[:25]
+        assert_columns_equal(short, {name: col[:25] for name, col in long.items()})
 
     def test_chunk_builds_no_generator(self, monkeypatch):
         # the chunk draws its uniforms from the stacked Philox kernel: no Generator,
         # and still the rows of one hierarchy call per trial on its own stream
         params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}
-        expected = []
-        for t in range(5, 45):
-            e = sampling.random_ensemble(3, 2, sampling.stream_rng(42, t), ancilla=3)
-            r = cli.bounds.hierarchy(e, b=params["b"])
-            expected.append(None if r is None else {
-                **{name: getattr(r, name) for name in cli._HIERARCHY_FIELDS},
-                "conjecture": r.violations["conjecture"]})
+        expected = [cli.bounds.hierarchy(sampling.random_ensemble(3, 2, sampling.stream_rng(42, t),
+                                                                  ancilla=3), b=params["b"])
+                    for t in range(5, 45)]
 
         def no_generator(*args, **kwargs):
             raise AssertionError("a Generator was built")
 
         monkeypatch.setattr(sampling, "stream_rng", no_generator)
         monkeypatch.setattr(np.random, "Generator", no_generator)
-        assert cli._hierarchy_chunk((42, 5, 45, params)) == expected
+        cols = cli._hierarchy_chunk((42, 5, 45, params))
+        rows = [{name: col[i].item() for name, col in cols.items()} if cols["kept"][i] else None
+                for i in range(40)]
+        assert rows == expected
 
     def test_rows_independent_of_chunk_size(self):
         # each chunk is one stacked evaluation; a row never depends on its neighbours
         params = {"k": 3, "dim": 2, "b": math.sqrt(3.0), "ancilla": 3}
         whole = cli._hierarchy_chunk((42, 0, 60, params))
         for size in (1, 7, 25):
-            rows = []
-            for start in range(0, 60, size):
-                rows += cli._hierarchy_chunk((42, start, min(start + size, 60), params))
-            assert rows == whole
+            parts = [cli._hierarchy_chunk((42, start, min(start + size, 60), params))
+                     for start in range(0, 60, size)]
+            assert_columns_equal({name: np.concatenate([p[name] for p in parts]) for name in whole}, whole)
+
+
+def assert_columns_equal(actual: dict, expected: dict) -> None:
+    """Same column names, and each column the same bits (NaN included)."""
+    assert set(actual) == set(expected)
+    for name, col in expected.items():
+        assert actual[name].dtype == col.dtype and actual[name].tobytes() == col.tobytes(), name
+
+
+class TestStackedSuites:
+    def test_conjecture1_chunk_builds_no_generator(self, monkeypatch):
+        expected = conjecture_reference(3, 2, 42, 5, 45)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a Generator was built")
+
+        monkeypatch.setattr(sampling, "stream_rng", no_generator)
+        monkeypatch.setattr(np.random, "Generator", no_generator)
+        cols = cli._run_chunk(("conjecture1", 42, 5, 45, {"k": 3, "dim": 2}))
+        assert_columns_equal(cols, {"slack": expected, "violation": expected > cli.VIOLATION_SLACK})
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_conjecture1_rows_independent_of_chunk_size(self, dim):
+        params = {"k": 3, "dim": dim}
+        whole = cli._run_chunk(("conjecture1", 42, 0, 60, params))
+        for size in (1, 7, 25):
+            parts = [cli._run_chunk(("conjecture1", 42, start, min(start + size, 60), params))
+                     for start in range(0, 60, size)]
+            assert_columns_equal({name: np.concatenate([p[name] for p in parts]) for name in whole}, whole)
+
+    @pytest.mark.parametrize("suite", ["theorem1", "davies"])
+    def test_benchmark_records_one_call_per_trial(self, suite, monkeypatch, capsys):
+        # the benchmark records these suites' per-trial slacks by swapping their
+        # _TRIALS entries for recorders, so each must stay one call per trial, in order
+        calls = []
+        trial = cli._TRIALS[suite]
+
+        def recorded(seed, t, params):
+            row = trial(seed, t, params)
+            calls.append((t, row["slack"]))
+            return row
+
+        monkeypatch.setitem(cli._TRIALS, suite, recorded)
+        code, out = run_main(capsys, ["verify", "--suite", suite, "--trials", "6", "--seed", "3",
+                                      "--jobs", "1"])
+        assert code == 0 and [t for t, _ in calls] == list(range(6))
+        assert json.loads(out)["max_slack"] == max(slack for _, slack in calls)
+
+
+class TestElapsed:
+    def test_elapsed_ms_from_the_monotonic_clock(self, monkeypatch, capsys):
+        ticks = iter([10.0, 11.5])
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+        code, out = run_main(capsys, ["verify", "--suite", "theorem1", "--trials", "2"])
+        assert code == 0 and json.loads(out)["elapsed_ms"] == 1500
 
 
 class TestFigures:

@@ -73,6 +73,10 @@ def _hierarchy(p):
     return bounds.hierarchy_batch(np.array(p)[None], _QUBITS[None, :3])
 
 
+def _conjecture(p):
+    return bounds.conjecture_excess(np.array(p)[None], _QUBITS[None, :3])
+
+
 def _mutual_information(p):
     return entropy.mutual_information_classical(np.reshape(p, (2, 2)))
 
@@ -89,6 +93,7 @@ def _jsd(p):
 ENTRY_POINTS = {
     "Ensemble": (_ensemble, 4, False),
     "hierarchy_batch": (_hierarchy, 3, False),
+    "conjecture_excess": (_conjecture, 3, False),
     "pauli_channel": (qubit.pauli_channel, 4, False),
     "pauli_points": (qubit.pauli_points, 4, False),
     "mutual_information_classical": (_mutual_information, 4, False),

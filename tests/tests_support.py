@@ -3,9 +3,10 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from chanent import davies
+from chanent import bounds, davies
+from chanent.entropy import vn_entropy
 from chanent.matfun import matrix_exp
-from chanent.sampling import haar_unitary, random_channel, stream_rng
+from chanent.sampling import haar_unitary, random_channel, random_ensemble, stream_rng
 
 
 def polar_2x2(x: np.ndarray) -> np.ndarray:
@@ -13,6 +14,16 @@ def polar_2x2(x: np.ndarray) -> np.ndarray:
     (x + adj(x)†)/sqrt(|x|_F² + 2 det x)."""
     adj = np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
     return (x + adj.conj().T) / np.sqrt(np.sum(np.abs(x) ** 2) + 2 * np.linalg.det(x).real)
+
+
+def conjecture_reference(k: int, dim: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """chi - S(G) of trials [start, stop) of the conjecture1 suite, one ensemble at a
+    time through the public functions."""
+    out = []
+    for t in range(start, stop):
+        e = random_ensemble(k, dim, stream_rng(seed, t))
+        out.append(bounds.holevo(e) - vn_entropy(bounds.fidelity_matrix(e, "G")))
+    return np.array(out)
 
 
 def random_thermal_block(rng, with_mu: bool = False) -> davies.DaviesQutritBlock:
