@@ -11,6 +11,7 @@ Exit codes: 0 success/no violations, 1 violations found, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -334,6 +335,7 @@ def figure_davies_qubit_region(resolution: int, seed: int) -> str:
 # argument handling
 
 
+@functools.cache  # one parser per process: a build takes about 1 ms, more than some whole commands
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chanent",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .tolerances import PSD_TOL, SUPPORT_CUTOFF
 
@@ -236,5 +235,11 @@ def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
+    """Matrix exponential (scaling-and-squaring, via scipy).
+
+    No command of the package calls it, so SciPy is imported here, on the
+    first call, and `import chanent` loads no SciPy.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(np.asarray(m))

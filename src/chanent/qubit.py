@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .channels import Channel, map_entropy
 from .entropy import EntropyOrder, VON_NEUMANN, _clean_probs, spectrum_entropy, vn_entropy
+from .matfun import NonFiniteError
 from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
 from .tolerances import (DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM,
@@ -141,21 +141,36 @@ def _max_bloch_direction(w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
             y[0] = math.sqrt(max(1.0 - weight, 0.0))
             return q @ y
 
-    def secular(nu: float) -> float:
-        # 1/|y| - 1 at mu = exp(nu): nearly linear in mu, and a root next to a
-        # tiny |c_top| is found to full relative precision
-        return 1.0 / math.sqrt(float(np.sum((c_live / (math.exp(nu) + d_live)) ** 2))) - 1.0
-
-    nu_lo, nu_hi = math.log(lo), math.log(hi)
-    if secular(nu_lo) >= 0.0:
-        nu = nu_lo
-    elif secular(nu_hi) <= 0.0:
-        nu = nu_hi
-    else:
-        nu = scipy.optimize.brentq(secular, nu_lo, nu_hi, xtol=4 * np.finfo(float).eps)
-    mu = math.exp(nu)
+    mu = _secular_root(c_live.tolist(), d_live.tolist(), lo, hi)
     y = c / (mu + d)
     return q @ (y / np.linalg.norm(y))
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _secular_root(c: list, d: list, lo: float, hi: float) -> float:
+    """The root mu in [lo, hi] of psi(mu) = 1/|y(mu)| - 1, y_i = c_i/(mu + d_i), by Newton from lo.
+
+    All d_i >= 0 and lo > 0, so psi is concave and increasing on [lo, hi]
+    (Moré & Sorensen 1983) and psi(lo) <= 0. Each Newton step then lands
+    left of the root, and mu rises monotonically without a bracketing
+    safeguard: the iteration stops once a step no longer raises mu by more
+    than 2 eps relative, or mu has reached hi. psi is nearly linear in mu,
+    so a root next to a tiny c_top is found to full relative precision.
+    """
+    mu = lo
+    while True:
+        y = [ci / (mu + di) for ci, di in zip(c, d)]
+        norm2 = math.fsum(yi * yi for yi in y)
+        # the Newton step over mu, -psi/(mu psi') = |y|²(|y| - 1)/sum y_i² mu/(mu + d_i),
+        # whose terms stay below |y|² however small mu is
+        rel = norm2 * (math.sqrt(norm2) - 1.0) / math.fsum(yi * yi * (mu / (mu + di)) for yi, di in zip(y, d))
+        if not math.isfinite(rel):
+            raise NonFiniteError(f"secular equation is not finite at mu = {mu!r}")
+        if not rel > 2.0 * _EPS or mu == hi:
+            return mu
+        mu = min(mu + mu * rel, hi)
 
 
 def _max_bloch_radius(phi: Channel) -> tuple[float, np.ndarray]:
@@ -273,6 +288,8 @@ def _min_entropy_probes(phi: Channel, order: EntropyOrder, seed: int) -> tuple[f
     basins than this search, above it on 17 by up to 1.6e-3 and below it on 3 by
     up to 5.2e-2. Neither is exact for q < 1; this keeps the values returned so far.
     """
+    import scipy.optimize  # here, not at module level: no command reaches this function
+
     n = phi.in_dim
 
     def entropy_at(vec):

@@ -26,6 +26,7 @@ from chanent.sampling import (
     stream_rng,
 )
 from chanent.states import angle, pure_state, schmidt
+from tests_support import criterion7_davies
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -182,18 +183,11 @@ class TestCriterion6TwoPureOneMixed:
         assert ok
 
 
-def _random_davies(rng):
-    p = 0.05 + 0.9 * rng.random()
-    a = rng.random() * (1 - p) * 0.99
-    cmax = math.sqrt(1 - a / (1 - p))
-    return davies.DaviesQubit(a=a, c=(0.01 + 0.98 * rng.random()) * cmax, p=p)
-
-
 class TestCriterion7DaviesQubit:
     def test_minimizer_closed_form(self):
         worst = 0.0
         for t in range(200):
-            d = _random_davies(stream_rng(SEED + 5, t))
+            d = criterion7_davies(stream_rng(SEED + 5, t))
             _, s_closed = davies.qubit_minimizer(d)
             s_opt, _ = qubit.min_output_entropy(davies.qubit_superoperator(d))
             worst = max(worst, abs(s_closed - s_opt))
@@ -217,7 +211,7 @@ class TestCriterion7DaviesQubit:
         worst = 0.0
         for t in range(50):
             rng = stream_rng(SEED + 7, t)
-            d = _random_davies(rng)
+            d = criterion7_davies(rng)
             phi = davies.qubit_superoperator(d)
             omega = random_channel(2, 1 + int(rng.random() * 3), rng)
             m_phi = davies.qubit_max_norm(d)

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,27 +182,27 @@ class TestPoolSize:
         assert json.loads(out)["results"]["trials"] == 1
 
 
+# each of these once ended in a traceback (exit 1, the "violations found"
+# code) or was silently accepted
+USAGE_ERRORS = [
+    ["hierarchy", "--k", "4"],
+    ["hierarchy", "--dim", "3"],
+    ["hierarchy", "--b", "1.0"],
+    ["hierarchy", "--b", "nan"],
+    ["hierarchy", "--ancilla", "0"],
+    ["verify", "--suite", "conjecture1", "--k", "0"],
+    ["verify", "--suite", "theorem1", "--dim", "0"],
+    ["verify", "--suite", "theorem1", "--jobs", "0"],
+    ["figure", "--figure", "davies-qutrit-set", "--resolution", "5"],
+    ["figure", "--figure", "additivity-region", "--resolution", "0"],
+    ["figure", "--figure", "scatter-q", "--q", "nan"],
+    ["verify", "--suite", "conjecture1", "--k", "4"],
+    ["figure", "--figure", "scatter-q", "--q", "inf"],
+]
+
+
 class TestUsageErrors:
-    # each of these once ended in a traceback (exit 1, the "violations found"
-    # code) or was silently accepted
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["hierarchy", "--k", "4"],
-            ["hierarchy", "--dim", "3"],
-            ["hierarchy", "--b", "1.0"],
-            ["hierarchy", "--b", "nan"],
-            ["hierarchy", "--ancilla", "0"],
-            ["verify", "--suite", "conjecture1", "--k", "0"],
-            ["verify", "--suite", "theorem1", "--dim", "0"],
-            ["verify", "--suite", "theorem1", "--jobs", "0"],
-            ["figure", "--figure", "davies-qutrit-set", "--resolution", "5"],
-            ["figure", "--figure", "additivity-region", "--resolution", "0"],
-            ["figure", "--figure", "scatter-q", "--q", "nan"],
-            ["verify", "--suite", "conjecture1", "--k", "4"],
-            ["figure", "--figure", "scatter-q", "--q", "inf"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
     def test_bad_parameter_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main([*argv, "--trials", "3"])
@@ -214,6 +217,47 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_parser_per_process(self, capsys):
+        # main reuses one parser: after each usage error it still parses like a fresh one
+        parser, fresh = cli._build_parser(), cli._build_parser.__wrapped__()
+        assert cli._build_parser() is parser
+        good = [["figure", "--figure", "scatter-q"], ["verify", "--suite", "davies"], ["hierarchy"]]
+        for argv in USAGE_ERRORS:
+            with pytest.raises(SystemExit) as err:
+                cli.main([*argv, "--trials", "3"])
+            assert err.value.code == 2
+            for ok in good:
+                assert vars(parser.parse_args(ok)) == vars(fresh.parse_args(ok))
+        assert parser.parse_args(good[0]).format == "csv" and parser.parse_args(good[1]).format == "json"
+        assert capsys.readouterr().out == ""
+
+
+class TestImports:
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every command in one fresh interpreter: importing SciPy would dominate a short command's start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from chanent import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+commands = [["verify", "--suite", s, "--trials", "10" if s == "davies" else "2"] for s in cli.SUITES]
+commands += [["figure", "--figure", f, "--trials", "3", "--resolution", "10"] for f in cli.FIGURES]
+commands += [["hierarchy", "--trials", "20"], ["figure", "--figure", "scatter-q", "--q", "0.5", "--trials", "3"]]
+assert not scipy_modules(), ("import chanent.cli", scipy_modules()[:3])
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    assert not scipy_modules(), (argv, scipy_modules()[:3])
+"""
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestHierarchy:

@@ -8,13 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chanent import davies, qubit
+from chanent.cli import _random_davies
 from chanent.channels import Channel, identity_channel, map_entropy, unitary_channel
 from chanent.entropy import VON_NEUMANN, EntropyOrder, shannon, spectrum_entropy, vn_entropy
-from chanent.matfun import SUPPORT_CUTOFF, psd_log, psd_power
+from chanent.matfun import SUPPORT_CUTOFF, NonFiniteError, psd_log, psd_power
 from chanent.states import PAULI, to_bloch
 from chanent.sampling import (_flat_dirichlet, dirichlet, haar_unitary, random_channel, random_pure_state,
                               stream_rng, stream_uniforms)
-from tests_support import kraus_lists
+from tests_support import criterion7_davies, kraus_lists
 
 
 class TestPauliChannel:
@@ -247,6 +248,87 @@ class TestExactQubitMinimizer:
             qubit.min_output_entropy(random_channel(2, 2, stream_rng(73, 40 + t)))
         with pytest.raises(AssertionError):
             qubit.min_output_entropy(qubit.depolarizing(3, 0.5), EntropyOrder.renyi(0.5))
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def brentq_root(c, d, lo, hi):
+    """The root of psi(mu) = 1/|y(mu)| - 1, y = c/(mu + d), by brentq on [lo, hi] to 4 eps relative."""
+    c, d = np.asarray(c), np.asarray(d)
+
+    def psi(mu):
+        return 1.0 / math.sqrt(float(np.sum((c / (mu + d)) ** 2))) - 1.0
+
+    if psi(lo) >= 0.0:
+        return lo
+    if psi(hi) <= 0.0:
+        return hi
+    return scipy.optimize.brentq(psi, lo, hi, xtol=4 * EPS * lo, rtol=4 * EPS, maxiter=2000)
+
+
+def root_condition(c, d, mu) -> float:
+    """cond = 1/(mu psi'(mu)) >= 1 at the root: rounding of order eps in psi moves mu by cond eps, relative."""
+    t = np.asarray(mu) + np.asarray(d)
+    y = np.asarray(c) / t
+    return float(y @ y) ** 1.5 / float(np.sum(y * y * (mu / t)))
+
+
+def secular_channels():
+    """The qubit channels of acceptance criteria 4 and 7, then Davies and random draws."""
+    yield from (qubit.depolarizing(2, float(s)) for s in np.linspace(0.02, 0.98, 20))
+    for t in range(200):
+        yield davies.qubit_superoperator(criterion7_davies(stream_rng(42 + 5, t)))
+    for t in range(50):
+        rng = stream_rng(42 + 7, t)
+        criterion7_davies(rng)
+        yield random_channel(2, 1 + int(rng.random() * 3), rng)
+    for t in range(600):
+        yield davies.qubit_superoperator(_random_davies(stream_rng(77, t)))
+        yield random_channel(2, 1 + t % 4, stream_rng(205, t))
+
+
+class TestSecularRoot:
+    # `_secular_root` is Newton on psi(mu) from the bracket's left end; brentq on the same
+    # psi is the reference. Both stop at rounding, which moves the root by cond eps.
+    def test_matches_brentq(self, monkeypatch):
+        newton, roots, interior = qubit._secular_root, [], 0
+
+        def recorded(c, d, lo, hi):
+            roots.append((c, d, lo, hi, newton(c, d, lo, hi)))
+            return roots[-1][-1]
+
+        for phi in secular_channels():
+            w, kappa = qubit._bloch_affine(phi)
+            roots.clear()
+            monkeypatch.setattr(qubit, "_secular_root", recorded)
+            r = qubit._max_bloch_direction(w, kappa)
+            monkeypatch.setattr(qubit, "_secular_root", brentq_root)
+            assert np.abs(r - qubit._max_bloch_direction(w, kappa)).max() <= 1e-15
+            for c, d, lo, hi, mu in roots:
+                ref = brentq_root(c, d, lo, hi)
+                assert lo <= mu <= hi
+                assert abs(mu - ref) <= 4 * EPS * root_condition(c, d, ref) * ref
+                interior += lo < ref < hi
+        assert interior >= 500
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-300, -1), st.integers(1, 12), st.sampled_from([-1.0, 1.0]),
+           st.floats(0.05, 0.95), st.floats(0.0, math.pi / 2))
+    def test_near_the_hard_case(self, top, gap, side, d2, angle):
+        # |c_top| = 10^top and sum_rest c²/d² = 1 ± 10^-gap: the root sits next to the pole
+        # at mu = 0, and for the minus sign it tends to 0 with c_top (the hard case)
+        d = [0.0, d2, 1.0]
+        scale = math.sqrt(1.0 + side * 10.0 ** -gap)
+        c = [10.0 ** top, scale * math.cos(angle) * d2, scale * math.sin(angle)]
+        lo, hi = abs(c[0]), math.hypot(*c)
+        mu, ref = qubit._secular_root(c, d, lo, hi), brentq_root(c, d, lo, hi)
+        assert lo <= mu <= hi
+        assert abs(mu - ref) <= 4 * EPS * root_condition(c, d, ref) * ref
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NonFiniteError):
+            qubit._secular_root([math.nan, 0.5], [0.0, 0.5], 0.1, 1.0)
 
 
 R2 = EntropyOrder.renyi(2.0)

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -24,6 +26,14 @@ def conjecture_reference(k: int, dim: int, seed: int, start: int, stop: int) -> 
         e = random_ensemble(k, dim, stream_rng(seed, t))
         out.append(bounds.holevo(e) - vn_entropy(bounds.fidelity_matrix(e, "G")))
     return np.array(out)
+
+
+def criterion7_davies(rng) -> davies.DaviesQubit:
+    """The Davies qubit map that acceptance criterion 7 draws from rng."""
+    p = 0.05 + 0.9 * rng.random()
+    a = rng.random() * (1 - p) * 0.99
+    cmax = math.sqrt(1 - a / (1 - p))
+    return davies.DaviesQubit(a=a, c=(0.01 + 0.98 * rng.random()) * cmax, p=p)
 
 
 def random_thermal_block(rng, with_mu: bool = False) -> davies.DaviesQutritBlock:
