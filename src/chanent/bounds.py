@@ -21,7 +21,7 @@ from .entropy import (
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum
+from .matfun import from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
 from .states import assert_state, from_bloch, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
                          PSD_TOL, VIOLATION_SLACK)
@@ -362,8 +362,9 @@ def hierarchy(e: Ensemble, b: float = math.sqrt(3.0)) -> dict | None:
 
 def _decomposed(probs: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(probs, chi, roots) of (B, k) probabilities and (B, k, n, n) states: the checked
-    probabilities, the Holevo quantities and the square roots, from one eigh of the states
-    (its eigenvalues enter chi) and one eigvalsh of the average states.
+    probabilities, the Holevo quantities and the square roots, from one psd_eigh of the
+    states (its eigenvalues enter chi) and one spectrum of the average states. For qubits
+    both are the closed forms of matfun, with no LAPACK call.
     """
     probs, states = _clean_probs(probs), np.asarray(states, dtype=complex)
     if probs.ndim != 2 or states.shape != probs.shape + states.shape[-1:] * 2:
@@ -382,7 +383,8 @@ def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(
     with chi at 0 and H(P) at 1. kept is False, and the row's entropies NaN, where H(P) -
     chi is below HIERARCHY_SKIP_GAP. conjecture is kept & (chi > S(G) + VIOLATION_SLACK).
     One root_svd of the pair products gives the root fidelities and the polar factors of
-    the layered chain, and one eigvalsh the five matrices' spectra.
+    the layered chain, and one spectrum3 the five matrices' spectra: with the closed-form
+    qubit decompositions of _decomposed, a chunk makes no LAPACK call.
     Every row is bit-identical whatever the stack around it.
     """
     if np.shape(probs)[-1:] != (3,) or np.shape(states)[-1:] != (2,):
@@ -397,7 +399,7 @@ def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(
         _purification_gram(probs, roots.reshape(roots.shape[:2] + (4,))),
         g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, rf, roots, steps),
     ], axis=1)
-    ent = vn_entropy(aux)  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
+    ent = _eigenvalue_entropy(spectrum3(aux))  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
     kept = ~(h_p - chi < HIERARCHY_SKIP_GAP)  # a NaN gap keeps its row, so it cannot pass as a skip
     norm = np.where(kept[:, None], (ent - chi[:, None]) / np.where(kept, h_p - chi, 1.0)[:, None], np.nan)
     cols = dict(zip(("s_gram", "s_fid", "s_fid_b", "s_fid_sq", "s_layered"), norm.T))
@@ -529,20 +531,10 @@ def fidelity_sum_identity(triple: TripleGeometry) -> float:
 
 
 def symmetric_triple_eigenvalues(f12: float, f13: float, f23: float) -> np.ndarray:
-    """Closed-form eigenvalues of the uniform-probability root-fidelity matrix.
-
-    Roots of (1/3 - x)³ + p (1/3 - x) + q with p = -(F12+F13+F23)/9 and
-    q = 2 sqrt(F12 F13 F23)/27, by the trigonometric cubic formula.
-    """
-    p = -(f12 + f13 + f23) / 9.0
-    q = 2.0 * math.sqrt(max(f12 * f13 * f23, 0.0)) / 27.0
-    if p >= 0.0:  # all fidelities zero: matrix is I/3
-        return np.full(3, 1.0 / 3.0)
-    amp = 2.0 * math.sqrt(-p / 3.0)
-    arg = (3.0 * q / (2.0 * p)) * math.sqrt(3.0 / -p)
-    theta = math.acos(min(max(arg, -1.0), 1.0)) / 3.0
-    lams = [1.0 / 3.0 - amp * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return np.sort(lams)
+    """Ascending eigenvalues of the uniform-probability root-fidelity matrix, with
+    sqrt(F_ij)/3 off the diagonal and 1/3 on it, by matfun.spectrum3."""
+    r12, r13, r23 = np.sqrt(np.maximum([f12, f13, f23], 0.0))
+    return spectrum3(np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]]) / 3.0)
 
 
 def symmetric_triple_check(f: float, b: float) -> tuple[float, float, bool]:

@@ -1,8 +1,11 @@
 """Dense complex matrix utilities.
 
 Everything here operates on plain numpy arrays. Matrices are small (the
-rest of the package never goes past dimension ~64), so eigendecompositions
-and SVDs are used freely instead of iterative methods.
+rest of the package never goes past dimension ~64), so dense LAPACK
+eigendecompositions and SVDs serve instead of iterative methods. The
+smallest cases, where LAPACK's per-call cost outweighs the work, have closed
+forms: 2×2 spectra and eigenvectors in `spectrum` and `psd_eigh`, 2×2 root
+fidelities in `root_svd`, and 3×3 spectra in `spectrum3`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 
 import numpy as np
 
-from .tolerances import PSD_TOL, SUPPORT_CUTOFF
+from .tolerances import PSD_TOL, SUPPORT_CUTOFF, TRIPLE_ROOT_FLOOR
 
 __all__ = [
     "SUPPORT_CUTOFF",
@@ -22,6 +25,7 @@ __all__ = [
     "kron",
     "hermitize",
     "spectrum",
+    "spectrum3",
     "psd_eigh",
     "from_eigh",
     "spectral",
@@ -98,25 +102,146 @@ def _finite(h) -> np.ndarray:
 def spectrum(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix in a (..., n, n) stack.
 
+    2×2 input takes the closed form of _eigh2, larger input one eigvalsh.
     Raises NonFiniteError on NaN or inf, which an eigensolver may otherwise
     turn into finite eigenvalues.
     """
-    return np.linalg.eigvalsh(hermitize(_finite(h)))
+    h = _finite(h)
+    if h.shape[-2:] == (2, 2):
+        return _eigh2(h)[0]
+    return np.linalg.eigvalsh(hermitize(h))
 
 
 def psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked eigendecomposition (w, v), h = v diag(w) v†, of each PSD Hermitian
     matrix of a (..., n, n) stack; w ascending along the last axis.
 
-    One eigh covers the whole stack, and each matrix is decomposed exactly
-    as it would be alone, so a result never depends on the stack around it.
-    Eigenvalues below -PSD_TOL raise NotPSDError; those in [-PSD_TOL, 0) are
-    clipped to 0. Non-finite input raises NonFiniteError.
+    2×2 input takes the closed form of _eigh2, so its w is spectrum(h) clipped
+    at 0 bit for bit; larger input one eigh of the whole stack. Either way each
+    matrix is decomposed exactly as it would be alone, so a result never
+    depends on the stack around it. Eigenvalues below -PSD_TOL raise
+    NotPSDError; those in [-PSD_TOL, 0) are clipped to 0. Non-finite input
+    raises NonFiniteError.
     """
-    w, v = np.linalg.eigh(hermitize(_finite(h)))
+    h = _finite(h)
+    w, v = _eigh2(h, vectors=True) if h.shape[-2:] == (2, 2) else np.linalg.eigh(hermitize(h))
     if w.min(initial=0.0) < -PSD_TOL:
         raise NotPSDError(f"min eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
     return np.maximum(w, 0.0), v
+
+
+def _eigh2(h: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues, and with vectors=True the eigenvectors as columns, of
+    the Hermitian part of each matrix of a (..., 2, 2) stack, in closed form.
+
+    With diagonal a, d and off-diagonal b, the roots are m ± r with m = (a+d)/2
+    and r = hypot((a-d)/2, |b|). The root of m's sign, m + copysign(r, m), adds
+    two terms of one sign; the other is det/that, det = ad - |b|², so neither
+    cancels. The eigenvector of m + r is (r + |δ|, b̄) for δ = (a-d)/2 >= 0 and
+    (b, r + |δ|) otherwise, again a sum of one sign, and that of m - r is its
+    orthogonal complement; h = mI gives the identity. The vectors are
+    normalized by real divisions: a complex one takes the reciprocal of its
+    divisor, which overflows on a subnormal norm.
+    """
+    a, d = h[..., 0, 0].real, h[..., 1, 1].real
+    b = (h[..., 0, 1] + h[..., 1, 0].conj()) / 2.0
+    m, half = (a + d) / 2.0, (a - d) / 2.0
+    abs_b = np.abs(b)
+    r = np.hypot(half, abs_b)
+    far = m + np.copysign(r, m)  # 0 only where h = 0, and then so is det
+    near = (a * d - abs_b * abs_b) / (far + (far == 0.0))
+    # filled in place: np.stack and np.where cost more than the arithmetic on one matrix
+    w = np.empty(far.shape + (2,))
+    np.minimum(far, near, out=w[..., 0])
+    np.maximum(far, near, out=w[..., 1])
+    if not vectors:
+        return w, None
+    s = r + np.abs(half)
+    norm = np.hypot(s, abs_b)
+    flat = norm == 0.0  # h = mI: (c, q) = (0, 1) below gives v = I
+    norm = norm + flat
+    c, q = s / norm, b.real / norm + flat
+    if np.iscomplexobj(b):
+        q = q + 1j * (b.imag / norm)
+    # v = [[P, R], [-R̄, P̄]]: its second column (R, P̄) is (c, q̄) for δ >= 0 and (q, c) otherwise
+    up = half >= 0.0
+    v = np.empty(h.shape, dtype=q.dtype)
+    v[..., 0, 0] = v[..., 1, 1] = np.where(up, q, c)
+    v[..., 0, 1] = v[..., 1, 0] = np.where(up, c, q)
+    v[..., 1, 0] *= -1.0
+    if np.iscomplexobj(v):
+        v[..., 1, :] = v[..., 1, :].conj()
+    return w, v
+
+
+def spectrum3(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix of a (..., 3, 3)
+    stack, in closed form: the trigonometric method (Smith, Comm. ACM 4, 1961)
+    for one eigenvalue, deflation for the other two.
+
+    With K = h - mI traceless, p = tr K²/6 and r = det K / (2 p^{3/2}) in
+    [-1, 1], the eigenvalue of K farthest from the other two is
+    mu = copysign(2 sqrt(p) cos(arccos|r| / 3), r); it lies at least
+    sqrt(3p) from both, so arccos near |r| = 1 costs it no digits. The other
+    two are -mu/2 ± g/2, and their gap g is where the cubic alone loses
+    digits, about eps·p/g (a Newton step on det(h - lambda I) keeps that
+    error). So g comes from the deflated matrix instead: adj(K - mu I) is
+    tr(adj)·x x† for the unit eigenvector x of mu, and
+    D = K + (mu/2) I - (3mu/2) x x† has eigenvalues 0 and ±g/2, so
+    g/2 = |D|_F / sqrt(2), a sum of squares. Every eigenvalue is then within a
+    few eps·|h| of LAPACK's, near double and triple roots included.
+
+    A row with p at or below TRIPLE_ROOT_FLOOR (three eigenvalues equal to
+    within ~1e-95) or at or above its inverse, where det K and p^{3/2} leave
+    the normal range, takes np.linalg.eigvalsh. Each row's result depends on
+    that row alone. Raises NonFiniteError on NaN or inf.
+    """
+    h = hermitize(_finite(h))
+    with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fall back
+        w, fallback = _trig3(h)
+    if fallback.any():
+        w[fallback] = np.linalg.eigvalsh(h[fallback])
+    return w
+
+
+def _trig3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """spectrum3 of each Hermitian h of a (..., 3, 3) stack, and the mask of rows it leaves to LAPACK.
+
+    Complex products are spelled out in real arithmetic: NumPy rounds a
+    complex product of two scalars differently from the same product in an
+    array loop (one of them fuses a multiply and an add), which would make a
+    matrix's last bit depend on whether it comes alone or in a stack.
+    """
+    d0, d1, d2 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 2, 2].real
+    (xr, xi), (zr, zi), (yr, yi) = ((b.real, b.imag) for b in (h[..., 0, 1], h[..., 0, 2], h[..., 1, 2]))
+    m = (d0 + d1 + d2) / 3.0
+    k0, k1, k2 = d0 - m, d1 - m, d2 - m
+    shift = (k0 + k1 + k2) / 3.0  # the rounding of m, which would leave K a trace of its own size
+    m, k0, k1, k2 = m + shift, k0 - shift, k1 - shift, k2 - shift
+    n01, n02, n12 = xr * xr + xi * xi, zr * zr + zi * zi, yr * yr + yi * yi
+    ur, ui = xr * yr - xi * yi, xr * yi + xi * yr  # h01 h12
+    p = (k0 * k0 + k1 * k1 + k2 * k2 + 2.0 * (n01 + n02 + n12)) / 6.0
+    det = k0 * k1 * k2 + 2.0 * (ur * zr + ui * zi) - k0 * n12 - k1 * n02 - k2 * n01
+    fallback = ~((p > TRIPLE_ROOT_FLOOR) & (p < 1.0 / TRIPLE_ROOT_FLOOR))
+    p = np.where(fallback, 1.0, p)
+    root_p = np.sqrt(p)
+    r = np.clip(det / (2.0 * p * root_p), -1.0, 1.0)
+    mu = np.copysign(2.0 * root_p * np.cos(np.arccos(np.abs(r)) / 3.0), r)
+    # adj(A) of A = K - mu I, then D = K + (mu/2) I - (3mu/2) adj(A)/tr adj(A)
+    a0, a1, a2 = k0 - mu, k1 - mu, k2 - mu
+    c00, c11, c22 = a1 * a2 - n12, a0 * a2 - n02, a0 * a1 - n01
+    scale, mid = 1.5 * mu / (c00 + c11 + c22), -0.5 * mu
+    e0, e1, e2 = k0 - mid - scale * c00, k1 - mid - scale * c11, k2 - mid - scale * c22
+    # the upper off-diagonals of h and of adj(A): h02 h21 - h01 a2, h01 h12 - h02 a1, h02 h10 - h12 a0
+    upper = ((xr, xi), (zr, zi), (yr, yi))
+    adj = ((zr * yr + zi * yi - xr * a2, zi * yr - zr * yi - xi * a2), (ur - zr * a1, ui - zi * a1),
+           (zr * xr + zi * xi - yr * a0, zi * xr - zr * xi - yi * a0))
+    off = sum((br - scale * cr) ** 2 + (bi - scale * ci) ** 2 for (br, bi), (cr, ci) in zip(upper, adj))
+    half = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2) / 2.0 + off)
+    low, high, far = m + (mid - half), m + (mid + half), m + mu
+    top = mu >= 0.0
+    w = np.stack([np.where(top, low, far), np.where(top, high, low), np.where(top, far, high)], axis=-1)
+    return w, fallback
 
 
 def from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -37,6 +37,14 @@ SCHMIDT_CUTOFF = 1e-10
 #: would flip from one machine to the next.
 PHASE_CUTOFF = 1e-12
 
+#: `matfun.spectrum3` leaves a 3×3 matrix to LAPACK when p = tr K²/6 of its
+#: traceless part K = h - (tr h/3) I is at or below this, or at or above its
+#: inverse. Below it the three eigenvalues agree to within ~1e-95, and det K, a
+#: cubic in K's entries, and p^(3/2) fall out of the normal range and lose their
+#: digits; above the inverse they overflow. No 3×3 matrix of the package comes
+#: near either end but a multiple of the identity, whose p is 0.
+TRIPLE_ROOT_FLOOR = 1e-190
+
 # -- states and probabilities ------------------------------------------------------
 
 #: How far an eigenvalue of a PSD matrix may fall below zero by rounding: such

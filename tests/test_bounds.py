@@ -428,14 +428,13 @@ class TestLayeredMatrix:
 
     def test_fidelity_matrix_is_the_batch_row(self, monkeypatch):
         aux = []
-        real = bounds.vn_entropy
+        real = bounds.spectrum3
 
-        def recorded(rho, *args):
-            if np.shape(rho)[-3:] == (5, 3, 3):
-                aux.append(rho)
-            return real(rho, *args)
+        def recorded(h):
+            aux.append(h)
+            return real(h)
 
-        monkeypatch.setattr(bounds, "vn_entropy", recorded)
+        monkeypatch.setattr(bounds, "spectrum3", recorded)
         rng = stream_rng(61, 0)
         ens = [random_ens(rng) for _ in range(3)] + [Ensemble(
             np.full(3, 1 / 3), [pure_state(random_pure_state(2, rng)) for _ in range(3)])]
@@ -532,15 +531,15 @@ class TestHierarchy:
         bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
         assert pairs == [3 * 5]  # one root_svd call: 3 pairs per ensemble
 
-    def test_one_eigh_per_chunk_and_no_svd(self, monkeypatch):
+    def test_no_lapack_call_per_chunk(self, monkeypatch):
         calls = record_shapes(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd"))
+        calls.update(record_shapes(monkeypatch, bounds, ("spectrum3",)))
         rng = stream_rng(60, 4)
         ens = [random_ens(rng) for _ in range(5)]
         bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
-        assert calls["svd"] == []
-        assert calls["eigh"] == [(5, 3, 2, 2)]  # the states, once
-        # no state reaches an eigvalsh: only the average states and the five auxiliary matrices
-        assert sorted(calls["eigvalsh"]) == [(5, 2, 2), (5, 5, 3, 3)]
+        # the states and average states take matfun's 2×2 closed forms, the five auxiliary
+        # matrices one spectrum3 that leaves no row to LAPACK
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "spectrum3": [(5, 5, 3, 3)]}
 
     def test_non_finite_state_fails_the_batch(self):
         rng = stream_rng(60, 5)
@@ -732,14 +731,19 @@ class TestConjectureExcess:
                                    atol=8 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_one_eigh_and_one_root_svd_per_stack(self, dim, monkeypatch):
-        calls = record_shapes(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    def test_decompositions_per_stack(self, dim, monkeypatch):
+        calls = record_shapes(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd"))
         calls.update(record_shapes(monkeypatch, bounds, ("root_svd",)))
         bounds.conjecture_excess(*random_ensembles(3, dim, 68, 0, 5))
-        assert calls["eigh"] == [(5, 3, dim, dim)]  # the states, once
         assert calls["root_svd"] == [(5, 3, dim, dim)]  # one call: 3 pairs per ensemble
-        # no state reaches an eigvalsh: only the average states and G
-        assert sorted(calls["eigvalsh"]) == sorted([(5, dim, dim), (5, 3, 3)])
+        if dim == 2:
+            # the states and average states take matfun's 2×2 closed forms; only G reaches LAPACK
+            assert calls == {"eigh": [], "eigvalsh": [(5, 3, 3)], "svd": [], "root_svd": [(5, 3, 2, 2)]}
+        else:
+            assert calls["eigh"] == [(5, 3, 3, 3)]  # the states, once
+            # no state reaches an eigvalsh: only the average states and G
+            assert calls["eigvalsh"] == [(5, 3, 3)] * 2
+            assert len(calls["svd"]) == 1  # root_svd's
 
     @pytest.mark.parametrize("probs, states", [
         (np.full((2, 4), 0.25), np.tile(np.eye(2) / 2, (2, 4, 1, 1))),  # k > CONJECTURE_MAX_K

@@ -373,6 +373,8 @@ class TestSpectral:
                 fn(h)
         with pytest.raises(matfun.NonFiniteError):
             matfun.psd_sqrt(np.full((2, 2), bad))
+        with pytest.raises(matfun.NonFiniteError):
+            matfun.spectrum3(np.diag([1.0, 0.0, bad]))
 
     def test_one_bad_matrix_fails_the_stack(self):
         stack = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
@@ -392,3 +394,118 @@ class TestSpectral:
     def test_sqrt_squares_back(self, hs):
         s = matfun.psd_sqrt(hs)
         np.testing.assert_allclose(s @ s, hs, atol=1e-9)
+
+
+# Trace-one spectra that stress a closed-form eigensolver: generic ones, a near-double
+# pair and a near-triple cluster with gaps of 1e-2 to 1e-16, one or two exact zeros, and
+# a subnormal eigenvalue. At n = 2 a near-triple is a near-double and two zeros are one.
+SPECTRUM_FAMILIES = ("random", "near-double", "near-triple", "one zero", "two zeros", "subnormal")
+
+
+@st.composite
+def _family_spectrum(draw, family, n):
+    x = np.array([draw(st.floats(1e-3, 1.0)) for _ in range(n)])
+    gaps = [10.0 ** -draw(st.floats(2.0, 16.0)) for _ in range(n - 1)]
+    if family == "near-double":
+        x[1] = x[0] + gaps[0]
+    elif family == "near-triple":
+        x[1:] = x[0] + np.array(gaps)
+    elif family == "one zero":
+        x[0] = 0.0
+    elif family == "two zeros":
+        x[:-1] = 0.0
+    x = x / x.sum()
+    if family == "subnormal":
+        x[0] = 10.0 ** -draw(st.floats(308.0, 323.0))
+    return x
+
+
+@st.composite
+def trace_one_stacks(draw, family, n):
+    spectra = np.array([draw(_family_spectrum(family, n)) for _ in range(draw(st.integers(1, 8)))])
+    return stack_from_spectra(spectra, draw(st.integers(0, 2**32)))
+
+
+def _closed_form_spectrum(h):
+    return matfun.spectrum(h) if h.shape[-1] == 2 else matfun.spectrum3(h)
+
+
+class TestClosedFormSpectra:
+    # the closed forms: spectrum and psd_eigh on 2×2 input, and spectrum3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("family", SPECTRUM_FAMILIES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_eigenvalues_are_lapacks(self, family, n, data):
+        hs = data.draw(trace_one_stacks(family, n))
+        w = _closed_form_spectrum(hs)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(hs), rtol=0, atol=1e-14)
+        if n == 2:
+            assert matfun.psd_eigh(hs)[0].tobytes() == np.maximum(w, 0.0).tobytes()
+
+    @pytest.mark.parametrize("family", SPECTRUM_FAMILIES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_qubit_eigenvectors_reconstruct(self, family, data):
+        hs = data.draw(trace_one_stacks(family, 2))
+        w, v = matfun.psd_eigh(hs)
+        np.testing.assert_allclose(v.conj().swapaxes(-1, -2) @ v, np.broadcast_to(np.eye(2), v.shape),
+                                   rtol=0, atol=1e-15)
+        err = np.abs(matfun.from_eigh(w, v) - hs).max(axis=(-2, -1))
+        assert (err <= 1e-15 * np.linalg.norm(hs, 2, axis=(-2, -1))).all()
+
+    def test_small_root_keeps_its_digits(self):
+        # det/λ_max does not cancel where λ_max - |λ_min| would
+        # (the second has eigenvalues 0.5 + 2e-18 and -2e-18 (1 - 4e-18))
+        for h, low in ((np.diag([1e-20, 1.0]), 1e-20), (np.array([[0.5, 1e-9], [1e-9, 0.0]]), -2e-18)):
+            assert abs(matfun.spectrum(h)[0] - low) <= 1e-15 * abs(low)
+
+    def test_near_triple_roots(self):
+        # three eigenvalues within 1e-16 of 1/3: K = h - (tr h/3) I is then all rounding, and
+        # the trace of K's own size that rounding tr h/3 leaves would cost up to 3.8e-15 here
+        rng = np.random.default_rng(15)
+        spectra = 1.0 / 3.0 + 1e-16 * rng.random((2000, 3))
+        hs = stack_from_spectra(spectra / spectra.sum(axis=1, keepdims=True), 16)
+        np.testing.assert_allclose(matfun.spectrum3(hs), np.linalg.eigvalsh(hs), rtol=0, atol=1e-15)
+
+    def test_multiples_of_the_identity(self):
+        w, v = matfun.psd_eigh(np.eye(2) / 2)
+        assert w.tolist() == [0.5, 0.5] and v.tolist() == np.eye(2).tolist()
+        assert matfun.spectrum3(np.eye(3) / 3).tolist() == [1 / 3] * 3
+        assert matfun.spectrum(np.zeros((2, 2))).tolist() == [0.0, 0.0]
+
+    def test_qubit_psd_tolerance(self):
+        u = haar_unitary(2, stream_rng(11, 0))
+        below = (u * [-2 * matfun.PSD_TOL, 1.0]) @ u.conj().T
+        with pytest.raises(matfun.NotPSDError):
+            matfun.psd_eigh(below)
+        w, _ = matfun.psd_eigh((u * [-matfun.PSD_TOL / 2, 1.0]) @ u.conj().T)
+        assert w[0] == 0.0 and abs(w[1] - 1.0) < 1e-15
+
+    def test_real_input_keeps_real_vectors(self):
+        w, v = matfun.psd_eigh(np.array([[0.7, 0.2], [0.2, 0.3]]))
+        assert v.dtype == np.float64
+        np.testing.assert_allclose((v * w) @ v.T, [[0.7, 0.2], [0.2, 0.3]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e120])
+    def test_out_of_range_rows_take_lapack(self, scale):
+        # p of the traceless part leaves (TRIPLE_ROOT_FLOOR, 1/TRIPLE_ROOT_FLOOR)
+        h = stack_from_spectra(np.array([[0.2, 0.3, 0.5]]), 12)[0] * scale
+        assert matfun.spectrum3(h).tobytes() == np.linalg.eigvalsh(matfun.hermitize(h)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_row_bits_do_not_depend_on_the_stack(self, n):
+        rng = np.random.default_rng(13)
+        spectra = rng.random((150, n))
+        spectra[::7, 1] = spectra[::7, 0] + 10.0 ** -rng.uniform(2, 16, len(spectra[::7]))
+        spectra[3::11, 0] = 0.0
+        hs = stack_from_spectra(spectra / spectra.sum(axis=1, keepdims=True), 14)
+        hs[5] = np.eye(n) / n  # a LAPACK row of spectrum3
+        fns = [_closed_form_spectrum] + ([lambda h: matfun.psd_eigh(h)[0], lambda h: matfun.psd_eigh(h)[1]]
+                                         if n == 2 else [])
+        for fn in fns:
+            stacked, backwards = fn(hs), fn(hs[::-1])
+            for i, h in enumerate(hs):
+                alone = fn(h)
+                assert alone.tobytes() == stacked[i].tobytes() == backwards[-1 - i].tobytes()
