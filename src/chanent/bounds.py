@@ -10,19 +10,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, correlation_from_kraus, ensemble_from_channel
+from .channels import Channel, correlation_from_kraus, ensemble_from_channel, exchange_entropy, map_entropy
 from .entropy import (
     EntropyOrder,
     VON_NEUMANN,
     _clean_probs,
     _eigenvalue_entropy,
+    mutual_information_classical,
     relative_entropy,
     shannon,
     spectrum_entropy,
     vn_entropy,
 )
 from .matfun import from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
-from .states import assert_state, from_bloch, root_fidelity
+from .sampling import random_pure_state, stream_rng
+from .states import assert_state, from_bloch, pure_state, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
                          PSD_TOL, VIOLATION_SLACK)
 
@@ -207,8 +209,6 @@ def composition_map_entropy_lower(phi1: Channel, phi2: Channel) -> float:
     MAX{ S(Phi2 Phi1(rho*)) - sum p_i S(Phi2(rho_i)),  S_map(Phi1) + Delta }
     with rho* maximally mixed and Delta = S(Phi2 Phi1(rho*)) - S(Phi1(rho*)).
     """
-    from .channels import map_entropy
-
     n = phi1.in_dim
     rho_star = np.eye(n, dtype=complex) / n
     e = ensemble_from_channel(phi1, rho_star)
@@ -236,8 +236,6 @@ class LindbladReport:
 def lindblad_check(rho: np.ndarray, phi: Channel) -> LindbladReport:
     """Slack report for |S(rho')-S(rho)| <= S(sigma) <= S(rho')+S(rho) and the
     three-state bound chi <= S(sigma) + S(rho') - S(rho)."""
-    from .channels import exchange_entropy
-
     s_in = vn_entropy(rho)
     s_out = vn_entropy(phi.apply(rho))
     s_ex = exchange_entropy(phi, rho)
@@ -412,8 +410,6 @@ def holevo_mutual_check(e: Ensemble, povm_kraus) -> tuple[float, float, bool]:
     The joint distribution is p(x, y) = p_x tr K^y† K^y rho_x. The Kraus list
     must be a channel: otherwise it raises InvalidChannelError, a ValueError.
     """
-    from .entropy import mutual_information_classical
-
     effects = [k.conj().T @ k for k in Channel(povm_kraus).kraus]
     joint = np.array(
         [[p * np.trace(eff @ s).real for eff in effects] for p, s in zip(e.probs, e.states)]
@@ -589,15 +585,12 @@ def find_indefinite_gram(
     Returns (matrix, min eigenvalue) of the first instance with an
     eigenvalue below -PSD_TOL, or None.
     """
-    from .sampling import random_pure_state, stream_rng
-    from .states import pure_state
-
     for t in range(trials):
         rng = stream_rng(seed, t)
         states = [pure_state(random_pure_state(dim, rng)) for _ in range(k)]
         e = Ensemble(np.full(k, 1.0 / k), states)
         g = fidelity_matrix(e, "G")
-        min_eig = float(np.linalg.eigvalsh(g).min())
+        min_eig = float(spectrum(g).min())
         if min_eig < -PSD_TOL:
             return g, min_eig
     return None

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd
+from .matfun import NonFiniteError, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd, spectrum
 from .tolerances import (CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF, SINGULAR_CUTOFF,
                          SUPPORT_CUTOFF)
 
@@ -118,12 +118,13 @@ def _report(d: np.ndarray) -> tuple[CptpReport, np.ndarray | None, float]:
     Tr_out d by at most their weight. A NaN or inf entry gives a NaN report
     and no d, before any arithmetic on d.
     """
-    if not np.isfinite(d).all():
-        return CptpReport(False, False, math.nan, math.nan), None, math.nan
     out, n = d.shape[:2]
+    try:
+        w = spectrum(d.reshape(out * n, out * n))
+    except NonFiniteError:
+        return CptpReport(False, False, math.nan, math.nan), None, math.nan
     d = hermitize(d.reshape(out * n, out * n)).reshape(out, n, out, n)
     tp_residual = float(np.abs(np.trace(d, axis1=0, axis2=2) - np.eye(n)).max())
-    w = np.linalg.eigvalsh(d.reshape(out * n, out * n))
     min_eig = float(w[0])
     report = CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual)
     return report, d, float(np.abs(w[w <= KRAUS_CUTOFF]).sum())
@@ -242,7 +243,7 @@ class Channel:
         Eigenvectors with eigenvalue above KRAUS_CUTOFF become Kraus operators, the
         largest first, each with its first component above PHASE_CUTOFF real positive.
         """
-        w, v = np.linalg.eigh(d)
+        w, v = eigh(d)
         order = np.argsort(w)[::-1]
         order = order[w[order] > KRAUS_CUTOFF]
         vecs = v[:, order].T
@@ -348,7 +349,7 @@ def ensemble_from_channel(phi: Channel, rho: np.ndarray):
 
     Outcomes with p_i below SUPPORT_CUTOFF are dropped and the rest renormalized.
     """
-    from .bounds import Ensemble
+    from .bounds import Ensemble  # lazy: the channels↔bounds cycle, as bounds imports this module
 
     outs = phi.kraus @ np.asarray(rho, dtype=complex) @ phi.kraus.conj().swapaxes(-1, -2)
     probs = np.trace(outs, axis1=-2, axis2=-1).real

@@ -209,21 +209,19 @@ _HIERARCHY_FIELDS = ("chi", "s_fid", "s_layered", "s_fid_sq", "s_fid_b", "h_p")
 def run_hierarchy(
     trials: int = 10000,
     seed: int = 42,
-    k: int = 3,
-    dim: int = 2,
     b: float = math.sqrt(3.0),
     ancilla: int = 3,
     jobs: int = 1,
 ) -> dict:
-    """Monte Carlo means/stds of the normalized bound hierarchy.
+    """Monte Carlo means/stds of the normalized bound hierarchy of k=3 qubit ensembles.
 
     States are drawn from the induced Hilbert-Schmidt measure with the given
-    ancilla dimension (ancilla=3 reproduces the published table; ancilla=dim
+    ancilla dimension (ancilla=3 reproduces the published table; ancilla=2
     is the flat HS measure), probabilities from the flat Dirichlet measure.
     "violations" counts the kept ensembles with chi > S(G), against the
     conjecture chi <= S(G) behind the s_fid column.
     """
-    params = {"k": k, "dim": dim, "b": b, "ancilla": ancilla}
+    params = {"b": b, "ancilla": ancilla}
     cols = _in_chunks(_hierarchy_chunk, lambda a, c: (seed, a, c, params), trials, jobs)
     kept = cols["kept"]
     # chi and H(P) are the endpoints 0 and 1 of the normalized scale
@@ -246,8 +244,7 @@ def run_hierarchy(
 def _hierarchy_chunk(args) -> dict:
     """Columns of trials [start, stop): one stream per trial, the chunk drawn and evaluated as one stack."""
     seed, start, stop, params = args
-    probs, states = random_ensembles(params["k"], params["dim"], seed, start, stop,
-                                     ancilla=params["ancilla"])
+    probs, states = random_ensembles(3, 2, seed, start, stop, ancilla=params["ancilla"])
     return bounds.hierarchy_batch(probs, states, b=params["b"])
 
 
@@ -345,17 +342,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # figure ignores --k and --jobs but accepts them, as command lines pass them to every command
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--dim", type=int, default=2)
         p.add_argument("--k", type=int, default=3)
-        p.add_argument("--q", type=float, default=2.0)
-        p.add_argument("--b", type=float, default=math.sqrt(3.0))
-        p.add_argument("--log-base", choices=("e", "2"), default="e")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--resolution", type=int, default=50)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
@@ -363,14 +356,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_hier = sub.add_parser("hierarchy", help="reproduce the bound-hierarchy table")
     common(p_hier)
+    p_hier.add_argument("--b", type=float, default=math.sqrt(3.0))
     p_hier.add_argument("--ancilla", type=int, default=3,
                         help="ancilla dimension of the induced state measure (3 reproduces "
-                        "the published table; equal to --dim gives the flat HS measure)")
+                        "the published table; 2 gives the flat HS measure)")
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
     p_fig.add_argument("--figure", required=True, choices=FIGURES)
     common(p_fig)
-    p_fig.set_defaults(format="csv")
+    p_fig.add_argument("--q", type=float, default=2.0)
+    p_fig.add_argument("--log-base", choices=("e", "2"), default="e")
+    p_fig.add_argument("--format", choices=("json", "csv"), default="csv")
+    p_fig.add_argument("--resolution", type=int, default=50)
     return parser
 
 
@@ -410,11 +407,14 @@ _DEFAULT_TRIALS = {"davies": 200, "multiplicativity": 50}
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     """Reject bad parameters as usage errors (exit 2), before any work or output."""
-    for name in ("trials", "jobs", "dim", "k", "resolution"):
+    for name in ("trials", "jobs", "dim", "k"):
         if getattr(args, name) < 1:
             parser.error(f"--{name} must be at least 1")
-    if not 0 < args.q < math.inf:
-        parser.error("--q must be positive and finite")
+    if args.command == "figure":
+        if args.resolution < 1:
+            parser.error("--resolution must be at least 1")
+        if not 0 < args.q < math.inf:
+            parser.error("--q must be positive and finite")
     if args.output is not None and not _writable(args.output):
         parser.error(f"--output {args.output!r} is not a writable file path")
     if args.command == "hierarchy":
@@ -454,8 +454,8 @@ def main(argv=None) -> int:
         return 0 if res["violations"] == 0 else 1
 
     if args.command == "hierarchy":
-        res = run_hierarchy(trials=args.trials, seed=args.seed, k=args.k, dim=args.dim,
-                            b=args.b, ancilla=args.ancilla, jobs=args.jobs)
+        res = run_hierarchy(trials=args.trials, seed=args.seed, b=args.b, ancilla=args.ancilla,
+                            jobs=args.jobs)
         # the count is the report's own violations field, not one of the results
         violations = res.pop("violations")
         config = {"trials": args.trials, "k": args.k, "dim": args.dim, "b": args.b,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channels import Channel, InvalidChannelError
 from .entropy import _clean_probs, spectrum_entropy
+from .matfun import eigh
 from .tolerances import DAVIES_COEFF_CUTOFF, DAVIES_LIMIT_BAND, DOMAIN_EDGE, MEMBERSHIP_TOL
 
 __all__ = [
@@ -370,7 +371,7 @@ def _membership_stack(rates: np.ndarray, p: np.ndarray):
     """
     root = np.sqrt(p)
     s = _stochastic_blocks(rates, p) * (root[:, None, :] / root[:, :, None])
-    w, v = np.linalg.eigh((s + s.swapaxes(-1, -2)) / 2.0)
+    w, v = eigh(s)
     proj = v[:, :, None, :] * v[:, None, :, :] * (root[:, :, None] / root[:, None, :])[..., None]
     live = w > DAVIES_COEFF_CUTOFF
     zero = ~live & (w >= -DAVIES_COEFF_CUTOFF)

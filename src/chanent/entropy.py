@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfun import psd_log, psd_power, spectral, spectrum
+from .matfun import partial_trace, psd_log, psd_power, spectral, spectrum
 from .states import root_fidelity
 from .tolerances import NORMALIZATION_TOL, PROB_NEGATIVITY_TOL, SUPPORT_CUTOFF, SUPPORT_LEAK
 
@@ -184,8 +184,6 @@ def mutual_information_classical(joint: np.ndarray) -> float:
 
 def quantum_mutual_information(rho12: np.ndarray, dims: tuple[int, int]) -> float:
     """S(rho1) + S(rho2) - S(rho12) of a bipartite state."""
-    from .matfun import partial_trace
-
     d1, d2 = dims
     rho12 = np.asarray(rho12, dtype=complex)
     if rho12.shape != (d1 * d2, d1 * d2):

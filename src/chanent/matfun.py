@@ -1,11 +1,13 @@
-"""Dense complex matrix utilities.
+"""Dense complex matrix utilities, and the package's one spectral kernel.
 
 Everything here operates on plain numpy arrays. Matrices are small (the
 rest of the package never goes past dimension ~64), so dense LAPACK
-eigendecompositions and SVDs serve instead of iterative methods. The
-smallest cases, where LAPACK's per-call cost outweighs the work, have closed
-forms: 2×2 spectra and eigenvectors in `spectrum` and `psd_eigh`, 2×2 root
-fidelities in `root_svd`, and 3×3 spectra in `spectrum3`.
+eigendecompositions and SVDs serve instead of iterative methods. No other
+module calls a LAPACK Hermitian eigensolver: they decompose through `eigh`,
+its checked form `psd_eigh`, `spectrum` or `spectrum3`, and take polar
+factors from `root_svd`. The smallest cases, where LAPACK's per-call cost
+outweighs the work, have closed forms: 2×2 spectra and eigenvectors in `eigh`,
+2×2 root fidelities in `root_svd`, and 3×3 spectra in `spectrum3`.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ __all__ = [
     "hermitize",
     "spectrum",
     "spectrum3",
+    "eigh",
     "psd_eigh",
     "from_eigh",
     "spectral",
     "psd_sqrt",
     "psd_power",
     "psd_log",
-    "polar",
     "root_svd",
     "sqrt_product",
     "schur_positive",
@@ -112,19 +114,29 @@ def spectrum(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitize(h))
 
 
-def psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked eigendecomposition (w, v), h = v diag(w) v†, of each PSD Hermitian
-    matrix of a (..., n, n) stack; w ascending along the last axis.
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v), hermitize(h) = v diag(w) v†, of each matrix of a
+    (..., n, n) stack; w ascending along the last axis, unclipped and unchecked.
 
-    2×2 input takes the closed form of _eigh2, so its w is spectrum(h) clipped
-    at 0 bit for bit; larger input one eigh of the whole stack. Either way each
-    matrix is decomposed exactly as it would be alone, so a result never
-    depends on the stack around it. Eigenvalues below -PSD_TOL raise
-    NotPSDError; those in [-PSD_TOL, 0) are clipped to 0. Non-finite input
-    raises NonFiniteError.
+    2×2 input takes the closed form of _eigh2, larger input one LAPACK eigh of
+    the whole stack. Either way each matrix is decomposed exactly as it would
+    be alone, so a result never depends on the stack around it. Raises
+    NonFiniteError on NaN or inf.
     """
     h = _finite(h)
-    w, v = _eigh2(h, vectors=True) if h.shape[-2:] == (2, 2) else np.linalg.eigh(hermitize(h))
+    if h.shape[-2:] == (2, 2):
+        return _eigh2(h, vectors=True)
+    return np.linalg.eigh(hermitize(h))
+
+
+def psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of each PSD Hermitian matrix of a (..., n, n) stack, checked and clipped.
+
+    Eigenvalues below -PSD_TOL raise NotPSDError; those in [-PSD_TOL, 0) are
+    clipped to 0, so on 2×2 input w is spectrum(h) clipped at 0 bit for bit.
+    Non-finite input raises NonFiniteError.
+    """
+    w, v = eigh(h)
     if w.min(initial=0.0) < -PSD_TOL:
         raise NotPSDError(f"min eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
     return np.maximum(w, 0.0), v
@@ -279,18 +291,6 @@ def psd_log(h: np.ndarray) -> np.ndarray:
     return spectral(h, lambda w: _on_support(w, np.log))
 
 
-def polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left polar decomposition x = P @ W with P PSD Hermitian and W unitary.
-
-    For rank-deficient x the unitary part is completed on the null space of
-    P (through the SVD pairing), so W is always exactly unitary.
-    """
-    u, s, vh = np.linalg.svd(np.asarray(x, dtype=complex))
-    p = hermitize((u * s) @ u.conj().T)
-    w = u @ vh
-    return p, w
-
-
 def root_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace norm tr|x| and the det-one unitary polar factor W of each
     x = sqrt(rho_a) sqrt(rho_b) of a (..., n, n) stack.
@@ -352,11 +352,10 @@ def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     c - b† a^{-1} b being PSD, to PSD_TOL.
     """
     a = np.asarray(a, dtype=complex)
-    wa = np.linalg.eigvalsh(hermitize(a))
-    if wa.min() <= SUPPORT_CUTOFF:
+    if spectrum(a).min() <= SUPPORT_CUTOFF:
         raise NotPSDError("block A must be positive definite")
-    comp = hermitize(np.asarray(c) - np.asarray(b).conj().T @ np.linalg.solve(a, b))
-    return bool(np.linalg.eigvalsh(comp).min() >= -PSD_TOL)
+    comp = np.asarray(c) - np.asarray(b).conj().T @ np.linalg.solve(a, b)
+    return bool(spectrum(comp).min() >= -PSD_TOL)
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import Channel, map_entropy
 from .entropy import EntropyOrder, VON_NEUMANN, _clean_probs, spectrum_entropy, vn_entropy
-from .matfun import NonFiniteError
+from .matfun import NonFiniteError, eigh
 from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
 from .tolerances import (DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM,
@@ -124,7 +124,7 @@ def _max_bloch_direction(w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     d_min (sqrt(sum c_i²/d_i²) - 1), and if that is not positive (the hard
     case) mu = 0 and the weight left over goes on a top eigenvector.
     """
-    a, q = np.linalg.eigh(w.T @ w)
+    a, q = eigh(w.T @ w)
     a, q = a[::-1], q[:, ::-1]
     c = q.T @ (w.T @ kappa)
     d = a[0] - a
@@ -200,7 +200,7 @@ _STRETCH = np.concatenate([[0.0], 8.0 ** np.arange(10)])
 def _gram_eigh(vecs: np.ndarray, flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of sum a a†, a the dim-blocks of all r rows of vecs @ flat, vecs (..., r, d)."""
     a = (vecs @ flat).reshape(*vecs.shape[:-2], -1, dim)
-    return np.linalg.eigh(np.swapaxes(a, -1, -2) @ a.conj())
+    return eigh(np.swapaxes(a, -1, -2) @ a.conj())
 
 
 def _tangent(w: np.ndarray, v: np.ndarray, order: EntropyOrder | None) -> np.ndarray:

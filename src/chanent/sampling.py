@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channels import Channel
+
 __all__ = [
     "stream_rng",
     "stream_uniforms",
@@ -167,8 +169,6 @@ def random_channel(n: int, m: int, rng: np.random.Generator):
     The Kraus operators are the blocks of the first block-column of a Haar
     unitary of size n*m, i.e. an isometry chopped into m pieces.
     """
-    from .channels import Channel
-
     return Channel(haar_unitary(n * m, rng)[:, :n].reshape(m, n, n))
 
 
@@ -188,7 +188,7 @@ def _ensemble(draw, k: int, n: int, ancilla: int | None) -> tuple[np.ndarray, np
 
 def random_ensemble(k: int, n: int, rng: np.random.Generator, ancilla: int | None = None):
     """Ensemble of k states of dimension n: Dirichlet probabilities + induced HS states."""
-    from .bounds import Ensemble
+    from .bounds import Ensemble  # lazy: the sampling↔bounds cycle, as bounds imports this module
 
     return Ensemble(*_ensemble(rng.random, k, n, ancilla))
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .matfun import hermitize, kron, polar, psd_sqrt, root_svd
+from .matfun import psd_eigh, psd_sqrt, root_svd, spectrum
 from .tolerances import HERMITIAN_TOL, NORMALIZATION_TOL, PHASE_CUTOFF, PSD_TOL, SCHMIDT_CUTOFF
 
 __all__ = [
@@ -39,25 +39,33 @@ PAULI = (
 )
 
 
+def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    # NaN fails every `x > tol` check, so non-finite input is rejected before any of them
+    if not np.isfinite(a).all():
+        raise InvalidStateError(f"{what} has a non-finite entry")
+    return a
+
+
 def assert_state(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity (HERMITIAN_TOL), trace one (NORMALIZATION_TOL) and
-    positivity (PSD_TOL); return the array."""
+    """Validate finiteness, Hermiticity (HERMITIAN_TOL), trace one
+    (NORMALIZATION_TOL) and positivity (PSD_TOL); return the array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError("state must be a square matrix")
+    _require_finite(rho, "state")
     scale = max(np.abs(rho).max(), 1.0)
     if np.abs(rho - rho.conj().T).max() > HERMITIAN_TOL * scale:
         raise InvalidStateError("state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > NORMALIZATION_TOL:
         raise InvalidStateError(f"trace is {np.trace(rho).real}, not 1")
-    if np.linalg.eigvalsh(hermitize(rho)).min() < -PSD_TOL:
+    if spectrum(rho).min() < -PSD_TOL:
         raise InvalidStateError("state has a negative eigenvalue")
     return rho
 
 
 def pure_state(amplitudes: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| from a normalized amplitude vector."""
-    psi = np.asarray(amplitudes, dtype=complex).ravel()
+    psi = _require_finite(np.asarray(amplitudes, dtype=complex).ravel(), "amplitude vector")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise InvalidStateError(f"amplitude norm is {norm}, not 1")
@@ -69,6 +77,7 @@ def from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise InvalidStateError("Bloch vector must have 3 components")
+    _require_finite(r, "Bloch vector")
     if np.linalg.norm(r) > 1.0 + NORMALIZATION_TOL:
         raise InvalidStateError(f"Bloch vector length {np.linalg.norm(r)} exceeds 1")
     rho = np.eye(2, dtype=complex)
@@ -98,14 +107,10 @@ def purify(rho: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         u = np.eye(n, dtype=complex)
     else:
         u = np.asarray(u, dtype=complex)
-        if np.abs(u.conj().T @ u - np.eye(n)).max() > NORMALIZATION_TOL:
+        if not np.isfinite(u).all() or np.abs(u.conj().T @ u - np.eye(n)).max() > NORMALIZATION_TOL:
             raise ValueError("u must be unitary")
-    w, v = np.linalg.eigh(hermitize(rho))
-    w = np.clip(w, 0.0, None)
-    psi = np.zeros(n * n, dtype=complex)
-    for lam, vec in zip(np.sqrt(w), v.T):
-        psi += lam * kron(u @ vec, vec)
-    return psi
+    w, v = psd_eigh(rho)
+    return (u @ (v * np.sqrt(w)) @ v.T).ravel()
 
 
 def _fix_phase(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +191,10 @@ def angle(rho1: np.ndarray, rho2: np.ndarray) -> float:
 def uhlmann_max(rho1: np.ndarray, rho2: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximal purification overlap and the unitary attaining it.
 
-    Returns (F(rho1, rho2), W) where W is the adjoint of the polar unitary
-    of sqrt(rho2) sqrt(rho1), so that |tr W sqrt(rho2) sqrt(rho1)|² equals
-    the fidelity.
+    Returns (F(rho1, rho2), W) where W is the adjoint of the det-one polar
+    factor of y = sqrt(rho2) sqrt(rho1), so that W y = |y| and
+    |tr W sqrt(rho2) sqrt(rho1)|² equals the fidelity. One root_svd of y
+    gives both.
     """
-    y = psd_sqrt(rho2) @ psd_sqrt(rho1)
-    _, w = polar(y)
-    return fidelity(rho1, rho2), w.conj().T
+    root, w = root_svd(psd_sqrt(rho2) @ psd_sqrt(rho1))
+    return float(np.clip(root, 0.0, 1.0)) ** 2, w.conj().T

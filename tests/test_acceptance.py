@@ -40,7 +40,7 @@ SEED = 42
 class TestCriterion1Hierarchy:
     def test_hierarchy_table(self):
         t0 = time.time()
-        res = run_hierarchy(trials=10000, seed=SEED, k=3, dim=2, ancilla=3)
+        res = run_hierarchy(trials=10000, seed=SEED, ancilla=3)
         elapsed = time.time() - t0
         table = res["table"]
         targets = {

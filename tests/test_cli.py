@@ -198,6 +198,17 @@ USAGE_ERRORS = [
     ["figure", "--figure", "scatter-q", "--q", "nan"],
     ["verify", "--suite", "conjecture1", "--k", "4"],
     ["figure", "--figure", "scatter-q", "--q", "inf"],
+    # flags a command would ignore are not registered on it
+    ["verify", "--suite", "theorem1", "--format", "csv"],
+    ["verify", "--suite", "theorem1", "--q", "0.5"],
+    ["verify", "--suite", "theorem1", "--b", "1.5"],
+    ["verify", "--suite", "theorem1", "--log-base", "2"],
+    ["verify", "--suite", "theorem1", "--resolution", "10"],
+    ["hierarchy", "--q", "0.5"],
+    ["hierarchy", "--log-base", "2"],
+    ["hierarchy", "--format", "csv"],
+    ["hierarchy", "--resolution", "10"],
+    ["figure", "--figure", "scatter-q", "--b", "1.5"],
 ]
 
 
@@ -229,7 +240,8 @@ class TestUsageErrors:
             assert err.value.code == 2
             for ok in good:
                 assert vars(parser.parse_args(ok)) == vars(fresh.parse_args(ok))
-        assert parser.parse_args(good[0]).format == "csv" and parser.parse_args(good[1]).format == "json"
+        # figure keeps --format with csv as its default; verify, which prints JSON only, has none
+        assert parser.parse_args(good[0]).format == "csv" and "format" not in vars(parser.parse_args(good[1]))
         assert capsys.readouterr().out == ""
 
 

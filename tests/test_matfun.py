@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanent import davies, matfun
+from chanent.tolerances import PSD_TOL
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
 from chanent.states import pure_state
 from tests_support import polar_2x2, psd_stacks, stack_from_spectra
@@ -123,34 +126,6 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(matfun.NotPSDError):
             matfun.psd_sqrt(np.diag([1.0, -1.0]))
-
-
-class TestPolar:
-    def test_unitary_input(self):
-        u = haar_unitary(3, stream_rng(4, 0))
-        p, w = matfun.polar(u)
-        np.testing.assert_allclose(p, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(w, u, atol=1e-12)
-
-    def test_diagonal(self):
-        p, w = matfun.polar(np.diag([2.0, 3.0]))
-        np.testing.assert_allclose(p, np.diag([2.0, 3.0]), atol=1e-12)
-        np.testing.assert_allclose(w, np.eye(2), atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = stream_rng(4, 1)
-        x = rand_complex(rng, (4, 4))
-        p, w = matfun.polar(x)
-        np.testing.assert_allclose(p @ w, x, atol=1e-10)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-10)
-        np.testing.assert_allclose(p, matfun.psd_sqrt(x @ x.conj().T), atol=1e-10)
-
-    def test_rank_deficient(self):
-        x = np.zeros((3, 3), dtype=complex)
-        x[0, 0] = 2.0
-        p, w = matfun.polar(x)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(p @ w, x, atol=1e-12)
 
 
 class TestSqrtProduct:
@@ -367,14 +342,39 @@ class TestSpectral:
     def test_non_finite_input_raises(self, bad):
         # an eigensolver maps [[1, 0], [0, nan]] to finite eigenvalues [0, -0]
         h = np.array([[1.0, 0.0], [0.0, bad]])
-        for fn in (matfun.psd_sqrt, matfun.spectrum,
+        for fn in (matfun.psd_sqrt, matfun.spectrum, matfun.eigh,
                    lambda m: matfun.spectral(m, np.sqrt)):
             with pytest.raises(matfun.NonFiniteError):
                 fn(h)
         with pytest.raises(matfun.NonFiniteError):
             matfun.psd_sqrt(np.full((2, 2), bad))
-        with pytest.raises(matfun.NonFiniteError):
-            matfun.spectrum3(np.diag([1.0, 0.0, bad]))
+        for fn in (matfun.spectrum3, matfun.eigh):
+            with pytest.raises(matfun.NonFiniteError):
+                fn(np.diag([1.0, 0.0, bad]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_eigh_keeps_negative_eigenvalues(self, n):
+        # the unchecked kernel: an indefinite matrix's spectrum comes back unclipped
+        spectra = np.array([np.linspace(-0.5, 1.0, n), np.linspace(-1e-3, 1.0, n)])
+        hs = stack_from_spectra(spectra, n)
+        w, v = matfun.eigh(hs)
+        np.testing.assert_allclose(w, spectra, rtol=0, atol=1e-14)
+        assert (w[:, 0] < 0.0).all()
+        np.testing.assert_allclose(matfun.from_eigh(w, v), hs, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_psd_eigh_is_eigh_clipped(self, n):
+        # psd_eigh(h) is eigh(h) with w clipped at 0, bit for bit, small negatives included
+        rng = stream_rng(5, n)
+        spectra = np.array([np.linspace(-PSD_TOL / 2, 1.0, n), np.linspace(-PSD_TOL / 1000, 1.0, n)])
+        hs = np.concatenate([stack_from_spectra(spectra, n),
+                             np.stack([hs_random_density(n, rng) for _ in range(4)]),
+                             np.stack([pure_state(random_pure_state(n, rng)) for _ in range(4)])])
+        w, v = matfun.eigh(hs)
+        assert (w[:2, 0] < 0.0).all()
+        pw, pv = matfun.psd_eigh(hs)
+        assert pw.tobytes() == np.maximum(w, 0.0).tobytes()
+        assert pv.tobytes() == v.tobytes()
 
     def test_one_bad_matrix_fails_the_stack(self):
         stack = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
@@ -394,6 +394,27 @@ class TestSpectral:
     def test_sqrt_squares_back(self, hs):
         s = matfun.psd_sqrt(hs)
         np.testing.assert_allclose(s @ s, hs, atol=1e-9)
+
+
+def test_only_matfun_calls_a_hermitian_eigensolver():
+    # every Hermitian eigendecomposition goes through matfun's kernel, with its one
+    # choice of hermitizing, closed forms and finiteness check
+    solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
+    found = []
+    for path in sorted(Path(matfun.__file__).parent.glob("*.py")):
+        if path.name == "matfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in solvers:
+                named = ast.unparse(node.value).endswith("linalg")
+            elif isinstance(node, ast.ImportFrom):
+                imported = {a.name for a in node.names}
+                named = (node.module or "").endswith("linalg") and bool(solvers & imported)
+            else:
+                continue
+            if named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "eigensolver calls outside matfun.py: " + ", ".join(found)
 
 
 # Trace-one spectra that stress a closed-form eigensolver: generic ones, a near-double

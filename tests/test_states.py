@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chanent import states
-from chanent.matfun import partial_trace
+from chanent import bounds, states
+from chanent.matfun import partial_trace, psd_eigh, psd_sqrt, root_svd
 from chanent.sampling import haar_unitary, hs_random_density, random_pure_state, stream_rng
 
 
@@ -50,6 +50,16 @@ class TestPurify:
         psi = states.purify(rho, u)
         proj = np.outer(psi, psi.conj())
         np.testing.assert_allclose(partial_trace(proj, (3, 3), 1), rho, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_sum_over_eigenpairs(self, n):
+        # the reference loop: sum_i lambda_i (u v_i) ⊗ v_i over the same eigenpairs
+        rng = stream_rng(11, 2 + n)
+        for _ in range(20):
+            rho, u = hs_random_density(n, rng), haar_unitary(n, rng)
+            w, v = psd_eigh(rho)
+            loop = sum(math.sqrt(lam) * np.kron(u @ vec, vec) for lam, vec in zip(w, v.T))
+            np.testing.assert_allclose(states.purify(rho, u), loop, rtol=0, atol=1e-15)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -180,8 +190,6 @@ class TestUhlmann:
         assert abs(value - (np.sqrt(r * s).sum()) ** 2) < 1e-9
 
     def test_optimal_over_random_unitaries(self):
-        from chanent.matfun import psd_sqrt
-
         rng = stream_rng(15, 1)
         r1 = hs_random_density(2, rng)
         r2 = hs_random_density(2, rng)
@@ -191,3 +199,62 @@ class TestUhlmann:
         for _ in range(200):
             u = haar_unitary(2, rng)
             assert abs(np.trace(u @ y)) ** 2 <= value + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kinds", [("pure", "pure"), ("pure", "mixed"), ("mixed", "mixed")])
+    def test_one_root_svd_gives_fidelity_and_unitary(self, n, kinds, monkeypatch):
+        calls = []
+        monkeypatch.setattr(states, "root_svd", lambda x: calls.append(x) or root_svd(x))
+        rng = stream_rng(15, 2 + n)
+        draw = {"pure": lambda: states.pure_state(random_pure_state(n, rng)),
+                "mixed": lambda: hs_random_density(n, rng)}
+        tol = n * 1e-15  # a product of n-term sums
+        for _ in range(50):
+            r1, r2 = draw[kinds[0]](), draw[kinds[1]]()
+            value, w = states.uhlmann_max(r1, r2)
+            assert len(calls) == 1
+            assert abs(value - states.fidelity(r1, r2)) <= 1e-15
+            calls.clear()
+            np.testing.assert_allclose(w @ w.conj().T, np.eye(n), rtol=0, atol=tol)
+            assert abs(np.linalg.det(w) - 1.0) <= tol
+            y = psd_sqrt(r2) @ psd_sqrt(r1)
+            assert abs(abs(np.trace(w @ y)) ** 2 - value) <= tol
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestFailClosed:
+    # NaN passes no `x <= tol` check and inf - inf is NaN: non-finite input is named and
+    # rejected before any arithmetic, so it never comes back as a state
+    @pytest.mark.parametrize("rho", [
+        np.diag([NAN, 0.5]),
+        np.diag([INF, -INF]),
+        np.array([[0.5, NAN], [NAN, 0.5]]),
+        np.array([[0.5, INF], [INF, 0.5]]),
+        np.array([[0.5, 0.0, 1j * INF], [0.0, 0.5, 0.0], [-1j * INF, 0.0, 0.0]]),
+    ], ids=["diagonal-nan", "diagonal-inf", "off-diagonal-nan", "off-diagonal-inf", "off-diagonal-imag-inf"])
+    def test_state(self, rho):
+        with pytest.raises(states.InvalidStateError, match="non-finite"):
+            states.assert_state(rho)
+        with pytest.raises(states.InvalidStateError, match="non-finite"):
+            states.purify(rho)
+        with pytest.raises(states.InvalidStateError, match="non-finite"):
+            bounds.Ensemble([0.5, 0.5], [np.eye(len(rho)) / len(rho), rho]).validate()
+
+    @pytest.mark.parametrize("amplitudes", [[NAN, 0.0], [1.0, NAN], [INF, 0.0], [1.0, 1j * INF]])
+    def test_amplitudes(self, amplitudes):
+        with pytest.raises(states.InvalidStateError, match="non-finite"):
+            states.pure_state(amplitudes)
+
+    @pytest.mark.parametrize("r", [[NAN, 0.0, 0.0], [0.0, 0.0, NAN], [INF, 0.0, 0.0], [0.0, -INF, 0.0]])
+    def test_bloch_vector(self, r):
+        with pytest.raises(states.InvalidStateError, match="non-finite"):
+            states.from_bloch(r)
+
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_purification_unitary(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="unitary"):
+            states.purify(np.eye(2) / 2, u)
