@@ -18,15 +18,14 @@ from .entropy import (
     _eigenvalue_entropy,
     mutual_information_classical,
     relative_entropy,
-    shannon,
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
+from .matfun import _finite, from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
 from .sampling import random_pure_state, stream_rng
 from .states import assert_state, from_bloch, pure_state, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
-                         PSD_TOL, VIOLATION_SLACK)
+                         PSD_TOL, SUPPORT_CUTOFF, VIOLATION_SLACK)
 
 __all__ = [
     "Ensemble",
@@ -164,12 +163,27 @@ def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
 
     phi is a Channel or a Kraus list; a list is validated as one Channel.
     Returns (chi, s_sigma, h_p, ok).
+
+    All three come from the products L_i = K_i rho: sigma_ij = tr L_i K_j†,
+    p_i = sigma_ii, and the outputs K_i rho K_i† = L_i K_i†. chi is that of
+    ensemble_from_channel: outcomes with p_i below SUPPORT_CUTOFF are dropped,
+    and one spectrum of the stack [sum of the kept outputs; each kept output]
+    gives its entropies (each spectrum is normalized there, so neither the
+    average nor an output needs dividing by its weight). NaN or inf in rho
+    raises NonFiniteError before any arithmetic, and in a Kraus list
+    InvalidChannelError.
     """
-    phi = _as_channel(phi)
-    sigma = correlation_from_kraus(phi.kraus, rho)
-    chi = holevo(ensemble_from_channel(phi, rho))
+    kraus = _as_channel(phi).kraus
+    m = len(kraus)
+    left = kraus @ _finite(np.asarray(rho, dtype=complex))
+    sigma = left.reshape(m, -1) @ kraus.reshape(m, -1).conj().T
     s_sigma = vn_entropy(sigma)
-    h_p = shannon(np.diag(sigma).real / np.trace(sigma).real)
+    probs = sigma.diagonal().real
+    h_p = spectrum_entropy(_clean_probs(probs / probs.sum()))
+    kept = probs >= SUPPORT_CUTOFF
+    outs = left[kept] @ kraus[kept].conj().swapaxes(-1, -2)
+    w = spectrum(np.concatenate([outs.sum(axis=0)[None], outs]))
+    chi = float(_holevo_vn(probs[kept] / probs[kept].sum(), w[0], w[1:]))
     ok = chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK
     return chi, s_sigma, h_p, ok
 

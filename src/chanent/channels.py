@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import NonFiniteError, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd, spectrum
+from .matfun import _hermitian_spectrum, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd
 from .tolerances import (CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF, SINGULAR_CUTOFF,
                          SUPPORT_CUTOFF)
 
@@ -119,11 +119,11 @@ def _report(d: np.ndarray) -> tuple[CptpReport, np.ndarray | None, float]:
     and no d, before any arithmetic on d.
     """
     out, n = d.shape[:2]
-    try:
-        w = spectrum(d.reshape(out * n, out * n))
-    except NonFiniteError:
+    if not np.isfinite(d).all():
         return CptpReport(False, False, math.nan, math.nan), None, math.nan
-    d = hermitize(d.reshape(out * n, out * n)).reshape(out, n, out, n)
+    flat = hermitize(d.reshape(out * n, out * n))
+    w = _hermitian_spectrum(flat)
+    d = flat.reshape(out, n, out, n)
     tp_residual = float(np.abs(np.trace(d, axis1=0, axis2=2) - np.eye(n)).max())
     min_eig = float(w[0])
     report = CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual)

@@ -4,8 +4,9 @@ Everything here operates on plain numpy arrays. Matrices are small (the
 rest of the package never goes past dimension ~64), so dense LAPACK
 eigendecompositions and SVDs serve instead of iterative methods. No other
 module calls a LAPACK Hermitian eigensolver: they decompose through `eigh`,
-its checked form `psd_eigh`, `spectrum` or `spectrum3`, and take polar
-factors from `root_svd`. The smallest cases, where LAPACK's per-call cost
+its checked form `psd_eigh`, `spectrum` or `spectrum3` (or `_hermitian_spectrum`,
+`spectrum` on a Hermitian part the caller keeps), and take polar factors from
+`root_svd`. The smallest cases, where LAPACK's per-call cost
 outweighs the work, have closed forms: 2×2 spectra and eigenvectors in `eigh`,
 2×2 root fidelities in `root_svd`, and 3×3 spectra in `spectrum3`.
 """
@@ -50,7 +51,11 @@ class NonFiniteError(ValueError):
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†)/2 of a matrix or of each matrix in a (..., n, n) stack."""
+    """Hermitian part (m + m†)/2 of a matrix or of each matrix in a (..., n, n) stack.
+
+    Real input stays real, and conj costs it nothing: ndarray.conj returns a
+    real array itself, uncopied.
+    """
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
@@ -109,9 +114,16 @@ def spectrum(h: np.ndarray) -> np.ndarray:
     turn into finite eigenvalues.
     """
     h = _finite(h)
+    return _hermitian_spectrum(h if h.shape[-2:] == (2, 2) else hermitize(h))
+
+
+def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
+    """spectrum of a finite (..., n, n) stack that is already Hermitian, as hermitize
+    leaves it, or 2×2 (the closed form reads the Hermitian part itself): no check and
+    no second hermitize, for a caller that keeps the Hermitian part it decomposes."""
     if h.shape[-2:] == (2, 2):
         return _eigh2(h)[0]
-    return np.linalg.eigvalsh(hermitize(h))
+    return np.linalg.eigvalsh(h)
 
 
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -355,8 +355,12 @@ def pauli_points(p, order: EntropyOrder = VON_NEUMANN):
     if p.shape[-1:] != (4,):
         raise ValueError("need 4 weights")
     r = np.minimum(np.abs(2.0 * (p[..., :1] + p[..., 1:]) - 1.0).max(axis=-1), 1.0)
-    s_min = spectrum_entropy(np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1), order)
-    return spectrum_entropy(p, order), np.maximum(s_min, 0.0)
+    # one entropy call on [p; ((1+r)/2, (1-r)/2, 0, 0)]: zero weights add exact zeros
+    w = np.zeros(p.shape[:-1] + (2, 4))
+    w[..., 0, :] = p
+    w[..., 1, 0], w[..., 1, 1] = (1.0 + r) / 2.0, (1.0 - r) / 2.0
+    s_map, s_min = np.moveaxis(spectrum_entropy(w, order), -1, 0)
+    return s_map, np.maximum(s_min, 0.0)
 
 
 def pauli_edge_curves(q: float, samples: int = 400) -> dict:

@@ -122,14 +122,23 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return _box_muller(rng.random(2 * int(np.prod(shape))), shape)
 
 
+def _phase_fixed_qr(g: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of an N×c complex Gaussian g, each column multiplied by the
+    phase of R's diagonal entry: c columns of a Haar unitary (Mezzadri, Notices AMS 2007).
+
+    The first c Householder reflectors depend only on g's first c columns, so
+    these are, up to rounding, the first c columns of the N×N case.
+    """
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    g = complex_gaussian(rng, (n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _phase_fixed_qr(complex_gaussian(rng, (n, n)))
 
 
 def hs_random_density(n: int, rng: np.random.Generator, ancilla: int | None = None) -> np.ndarray:
@@ -167,9 +176,13 @@ def random_channel(n: int, m: int, rng: np.random.Generator):
     """Random channel on C^n with m Kraus operators.
 
     The Kraus operators are the blocks of the first block-column of a Haar
-    unitary of size n*m, i.e. an isometry chopped into m pieces.
+    unitary of size n*m, i.e. an isometry chopped into m pieces. The draw is
+    haar_unitary's, N×N Gaussian and all, so the generator ends where it would,
+    but only the first n columns go through the QR.
     """
-    return Channel(haar_unitary(n * m, rng)[:, :n].reshape(m, n, n))
+    if n < 1 or m < 1:
+        raise ValueError("dimension and Kraus count must be at least 1")
+    return Channel(_phase_fixed_qr(complex_gaussian(rng, (n * m, n * m))[:, :n]).reshape(m, n, n))
 
 
 def _ensemble(draw, k: int, n: int, ancilla: int | None) -> tuple[np.ndarray, np.ndarray]:

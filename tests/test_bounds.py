@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanent import bounds, matfun
+from chanent import bounds, cli, matfun
 from chanent.bounds import Ensemble
-from chanent.channels import Channel, ensemble_from_channel
+from chanent.channels import Channel, correlation_from_kraus, ensemble_from_channel
 from chanent.cli import run_suite
 from chanent.entropy import EntropyOrder, shannon, vn_entropy
 from chanent.sampling import (
@@ -22,8 +22,8 @@ from chanent.sampling import (
     stream_rng,
 )
 from chanent.states import pure_state
-from chanent.tolerances import PSD_TOL
-from tests_support import conjecture_reference, polar_2x2
+from chanent.tolerances import PSD_TOL, VIOLATION_SLACK
+from tests_support import conjecture_reference, kraus_lists, polar_2x2
 
 
 def record_shapes(monkeypatch, owner, names) -> dict:
@@ -193,6 +193,52 @@ class TestTheorem1:
             rho = hs_random_density(n, rng)
             *_, ok = bounds.theorem1_check(rho, phi.kraus)
             assert ok
+
+    @settings(max_examples=80, deadline=None)
+    @given(kraus=kraus_lists(), seed=st.integers(0, 2**32), rank=st.sampled_from(["pure", "deficient", "full"]),
+           zero=st.booleans())
+    def test_matches_the_definitional_chain(self, kraus, seed, rank, zero):
+        # holevo of the measurement ensemble, vn_entropy of the correlation matrix and
+        # shannon of its normalized diagonal; a zero operator's outcome is dropped from chi
+        n = kraus[0].shape[1]
+        rng = stream_rng(seed, 1)
+        if rank == "pure":
+            rho = pure_state(random_pure_state(n, rng))
+        else:
+            rho = hs_random_density(n, rng, ancilla=n - 1 if rank == "deficient" else n)
+        if zero:
+            kraus = kraus[:1] + [np.zeros_like(kraus[0])] + kraus[1:]
+        phi = Channel(kraus)
+        sigma = correlation_from_kraus(phi.kraus, rho)
+        p = np.diag(sigma).real
+        want = (bounds.holevo(ensemble_from_channel(phi, rho)), vn_entropy(sigma), shannon(p / p.sum()))
+        chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, kraus)
+        np.testing.assert_allclose([chi, s_sigma, h_p], want, rtol=0, atol=1e-13)
+        assert ok == (chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)], ids=repr)
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 4)])
+    def test_non_finite_state_raises(self, bad, entry, n, m):
+        phi = random_channel(n, m, stream_rng(53, 7))
+        rho = np.eye(n, dtype=complex) / n
+        rho[entry] = bad
+        with pytest.raises(matfun.NonFiniteError):
+            bounds.theorem1_check(rho, phi)
+        with pytest.raises(matfun.NonFiniteError):  # a zero operator's outcome too
+            bounds.theorem1_check(rho, list(phi.kraus) + [np.zeros((n, n))])
+
+    def test_trial_builds_no_ensemble(self, monkeypatch):
+        # one trial is one pass over the Kraus products: no Ensemble, no holevo, no
+        # separately built correlation matrix or measurement ensemble
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called by a theorem1 trial")
+
+        monkeypatch.setattr(Ensemble, "__post_init__", forbidden)
+        for name in ("holevo", "ensemble_from_channel", "correlation_from_kraus"):
+            monkeypatch.setattr(bounds, name, forbidden)
+        rows = [cli._TRIALS["theorem1"](42, t, {"k": 4}) for t in range(40)]
+        assert not any(r["violation"] for r in rows)
 
 
 class TestProps:

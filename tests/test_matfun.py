@@ -310,6 +310,22 @@ class TestMatrixExp:
         np.testing.assert_allclose(matfun.matrix_exp(m), series, atol=1e-10)
 
 
+class TestHermitize:
+    @pytest.mark.parametrize("m", [stream_rng(16, 0).random((3, 3)), stream_rng(16, 0).random((4, 2, 2)),
+                                   np.arange(9).reshape(3, 3)], ids=["3x3", "stack", "integer"])
+    def test_real_input_stays_real(self, m):
+        h = matfun.hermitize(m)
+        assert h.dtype == np.float64
+        assert h.tobytes() == ((m + m.swapaxes(-1, -2)) / 2).tobytes()
+
+    def test_complex_input_is_the_hermitian_part(self):
+        m = rand_complex(stream_rng(16, 1), (3, 4, 4))
+        h = matfun.hermitize(m)
+        assert h.tobytes() == ((m + m.conj().swapaxes(-1, -2)) / 2).tobytes()
+        assert h.tobytes() == matfun.hermitize(h).tobytes()  # idempotent, bit for bit
+        assert np.array_equal(h, h.conj().swapaxes(-1, -2))  # exactly Hermitian
+
+
 class TestSpectral:
     def test_stack_axes_are_kept(self):
         # hermitizing with .T would reverse the stack axes; swapaxes keeps them

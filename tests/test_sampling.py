@@ -123,6 +123,22 @@ class TestRandomChannel:
             phi = sampling.random_channel(2, 3, sampling.stream_rng(37, t + 1))
             assert phi.is_cptp().ok
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (3, 4)])
+    def test_thin_isometry_is_the_haar_unitarys_first_columns(self, n, m):
+        # the thin QR of the first n Gaussian columns against the full QR of all of them,
+        # from the same stream; the generator is left where the full draw leaves it
+        for t in range(20):
+            thin, full = sampling.stream_rng(36, t), sampling.stream_rng(36, t)
+            kraus = sampling.random_channel(n, m, thin).kraus
+            u = sampling.haar_unitary(n * m, full)[:, :n].reshape(m, n, n)
+            np.testing.assert_allclose(kraus, u, rtol=0, atol=1e-13)
+            assert thin.random() == full.random()
+
+    @pytest.mark.parametrize("n, m", [(0, 2), (2, 0), (-1, -1)])
+    def test_rejects_empty_shapes(self, n, m):
+        with pytest.raises(ValueError, match="at least 1"):
+            sampling.random_channel(n, m, sampling.stream_rng(36, 0))
+
     def test_choi_rank(self):
         for t in range(10):
             m = 1 + t % 4
