@@ -124,10 +124,14 @@ def _report(d: np.ndarray) -> tuple[CptpReport, np.ndarray | None, float]:
     flat = hermitize(d.reshape(out * n, out * n))
     w = _hermitian_spectrum(flat)
     d = flat.reshape(out, n, out, n)
-    tp_residual = float(np.abs(np.trace(d, axis1=0, axis2=2) - np.eye(n)).max())
+    residual = np.trace(d, axis1=0, axis2=2)  # a new (n, n) array: Tr_out d - I in place
+    residual.flat[:: n + 1] -= 1.0
+    tp_residual = float(np.abs(residual).max())
     min_eig = float(w[0])
     report = CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual)
-    return report, d, float(np.abs(w[w <= KRAUS_CUTOFF]).sum())
+    # w ascends, so nothing is dropped unless its first eigenvalue is
+    dropped = float(np.abs(w[w <= KRAUS_CUTOFF]).sum()) if w[0] <= KRAUS_CUTOFF else 0.0
+    return report, d, dropped
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -117,9 +117,11 @@ def _trial_davies(seed: int, t: int, params: dict) -> dict:
     rel = rng.random() * 2.0 * gam
     rates = davies.DaviesRates(rel, gam, 0.2 + 0.6 * rng.random(), t=0.0)
     res = davies.semigroup_residual(rates, 0.3 + rng.random(), 0.3 + rng.random())
-    # np.max, unlike max, carries a NaN from any position into the slack
-    worst = np.max([gap - DAVIES_MINIMIZER_GAP, res - VIOLATION_SLACK, 0.0])
-    return {"slack": float(np.max([gap, res])), "violation": bool(worst > 0.0)}
+    # max keeps a finite value over a NaN that is not its first argument, and a NaN
+    # fails every threshold: a NaN in either term is the slack and a violation
+    if math.isnan(gap) or math.isnan(res):
+        return {"slack": math.nan, "violation": True}
+    return {"slack": max(gap, res), "violation": gap > DAVIES_MINIMIZER_GAP or res > VIOLATION_SLACK}
 
 
 def _trial_multiplicativity(seed: int, t: int, params: dict) -> dict:

@@ -6,9 +6,10 @@ eigendecompositions and SVDs serve instead of iterative methods. No other
 module calls a LAPACK Hermitian eigensolver: they decompose through `eigh`,
 its checked form `psd_eigh`, `spectrum` or `spectrum3` (or `_hermitian_spectrum`,
 `spectrum` on a Hermitian part the caller keeps), and take polar factors from
-`root_svd`. The smallest cases, where LAPACK's per-call cost
-outweighs the work, have closed forms: 2×2 spectra and eigenvectors in `eigh`,
-2×2 root fidelities in `root_svd`, and 3×3 spectra in `spectrum3`.
+`root_svd`. The smallest cases, where LAPACK's per-call cost outweighs the
+work, have closed forms: 1×1 spectra in `spectrum`, 2×2 spectra and
+eigenvectors in `eigh`, 2×2 root fidelities in `root_svd`, and 3×3 spectra
+in `spectrum3`.
 """
 
 from __future__ import annotations
@@ -109,11 +110,13 @@ def _finite(h) -> np.ndarray:
 def spectrum(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix in a (..., n, n) stack.
 
-    2×2 input takes the closed form of _eigh2, larger input one eigvalsh.
-    Raises NonFiniteError on NaN or inf, which an eigensolver may otherwise
-    turn into finite eigenvalues.
+    1×1 input is its own real entry, 2×2 input takes the closed form of _eigh2,
+    larger input one eigvalsh. Raises NonFiniteError on NaN or inf, which an
+    eigensolver may otherwise turn into finite eigenvalues.
     """
     h = _finite(h)
+    if h.shape[-2:] == (1, 1):
+        return h[..., 0].real.astype(float)
     return _hermitian_spectrum(h if h.shape[-2:] == (2, 2) else hermitize(h))
 
 

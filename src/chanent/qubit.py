@@ -100,6 +100,7 @@ def smin_from_smap(s_map: float, n: int) -> float:
 # Pauli basis (I, X, Y, Z) as the columns of a 4x4 matrix, vectorized row-major
 # like the superoperator, so that P† S P / 2 is the Pauli transfer matrix.
 _PAULI_COLUMNS = np.stack([s.reshape(-1) for s in _SIGMA], axis=1)
+_PAULI_ROWS = _PAULI_COLUMNS.conj().T
 
 
 def _bloch_affine(phi: Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +109,7 @@ def _bloch_affine(phi: Channel) -> tuple[np.ndarray, np.ndarray]:
     Both are read off the Pauli transfer matrix T_ij = tr(sigma_i Phi(sigma_j))/2:
     W is its lower right 3x3 block and kappa the rest of its first column.
     """
-    t = (_PAULI_COLUMNS.conj().T @ phi.superoperator @ _PAULI_COLUMNS).real / 2.0
+    t = (_PAULI_ROWS @ phi.superoperator @ _PAULI_COLUMNS).real / 2.0
     return t[1:, 1:], t[1:, 0]
 
 
@@ -123,27 +124,34 @@ def _max_bloch_direction(w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     eigenspace. When c_top = 0 there is no pole; the lower end becomes
     d_min (sqrt(sum c_i²/d_i²) - 1), and if that is not positive (the hard
     case) mu = 0 and the weight left over goes on a top eigenvector.
+
+    Past the one eigendecomposition the work is on three numbers, so it runs
+    on Python floats, where NumPy would pay its per-call cost on each step.
     """
     a, q = eigh(w.T @ w)
     a, q = a[::-1], q[:, ::-1]
-    c = q.T @ (w.T @ kappa)
-    d = a[0] - a
-    live = c != 0.0  # the terms of the secular equation; all others are zero
-    c_live, d_live = c[live], d[live]
-    lo, hi = float(np.linalg.norm(c[d == 0.0])), float(np.linalg.norm(c))
+    c = (q.T @ (w.T @ kappa)).tolist()
+    d = (a[0] - a).tolist()
+    live = [i for i in range(3) if c[i] != 0.0]  # the terms of the secular equation; all others are zero
+    c_live, d_live = [c[i] for i in live], [d[i] for i in live]
+    lo, hi = math.hypot(*[ci for ci, di in zip(c, d) if di == 0.0]), math.hypot(*c)
+    hard = False
     if lo == 0.0:
         # sum c²/(mu + d)² >= weight (d_min/(mu + d_min))², which is >= 1 up to the new lo
-        y = np.zeros(3)
-        y[live] = c_live / d_live
-        weight = float(y @ y)
-        lo = float(d_live.min(initial=np.inf)) * (math.sqrt(weight) - 1.0)
-        if not lo > 0.0:
+        y = [ci / di if ci != 0.0 else 0.0 for ci, di in zip(c, d)]
+        weight = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
+        lo = min(d_live, default=math.inf) * (math.sqrt(weight) - 1.0)
+        hard = not lo > 0.0
+        if hard:
             y[0] = math.sqrt(max(1.0 - weight, 0.0))
-            return q @ y
-
-    mu = _secular_root(c_live.tolist(), d_live.tolist(), lo, hi)
-    y = c / (mu + d)
-    return q @ (y / np.linalg.norm(y))
+    if not hard:
+        mu = _secular_root(c_live, d_live, lo, hi)
+        y = [ci / (mu + di) for ci, di in zip(c, d)]
+    # normalized after the rotation, so that q's rounding cannot lengthen r: a longer r
+    # would read |W r + kappa| above the maximum
+    r = (q @ y).tolist()
+    norm = math.hypot(*r)
+    return np.array([ri / norm for ri in r])
 
 
 _EPS = float(np.finfo(float).eps)
@@ -177,7 +185,8 @@ def _max_bloch_radius(phi: Channel) -> tuple[float, np.ndarray]:
     """Largest output Bloch radius of a qubit channel (at most 1) and the input Bloch vector reaching it."""
     w, kappa = _bloch_affine(phi)
     r = _max_bloch_direction(w, kappa)
-    return min(float(np.linalg.norm(w @ r + kappa)), 1.0), r
+    v = w @ r + kappa
+    return min(math.sqrt(v @ v), 1.0), r
 
 
 # -- output extrema: one fixed-point iteration ----------------------------------

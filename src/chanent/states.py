@@ -77,13 +77,13 @@ def from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise InvalidStateError("Bloch vector must have 3 components")
-    _require_finite(r, "Bloch vector")
-    if np.linalg.norm(r) > 1.0 + NORMALIZATION_TOL:
-        raise InvalidStateError(f"Bloch vector length {np.linalg.norm(r)} exceeds 1")
-    rho = np.eye(2, dtype=complex)
-    for ri, sigma in zip(r, PAULI):
-        rho += ri * sigma
-    return rho / 2.0
+    x, y, z = r.tolist()
+    length = math.hypot(x, y, z)  # NaN or inf if a component is; inf also on overflow
+    if not length <= 1.0 + NORMALIZATION_TOL:
+        _require_finite(r, "Bloch vector")
+        raise InvalidStateError(f"Bloch vector length {length} exceeds 1")
+    return np.array([[(1.0 + z) / 2.0, complex(x / 2.0, -y / 2.0)],
+                     [complex(x / 2.0, y / 2.0), (1.0 - z) / 2.0]])
 
 
 def to_bloch(rho: np.ndarray) -> np.ndarray:

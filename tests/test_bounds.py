@@ -23,21 +23,7 @@ from chanent.sampling import (
 )
 from chanent.states import pure_state
 from chanent.tolerances import PSD_TOL, VIOLATION_SLACK
-from tests_support import conjecture_reference, kraus_lists, polar_2x2
-
-
-def record_shapes(monkeypatch, owner, names) -> dict:
-    """Patch each owner.<name> to record the shape of its first argument, by name."""
-    calls = {name: [] for name in names}
-    for name, shapes in calls.items():
-        real = getattr(owner, name)
-
-        def counted(a, *args, _real=real, _shapes=shapes, **kwargs):
-            _shapes.append(np.shape(a))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-    return calls
+from tests_support import conjecture_reference, kraus_lists, polar_2x2, record_shapes
 
 
 def random_ens(rng, k=3, n=2):
@@ -227,6 +213,17 @@ class TestTheorem1:
             bounds.theorem1_check(rho, phi)
         with pytest.raises(matfun.NonFiniteError):  # a zero operator's outcome too
             bounds.theorem1_check(rho, list(phi.kraus) + [np.zeros((n, n))])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_kraus_operator_sends_no_sigma_to_lapack(self, n, monkeypatch):
+        # sigma is 1×1 (entropy 0 by definition): its spectrum is its entry
+        rng = stream_rng(53, 9)
+        phi = random_channel(n, 1, rng)
+        rho = hs_random_density(n, rng)
+        calls = record_shapes(monkeypatch, np.linalg, ("eigvalsh",))
+        chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi)
+        assert all(shape[-2:] != (1, 1) for shape in calls["eigvalsh"])
+        assert s_sigma == 0.0 and h_p == 0.0 and ok
 
     def test_trial_builds_no_ensemble(self, monkeypatch):
         # one trial is one pass over the Kraus products: no Ensemble, no holevo, no

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chanent import channels, cli
+from chanent import channels, cli, davies
 from chanent.bounds import Ensemble
 from chanent.channels import Channel
 from chanent.entropy import EntropyOrder, vn_entropy
-from chanent.matfun import hermitize, partial_trace, reshuffle
+from chanent.matfun import _hermitian_spectrum, hermitize, partial_trace, reshuffle
 from chanent.sampling import (
     dirichlet,
     haar_unitary,
@@ -18,7 +18,7 @@ from chanent.sampling import (
     stream_rng,
 )
 from chanent.states import purify, root_fidelity
-from chanent.tolerances import CPTP_TOL
+from chanent.tolerances import CPTP_TOL, KRAUS_CUTOFF
 from tests_support import kraus_lists
 
 
@@ -99,6 +99,33 @@ class TestIsCptp:
         report = channels.is_cptp([0.9 * k for k in phi.kraus])
         assert not report.tp
 
+
+class TestReport:
+    def test_matches_the_reference_formula(self):
+        # Tr_out d - I and the dropped weight as they were first written, with an
+        # identity matrix and a masked sum over every eigenvalue
+        def reference(d):
+            out, n = d.shape[:2]
+            flat = hermitize(d.reshape(out * n, out * n))
+            w = _hermitian_spectrum(flat)
+            d = flat.reshape(out, n, out, n)
+            tp_residual = float(np.abs(np.trace(d, axis1=0, axis2=2) - np.eye(n)).max())
+            min_eig = float(w[0])
+            report = channels.CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual)
+            return report, d, float(np.abs(w[w <= KRAUS_CUTOFF]).sum())
+
+        family = [davies.qubit_superoperator(davies.DaviesQubit(a=0.1, c=0.9, p=0.3))._d]
+        for t in range(200):
+            d = random_channel(1 + t % 3, 1 + t // 3 % 4, stream_rng(44, t))._d
+            family += [d, d.transpose(2, 1, 0, 3)]  # and the output transposed: TP, not CP
+        not_cp = dropped = 0
+        for d in family:
+            report, kept, weight = channels._report(d)
+            want_report, want_kept, want_weight = reference(d)
+            assert report == want_report and np.array_equal(kept, want_kept) and weight == want_weight
+            not_cp += not report.cp
+            dropped += weight > 0.0
+        assert not_cp >= 100 and dropped >= 200
 
 def _transpose_superoperator() -> np.ndarray:
     """The transpose map on qubits: its superoperator is the SWAP matrix."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chanent import cli, sampling
-from tests_support import conjecture_reference
+from tests_support import conjecture_reference, record_shapes
 
 
 def run_main(capsys, argv):
@@ -99,6 +99,19 @@ class TestVerify:
             monkeypatch.setattr(qubit, "sandwich_check", lambda *args: rep)
         out = tmp_path / "r.json"
         code = cli.main(["verify", "--suite", suite, "--trials", "3", "--output", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["violations"] == 3 and math.isnan(report["max_slack"])
+
+    def test_nan_in_the_first_davies_slack_term_is_a_violation(self, tmp_path, monkeypatch):
+        # the mirror of the case above: a NaN minimizer gap, ahead of a finite residual
+        from chanent import davies
+
+        monkeypatch.setattr(davies, "qubit_minimizer", lambda *args: (0.5, math.nan))
+        row = cli._TRIALS["davies"](3, 0, {})
+        assert row["violation"] and math.isnan(row["slack"])
+        out = tmp_path / "r.json"
+        code = cli.main(["verify", "--suite", "davies", "--trials", "3", "--output", str(out)])
         assert code == 1
         report = json.loads(out.read_text())
         assert report["violations"] == 3 and math.isnan(report["max_slack"])
@@ -386,6 +399,18 @@ class TestStackedSuites:
                                       "--jobs", "1"])
         assert code == 0 and [t for t, _ in calls] == list(range(6))
         assert json.loads(out)["max_slack"] == max(slack for _, slack in calls)
+
+
+class TestDaviesTrial:
+    def test_one_eigh_and_one_eigvalsh_per_trial(self, monkeypatch):
+        # the 3×3 eigh of the exact qubit minimizer and the 4×4 CP check of the
+        # channel; every other step of a trial is arithmetic on a few floats
+        calls = record_shapes(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd", "norm"))
+        for t in range(20):
+            for shapes in calls.values():
+                shapes.clear()
+            cli._TRIALS["davies"](42, t, {})
+            assert calls == {"eigh": [(3, 3)], "eigvalsh": [(4, 4)], "svd": [], "norm": []}
 
 
 class TestElapsed:

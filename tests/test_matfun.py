@@ -11,7 +11,7 @@ from chanent import davies, matfun
 from chanent.tolerances import PSD_TOL
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
 from chanent.states import pure_state
-from tests_support import polar_2x2, psd_stacks, stack_from_spectra
+from tests_support import polar_2x2, psd_stacks, record_shapes, stack_from_spectra
 
 
 def rand_complex(rng, shape):
@@ -367,6 +367,23 @@ class TestSpectral:
         for fn in (matfun.spectrum3, matfun.eigh):
             with pytest.raises(matfun.NonFiniteError):
                 fn(np.diag([1.0, 0.0, bad]))
+
+    def test_one_by_one_spectrum_is_its_real_entry(self, monkeypatch):
+        # LAPACK reads only the real part of a 1×1 matrix: the entry gives the same
+        # bits without an eigvalsh call, and NaN or inf still raises
+        hs = rand_complex(stream_rng(5, 3), (4, 3, 1, 1))
+        cases = [hs, hs[0, 0], hs.real]
+        want = [np.linalg.eigvalsh(h) for h in cases]
+        calls = record_shapes(monkeypatch, np.linalg, ("eigvalsh",))
+        for h, w in zip(cases, want):
+            got = matfun.spectrum(h)
+            assert got.shape == w.shape and got.dtype == w.dtype and got.tobytes() == w.tobytes()
+        assert calls == {"eigvalsh": []}
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            h = hs.copy()
+            h[1, 2, 0, 0] = bad
+            with pytest.raises(matfun.NonFiniteError):
+                matfun.spectrum(h)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_eigh_keeps_negative_eigenvalues(self, n):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chanent.matfun import SUPPORT_CUTOFF, NonFiniteError, psd_log, psd_power
 from chanent.states import PAULI, to_bloch
 from chanent.sampling import (_flat_dirichlet, dirichlet, haar_unitary, random_channel, random_pure_state,
                               stream_rng, stream_uniforms)
+import oracle
 from tests_support import criterion7_davies, kraus_lists
 
 
@@ -329,6 +331,31 @@ class TestSecularRoot:
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteError):
             qubit._secular_root([math.nan, 0.5], [0.0, 0.5], 0.1, 1.0)
+
+
+class TestMaxBlochRadiusOracle:
+    # the 50-digit reference of oracle.max_bloch_radius on the float (W, kappa) the
+    # kernel reads: 200 random channels, 200 Davies draws of the davies suite and 20
+    # Pauli channels (kappa = 0). Measured worst error 3.67 eps (random), 0.53 eps
+    # (Davies), 0 (Pauli); the largest overshoot 0.80 eps
+    def test_within_4_eps_and_never_2_eps_above(self):
+        eps = Decimal(EPS)
+        draws = [(random_channel(2, 1 + t % 4, stream_rng(211, t)), None) for t in range(200)]
+        for t in range(200):
+            d = _random_davies(stream_rng(212, t))
+            draws.append((davies.qubit_superoperator(d), 2 * davies.qubit_max_norm(d) - 1))
+        for t in range(20):
+            p = dirichlet(4, stream_rng(213, t))
+            eta = 2 * (p[0] + p[1:]) - 1
+            draws.append((qubit.pauli_channel(p), np.abs(eta).max()))
+        worst = overshoot = Decimal(0)
+        for phi, closed_form in draws:
+            ref = oracle.max_bloch_radius(*qubit._bloch_affine(phi))
+            if closed_form is not None:  # the thesis's closed forms check the oracle itself
+                assert abs(float(ref) - closed_form) <= 1e-14
+            err = (Decimal(qubit._max_bloch_radius(phi)[0]) - ref) / eps
+            worst, overshoot = max(worst, abs(err)), max(overshoot, err)
+        assert worst <= 4 and overshoot <= 2, (worst, overshoot)
 
 
 R2 = EntropyOrder.renyi(2.0)

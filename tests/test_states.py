@@ -6,6 +6,7 @@ import pytest
 from chanent import bounds, states
 from chanent.matfun import partial_trace, psd_eigh, psd_sqrt, root_svd
 from chanent.sampling import haar_unitary, hs_random_density, random_pure_state, stream_rng
+from chanent.tolerances import NORMALIZATION_TOL
 
 
 def random_bloch(rng):
@@ -30,6 +31,28 @@ class TestBloch:
     def test_rejects_long_vector(self):
         with pytest.raises(states.InvalidStateError):
             states.from_bloch([1.0, 1.0, 0.0])
+
+    def test_length_check(self):
+        # a length too large to square is too long, not non-finite
+        with pytest.raises(states.InvalidStateError, match="exceeds 1"):
+            states.from_bloch([1e200, 1e200, 0.0])
+        r = np.array([0.6, 0.0, 0.8]) * (1.0 + NORMALIZATION_TOL / 2)
+        assert np.linalg.norm(r) > 1.0
+        np.testing.assert_allclose(states.from_bloch(r), (np.eye(2) + np.tensordot(r, states.PAULI, axes=1)) / 2)
+
+    def test_equals_the_pauli_sum(self):
+        rng = stream_rng(11, 1)
+        for t in range(1000):
+            r = random_bloch(rng)
+            if t % 4 == 1:
+                r[t % 3] = 0.0
+            elif t % 4 == 2:
+                r /= np.linalg.norm(r)
+            want = np.eye(2, dtype=complex)
+            for ri, sigma in zip(r, states.PAULI):
+                want += ri * sigma
+            got = states.from_bloch(r)
+            assert got.dtype == complex and np.array_equal(got, want / 2.0)
 
 
 class TestPurify:

@@ -18,6 +18,20 @@ def polar_2x2(x: np.ndarray) -> np.ndarray:
     return (x + adj.conj().T) / np.sqrt(np.sum(np.abs(x) ** 2) + 2 * np.linalg.det(x).real)
 
 
+def record_shapes(monkeypatch, owner, names) -> dict:
+    """Patch each owner.<name> to record the shape of its first argument, by name."""
+    calls = {name: [] for name in names}
+    for name, shapes in calls.items():
+        real = getattr(owner, name)
+
+        def counted(a, *args, _real=real, _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def conjecture_reference(k: int, dim: int, seed: int, start: int, stop: int) -> np.ndarray:
     """chi - S(G) of trials [start, stop) of the conjecture1 suite, one ensemble at a
     time through the public functions."""
