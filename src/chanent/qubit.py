@@ -149,9 +149,8 @@ def _max_bloch_direction(w: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         y = [ci / (mu + di) for ci, di in zip(c, d)]
     # normalized after the rotation, so that q's rounding cannot lengthen r: a longer r
     # would read |W r + kappa| above the maximum
-    r = (q @ y).tolist()
-    norm = math.hypot(*r)
-    return np.array([ri / norm for ri in r])
+    r = q @ y
+    return r / math.hypot(*r.tolist())
 
 
 _EPS = float(np.finfo(float).eps)
