@@ -35,7 +35,7 @@ from .entropy import (
     transmission_distance,
     vn_entropy,
 )
-from .matfun import matrix_exp, partial_trace, psd_sqrt, reshuffle
+from .matfun import partial_trace, psd_sqrt, reshuffle
 from .qubit import (
     additivity_region,
     depolarizing,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, correlation_from_kraus, ensemble_from_channel, exchange_entropy, map_entropy
+from .channels import Channel, _measurement, correlation_from_kraus, map_entropy
 from .entropy import (
     EntropyOrder,
     VON_NEUMANN,
@@ -21,11 +21,11 @@ from .entropy import (
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import _finite, from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
+from .matfun import from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
 from .sampling import random_pure_state, stream_rng
 from .states import assert_state, from_bloch, pure_state, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
-                         PSD_TOL, SUPPORT_CUTOFF, VIOLATION_SLACK)
+                         PSD_TOL, VIOLATION_SLACK)
 
 __all__ = [
     "Ensemble",
@@ -158,32 +158,35 @@ def _purification_gram(probs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _root_probs(probs) * (vecs @ vecs.conj().swapaxes(-1, -2))
 
 
+def _ensemble_entropies(probs: np.ndarray, outs: np.ndarray) -> tuple[float, float]:
+    """(S(sum of outs), sum p_i S(out_i)) of (k, n, n) unnormalized outputs with weights p,
+    from one spectrum of [sum of outs; outs], each normalized there: chi is their difference."""
+    ent = _eigenvalue_entropy(spectrum(np.concatenate([outs.sum(axis=0)[None], outs])))
+    return float(ent[0]), float((probs * ent[1:]).sum())
+
+
+def _through(phi: Channel, outs: np.ndarray) -> np.ndarray:
+    """phi applied to every matrix of a (k, n, n) stack at once."""
+    return (phi.kraus @ outs[:, None] @ phi.kraus.conj().swapaxes(-1, -2)).sum(axis=1)
+
+
 def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
     """The chain chi <= S(sigma) <= H(P) for a measurement ensemble, to VIOLATION_SLACK.
 
     phi is a Channel or a Kraus list; a list is validated as one Channel.
     Returns (chi, s_sigma, h_p, ok).
 
-    All three come from the products L_i = K_i rho: sigma_ij = tr L_i K_j†,
-    p_i = sigma_ii, and the outputs K_i rho K_i† = L_i K_i†. chi is that of
-    ensemble_from_channel: outcomes with p_i below SUPPORT_CUTOFF are dropped,
-    and one spectrum of the stack [sum of the kept outputs; each kept output]
-    gives its entropies (each spectrum is normalized there, so neither the
-    average nor an output needs dividing by its weight). NaN or inf in rho
-    raises NonFiniteError before any arithmetic, and in a Kraus list
-    InvalidChannelError.
+    All three come from channels._measurement: sigma, the P = diag(sigma) of
+    every outcome, and chi of the kept outcomes (p_i at or above SUPPORT_CUTOFF)
+    by `_ensemble_entropies`. NaN or inf in rho raises NonFiniteError before any
+    arithmetic, and in a Kraus list InvalidChannelError.
     """
-    kraus = _as_channel(phi).kraus
-    m = len(kraus)
-    left = kraus @ _finite(np.asarray(rho, dtype=complex))
-    sigma = left.reshape(m, -1) @ kraus.reshape(m, -1).conj().T
+    sigma, probs, outs = _measurement(_as_channel(phi).kraus, rho)
     s_sigma = vn_entropy(sigma)
-    probs = sigma.diagonal().real
-    h_p = spectrum_entropy(_clean_probs(probs / probs.sum()))
-    kept = probs >= SUPPORT_CUTOFF
-    outs = left[kept] @ kraus[kept].conj().swapaxes(-1, -2)
-    w = spectrum(np.concatenate([outs.sum(axis=0)[None], outs]))
-    chi = float(_holevo_vn(probs[kept] / probs[kept].sum(), w[0], w[1:]))
+    p = sigma.diagonal().real
+    h_p = spectrum_entropy(_clean_probs(p / p.sum()))
+    s_avg, s_each = _ensemble_entropies(probs, outs)
+    chi = s_avg - s_each
     ok = chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK
     return chi, s_sigma, h_p, ok
 
@@ -193,9 +196,8 @@ def info_gain_check(rho: np.ndarray, phi) -> bool:
 
     phi is a Channel or a Kraus list; a list is validated as one Channel.
     """
-    e = ensemble_from_channel(_as_channel(phi), rho)
-    avg = sum(p * vn_entropy(s) for p, s in zip(e.probs, e.states))
-    return avg <= vn_entropy(rho) + VIOLATION_SLACK
+    _, probs, outs = _measurement(_as_channel(phi).kraus, rho)
+    return _ensemble_entropies(probs, outs)[1] <= vn_entropy(rho) + VIOLATION_SLACK
 
 
 def concat_bound_check(phi1: Channel, phi2: Channel, rho: np.ndarray) -> tuple[bool, bool]:
@@ -205,16 +207,13 @@ def concat_bound_check(phi1: Channel, phi2: Channel, rho: np.ndarray) -> tuple[b
     Second: the same left side is bounded by the exchange entropy of the
     composed channel at rho. Returns (first_ok, second_ok).
     """
-    e = ensemble_from_channel(phi1, rho)
-    lhs = vn_entropy(phi2.apply(phi1.apply(rho))) - sum(
-        p * vn_entropy(phi2.apply(s)) for p, s in zip(e.probs, e.states)
-    )
-    rhs1 = vn_entropy(phi1.apply(rho)) - sum(
-        p * vn_entropy(s) for p, s in zip(e.probs, e.states)
-    )
     composed = phi2.compose(phi1)
-    sigma_ii = vn_entropy(correlation_from_kraus(composed.kraus, rho))
-    return lhs <= rhs1 + VIOLATION_SLACK, lhs <= sigma_ii + VIOLATION_SLACK
+    _, probs, outs = _measurement(phi1.kraus, rho)
+    s_avg, s_each = _ensemble_entropies(probs, outs)
+    s2_avg, s2_each = _ensemble_entropies(probs, _through(phi2, outs))
+    lhs = s2_avg - s2_each
+    s_exchange = vn_entropy(_measurement(composed.kraus, rho)[0])
+    return lhs <= s_avg - s_each + VIOLATION_SLACK, lhs <= s_exchange + VIOLATION_SLACK
 
 
 def composition_map_entropy_lower(phi1: Channel, phi2: Channel) -> float:
@@ -224,12 +223,9 @@ def composition_map_entropy_lower(phi1: Channel, phi2: Channel) -> float:
     with rho* maximally mixed and Delta = S(Phi2 Phi1(rho*)) - S(Phi1(rho*)).
     """
     n = phi1.in_dim
-    rho_star = np.eye(n, dtype=complex) / n
-    e = ensemble_from_channel(phi1, rho_star)
-    out = vn_entropy(phi2.apply(phi1.apply(rho_star)))
-    first = out - sum(p * vn_entropy(phi2.apply(s)) for p, s in zip(e.probs, e.states))
-    delta = out - vn_entropy(phi1.apply(rho_star))
-    return max(first, map_entropy(phi1) + delta)
+    _, probs, outs = _measurement(phi1.kraus, np.eye(n, dtype=complex) / n)
+    out, s_each = _ensemble_entropies(probs, _through(phi2, outs))
+    return max(out - s_each, map_entropy(phi1) + out - vn_entropy(outs.sum(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -250,10 +246,9 @@ class LindbladReport:
 def lindblad_check(rho: np.ndarray, phi: Channel) -> LindbladReport:
     """Slack report for |S(rho')-S(rho)| <= S(sigma) <= S(rho')+S(rho) and the
     three-state bound chi <= S(sigma) + S(rho') - S(rho)."""
+    chi, s_ex, _, _ = theorem1_check(rho, phi)
     s_in = vn_entropy(rho)
     s_out = vn_entropy(phi.apply(rho))
-    s_ex = exchange_entropy(phi, rho)
-    chi = holevo(ensemble_from_channel(phi, rho))
     return LindbladReport(
         s_in=s_in,
         s_out=s_out,

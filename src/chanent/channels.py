@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import _hermitian_spectrum, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd
+from .matfun import _finite, _hermitian_spectrum, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd
 from .tolerances import (CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF, SINGULAR_CUTOFF,
                          SUPPORT_CUTOFF)
 
@@ -329,18 +329,28 @@ def map_entropy(phi: Channel, order: EntropyOrder = VON_NEUMANN) -> float:
     return vn_entropy(phi.choi, order)
 
 
+def _measurement(kraus, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, probs, outs) of a Kraus stack at rho, from the products L_i = K_i rho: the
+    correlation matrix sigma_ij = tr L_i K_j† (not hermitized), the renormalized weights
+    p_i = sigma_ii of the outcomes at or above SUPPORT_CUTOFF, and their unnormalized
+    outputs L_i K_i†. NaN or inf in rho raises NonFiniteError before any arithmetic."""
+    kraus = np.asarray(kraus, dtype=complex)
+    m = len(kraus)
+    left = kraus @ _finite(np.asarray(rho, dtype=complex))
+    sigma = left.reshape(m, -1) @ kraus.reshape(m, -1).conj().T
+    probs = sigma.diagonal().real
+    kept = probs >= SUPPORT_CUTOFF
+    return sigma, probs[kept] / probs[kept].sum(), left[kept] @ kraus[kept].conj().swapaxes(-1, -2)
+
+
 def exchange_entropy(phi: Channel, rho: np.ndarray, order: EntropyOrder = VON_NEUMANN) -> float:
     """Entropy of the environment state sigma_ij = tr K^i rho K^j† after the map."""
-    sigma = correlation_from_kraus(phi.kraus, rho)
-    return vn_entropy(sigma, order)
+    return vn_entropy(_measurement(phi.kraus, rho)[0], order)
 
 
 def correlation_from_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     """Correlation matrix sigma_ij = tr K^i rho K^j† of a measurement/channel."""
-    stack = np.asarray(kraus, dtype=complex)
-    m = len(stack)
-    left = (stack @ np.asarray(rho, dtype=complex)).reshape(m, -1)
-    return hermitize(left @ stack.reshape(m, -1).conj().T)
+    return hermitize(_measurement(kraus, rho)[0])
 
 
 def coherent_information(phi: Channel, rho: np.ndarray) -> float:
@@ -355,11 +365,8 @@ def ensemble_from_channel(phi: Channel, rho: np.ndarray):
     """
     from .bounds import Ensemble  # lazy: the channels↔bounds cycle, as bounds imports this module
 
-    outs = phi.kraus @ np.asarray(rho, dtype=complex) @ phi.kraus.conj().swapaxes(-1, -2)
-    probs = np.trace(outs, axis1=-2, axis2=-1).real
-    kept = probs >= SUPPORT_CUTOFF
-    probs, outs = probs[kept], outs[kept]
-    return Ensemble(probs / probs.sum(), outs / probs[:, None, None])
+    _, probs, outs = _measurement(phi.kraus, rho)
+    return Ensemble(probs, outs / np.trace(outs, axis1=-2, axis2=-1).real[:, None, None])
 
 
 def pair_optimal_unitary(rho1: np.ndarray, rho2: np.ndarray, u1: np.ndarray) -> np.ndarray:

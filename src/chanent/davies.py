@@ -148,50 +148,41 @@ def bloch_params(d: DaviesQubit) -> QubitChannelParams:
     )
 
 
+def _max_radius(kappa3: float, eta3: float, c: float) -> tuple[float, float]:
+    """(z, radius): the largest output Bloch radius sqrt((kappa3 + eta3 z)² + c²(1 - z²))
+    of a Davies qubit map over input heights z in [-1, 1], and the z reaching it.
+
+    The square is a quadratic in z. Where it is concave (c² > eta3²) its stationary
+    point z* = kappa3 eta3/(c² - eta3²), with radius² = c²(1 + kappa3²/(c² - eta3²)),
+    is the maximum if it lies in [-1, 1]; otherwise an endpoint z = ±1 is, with
+    radius |kappa3 ± eta3|.
+    """
+    curvature = c * c - eta3 * eta3
+    if curvature > 0.0:
+        z = kappa3 * eta3 / curvature
+        if -1.0 <= z <= 1.0:
+            return z, math.sqrt(c * c + kappa3 * kappa3 * c * c / curvature)
+    z = 1.0 if abs(kappa3 + eta3) >= abs(kappa3 - eta3) else -1.0
+    return z, abs(kappa3 + eta3 * z)
+
+
 def qubit_minimizer(d: DaviesQubit) -> tuple[float, float]:
     """Closed-form minimal-output-entropy point of a Davies qubit map.
 
     Returns (mu, s_min) where the minimizer is the real pure state with
-    diagonal (mu, 1-mu). The output Bloch radius squared is a quadratic in
-    mu, so the maximum sits either at an endpoint or at the interior
-    stationary point mu* = [c² + (1-a-b)(2b-1)] / [2c² - 2(1-a-b)²]; the
-    interior point wins only when c² > (1-a-b)², i.e. when the quadratic is
-    concave.
+    diagonal (mu, 1-mu): `_max_radius` at eta3 = 1 - a - b and kappa3 = b - a,
+    with mu = (1 + z)/2, the radius clamped at 1.
     """
-    a, c, b = d.a, d.c, d.b
-
-    def radius_sq(mu: float) -> float:
-        z = 2.0 * (1.0 - a - b) * mu + 2.0 * b - 1.0
-        return z * z + 4.0 * c * c * mu * (1.0 - mu)
-
-    candidates = [0.0, 1.0]
-    denom = 2.0 * c * c - 2.0 * (1.0 - a - b) ** 2
-    if abs(denom) > DAVIES_COEFF_CUTOFF:
-        mu_star = (c * c + (1.0 - a - b) * (2.0 * b - 1.0)) / denom
-        if 0.0 < mu_star < 1.0 and c * c > (1.0 - a - b) ** 2:
-            candidates.append(mu_star)
-    mu = max(candidates, key=radius_sq)
-    radius = math.sqrt(min(radius_sq(mu), 1.0))
-    top = (1.0 + radius) / 2.0
-    return mu, spectrum_entropy([top, 1.0 - top])
+    z, radius = _max_radius(d.b - d.a, 1.0 - d.a - d.b, d.c)
+    top = (1.0 + min(radius, 1.0)) / 2.0
+    return (1.0 + z) / 2.0, spectrum_entropy([top, 1.0 - top])
 
 
 def qubit_max_norm(d: DaviesQubit) -> float:
-    """Maximal output 2-norm of a Davies qubit map, in closed form.
-
-    The squared output radius (kappa3 + z eta3)² + (1-z²) eta1² is concave
-    in z when eta3² <= eta1², so the maximum is either the interior
-    stationary point z* = kappa3 eta3/(eta1² - eta3²) or an endpoint
-    z = ±1. The convex case (eta1² < eta3²) always peaks at an endpoint.
-    """
+    """Maximal output 2-norm of a Davies qubit map, in closed form: (1 + radius)/2 with
+    the radius of `_max_radius` at the Bloch parameters of `bloch_params`."""
     params = bloch_params(d)
-    e1, _, e3 = params.eta
-    k3 = params.kappa[2]
-    if e1 * e1 > e3 * e3:
-        z_star = k3 * e3 / (e1 * e1 - e3 * e3)
-        if -1.0 <= z_star <= 1.0:
-            return 0.5 * (1.0 + math.sqrt(e1 * e1 + k3 * k3 * e1 * e1 / (e1 * e1 - e3 * e3)))
-    return 0.5 * (1.0 + abs(k3) + abs(e3))
+    return 0.5 * (1.0 + _max_radius(float(params.kappa[2]), float(params.eta[2]), float(params.eta[0]))[1])
 
 
 # -- qutrit -------------------------------------------------------------------
@@ -456,15 +447,19 @@ def detailed_balance_residual(block: DaviesQutritBlock, x: np.ndarray, y: np.nda
 
 
 def semigroup_residual(rates: DaviesRates, t1: float, t2: float) -> float:
-    """|Phi(t1) Phi(t2) - Phi(t1 + t2)| for a shared qubit generator.
+    """The largest entry of |Phi(t1) Phi(t2) - Phi(t1 + t2)| for a shared qubit generator.
 
-    Each map is checked as a DaviesQubit and multiplied as its 4×4 matrix:
-    no Channel is built.
+    Each map is checked as a DaviesQubit. Its superoperator has the five distinct
+    entries 1 - a, b, a, 1 - b (the population block [[1 - a, b], [a, 1 - b]]) and c
+    (both coherences), so the product is taken on those floats: no matrix is built.
     """
-    def superop(t):
+    def entries(t):
         d = DaviesQubit.from_rates(DaviesRates(rates.relaxation, rates.dephasing, rates.p, t))
-        return _qubit_superoperator_matrix(d)
+        return d.a, d.b, d.c
 
-    lhs = superop(t1) @ superop(t2)
-    rhs = superop(t1 + t2)
-    return float(np.abs(lhs - rhs).max())
+    (a1, b1, c1), (a2, b2, c2), (a, b, c) = entries(t1), entries(t2), entries(t1 + t2)
+    return max(abs((1.0 - a1) * (1.0 - a2) + b1 * a2 - (1.0 - a)),
+               abs((1.0 - a1) * b2 + b1 * (1.0 - b2) - b),
+               abs(a1 * (1.0 - a2) + (1.0 - b1) * a2 - a),
+               abs(a1 * b2 + (1.0 - b1) * (1.0 - b2) - (1.0 - b)),
+               abs(c1 * c2 - c))

@@ -40,7 +40,6 @@ __all__ = [
     "root_svd",
     "sqrt_product",
     "schur_positive",
-    "matrix_exp",
 ]
 
 class NotPSDError(ValueError):
@@ -372,13 +371,3 @@ def schur_positive(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     comp = np.asarray(c) - np.asarray(b).conj().T @ np.linalg.solve(a, b)
     return bool(spectrum(comp).min() >= -PSD_TOL)
 
-
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy).
-
-    No command of the package calls it, so SciPy is imported here, on the
-    first call, and `import chanent` loads no SciPy.
-    """
-    import scipy.linalg
-
-    return scipy.linalg.expm(np.asarray(m))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, map_entropy
-from .entropy import EntropyOrder, VON_NEUMANN, _clean_probs, spectrum_entropy, vn_entropy
-from .matfun import NonFiniteError, eigh
+from .entropy import EntropyOrder, VON_NEUMANN, _clean_probs, _eigenvalue_entropy, spectrum_entropy, vn_entropy
+from .matfun import NonFiniteError, eigh, spectrum
 from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
 from .tolerances import (DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM,
@@ -383,6 +383,10 @@ def pauli_edge_curves(q: float, samples: int = 400) -> dict:
 # -- sandwich and additivity region -------------------------------------------
 
 
+_TSALLIS2 = EntropyOrder.tsallis(2.0)
+_RENYI2 = EntropyOrder.renyi(2.0)
+
+
 def _max_entangled(n: int) -> np.ndarray:
     vec = np.zeros(n * n, dtype=complex)
     vec[:: n + 1] = 1.0 / math.sqrt(n)
@@ -416,31 +420,38 @@ def sandwich_check(phi1: Channel, phi2: Channel) -> SandwichReport:
     """|S_map(1) - S_map(2)| <= S((Phi1 ⊗ Phi2)(phi+)) <= S_map(1) + S_map(2).
 
     Checked for the von Neumann and Tsallis-2 entropies (both subadditive),
-    together with the Rényi-2 rewrite of the lower bound.
+    together with the Rényi-2 rewrite of the lower bound. All three orders read
+    one spectrum of the stack [Choi(1); Choi(2); (Phi1 ⊗ Phi2)(phi+)], each
+    matrix zero-padded to the largest (for rectangular channels): a zero block
+    adds only zero eigenvalues, which no entropy counts.
     """
     if phi1.in_dim != phi2.in_dim:
         raise ValueError("sandwich needs channels of equal dimension")
-    state = phi1.tensor(phi2).apply(_max_entangled(phi1.in_dim))
-    t2 = EntropyOrder.tsallis(2.0)
-    r2 = EntropyOrder.renyi(2.0)
-    m1v, m2v = map_entropy(phi1), map_entropy(phi2)
-    m1t, m2t = map_entropy(phi1, t2), map_entropy(phi2, t2)
+    mats = (phi1.choi, phi2.choi, phi1.tensor(phi2).apply(_max_entangled(phi1.in_dim)))
+    size = max(len(m) for m in mats)
+    w = spectrum(np.stack([m if len(m) == size else np.pad(m, (0, size - len(m))) for m in mats]))
+    (m1v, m2v, mid_v), (m1t, m2t, mid_t), (m1r, m2r, mid_r) = (
+        _eigenvalue_entropy(w, order).tolist() for order in (VON_NEUMANN, _TSALLIS2, _RENYI2))
     return SandwichReport(
-        middle_vn=vn_entropy(state),
-        middle_tsallis2=vn_entropy(state, t2),
+        middle_vn=mid_v,
+        middle_tsallis2=mid_t,
         lower_vn=abs(m1v - m2v),
         upper_vn=m1v + m2v,
         lower_tsallis2=abs(m1t - m2t),
         upper_tsallis2=m1t + m2t,
-        renyi2_lower=renyi2_lower(phi1, phi2),
-        middle_renyi2=vn_entropy(state, r2),
+        renyi2_lower=_renyi2_lower(m1r, m2r),
+        middle_renyi2=mid_r,
     )
 
 
 def renyi2_lower(phi1: Channel, phi2: Channel) -> float:
     """-log(1 - |exp(-S2_map(1)) - exp(-S2_map(2))|), the Rényi-2 lower bound."""
-    r2 = EntropyOrder.renyi(2.0)
-    gap = abs(math.exp(-map_entropy(phi1, r2)) - math.exp(-map_entropy(phi2, r2)))
+    return _renyi2_lower(map_entropy(phi1, _RENYI2), map_entropy(phi2, _RENYI2))
+
+
+def _renyi2_lower(s1: float, s2: float) -> float:
+    """renyi2_lower of the Rényi-2 map entropies s1 and s2."""
+    gap = abs(math.exp(-s1) - math.exp(-s2))
     return -math.log(1.0 - gap) if gap < 1.0 else math.inf
 
 
@@ -450,10 +461,8 @@ def additivity_region(phi1: Channel, phi2: Channel) -> bool:
     1 - ((MN+1)/(MN)) |e^{-S1} - e^{-S2}| <= e^{-(S1+S2)} with S_i the
     Rényi-2 map entropies and N, M the channel dimensions.
     """
-    r2 = EntropyOrder.renyi(2.0)
-    s1 = map_entropy(phi1, r2)
-    s2 = map_entropy(phi2, r2)
-    return additivity_region_values(s1, s2, phi1.in_dim, phi2.in_dim)
+    return additivity_region_values(map_entropy(phi1, _RENYI2), map_entropy(phi2, _RENYI2),
+                                    phi1.in_dim, phi2.in_dim)
 
 
 def additivity_region_values(s1: float, s2: float, n: int, m: int) -> bool:

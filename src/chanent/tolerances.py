@@ -102,11 +102,11 @@ BLOCH_NULL_LENGTH = 1e-14
 
 # -- Davies maps ------------------------------------------------------------------
 
-#: In the closed forms of Davies maps (the logarithm of a 3×3 stochastic block,
-#: L21, the qubit minimizer), a coefficient, projector entry, rate, discriminant,
-#: eigenvalue or spectral gap at most this in magnitude counts as zero: a term
-#: drops out by 0·log 0 = 0, a zero eigenvalue puts the block on the boundary,
-#: or the degenerate branch is taken. An eigenvalue below its negative is negative.
+#: In the closed forms of Davies qutrit maps (the logarithm of a 3×3 stochastic
+#: block, L21), a coefficient, projector entry, rate, discriminant, eigenvalue or
+#: spectral gap at most this in magnitude counts as zero: a term drops out by
+#: 0·log 0 = 0, a zero eigenvalue puts the block on the boundary, or the closed
+#: form is undefined. An eigenvalue below its negative is negative.
 DAVIES_COEFF_CUTOFF = 1e-12
 
 #: Within this of the removable singularity at x + y = 1, log(λ)/(1 - λ) in L21

@@ -16,7 +16,7 @@ from chanent.entropy import (
     transmission_distance,
     vn_entropy,
 )
-from chanent.matfun import matrix_exp, partial_trace
+from chanent.matfun import partial_trace
 from chanent.sampling import (
     dirichlet,
     hs_random_density,
@@ -26,7 +26,7 @@ from chanent.sampling import (
     stream_rng,
 )
 from chanent.states import angle, pure_state, schmidt
-from tests_support import criterion7_davies
+from tests_support import criterion7_davies, matrix_exp
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanent import bounds, cli, matfun
+from chanent import bounds, channels, cli, matfun
 from chanent.bounds import Ensemble
-from chanent.channels import Channel, correlation_from_kraus, ensemble_from_channel
+from chanent.channels import Channel, correlation_from_kraus, ensemble_from_channel, map_entropy
 from chanent.cli import run_suite
 from chanent.entropy import EntropyOrder, shannon, vn_entropy
 from chanent.sampling import (
@@ -22,7 +22,7 @@ from chanent.sampling import (
     stream_rng,
 )
 from chanent.states import pure_state
-from chanent.tolerances import PSD_TOL, VIOLATION_SLACK
+from chanent.tolerances import PSD_TOL, SUPPORT_CUTOFF, VIOLATION_SLACK
 from tests_support import conjecture_reference, kraus_lists, polar_2x2, record_shapes
 
 
@@ -232,9 +232,84 @@ class TestTheorem1:
             raise AssertionError("called by a theorem1 trial")
 
         monkeypatch.setattr(Ensemble, "__post_init__", forbidden)
-        for name in ("holevo", "ensemble_from_channel", "correlation_from_kraus"):
-            monkeypatch.setattr(bounds, name, forbidden)
+        monkeypatch.setattr(bounds, "holevo", forbidden)
+        for name in ("ensemble_from_channel", "correlation_from_kraus"):
+            monkeypatch.setattr(channels, name, forbidden)
         rows = [cli._TRIALS["theorem1"](42, t, {"k": 4}) for t in range(40)]
+        assert not any(r["violation"] for r in rows)
+
+
+def _loop_ensemble(kraus, rho):
+    """The measurement ensemble {(p_i, K_i rho K_i†/p_i)} by a loop over the operators:
+    outcomes below SUPPORT_CUTOFF dropped, the kept weights renormalized."""
+    outs = [k @ rho @ k.conj().T for k in kraus]
+    probs = [np.trace(o).real for o in outs]
+    total = sum(p for p in probs if p >= SUPPORT_CUTOFF)
+    return [(p / total, o / p) for p, o in zip(probs, outs) if p >= SUPPORT_CUTOFF]
+
+
+def _loop_apply(kraus, rho):
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def _loop_exchange_entropy(kraus, rho):
+    return vn_entropy(np.array([[np.trace(a @ rho @ b.conj().T) for b in kraus] for a in kraus]))
+
+
+class TestMeasurementChecks:
+    """The checks on channels._measurement against their definitions, written as loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kraus=kraus_lists(), seed=st.integers(0, 2**32), rank=st.sampled_from(["pure", "deficient", "full"]),
+           zero=st.booleans(), k2=st.integers(1, 3))
+    def test_match_the_definitional_formulas(self, kraus, seed, rank, zero, k2):
+        n, out = kraus[0].shape[1], kraus[0].shape[0]
+        rng = stream_rng(seed, 1)
+        if rank == "pure":
+            rho = pure_state(random_pure_state(n, rng))
+        else:
+            rho = hs_random_density(n, rng, ancilla=n - 1 if rank == "deficient" else n)
+        if zero:  # an outcome of weight 0, dropped from every ensemble
+            kraus = kraus[:1] + [np.zeros_like(kraus[0])] + kraus[1:]
+        phi1, phi2 = Channel(kraus), random_channel(out, k2, rng)
+
+        ens = _loop_ensemble(kraus, rho)
+        avg = sum(p * vn_entropy(s) for p, s in ens)
+        assert bounds.info_gain_check(rho, kraus) == (avg <= vn_entropy(rho) + VIOLATION_SLACK)
+
+        lhs = vn_entropy(_loop_apply(phi2.kraus, _loop_apply(kraus, rho))) - sum(
+            p * vn_entropy(_loop_apply(phi2.kraus, s)) for p, s in ens)
+        rhs1 = vn_entropy(_loop_apply(kraus, rho)) - avg
+        composed = [b @ a for b in phi2.kraus for a in kraus]
+        assert bounds.concat_bound_check(phi1, phi2, rho) == (
+            lhs <= rhs1 + VIOLATION_SLACK, lhs <= _loop_exchange_entropy(composed, rho) + VIOLATION_SLACK)
+
+        rho_star = np.eye(n) / n
+        mid = _loop_apply(kraus, rho_star)
+        last = vn_entropy(_loop_apply(phi2.kraus, mid))
+        first = last - sum(p * vn_entropy(_loop_apply(phi2.kraus, s)) for p, s in _loop_ensemble(kraus, rho_star))
+        lower = max(first, map_entropy(phi1) + last - vn_entropy(mid))
+        assert abs(bounds.composition_map_entropy_lower(phi1, phi2) - lower) <= 1e-13
+
+        s_in, s_out, s_ex = vn_entropy(rho), vn_entropy(_loop_apply(kraus, rho)), _loop_exchange_entropy(kraus, rho)
+        chi = vn_entropy(sum(p * s for p, s in ens)) - avg
+        rep = bounds.lindblad_check(rho, phi1)
+        want = [s_in, s_out, s_ex, chi, s_ex - abs(s_out - s_in), s_out + s_in - s_ex, s_ex + s_out - s_in - chi]
+        got = [rep.s_in, rep.s_out, rep.s_exchange, rep.chi, rep.lower_slack, rep.upper_slack, rep.chi_slack]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("suite", ["props", "lindblad"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trial_builds_no_ensemble(self, suite, dim, monkeypatch):
+        # every chi and average output entropy of a trial comes from the Kraus products
+        # of channels._measurement: no Ensemble, no holevo, no separate exchange entropy
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"called by a {suite} trial")
+
+        monkeypatch.setattr(Ensemble, "__post_init__", forbidden)
+        monkeypatch.setattr(bounds, "holevo", forbidden)
+        monkeypatch.setattr(channels, "exchange_entropy", forbidden)
+        rows = [cli._TRIALS[suite](42, t, {"dim": dim}) for t in range(20)]
         assert not any(r["violation"] for r in rows)
 
 

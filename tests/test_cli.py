@@ -413,6 +413,24 @@ class TestDaviesTrial:
             assert calls == {"eigh": [(3, 3)], "eigvalsh": [(4, 4)], "svd": [], "norm": []}
 
 
+class TestSandwichTrial:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_spectrum_per_trial(self, dim, monkeypatch):
+        # the two Choi states and the middle state share one spectrum, which serves
+        # all three entropy orders
+        from chanent import qubit
+
+        calls = record_shapes(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd"))
+        spectra = record_shapes(monkeypatch, qubit, ("spectrum",))
+        stack = (3, dim * dim, dim * dim)
+        for t in range(10):
+            for shapes in (*calls.values(), *spectra.values()):
+                shapes.clear()
+            cli._TRIALS["sandwich"](42, t, {"dim": dim})
+            assert spectra == {"spectrum": [stack]}
+            assert calls == {"eigh": [], "eigvalsh": [stack], "svd": []}
+
+
 class TestElapsed:
     def test_elapsed_ms_from_the_monotonic_clock(self, monkeypatch, capsys):
         ticks = iter([10.0, 11.5])

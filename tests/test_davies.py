@@ -6,8 +6,8 @@ import scipy.linalg
 
 from chanent import cli, davies
 from chanent.channels import Channel, InvalidChannelError
-from chanent.matfun import matrix_exp
 from chanent.sampling import complex_gaussian, stream_rng
+from tests_support import matrix_exp
 
 
 def random_valid_qubit(rng) -> davies.DaviesQubit:

@@ -11,7 +11,7 @@ from chanent import davies, matfun
 from chanent.tolerances import PSD_TOL
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
 from chanent.states import pure_state
-from tests_support import polar_2x2, psd_stacks, record_shapes, stack_from_spectra
+from tests_support import matrix_exp, polar_2x2, psd_stacks, record_shapes, stack_from_spectra
 
 
 def rand_complex(rng, shape):
@@ -268,11 +268,11 @@ class TestStochastic3Log:
     def test_recovers_generator(self):
         rng = stream_rng(8, 0)
         gen = random_balance_generator(rng)
-        f = matfun.matrix_exp(gen * 0.7)
+        f = matrix_exp(gen * 0.7)
         block = davies.DaviesQutritBlock(f21=f[1, 0], f31=f[2, 0], f32=f[2, 1], p=(0.5, 0.3, 0.2))
         log_f = davies.membership(block).generator
         np.testing.assert_allclose(log_f, 0.7 * gen, atol=1e-9)
-        np.testing.assert_allclose(matfun.matrix_exp(log_f), f, atol=1e-9)
+        np.testing.assert_allclose(matrix_exp(log_f), f, atol=1e-9)
 
     def test_bistochastic_boundary_point(self):
         # off-diagonals {0.5, 0, 0}: spectrum {1, 1, 0} from the
@@ -292,11 +292,11 @@ class TestStochastic3Log:
 
 class TestMatrixExp:
     def test_zero(self):
-        np.testing.assert_allclose(matfun.matrix_exp(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            matfun.matrix_exp(np.diag([1.0, 2.0])), np.diag(np.exp([1.0, 2.0]))
+            matrix_exp(np.diag([1.0, 2.0])), np.diag(np.exp([1.0, 2.0]))
         )
 
     def test_taylor_series_oracle(self):
@@ -307,7 +307,7 @@ class TestMatrixExp:
         for k in range(1, 40):
             term = term @ m / k
             series += term
-        np.testing.assert_allclose(matfun.matrix_exp(m), series, atol=1e-10)
+        np.testing.assert_allclose(matrix_exp(m), series, atol=1e-10)
 
 
 class TestHermitize:

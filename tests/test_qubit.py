@@ -440,6 +440,25 @@ class TestSandwich:
             )
             assert rep.ok
 
+    @pytest.mark.parametrize("t", range(6))
+    def test_rectangular_channels_match_the_entropies_of_each_matrix(self, t):
+        # complementary channels change the output dimension, so the three matrices
+        # differ in size and are zero-padded into one stack
+        rng = stream_rng(73, 2000 + t)
+        phi1 = random_channel(2, 1 + t % 3, rng).complementary()
+        phi2 = random_channel(2, 3, rng)
+        rep = qubit.sandwich_check(phi1, phi2)
+        state = phi1.tensor(phi2).apply(qubit._max_entangled(2))
+        t2, r2 = EntropyOrder.tsallis(2.0), EntropyOrder.renyi(2.0)
+        want = [vn_entropy(state), vn_entropy(state, t2), abs(map_entropy(phi1) - map_entropy(phi2)),
+                map_entropy(phi1) + map_entropy(phi2), abs(map_entropy(phi1, t2) - map_entropy(phi2, t2)),
+                map_entropy(phi1, t2) + map_entropy(phi2, t2), qubit.renyi2_lower(phi1, phi2),
+                vn_entropy(state, r2)]
+        got = [rep.middle_vn, rep.middle_tsallis2, rep.lower_vn, rep.upper_vn, rep.lower_tsallis2,
+               rep.upper_tsallis2, rep.renyi2_lower, rep.middle_renyi2]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert rep.ok
+
 
 class TestAdditivityRegion:
     def test_unitary_partner_always_inside(self):
