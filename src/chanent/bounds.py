@@ -103,8 +103,8 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
     log tr (sum p rho^q)^{1/q} / (q - 1).
     """
     if order.is_limit:
-        w = spectrum(np.concatenate([e.average()[None], e.states]))
-        return float(_holevo_vn(e.probs, w[0], w[1:]))
+        s_avg, s_each = _ensemble_vn(e.probs, spectrum(np.concatenate([e.average()[None], e.states])))
+        return float(s_avg - s_each)
     if order.kind == "tsallis":
         avg = e.average()
         return sum(
@@ -122,11 +122,11 @@ def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return sum(probs[..., i, None, None] * states[..., i, :, :] for i in range(probs.shape[-1]))
 
 
-def _holevo_vn(probs: np.ndarray, avg_spectrum: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """S(sum p rho) - sum p S(rho) over (..., k) stacks, from the (..., n)
-    eigenvalues of the average state and the (..., k, n) ones of the states."""
-    ent = _eigenvalue_entropy(np.concatenate([avg_spectrum[..., None, :], spectra], axis=-2))
-    return ent[..., 0] - (probs * ent[..., 1:]).sum(axis=-1)
+def _ensemble_vn(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S(sum p rho), sum p S(rho)) over (..., k) stacks, from the (..., k + 1, n)
+    eigenvalues of the stack [average state; states]: chi is their difference."""
+    ent = _eigenvalue_entropy(w)
+    return ent[..., 0], (probs * ent[..., 1:]).sum(axis=-1)
 
 
 def _as_channel(phi) -> Channel:
@@ -158,16 +158,11 @@ def _purification_gram(probs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _root_probs(probs) * (vecs @ vecs.conj().swapaxes(-1, -2))
 
 
-def _ensemble_entropies(probs: np.ndarray, outs: np.ndarray) -> tuple[float, float]:
-    """(S(sum of outs), sum p_i S(out_i)) of (k, n, n) unnormalized outputs with weights p,
-    from one spectrum of [sum of outs; outs], each normalized there: chi is their difference."""
-    ent = _eigenvalue_entropy(spectrum(np.concatenate([outs.sum(axis=0)[None], outs])))
-    return float(ent[0]), float((probs * ent[1:]).sum())
-
-
-def _through(phi: Channel, outs: np.ndarray) -> np.ndarray:
-    """phi applied to every matrix of a (k, n, n) stack at once."""
-    return (phi.kraus @ outs[:, None] @ phi.kraus.conj().swapaxes(-1, -2)).sum(axis=1)
+def _output_vn(probs: np.ndarray, outs: np.ndarray) -> tuple[float, float]:
+    """`_ensemble_vn` of (k, n, n) unnormalized outputs with weights p, from one spectrum
+    of [sum of outs; outs] (each matrix is normalized there)."""
+    s_avg, s_each = _ensemble_vn(probs, spectrum(np.concatenate([outs.sum(axis=0)[None], outs])))
+    return float(s_avg), float(s_each)
 
 
 def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
@@ -178,14 +173,14 @@ def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
 
     All three come from channels._measurement: sigma, the P = diag(sigma) of
     every outcome, and chi of the kept outcomes (p_i at or above SUPPORT_CUTOFF)
-    by `_ensemble_entropies`. NaN or inf in rho raises NonFiniteError before any
+    by `_output_vn`. NaN or inf in rho raises NonFiniteError before any
     arithmetic, and in a Kraus list InvalidChannelError.
     """
     sigma, probs, outs = _measurement(_as_channel(phi).kraus, rho)
     s_sigma = vn_entropy(sigma)
     p = sigma.diagonal().real
     h_p = spectrum_entropy(_clean_probs(p / p.sum()))
-    s_avg, s_each = _ensemble_entropies(probs, outs)
+    s_avg, s_each = _output_vn(probs, outs)
     chi = s_avg - s_each
     ok = chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK
     return chi, s_sigma, h_p, ok
@@ -197,7 +192,7 @@ def info_gain_check(rho: np.ndarray, phi) -> bool:
     phi is a Channel or a Kraus list; a list is validated as one Channel.
     """
     _, probs, outs = _measurement(_as_channel(phi).kraus, rho)
-    return _ensemble_entropies(probs, outs)[1] <= vn_entropy(rho) + VIOLATION_SLACK
+    return _output_vn(probs, outs)[1] <= vn_entropy(rho) + VIOLATION_SLACK
 
 
 def concat_bound_check(phi1: Channel, phi2: Channel, rho: np.ndarray) -> tuple[bool, bool]:
@@ -209,8 +204,8 @@ def concat_bound_check(phi1: Channel, phi2: Channel, rho: np.ndarray) -> tuple[b
     """
     composed = phi2.compose(phi1)
     _, probs, outs = _measurement(phi1.kraus, rho)
-    s_avg, s_each = _ensemble_entropies(probs, outs)
-    s2_avg, s2_each = _ensemble_entropies(probs, _through(phi2, outs))
+    s_avg, s_each = _output_vn(probs, outs)
+    s2_avg, s2_each = _output_vn(probs, phi2.apply(outs))
     lhs = s2_avg - s2_each
     s_exchange = vn_entropy(_measurement(composed.kraus, rho)[0])
     return lhs <= s_avg - s_each + VIOLATION_SLACK, lhs <= s_exchange + VIOLATION_SLACK
@@ -224,7 +219,7 @@ def composition_map_entropy_lower(phi1: Channel, phi2: Channel) -> float:
     """
     n = phi1.in_dim
     _, probs, outs = _measurement(phi1.kraus, np.eye(n, dtype=complex) / n)
-    out, s_each = _ensemble_entropies(probs, _through(phi2, outs))
+    out, s_each = _output_vn(probs, phi2.apply(outs))
     return max(out - s_each, map_entropy(phi1) + out - vn_entropy(outs.sum(axis=0)))
 
 
@@ -377,8 +372,9 @@ def _decomposed(probs: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.n
     if probs.ndim != 2 or states.shape != probs.shape + states.shape[-1:] * 2:
         raise ValueError("need (B, k) probabilities and (B, k, n, n) states")
     w, v = psd_eigh(states)
-    chi = _holevo_vn(probs, spectrum(_average(probs, states)), w)
-    return probs, chi, from_eigh(np.sqrt(w), v)
+    stack = np.concatenate([spectrum(_average(probs, states))[..., None, :], w], axis=-2)
+    s_avg, s_each = _ensemble_vn(probs, stack)
+    return probs, s_avg - s_each, from_eigh(np.sqrt(w), v)
 
 
 def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0)) -> dict:

@@ -188,11 +188,11 @@ class Channel:
         return self.apply(rho)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """sum K rho K†."""
+        """sum K rho K†, of one state or of every matrix in a (..., n, n) stack."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.in_dim, self.in_dim):
-            raise ValueError(f"state dimension {rho.shape[0]} != channel dimension {self.in_dim}")
-        return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
+        if rho.shape[-2:] != (self.in_dim, self.in_dim):
+            raise ValueError(f"state dimension {rho.shape[-1]} != channel dimension {self.in_dim}")
+        return (self.kraus @ rho[..., None, :, :] @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=-3)
 
     def is_cptp(self) -> CptpReport:
         """The dense constructors' check at CPTP_TOL, on the dynamical matrix."""

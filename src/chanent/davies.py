@@ -119,10 +119,12 @@ def qubit_generator(relaxation: float, dephasing: float, p: float) -> np.ndarray
     )
 
 
-def _qubit_superoperator_matrix(d: DaviesQubit) -> np.ndarray:
-    """The 4×4 superoperator of a Davies qubit map on row-major vectorized states."""
+def qubit_superoperator(d: DaviesQubit) -> Channel:
+    """The Davies qubit channel, held as its 4×4 superoperator on row-major vectorized
+    states: CP and TP are checked on that matrix here, and Kraus operators are built
+    only if something reads them."""
     b = d.b
-    return np.array(
+    return Channel.from_superoperator(np.array(
         [
             [1.0 - d.a, 0.0, 0.0, b],
             [0.0, d.c, 0.0, 0.0],
@@ -130,13 +132,7 @@ def _qubit_superoperator_matrix(d: DaviesQubit) -> np.ndarray:
             [d.a, 0.0, 0.0, 1.0 - b],
         ],
         dtype=complex,
-    )
-
-
-def qubit_superoperator(d: DaviesQubit) -> Channel:
-    """The Davies qubit channel, held as its superoperator: CP and TP are checked
-    on that matrix here, and Kraus operators are built only if something reads them."""
-    return Channel.from_superoperator(_qubit_superoperator_matrix(d))
+    ))
 
 
 def bloch_params(d: DaviesQubit) -> QubitChannelParams:
@@ -162,7 +158,7 @@ def _max_radius(kappa3: float, eta3: float, c: float) -> tuple[float, float]:
         z = kappa3 * eta3 / curvature
         if -1.0 <= z <= 1.0:
             return z, math.sqrt(c * c + kappa3 * kappa3 * c * c / curvature)
-    z = 1.0 if abs(kappa3 + eta3) >= abs(kappa3 - eta3) else -1.0
+    z = 1.0 if abs(kappa3 + eta3) > abs(kappa3 - eta3) else -1.0  # a tie gives z = -1
     return z, abs(kappa3 + eta3 * z)
 
 

@@ -232,9 +232,11 @@ class TestTheorem1:
             raise AssertionError("called by a theorem1 trial")
 
         monkeypatch.setattr(Ensemble, "__post_init__", forbidden)
-        monkeypatch.setattr(bounds, "holevo", forbidden)
-        for name in ("ensemble_from_channel", "correlation_from_kraus"):
-            monkeypatch.setattr(channels, name, forbidden)
+        for name in ("holevo", "correlation_from_kraus"):
+            monkeypatch.setattr(bounds, name, forbidden)
+        # ensemble_from_channel is held by channels only; a call to it also builds an
+        # Ensemble, which the __post_init__ patch catches
+        monkeypatch.setattr(channels, "ensemble_from_channel", forbidden)
         rows = [cli._TRIALS["theorem1"](42, t, {"k": 4}) for t in range(40)]
         assert not any(r["violation"] for r in rows)
 
@@ -301,16 +303,28 @@ class TestMeasurementChecks:
     @pytest.mark.parametrize("suite", ["props", "lindblad"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_trial_builds_no_ensemble(self, suite, dim, monkeypatch):
-        # every chi and average output entropy of a trial comes from the Kraus products
-        # of channels._measurement: no Ensemble, no holevo, no separate exchange entropy
+        # every chi, exchange entropy and average output entropy of a trial comes from
+        # the Kraus products of channels._measurement: no Ensemble, no holevo, and a
+        # fixed number of kernel calls per trial. A lindblad trial takes chi and S(sigma)
+        # from one call; a props trial makes one for the information gain, two for the
+        # concatenation bounds (phi1, then phi2 phi1 for its exchange entropy) and one
+        # for the composition bound.
         def forbidden(*args, **kwargs):
             raise AssertionError(f"called by a {suite} trial")
 
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return channels._measurement(*args)
+
         monkeypatch.setattr(Ensemble, "__post_init__", forbidden)
         monkeypatch.setattr(bounds, "holevo", forbidden)
-        monkeypatch.setattr(channels, "exchange_entropy", forbidden)
+        monkeypatch.setattr(channels, "exchange_entropy", forbidden)  # also reached via coherent_information
+        monkeypatch.setattr(bounds, "_measurement", counted)
         rows = [cli._TRIALS[suite](42, t, {"dim": dim}) for t in range(20)]
         assert not any(r["violation"] for r in rows)
+        assert len(calls) == 20 * {"props": 4, "lindblad": 1}[suite]
 
 
 class TestProps:

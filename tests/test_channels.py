@@ -48,6 +48,17 @@ class TestApply:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             channels.identity_channel(2).apply(np.eye(3) / 3)
+        with pytest.raises(ValueError):
+            channels.identity_channel(2).apply(np.zeros((4, 3, 3)))
+
+    def test_stack_is_applied_matrix_by_matrix(self):
+        # a (2, 4, n, n) stack gives, bit for bit, the (n, n) results one at a time
+        rng = stream_rng(40, 3)
+        phi = random_channel(3, 2, rng)
+        stack = np.array([[hs_random_density(3, rng) for _ in range(4)] for _ in range(2)])
+        out = phi.apply(stack)
+        assert out.shape == (2, 4, 3, 3)
+        assert np.array_equal(out, [[phi.apply(rho) for rho in row] for row in stack])
 
 
 class TestConversions:

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from chanent import cli, davies
 from chanent.channels import Channel, InvalidChannelError
+from chanent.entropy import shannon
 from chanent.sampling import complex_gaussian, stream_rng
 from tests_support import matrix_exp
 
@@ -107,6 +108,14 @@ class TestQubitMinimizer:
         d = davies.DaviesQubit(a=0.699, c=0.01, p=0.3)
         mu, s_min = davies.qubit_minimizer(d)
         assert mu in (0.0, 1.0)
+
+    def test_tied_endpoints_give_mu_zero(self):
+        # p = 1/2 makes b = a, so both endpoints reach the radius |1 - 2a| when
+        # c <= |1 - 2a|: the minimizer reports mu = 0, the first endpoint
+        d = davies.DaviesQubit(a=0.2, c=0.5, p=0.5)
+        mu, s_min = davies.qubit_minimizer(d)
+        assert mu == 0.0
+        assert abs(s_min - shannon(np.array([0.8, 0.2]))) <= 1e-14
 
     def test_branch_boundary_continuity(self):
         # both branches agree where c² = (1-a-b)(1-2b)
