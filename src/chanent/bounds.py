@@ -34,9 +34,8 @@ __all__ = [
     "correlation_matrix",
     "correlation_from_ensemble",
     "theorem1_check",
-    "info_gain_check",
-    "concat_bound_check",
-    "composition_map_entropy_lower",
+    "PropsReport",
+    "props_check",
     "LindbladReport",
     "lindblad_check",
     "sigma_min_two",
@@ -186,45 +185,63 @@ def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
     return chi, s_sigma, h_p, ok
 
 
-def info_gain_check(rho: np.ndarray, phi) -> bool:
-    """Average output entropy does not exceed the input entropy (to VIOLATION_SLACK).
+class _Report:
+    """A report of inequalities, each as its lhs - rhs in the subclass's `_gaps()`. worst
+    is the largest, and NaN if any field is NaN or infinite: a broken report fails closed.
+    Past that check every gap is a number, so Python's max, which would keep a finite
+    value over a later NaN, is exact."""
 
-    phi is a Channel or a Kraus list; a list is validated as one Channel.
-    """
-    _, probs, outs = _measurement(_as_channel(phi).kraus, rho)
-    return _output_vn(probs, outs)[1] <= vn_entropy(rho) + VIOLATION_SLACK
+    @property
+    def worst(self) -> float:
+        return max(self._gaps()) if all(map(math.isfinite, vars(self).values())) else math.nan
+
+    @property
+    def ok(self) -> bool:
+        return self.worst <= VIOLATION_SLACK
 
 
-def concat_bound_check(phi1: Channel, phi2: Channel, rho: np.ndarray) -> tuple[bool, bool]:
-    """Both concatenation bounds for the Holevo quantity of a two-step process, to VIOLATION_SLACK.
+@dataclass(frozen=True)
+class PropsReport(_Report):
+    """Margins (rhs - lhs, positive when it holds) of the propositions of props_check."""
 
-    First: S(Phi2 Phi1(rho)) - sum p S(Phi2(rho_i)) <= S(Phi1(rho)) - sum p S(rho_i).
-    Second: the same left side is bounded by the exchange entropy of the
-    composed channel at rho. Returns (first_ok, second_ok).
+    info_gain: float  # S(rho) - sum p S(rho_i')
+    concat_holevo: float  # chi of the ensemble - chi of Phi2 of it
+    concat_exchange: float  # S(sigma of Phi2 Phi1 at rho) - chi of Phi2 of the ensemble
+    composition_sign: float  # the composition lower bound on S_map(Phi2 Phi1), >= 0
+    composition_upper: float  # S_map(Phi2 Phi1) - that lower bound
+
+    def _gaps(self) -> list:
+        return [-self.info_gain, -self.concat_holevo, -self.concat_exchange, -self.composition_sign,
+                -self.composition_upper]
+
+
+def props_check(rho: np.ndarray, phi1: Channel, phi2: Channel) -> PropsReport:
+    """The propositions on the measurement ensemble {p_i, rho_i'} of Phi1 at rho.
+
+    Information gain: sum p S(rho_i') <= S(rho). Concatenation: the Holevo quantity
+    S(Phi2 Phi1(rho)) - sum p S(Phi2(rho_i')) is at most that of the ensemble itself,
+    and at most the exchange entropy of Phi2 Phi1 at rho. Composition: 0 <= lower <=
+    S_map(Phi2 Phi1) for lower = MAX{ S(Phi2 Phi1(rho*)) - sum p_i S(Phi2(rho_i)),
+    S_map(Phi1) + S(Phi2 Phi1(rho*)) - S(Phi1(rho*)) }, {p_i, rho_i} the ensemble of
+    Phi1 at rho* = I/n. Phi2 Phi1 is composed once; Phi1 is measured at rho and at rho*.
     """
     composed = phi2.compose(phi1)
     _, probs, outs = _measurement(phi1.kraus, rho)
     s_avg, s_each = _output_vn(probs, outs)
     s2_avg, s2_each = _output_vn(probs, phi2.apply(outs))
     lhs = s2_avg - s2_each
-    s_exchange = vn_entropy(_measurement(composed.kraus, rho)[0])
-    return lhs <= s_avg - s_each + VIOLATION_SLACK, lhs <= s_exchange + VIOLATION_SLACK
-
-
-def composition_map_entropy_lower(phi1: Channel, phi2: Channel) -> float:
-    """Lower bound on the map entropy of phi2∘phi1 (always nonnegative).
-
-    MAX{ S(Phi2 Phi1(rho*)) - sum p_i S(Phi2(rho_i)),  S_map(Phi1) + Delta }
-    with rho* maximally mixed and Delta = S(Phi2 Phi1(rho*)) - S(Phi1(rho*)).
-    """
     n = phi1.in_dim
-    _, probs, outs = _measurement(phi1.kraus, np.eye(n, dtype=complex) / n)
-    out, s_each = _output_vn(probs, phi2.apply(outs))
-    return max(out - s_each, map_entropy(phi1) + out - vn_entropy(outs.sum(axis=0)))
+    _, probs_star, outs_star = _measurement(phi1.kraus, np.eye(n, dtype=complex) / n)
+    out, out_each = _output_vn(probs_star, phi2.apply(outs_star))
+    lower = max(out - out_each, map_entropy(phi1) + out - vn_entropy(outs_star.sum(axis=0)))
+    s_exchange = vn_entropy(_measurement(composed.kraus, rho)[0])
+    return PropsReport(info_gain=vn_entropy(rho) - s_each, concat_holevo=s_avg - s_each - lhs,
+                       concat_exchange=s_exchange - lhs, composition_sign=lower,
+                       composition_upper=map_entropy(composed) - lower)
 
 
 @dataclass(frozen=True)
-class LindbladReport:
+class LindbladReport(_Report):
     s_in: float
     s_out: float
     s_exchange: float
@@ -233,26 +250,20 @@ class LindbladReport:
     upper_slack: float  # S(rho') + S(rho) - S(sigma)
     chi_slack: float  # S(sigma) + S(rho') - S(rho) - chi
 
-    @property
-    def ok(self) -> bool:
-        return min(self.lower_slack, self.upper_slack, self.chi_slack) >= -VIOLATION_SLACK
+    def _gaps(self) -> list:
+        return [-self.lower_slack, -self.upper_slack, -self.chi_slack]
 
 
 def lindblad_check(rho: np.ndarray, phi: Channel) -> LindbladReport:
     """Slack report for |S(rho')-S(rho)| <= S(sigma) <= S(rho')+S(rho) and the
-    three-state bound chi <= S(sigma) + S(rho') - S(rho)."""
-    chi, s_ex, _, _ = theorem1_check(rho, phi)
-    s_in = vn_entropy(rho)
-    s_out = vn_entropy(phi.apply(rho))
-    return LindbladReport(
-        s_in=s_in,
-        s_out=s_out,
-        s_exchange=s_ex,
-        chi=chi,
-        lower_slack=s_ex - abs(s_out - s_in),
-        upper_slack=s_out + s_in - s_ex,
-        chi_slack=s_ex + s_out - s_in - chi,
-    )
+    three-state bound chi <= S(sigma) + S(rho') - S(rho). sigma, chi and S(rho') (of
+    the kept outputs' sum) come from one channels._measurement, as in theorem1_check."""
+    sigma, probs, outs = _measurement(phi.kraus, rho)
+    s_in, s_ex = vn_entropy(rho), vn_entropy(sigma)
+    s_out, s_each = _output_vn(probs, outs)
+    chi = s_out - s_each
+    return LindbladReport(s_in, s_out, s_ex, chi, lower_slack=s_ex - abs(s_out - s_in),
+                          upper_slack=s_out + s_in - s_ex, chi_slack=s_ex + s_out - s_in - chi)
 
 
 def sigma_min_two(rho1: np.ndarray, rho2: np.ndarray, lam: float) -> np.ndarray:

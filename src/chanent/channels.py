@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
-from .matfun import _finite, _hermitian_spectrum, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt, root_svd
-from .tolerances import (CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, PHASE_CUTOFF, SINGULAR_CUTOFF,
-                         SUPPORT_CUTOFF)
+from .matfun import (_finite, _hermitian_spectrum, _lead_phases, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt,
+                     root_svd)
+from .tolerances import CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, SINGULAR_CUTOFF, SUPPORT_CUTOFF
 
 __all__ = [
     "InvalidChannelError",
@@ -251,8 +251,7 @@ class Channel:
         order = np.argsort(w)[::-1]
         order = order[w[order] > KRAUS_CUTOFF]
         vecs = v[:, order].T
-        lead = vecs[np.arange(len(order)), np.argmax(np.abs(vecs) > PHASE_CUTOFF, axis=1)]
-        vecs = vecs / (lead / np.abs(lead))[:, None]
+        vecs = vecs / _lead_phases(vecs)[:, None]
         return cls(np.sqrt(w[order])[:, None, None] * vecs.reshape(-1, len(d) // n, n))
 
     # -- composition ----------------------------------------------------

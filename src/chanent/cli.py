@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import bounds, davies, qubit
-from .channels import map_entropy
 from .entropy import VON_NEUMANN, EntropyOrder
 from .sampling import (
     _flat_dirichlet,
@@ -60,13 +59,7 @@ def _trial_props(seed: int, t: int, params: dict) -> dict:
     rho = hs_random_density(n, rng)
     phi1 = random_channel(n, 1 + int(rng.random() * 3), rng)
     phi2 = random_channel(n, 1 + int(rng.random() * 3), rng)
-    ok_gain = bounds.info_gain_check(rho, phi1)
-    ok3, ok4 = bounds.concat_bound_check(phi1, phi2, rho)
-    lower = bounds.composition_map_entropy_lower(phi1, phi2)
-    upper = map_entropy(phi2.compose(phi1))
-    ok_lower = -VIOLATION_SLACK <= lower <= upper + VIOLATION_SLACK
-    bad = not (ok_gain and ok3 and ok4 and ok_lower)
-    return {"slack": max(lower - upper, -lower, 0.0), "violation": bad}
+    return _report_row(bounds.props_check(rho, phi1, phi2))
 
 
 def _trial_lindblad(seed: int, t: int, params: dict) -> dict:
@@ -74,9 +67,7 @@ def _trial_lindblad(seed: int, t: int, params: dict) -> dict:
     n = params.get("dim", 2)
     rho = hs_random_density(n, rng)
     phi = random_channel(n, 1 + int(rng.random() * 3), rng)
-    rep = bounds.lindblad_check(rho, phi)
-    worst = -float(np.min([rep.lower_slack, rep.upper_slack, rep.chi_slack]))
-    return {"slack": worst, "violation": worst > VIOLATION_SLACK}
+    return _report_row(bounds.lindblad_check(rho, phi))
 
 
 def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
@@ -84,15 +75,12 @@ def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
     n = params.get("dim", 2)
     phi1 = random_channel(n, 1 + int(rng.random() * 3), rng)
     phi2 = random_channel(n, 1 + int(rng.random() * 3), rng)
-    rep = qubit.sandwich_check(phi1, phi2)
-    worst = -float(np.min([
-        rep.middle_vn - rep.lower_vn,
-        rep.upper_vn - rep.middle_vn,
-        rep.middle_tsallis2 - rep.lower_tsallis2,
-        rep.upper_tsallis2 - rep.middle_tsallis2,
-        rep.middle_renyi2 - rep.renyi2_lower,
-    ]))
-    return {"slack": worst, "violation": worst > VIOLATION_SLACK}
+    return _report_row(qubit.sandwich_check(phi1, phi2))
+
+
+def _report_row(rep) -> dict:
+    """The row of a report with a `worst` slack (NaN if any term is) and an `ok` verdict."""
+    return {"slack": rep.worst, "violation": not rep.ok}
 
 
 def _random_davies(rng) -> davies.DaviesQubit:
@@ -130,7 +118,7 @@ def _trial_multiplicativity(seed: int, t: int, params: dict) -> dict:
     phi = davies.qubit_superoperator(d)
     omega = random_channel(2, 1 + int(rng.random() * 3), rng)
     m_phi = davies.qubit_max_norm(d)
-    m_omega = qubit.max_output_2norm(omega, seed=seed + 7 * t + 1)
+    m_omega = qubit.max_output_2norm(omega)
     m_joint = qubit.max_output_2norm(phi.tensor(omega), seed=seed + 13 * t + 2)
     gap = abs(m_joint - m_phi * m_omega)
     return {"slack": gap, "violation": gap > MULTIPLICATIVITY_GAP}
@@ -255,15 +243,8 @@ def _hierarchy_chunk(args) -> dict:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.12g}"
+    # .12g gives "1"/"0" for bools, the digits of small ints and "nan" for NaN
+    return x if isinstance(x, str) else format(x, ".12g")
 
 
 def _csv(headers, rows) -> str:
@@ -287,10 +268,10 @@ def figure_scatter_q(q: float, trials: int, seed: int, base: float = math.e) -> 
     return _csv(["s_map", "s_min", "q", "tag"], [(a, b, q, f"pauli{t}") for t, (a, b) in enumerate(rows)])
 
 
-def figure_additivity_region(resolution: int, n: int = 2, m: int = 2) -> str:
+def figure_additivity_region(resolution: int, n: int = 2) -> str:
     smax = 2.0 * math.log(n)
     grid = np.linspace(0.0, smax, resolution)
-    rows = [(s1, s2, qubit.additivity_region_values(s1, s2, n, m)) for s1 in grid for s2 in grid]
+    rows = [(s1, s2, qubit.additivity_region_values(s1, s2, n, n)) for s1 in grid for s2 in grid]
     return _csv(["s1", "s2", "inside"], rows)
 
 
@@ -474,7 +455,7 @@ def main(argv=None) -> int:
     if args.figure == "scatter-q":
         text = figure_scatter_q(args.q, args.trials, args.seed, base=base)
     elif args.figure == "additivity-region":
-        text = figure_additivity_region(args.resolution, n=args.dim, m=args.dim)
+        text = figure_additivity_region(args.resolution, n=args.dim)
     elif args.figure == "bunga-surfaces":
         text = figure_triple_surfaces(args.resolution)
     elif args.figure == "davies-qutrit-set":

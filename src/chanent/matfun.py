@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .tolerances import PSD_TOL, SUPPORT_CUTOFF, TRIPLE_ROOT_FLOOR
+from .tolerances import PHASE_CUTOFF, PSD_TOL, SUPPORT_CUTOFF, TRIPLE_ROOT_FLOOR
 
 __all__ = [
     "SUPPORT_CUTOFF",
@@ -57,6 +57,13 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     real array itself, uncopied.
     """
     return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _lead_phases(vecs: np.ndarray) -> np.ndarray:
+    """Unit phase of the first component above PHASE_CUTOFF of each row of a (k, n)
+    array of unit vectors: a row divided by its phase has that component real positive."""
+    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs) > PHASE_CUTOFF, axis=1)]
+    return lead / np.abs(lead)
 
 
 def reshuffle(m: np.ndarray) -> np.ndarray:

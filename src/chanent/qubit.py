@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _Report
 from .channels import Channel, map_entropy
 from .entropy import EntropyOrder, VON_NEUMANN, _clean_probs, _eigenvalue_entropy, spectrum_entropy, vn_entropy
 from .matfun import NonFiniteError, eigh, spectrum
 from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
-from .tolerances import (DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM,
-                         SUPPORT_CUTOFF, VIOLATION_SLACK)
+from .tolerances import DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM, SUPPORT_CUTOFF
 
 __all__ = [
     "pauli_channel",
@@ -394,7 +394,7 @@ def _max_entangled(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(_Report):
     middle_vn: float
     middle_tsallis2: float
     lower_vn: float
@@ -404,16 +404,10 @@ class SandwichReport:
     renyi2_lower: float
     middle_renyi2: float
 
-    @property
-    def ok(self) -> bool:
-        slack = VIOLATION_SLACK
-        return (
-            self.lower_vn <= self.middle_vn + slack
-            and self.middle_vn <= self.upper_vn + slack
-            and self.lower_tsallis2 <= self.middle_tsallis2 + slack
-            and self.middle_tsallis2 <= self.upper_tsallis2 + slack
-            and self.renyi2_lower <= self.middle_renyi2 + slack
-        )
+    def _gaps(self) -> list:
+        return [self.lower_vn - self.middle_vn, self.middle_vn - self.upper_vn,
+                self.lower_tsallis2 - self.middle_tsallis2, self.middle_tsallis2 - self.upper_tsallis2,
+                self.renyi2_lower - self.middle_renyi2]
 
 
 def sandwich_check(phi1: Channel, phi2: Channel) -> SandwichReport:

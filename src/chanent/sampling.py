@@ -158,18 +158,11 @@ def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def dirichlet(k: int, rng: np.random.Generator, alpha: float = 1.0) -> np.ndarray:
-    """Dirichlet(alpha, ..., alpha) sample on the k-simplex.
-
-    alpha = 1 (flat measure) is sampled from exponentials and therefore
-    rejection-free; other alphas fall back to the generator's gamma method.
-    """
+def dirichlet(k: int, rng: np.random.Generator) -> np.ndarray:
+    """Flat Dirichlet sample on the k-simplex, from exponentials (rejection-free)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if alpha == 1.0:
-        return _flat_dirichlet(rng.random(k))
-    g = rng.gamma(alpha, size=k)
-    return g / g.sum()
+    return _flat_dirichlet(rng.random(k))
 
 
 def random_channel(n: int, m: int, rng: np.random.Generator):

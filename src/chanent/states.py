@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .matfun import psd_eigh, psd_sqrt, root_svd, spectrum
-from .tolerances import HERMITIAN_TOL, NORMALIZATION_TOL, PHASE_CUTOFF, PSD_TOL, SCHMIDT_CUTOFF
+from .matfun import _lead_phases, psd_eigh, psd_sqrt, root_svd, spectrum
+from .tolerances import HERMITIAN_TOL, NORMALIZATION_TOL, PSD_TOL, SCHMIDT_CUTOFF
 
 __all__ = [
     "InvalidStateError",
@@ -113,38 +113,23 @@ def purify(rho: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     return (u @ (v * np.sqrt(w)) @ v.T).ravel()
 
 
-def _fix_phase(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # rotate each (left, right) pair so the first nonzero left component is real positive
-    u = u.copy()
-    vh = vh.copy()
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        nz = np.flatnonzero(np.abs(col) > PHASE_CUTOFF)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            u[:, i] = col / phase
-            vh[i, :] = vh[i, :] * phase
-    return u, vh
-
-
 def schmidt(psi: np.ndarray, dims: tuple[int, int]):
     """Schmidt decomposition of a bipartite pure state.
 
     Returns (coefficients, left basis, right basis) with the coefficients
     sorted in decreasing order and psi = sum_i c_i left_i ⊗ right_i. The
     bases are returned as matrices whose columns are the Schmidt vectors;
-    the phase gauge makes the first nonzero component of each left vector
-    real positive.
+    the phase gauge makes the first component above PHASE_CUTOFF of each
+    left vector real positive.
     """
     d1, d2 = dims
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size != d1 * d2:
         raise ValueError(f"state of size {psi.size} does not match dims {dims}")
-    a = psi.reshape(d1, d2)
-    u, s, vh = np.linalg.svd(a)
-    u, vh = _fix_phase(u, vh)
+    u, s, vh = np.linalg.svd(psi.reshape(d1, d2))
     k = min(d1, d2)
-    return s[:k], u[:, :k], vh[:k, :].T
+    phases = _lead_phases(u[:, :k].T)
+    return s[:k], u[:, :k] / phases, (vh[:k] * phases[:, None]).T
 
 
 def schmidt_number(psi: np.ndarray, dims: tuple[int, int]) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanent import bounds, channels, cli, matfun
+from chanent import bounds, channels, cli, matfun, qubit
 from chanent.bounds import Ensemble
 from chanent.channels import Channel, correlation_from_kraus, ensemble_from_channel, map_entropy
 from chanent.cli import run_suite
@@ -277,21 +278,20 @@ class TestMeasurementChecks:
 
         ens = _loop_ensemble(kraus, rho)
         avg = sum(p * vn_entropy(s) for p, s in ens)
-        assert bounds.info_gain_check(rho, kraus) == (avg <= vn_entropy(rho) + VIOLATION_SLACK)
-
         lhs = vn_entropy(_loop_apply(phi2.kraus, _loop_apply(kraus, rho))) - sum(
             p * vn_entropy(_loop_apply(phi2.kraus, s)) for p, s in ens)
         rhs1 = vn_entropy(_loop_apply(kraus, rho)) - avg
         composed = [b @ a for b in phi2.kraus for a in kraus]
-        assert bounds.concat_bound_check(phi1, phi2, rho) == (
-            lhs <= rhs1 + VIOLATION_SLACK, lhs <= _loop_exchange_entropy(composed, rho) + VIOLATION_SLACK)
-
         rho_star = np.eye(n) / n
         mid = _loop_apply(kraus, rho_star)
         last = vn_entropy(_loop_apply(phi2.kraus, mid))
         first = last - sum(p * vn_entropy(_loop_apply(phi2.kraus, s)) for p, s in _loop_ensemble(kraus, rho_star))
         lower = max(first, map_entropy(phi1) + last - vn_entropy(mid))
-        assert abs(bounds.composition_map_entropy_lower(phi1, phi2) - lower) <= 1e-13
+        rep = bounds.props_check(rho, phi1, phi2)
+        want = [vn_entropy(rho) - avg, rhs1 - lhs, _loop_exchange_entropy(composed, rho) - lhs, lower,
+                map_entropy(Channel(composed)) - lower]
+        got = [rep.info_gain, rep.concat_holevo, rep.concat_exchange, rep.composition_sign, rep.composition_upper]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
         s_in, s_out, s_ex = vn_entropy(rho), vn_entropy(_loop_apply(kraus, rho)), _loop_exchange_entropy(kraus, rho)
         chi = vn_entropy(sum(p * s for p, s in ens)) - avg
@@ -305,26 +305,55 @@ class TestMeasurementChecks:
     def test_trial_builds_no_ensemble(self, suite, dim, monkeypatch):
         # every chi, exchange entropy and average output entropy of a trial comes from
         # the Kraus products of channels._measurement: no Ensemble, no holevo, and a
-        # fixed number of kernel calls per trial. A lindblad trial takes chi and S(sigma)
-        # from one call; a props trial makes one for the information gain, two for the
-        # concatenation bounds (phi1, then phi2 phi1 for its exchange entropy) and one
-        # for the composition bound.
+        # fixed number of kernel calls per trial. A lindblad trial takes chi, S(sigma)
+        # and S(rho') from one call, and applies no channel besides. A props trial
+        # composes phi2 phi1 once and makes three calls: phi1 at rho, phi2 phi1 at rho
+        # for its exchange entropy, and phi1 at I/n for the composition bound.
         def forbidden(*args, **kwargs):
             raise AssertionError(f"called by a {suite} trial")
 
-        calls = []
+        calls = {"_measurement": 0, "compose": 0}
 
-        def counted(*args):
-            calls.append(1)
-            return channels._measurement(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
         monkeypatch.setattr(Ensemble, "__post_init__", forbidden)
         monkeypatch.setattr(bounds, "holevo", forbidden)
         monkeypatch.setattr(channels, "exchange_entropy", forbidden)  # also reached via coherent_information
-        monkeypatch.setattr(bounds, "_measurement", counted)
+        monkeypatch.setattr(bounds, "_measurement", counted("_measurement", channels._measurement))
+        monkeypatch.setattr(Channel, "compose", counted("compose", Channel.compose))
+        if suite == "lindblad":
+            monkeypatch.setattr(Channel, "apply", forbidden)
         rows = [cli._TRIALS[suite](42, t, {"dim": dim}) for t in range(20)]
         assert not any(r["violation"] for r in rows)
-        assert len(calls) == 20 * {"props": 4, "lindblad": 1}[suite]
+        assert calls == {"props": {"_measurement": 3 * 20, "compose": 20},
+                         "lindblad": {"_measurement": 20, "compose": 0}}[suite]
+
+
+# A report whose every inequality holds by 0.5, by its class
+_HOLDING_REPORTS = {
+    "props": bounds.PropsReport(0.5, 0.5, 0.5, 0.5, 0.5),
+    "lindblad": bounds.LindbladReport(s_in=0.5, s_out=1.0, s_exchange=1.0, chi=0.0,
+                                      lower_slack=0.5, upper_slack=0.5, chi_slack=0.5),
+    "sandwich": qubit.SandwichReport(middle_vn=1.0, middle_tsallis2=1.0, lower_vn=0.5, upper_vn=1.5,
+                                     lower_tsallis2=0.5, upper_tsallis2=1.5, renyi2_lower=0.5,
+                                     middle_renyi2=1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, field", [(kind, f.name) for kind, rep in _HOLDING_REPORTS.items()
+                                         for f in dataclasses.fields(rep)])
+def test_a_non_finite_report_field_is_a_violation(kind, field, bad):
+    # the worst slack is an np.max over the inequalities, so a NaN gap cannot hide behind
+    # a finite one, and a report with any non-finite entry fails closed
+    rep = _HOLDING_REPORTS[kind]
+    assert rep.ok and rep.worst == -0.5
+    broken = dataclasses.replace(rep, **{field: bad})
+    assert not broken.ok and not math.isfinite(broken.worst)
 
 
 class TestProps:
@@ -342,22 +371,16 @@ class TestProps:
         rng = stream_rng(54, 1)
         phi1 = random_channel(2, 2, rng)
         rho = hs_random_density(2, rng)
-        ok3, ok4 = bounds.concat_bound_check(phi1, identity_channel(2), rho)
-        assert ok3 and ok4
+        rep = bounds.props_check(rho, phi1, identity_channel(2))
+        assert rep.ok and abs(rep.concat_holevo) < 1e-12
 
     def test_random_channel_pairs(self):
-        from chanent.channels import map_entropy
-
         for t in range(1000):
             rng = stream_rng(54, t + 2)
             phi1 = random_channel(2, 1 + t % 3, rng)
             phi2 = random_channel(2, 1 + (t + 1) % 3, rng)
             rho = hs_random_density(2, rng)
-            assert bounds.info_gain_check(rho, phi1.kraus)
-            ok3, ok4 = bounds.concat_bound_check(phi1, phi2, rho)
-            assert ok3 and ok4
-            lower = bounds.composition_map_entropy_lower(phi1, phi2)
-            assert -1e-9 <= lower <= map_entropy(phi2.compose(phi1)) + 1e-9
+            assert bounds.props_check(rho, phi1, phi2).ok
 
 
 class TestLindblad:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -77,12 +78,10 @@ class TestVerify:
         assert report["violations"] == 1
         assert math.isnan(report["max_slack"])
 
-    @pytest.mark.parametrize("suite", ["davies", "lindblad", "sandwich", "theorem1"])
+    @pytest.mark.parametrize("suite", ["davies", "lindblad", "props", "sandwich", "theorem1"])
     def test_nan_in_a_later_slack_term_is_a_violation(self, suite, tmp_path, monkeypatch):
         # Python's max/min keep a finite value over a NaN that is not their first
         # argument, so each suite's own slack combination must carry the NaN
-        from types import SimpleNamespace
-
         from chanent import davies, qubit
 
         if suite == "davies":
@@ -90,8 +89,12 @@ class TestVerify:
         elif suite == "theorem1":
             monkeypatch.setattr(cli.bounds, "theorem1_check", lambda *args: (0.1, 0.2, math.nan, True))
         elif suite == "lindblad":
-            rep = SimpleNamespace(lower_slack=0.1, upper_slack=math.nan, chi_slack=0.2)
+            rep = cli.bounds.LindbladReport(s_in=0.5, s_out=1.0, s_exchange=1.0, chi=0.0,
+                                            lower_slack=0.1, upper_slack=math.nan, chi_slack=0.2)
             monkeypatch.setattr(cli.bounds, "lindblad_check", lambda *args: rep)
+        elif suite == "props":
+            rep = cli.bounds.PropsReport(0.1, 0.1, 0.1, 0.1, math.nan)
+            monkeypatch.setattr(cli.bounds, "props_check", lambda *args: rep)
         else:
             rep = qubit.SandwichReport(middle_vn=1.0, middle_tsallis2=1.0, lower_vn=0.0,
                                        upper_vn=2.0, lower_tsallis2=0.0, upper_tsallis2=2.0,
@@ -102,6 +105,18 @@ class TestVerify:
         assert code == 1
         report = json.loads(out.read_text())
         assert report["violations"] == 3 and math.isnan(report["max_slack"])
+
+    @pytest.mark.parametrize("field", ["info_gain", "concat_holevo", "concat_exchange",
+                                       "composition_sign", "composition_upper"])
+    def test_a_failed_props_inequality_is_the_row_slack(self, field, monkeypatch):
+        # each of the five propositions enters both the verdict and the slack: with one
+        # forced to miss by 0.25, the row's slack is that inequality's lhs - rhs
+        props_check = cli.bounds.props_check
+        monkeypatch.setattr(cli.bounds, "props_check",
+                            lambda *args: dataclasses.replace(props_check(*args), **{field: -0.25}))
+        for t in range(5):
+            row = cli._TRIALS["props"](42, t, {"dim": 2})
+            assert row == {"slack": 0.25, "violation": True}
 
     def test_nan_in_the_first_davies_slack_term_is_a_violation(self, tmp_path, monkeypatch):
         # the mirror of the case above: a NaN minimizer gap, ahead of a finite residual

@@ -103,9 +103,11 @@ class TestSchmidt:
 
     def test_reconstruction_and_spectra(self):
         rng = stream_rng(11, 2)
-        for dims in [(2, 3), (3, 3), (2, 4)]:
+        for dims in [(2, 3), (3, 3), (2, 4), (3, 2), (4, 2)]:
             psi = random_pure_state(dims[0] * dims[1], rng)
             coeffs, left, right = states.schmidt(psi, dims)
+            # the phase gauge: each left vector's first component is real positive
+            assert np.all(np.abs(left[0].imag) < 1e-15) and np.all(left[0].real > 0.0)
             rebuilt = sum(
                 c * np.kron(left[:, i], right[:, i]) for i, c in enumerate(coeffs)
             )
