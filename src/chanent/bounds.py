@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _measurement, correlation_from_kraus, map_entropy
+from .channels import Channel, _measurement, correlation_from_kraus
 from .entropy import (
     EntropyOrder,
     VON_NEUMANN,
@@ -21,7 +21,7 @@ from .entropy import (
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
+from .matfun import _padded_spectrum, from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
 from .sampling import random_pure_state, stream_rng
 from .states import assert_state, from_bloch, pure_state, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
@@ -157,11 +157,28 @@ def _purification_gram(probs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _root_probs(probs) * (vecs @ vecs.conj().swapaxes(-1, -2))
 
 
-def _output_vn(probs: np.ndarray, outs: np.ndarray) -> tuple[float, float]:
-    """`_ensemble_vn` of (k, n, n) unnormalized outputs with weights p, from one spectrum
-    of [sum of outs; outs] (each matrix is normalized there)."""
-    s_avg, s_each = _ensemble_vn(probs, spectrum(np.concatenate([outs.sum(axis=0)[None], outs])))
-    return float(s_avg), float(s_each)
+def _vn_entropies(*blocks, weights=()) -> list:
+    """von Neumann entropy of each block, a PSD matrix (a float) or an (r, n, n) stack (an
+    (r,) array), then of each weight vector (a float), from one _padded_spectrum and one
+    _eigenvalue_entropy call. Matrices and weights need no normalization. A weight vector
+    is the spectrum of its diagonal matrix: it joins the spectra as one more row, padded
+    with zeros, and may be no longer than the largest block."""
+    w = _padded_spectrum(blocks)
+    if weights:
+        r = len(w)
+        w = np.concatenate([w, np.zeros((len(weights), w.shape[-1]))])
+        for i, p in enumerate(weights, r):
+            w[i, :len(p)] = p
+    ent = _eigenvalue_entropy(w)
+    vals, out, i = ent.tolist(), [], 0
+    for b in blocks:
+        if np.ndim(b) == 2:
+            out.append(vals[i])
+            i += 1
+        else:
+            out.append(ent[i:i + len(b)])
+            i += len(b)
+    return out + vals[i:]
 
 
 def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
@@ -171,16 +188,14 @@ def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
     Returns (chi, s_sigma, h_p, ok).
 
     All three come from channels._measurement: sigma, the P = diag(sigma) of
-    every outcome, and chi of the kept outcomes (p_i at or above SUPPORT_CUTOFF)
-    by `_output_vn`. NaN or inf in rho raises NonFiniteError before any
-    arithmetic, and in a Kraus list InvalidChannelError.
+    every outcome, and chi of the kept outcomes (p_i at or above SUPPORT_CUTOFF),
+    S(sum of outputs) - sum p S(output). Every entropy, S(sigma), H(P) and those
+    of the outputs, comes from one _vn_entropies call. NaN or inf in rho raises
+    NonFiniteError before any arithmetic, and in a Kraus list InvalidChannelError.
     """
     sigma, probs, outs = _measurement(_as_channel(phi).kraus, rho)
-    s_sigma = vn_entropy(sigma)
-    p = sigma.diagonal().real
-    h_p = spectrum_entropy(_clean_probs(p / p.sum()))
-    s_avg, s_each = _output_vn(probs, outs)
-    chi = s_avg - s_each
+    s_sigma, s_avg, s_each, h_p = _vn_entropies(sigma, outs.sum(axis=0), outs, weights=[sigma.diagonal().real])
+    chi = s_avg - float(probs @ s_each)
     ok = chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK
     return chi, s_sigma, h_p, ok
 
@@ -224,20 +239,22 @@ def props_check(rho: np.ndarray, phi1: Channel, phi2: Channel) -> PropsReport:
     S_map(Phi2 Phi1) for lower = MAX{ S(Phi2 Phi1(rho*)) - sum p_i S(Phi2(rho_i)),
     S_map(Phi1) + S(Phi2 Phi1(rho*)) - S(Phi1(rho*)) }, {p_i, rho_i} the ensemble of
     Phi1 at rho* = I/n. Phi2 Phi1 is composed once; Phi1 is measured at rho and at rho*.
+    Every entropy, of rho, of the outputs, of the exchange state and of both Choi
+    states, comes from one _vn_entropies call.
     """
     composed = phi2.compose(phi1)
-    _, probs, outs = _measurement(phi1.kraus, rho)
-    s_avg, s_each = _output_vn(probs, outs)
-    s2_avg, s2_each = _output_vn(probs, phi2.apply(outs))
-    lhs = s2_avg - s2_each
     n = phi1.in_dim
+    _, probs, outs = _measurement(phi1.kraus, rho)
     _, probs_star, outs_star = _measurement(phi1.kraus, np.eye(n, dtype=complex) / n)
-    out, out_each = _output_vn(probs_star, phi2.apply(outs_star))
-    lower = max(out - out_each, map_entropy(phi1) + out - vn_entropy(outs_star.sum(axis=0)))
-    s_exchange = vn_entropy(_measurement(composed.kraus, rho)[0])
-    return PropsReport(info_gain=vn_entropy(rho) - s_each, concat_holevo=s_avg - s_each - lhs,
+    outs2, outs2_star = phi2.apply(outs), phi2.apply(outs_star)
+    (s_in, s_exchange, s_map1, s_map, s_mid, s_avg, s_each, s2_avg, s2_each, out, out_each) = _vn_entropies(
+        rho, _measurement(composed.kraus, rho)[0], phi1.choi, composed.choi, outs_star.sum(axis=0),
+        outs.sum(axis=0), outs, outs2.sum(axis=0), outs2, outs2_star.sum(axis=0), outs2_star)
+    s_each, lhs = float(probs @ s_each), s2_avg - float(probs @ s2_each)
+    lower = max(out - float(probs_star @ out_each), s_map1 + out - s_mid)
+    return PropsReport(info_gain=s_in - s_each, concat_holevo=s_avg - s_each - lhs,
                        concat_exchange=s_exchange - lhs, composition_sign=lower,
-                       composition_upper=map_entropy(composed) - lower)
+                       composition_upper=s_map - lower)
 
 
 @dataclass(frozen=True)
@@ -257,11 +274,11 @@ class LindbladReport(_Report):
 def lindblad_check(rho: np.ndarray, phi: Channel) -> LindbladReport:
     """Slack report for |S(rho')-S(rho)| <= S(sigma) <= S(rho')+S(rho) and the
     three-state bound chi <= S(sigma) + S(rho') - S(rho). sigma, chi and S(rho') (of
-    the kept outputs' sum) come from one channels._measurement, as in theorem1_check."""
+    the kept outputs' sum) come from one channels._measurement, and every entropy,
+    S(rho) among them, from one _vn_entropies call, as in theorem1_check."""
     sigma, probs, outs = _measurement(phi.kraus, rho)
-    s_in, s_ex = vn_entropy(rho), vn_entropy(sigma)
-    s_out, s_each = _output_vn(probs, outs)
-    chi = s_out - s_each
+    s_ex, s_in, s_out, s_each = _vn_entropies(sigma, rho, outs.sum(axis=0), outs)
+    chi = s_out - float(probs @ s_each)
     return LindbladReport(s_in, s_out, s_ex, chi, lower_slack=s_ex - abs(s_out - s_in),
                           upper_slack=s_out + s_in - s_ex, chi_slack=s_ex + s_out - s_in - chi)
 

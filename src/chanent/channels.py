@@ -339,7 +339,9 @@ def _measurement(kraus, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sigma = left.reshape(m, -1) @ kraus.reshape(m, -1).conj().T
     probs = sigma.diagonal().real
     kept = probs >= SUPPORT_CUTOFF
-    return sigma, probs[kept] / probs[kept].sum(), left[kept] @ kraus[kept].conj().swapaxes(-1, -2)
+    if not kept.all():
+        probs, left, kraus = probs[kept], left[kept], kraus[kept]
+    return sigma, probs / probs.sum(), left @ kraus.conj().swapaxes(-1, -2)
 
 
 def exchange_entropy(phi: Channel, rho: np.ndarray, order: EntropyOrder = VON_NEUMANN) -> float:

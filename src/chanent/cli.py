@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -50,7 +49,7 @@ def _trial_theorem1(seed: int, t: int, params: dict) -> dict:
     rho = hs_random_density(n, rng)
     phi = random_channel(n, k, rng)
     chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi)
-    return {"slack": float(np.max([chi - s_sigma, s_sigma - h_p])), "violation": not ok}
+    return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p)), "violation": not ok}
 
 
 def _trial_props(seed: int, t: int, params: dict) -> dict:
@@ -154,11 +153,13 @@ def _in_chunks(chunk, args_of, trials: int, jobs: int) -> dict:
     chunk returns a dict of (stop - start,) arrays. jobs > 1 runs one contiguous chunk per
     worker in a process pool, so chunk and its arguments must pickle; a trial's row never
     depends on its chunk. The pool starts every worker at once, so it never has more workers
-    than trials or CPUs.
+    than trials or CPUs. The pool's modules are imported only here, as no other run needs them.
     """
     jobs = min(jobs, trials, os.cpu_count() or 1)
     if jobs <= 1:
         return chunk(args_of(0, trials))
+    from concurrent.futures import ProcessPoolExecutor
+
     edges = np.linspace(0, trials, jobs + 1, dtype=int)
     chunks = [args_of(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -135,6 +135,21 @@ def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
+def _padded_spectrum(blocks) -> np.ndarray:
+    """spectrum of every matrix of blocks, n×n matrices and (r, n, n) stacks of any sizes
+    n, as the rows of one (R, m) array, m the largest n: one spectrum call on all of them,
+    each zero-padded to m×m. A zero block adds only zero eigenvalues, which no entropy
+    counts, so each row keeps its matrix's entropies."""
+    stacks = [np.asarray(b).reshape(-1, *np.shape(b)[-2:]) for b in blocks]
+    m = max(s.shape[-1] for s in stacks)
+    padded = np.zeros((sum(map(len, stacks)), m, m), dtype=complex)
+    i = 0
+    for s in stacks:
+        padded[i:i + len(s), :s.shape[-1], :s.shape[-1]] = s
+        i += len(s)
+    return spectrum(padded)
+
+
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v), hermitize(h) = v diag(w) v†, of each matrix of a
     (..., n, n) stack; w ascending along the last axis, unclipped and unchecked.

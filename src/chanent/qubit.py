@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import _Report
 from .channels import Channel, map_entropy
 from .entropy import EntropyOrder, VON_NEUMANN, _clean_probs, _eigenvalue_entropy, spectrum_entropy, vn_entropy
-from .matfun import NonFiniteError, eigh, spectrum
+from .matfun import NonFiniteError, _padded_spectrum, eigh
 from .sampling import random_pure_state, stream_rng
 from .states import PAULI, from_bloch
 from .tolerances import DOMAIN_EDGE, NELDER_MEAD_FATOL, NELDER_MEAD_XATOL, NULL_VECTOR_NORM, SUPPORT_CUTOFF
@@ -415,15 +415,12 @@ def sandwich_check(phi1: Channel, phi2: Channel) -> SandwichReport:
 
     Checked for the von Neumann and Tsallis-2 entropies (both subadditive),
     together with the Rényi-2 rewrite of the lower bound. All three orders read
-    one spectrum of the stack [Choi(1); Choi(2); (Phi1 ⊗ Phi2)(phi+)], each
-    matrix zero-padded to the largest (for rectangular channels): a zero block
-    adds only zero eigenvalues, which no entropy counts.
+    one matfun._padded_spectrum of [Choi(1); Choi(2); (Phi1 ⊗ Phi2)(phi+)], each
+    matrix zero-padded to the largest (for rectangular channels).
     """
     if phi1.in_dim != phi2.in_dim:
         raise ValueError("sandwich needs channels of equal dimension")
-    mats = (phi1.choi, phi2.choi, phi1.tensor(phi2).apply(_max_entangled(phi1.in_dim)))
-    size = max(len(m) for m in mats)
-    w = spectrum(np.stack([m if len(m) == size else np.pad(m, (0, size - len(m))) for m in mats]))
+    w = _padded_spectrum([phi1.choi, phi2.choi, phi1.tensor(phi2).apply(_max_entangled(phi1.in_dim))])
     (m1v, m2v, mid_v), (m1t, m2t, mid_t), (m1r, m2r, mid_r) = (
         _eigenvalue_entropy(w, order).tolist() for order in (VON_NEUMANN, _TSALLIS2, _RENYI2))
     return SandwichReport(

@@ -16,6 +16,8 @@ numbers do not depend on which path drew them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channels import Channel
@@ -35,9 +37,30 @@ __all__ = [
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, stream); same pair -> same sequence."""
+    """Independent generator for (seed, stream); same pair -> same sequence.
+
+    The generator is Philox keyed by (seed & 0xFFFF_FFFF_FFFF_FFFF, stream). The key
+    comes in as a seed sequence that returns it as is: Philox(key=...) would first build,
+    and then drop, a SeedSequence drawn from OS entropy.
+    """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
+
+
+@functools.cache
+def _key_sequence() -> type:
+    """The seed-sequence class whose state is a given Philox key. Built on first use, so that
+    importing this module does not import numpy.random."""
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # Philox asks for its (2,) uint64 key, and only for that
+            return self.key
+
+    return KeySequence
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanent import bounds, channels, cli, matfun, qubit
+from chanent import bounds, channels, cli, entropy, matfun, qubit
 from chanent.bounds import Ensemble
 from chanent.channels import Channel, correlation_from_kraus, ensemble_from_channel, map_entropy
 from chanent.cli import run_suite
@@ -331,6 +331,55 @@ class TestMeasurementChecks:
         assert not any(r["violation"] for r in rows)
         assert calls == {"props": {"_measurement": 3 * 20, "compose": 20},
                          "lindblad": {"_measurement": 20, "compose": 0}}[suite]
+
+
+class TestOneSpectrum:
+    """Every entropy of a measurement check is read from one zero-padded spectrum stack."""
+
+    @pytest.mark.parametrize("suite, params", [
+        ("theorem1", {"k": 1}), ("theorem1", {"k": 4}), ("lindblad", {"dim": 2}), ("lindblad", {"dim": 3}),
+        ("props", {"dim": 2}), ("props", {"dim": 3}),
+    ], ids=["theorem1-k1", "theorem1-k4", "lindblad-2", "lindblad-3", "props-2", "props-3"])
+    def test_one_spectrum_and_one_entropy_call_per_trial(self, suite, params, monkeypatch):
+        # theorem1 draws n in {2, 3}, and k = 1 makes sigma 1×1; lindblad and props draw
+        # 1 to 3 Kraus operators per channel. Each name is counted wherever a module holds it.
+        calls = {"spectrum": 0, "_eigenvalue_entropy": 0}
+        for name in calls:
+            for owner in (matfun, entropy, channels, bounds, qubit):
+                if hasattr(owner, name):
+                    def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _real(*args, **kwargs)
+
+                    monkeypatch.setattr(owner, name, counted)
+        lapack = record_shapes(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd"))
+        for t in range(20):
+            for shapes in lapack.values():
+                shapes.clear()
+            calls.update(spectrum=0, _eigenvalue_entropy=0)
+            assert not cli._TRIALS[suite](42, t, params)["violation"]
+            assert calls == {"spectrum": 1, "_eigenvalue_entropy": 1}
+            assert lapack["eigh"] == lapack["svd"] == [] and len(lapack["eigvalsh"]) <= 1
+
+    def test_padded_blocks_give_the_entropies_of_each_matrix(self):
+        # blocks of sizes 1 to 4, as rectangular Kraus operators give, single or stacked and
+        # unnormalized, share one spectrum zero-padded to 4×4; weight rows join it padded
+        rng = stream_rng(57, 0)
+        mats = [np.array([[0.3]]), hs_random_density(2, rng, ancilla=1), 0.5 * hs_random_density(3, rng, ancilla=2),
+                hs_random_density(4, rng)]
+        stacks = [np.stack([hs_random_density(2, rng) for _ in range(3)]) * [[[0.2]], [[0.3]], [[0.5]]],
+                  np.full((2, 1, 1), 0.7), np.stack([hs_random_density(3, rng, ancilla=1) for _ in range(2)])]
+        weights = [dirichlet(3, rng), np.array([1.0]), np.array([0.1, 0.0, 0.9, 0.0])]
+        got = bounds._vn_entropies(*mats, *stacks, weights=weights)
+        assert all(isinstance(x, float) for x in got[:4] + got[7:]) and [len(x) for x in got[4:7]] == [3, 2, 2]
+        want = [vn_entropy(m) for m in mats] + [vn_entropy(s) for s in stacks] + [shannon(p) for p in weights]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+        w = matfun._padded_spectrum(mats + stacks)
+        assert w.shape == (11, 4)
+        for order in (EntropyOrder.tsallis(2.0), EntropyOrder.renyi(2.0), EntropyOrder.renyi(0.5)):
+            want = np.concatenate([[vn_entropy(m, order) for m in mats]] + [vn_entropy(s, order) for s in stacks])
+            np.testing.assert_allclose(entropy._eigenvalue_entropy(w, order), want, rtol=0, atol=1e-13)
 
 
 # A report whose every inequality holds by 0.5, by its class

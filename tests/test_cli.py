@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -196,14 +197,16 @@ class TestPoolSize:
     ], ids=["cpus", "trials", "one-trial", "no-cpu-count", "jobs"])
     def test_workers_bounded_by_trials_and_cpus(self, monkeypatch, trials, jobs, cpus, workers):
         sizes = []
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: FakePool(max_workers, sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: FakePool(max_workers, sizes))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         cols = cli._in_chunks(lambda args: {"t": np.arange(*args)}, lambda a, b: (a, b), trials, jobs)
         assert cols["t"].tolist() == list(range(trials)) and sizes == workers
 
     def test_one_trial_runs_in_process(self, monkeypatch, capsys):
         sizes = []
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: FakePool(max_workers, sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: FakePool(max_workers, sizes))
         code, out = run_main(capsys, ["verify", "--suite", "conjecture1", "--trials", "1",
                                       "--jobs", "64"])
         assert code == 0 and sizes == []
@@ -297,6 +300,22 @@ for argv in commands:
 """
         done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
                               timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_import_loads_no_random_or_pool_modules(self, tmp_path):
+        # numpy.random is loaded by the first stream_rng and the process pool by the
+        # first --jobs > 1 run, so commands that need neither never pay their import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = f"""
+import sys
+sys.path.insert(0, {src!r})
+import chanent.cli
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "multiprocessing" or m.startswith(("numpy.random", "concurrent.futures.process")))
+assert not loaded, loaded
+"""
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
         assert done.returncode == 0, done.stderr
 
 
@@ -433,10 +452,10 @@ class TestSandwichTrial:
     def test_one_spectrum_per_trial(self, dim, monkeypatch):
         # the two Choi states and the middle state share one spectrum, which serves
         # all three entropy orders
-        from chanent import qubit
+        from chanent import matfun
 
         calls = record_shapes(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd"))
-        spectra = record_shapes(monkeypatch, qubit, ("spectrum",))
+        spectra = record_shapes(monkeypatch, matfun, ("spectrum",))
         stack = (3, dim * dim, dim * dim)
         for t in range(10):
             for shapes in (*calls.values(), *spectra.values()):
