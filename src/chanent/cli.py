@@ -24,8 +24,7 @@ from . import bounds, davies, qubit
 from .entropy import VON_NEUMANN, EntropyOrder
 from .sampling import (
     _flat_dirichlet,
-    hs_random_density,
-    random_channel,
+    random_channels,
     random_ensembles,
     stream_rng,
     stream_uniforms,
@@ -41,39 +40,34 @@ LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # suite functions: per-trial ones, and stacked ones that evaluate a chunk at once
 
+# Kraus counts of the Part-II channels, each drawn as 1 + int(3u) just before its block
+_KRAUS = range(1, 4)
+
 
 def _trial_theorem1(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
     n = 2 if rng.random() < 0.5 else 3
     k = 1 + int(rng.random() * params.get("k", 4))
-    rho = hs_random_density(n, rng)
-    phi = random_channel(n, k, rng)
+    rho, phi = random_channels(n, (k,), rng, density=True)
     chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi)
     return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p)), "violation": not ok}
 
 
 def _trial_props(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
-    n = params.get("dim", 2)
-    rho = hs_random_density(n, rng)
-    phi1 = random_channel(n, 1 + int(rng.random() * 3), rng)
-    phi2 = random_channel(n, 1 + int(rng.random() * 3), rng)
+    rho, phi1, phi2 = random_channels(params.get("dim", 2), (_KRAUS, _KRAUS), rng, density=True)
     return _report_row(bounds.props_check(rho, phi1, phi2))
 
 
 def _trial_lindblad(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
-    n = params.get("dim", 2)
-    rho = hs_random_density(n, rng)
-    phi = random_channel(n, 1 + int(rng.random() * 3), rng)
+    rho, phi = random_channels(params.get("dim", 2), (_KRAUS,), rng, density=True)
     return _report_row(bounds.lindblad_check(rho, phi))
 
 
 def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
-    n = params.get("dim", 2)
-    phi1 = random_channel(n, 1 + int(rng.random() * 3), rng)
-    phi2 = random_channel(n, 1 + int(rng.random() * 3), rng)
+    phi1, phi2 = random_channels(params.get("dim", 2), (_KRAUS, _KRAUS), rng)
     return _report_row(qubit.sandwich_check(phi1, phi2))
 
 
@@ -115,7 +109,7 @@ def _trial_multiplicativity(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
     d = _random_davies(rng)
     phi = davies.qubit_superoperator(d)
-    omega = random_channel(2, 1 + int(rng.random() * 3), rng)
+    (omega,) = random_channels(2, (_KRAUS,), rng)
     m_phi = davies.qubit_max_norm(d)
     m_omega = qubit.max_output_2norm(omega)
     m_joint = qubit.max_output_2norm(phi.tensor(omega), seed=seed + 13 * t + 2)

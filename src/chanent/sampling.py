@@ -12,6 +12,11 @@ and `random_ensembles` draws one block per trial stream from the stacked
 Philox kernel `stream_uniforms` and transforms the whole stack at once. Both
 paths produce the same uniforms and run the same transform, so a trial's
 numbers do not depend on which path drew them.
+
+A Gaussian block is drawn whole, but only the columns its object uses go
+through Box-Muller: a channel on C^n keeps n columns of its N×N block.
+`random_channels` draws a state and several channels in the order of the
+single-object functions and transforms all their used Gaussians at once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "random_pure_state",
     "dirichlet",
     "random_channel",
+    "random_channels",
     "random_ensemble",
     "random_ensembles",
 ]
@@ -132,11 +138,39 @@ def _induced_ancilla(n: int, ancilla: int | None) -> int:
     return a
 
 
-def _induced_density(u: np.ndarray, n: int, a: int) -> np.ndarray:
-    """G G†/tr(G G†) of shape (..., n, n), G the Box-Muller n×a Gaussian of a (..., 2na) block."""
-    g = _box_muller(u, (n, a))
+def _gram_density(g: np.ndarray) -> np.ndarray:
+    """G G†/tr(G G†) of each matrix G of a (..., n, a) stack."""
     rho = g @ g.conj().swapaxes(-1, -2)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_plan(blocks: tuple) -> tuple[np.ndarray, tuple]:
+    """(index, pieces) of _gaussian_columns: u[index] is [radii | angles] of every used
+    entry, block by block, and piece (start, stop, shape) is one block's share of them.
+    The index is shared by every caller, so it is read-only."""
+    radii, angles, pieces, offset, start = [], [], [], 0, 0
+    for rows, cols, used in blocks:
+        cell = (np.arange(rows)[:, None] * cols + np.arange(used)).ravel()
+        radii.append(offset + cell)
+        angles.append(offset + rows * cols + cell)
+        pieces.append((start, start + cell.size, (rows, used)))
+        offset, start = offset + 2 * rows * cols, start + cell.size
+    index = np.concatenate(radii + angles)
+    index.flags.writeable = False
+    return index, tuple(pieces)
+
+
+def _gaussian_columns(u: np.ndarray, blocks) -> list[np.ndarray]:
+    """The used columns of Gaussian blocks laid back to back in u, through one Box-Muller.
+
+    Block (rows, cols, used) is 2·rows·cols uniforms, [radii | angles] of a rows×cols
+    Gaussian laid out as complex_gaussian(rng, (rows, cols)) lays it. Its first `used`
+    columns come back as a rows×used array; the other columns' uniforms are skipped.
+    """
+    index, pieces = _gather_plan(tuple(blocks))
+    g = _box_muller(u[index], (index.size // 2,))
+    return [g[a:b].reshape(shape) for a, b, shape in pieces]
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -161,7 +195,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return _phase_fixed_qr(complex_gaussian(rng, (n, n)))
+    return _phase_fixed_qr(_gaussian_columns(rng.random(2 * n * n), ((n, n, n),))[0])
 
 
 def hs_random_density(n: int, rng: np.random.Generator, ancilla: int | None = None) -> np.ndarray:
@@ -172,11 +206,13 @@ def hs_random_density(n: int, rng: np.random.Generator, ancilla: int | None = No
     C^n ⊗ C^ancilla. n or ancilla below 1 raises ValueError.
     """
     a = _induced_ancilla(n, ancilla)
-    return _induced_density(rng.random(2 * n * a), n, a)
+    return _gram_density(_gaussian_columns(rng.random(2 * n * a), ((n, a, a),))[0])
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector in C^n."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     v = complex_gaussian(rng, (n,))
     return v / np.linalg.norm(v)
 
@@ -192,13 +228,41 @@ def random_channel(n: int, m: int, rng: np.random.Generator):
     """Random channel on C^n with m Kraus operators.
 
     The Kraus operators are the blocks of the first block-column of a Haar
-    unitary of size n*m, i.e. an isometry chopped into m pieces. The draw is
-    haar_unitary's, N×N Gaussian and all, so the generator ends where it would,
-    but only the first n columns go through the QR.
+    unitary of size N = n*m, i.e. an isometry chopped into m pieces. The draw is
+    haar_unitary's, all 2N² uniforms of the N×N Gaussian, so the generator ends
+    where it would; only the first n columns go through Box-Muller and the QR.
     """
-    if n < 1 or m < 1:
+    return random_channels(n, (m,), rng)[0]
+
+
+def random_channels(n: int, kraus, rng: np.random.Generator, density: bool = False) -> tuple:
+    """hs_random_density(n, rng) if density, then random_channel(n, m, rng) for each m
+    of kraus, in that order and bit for bit, with one Box-Muller for all of them.
+
+    An entry of kraus is a Kraus count, or a range r whose count r[int(len(r)·u)] comes
+    from the uniform drawn just before that channel's block, as a caller would draw
+    `1 + int(3 * rng.random())` before calling random_channel. Each stretch of
+    uniforms up to such a count is one exact-size `random` call.
+    """
+    if n < 1:
         raise ValueError("dimension and Kraus count must be at least 1")
-    return Channel(_phase_fixed_qr(complex_gaussian(rng, (n * m, n * m))[:, :n]).reshape(m, n, n))
+    blocks, parts, pending = [], [], 0
+    if density:
+        blocks.append((n, n, n))
+        pending = 2 * n * n
+    for m in kraus:
+        if isinstance(m, range):
+            u = rng.random(pending + 1)
+            parts.append(u[:-1])
+            m, pending = m[int(u[-1] * len(m))], 0
+        if m < 1:
+            raise ValueError("dimension and Kraus count must be at least 1")
+        blocks.append((n * m, n * m, n))
+        pending += 2 * (n * m) ** 2
+    parts.append(rng.random(pending))
+    g = _gaussian_columns(parts[0] if len(parts) == 1 else np.concatenate(parts), blocks)
+    rho = (_gram_density(g.pop(0)),) if density else ()
+    return rho + tuple(Channel(_phase_fixed_qr(k).reshape(-1, n, n)) for k in g)
 
 
 def _ensemble(draw, k: int, n: int, ancilla: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +275,7 @@ def _ensemble(draw, k: int, n: int, ancilla: int | None) -> tuple[np.ndarray, np
     a = _induced_ancilla(n, ancilla)
     u = draw(k * (1 + 2 * n * a))
     probs = _flat_dirichlet(u[..., :k])
-    states = _induced_density(u[..., k:].reshape(u.shape[:-1] + (k, 2 * n * a)), n, a)
+    states = _gram_density(_box_muller(u[..., k:].reshape(u.shape[:-1] + (k, 2 * n * a)), (n, a)))
     return probs, states
 
 

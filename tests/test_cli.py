@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanent import cli, sampling
+from chanent import bounds, cli, qubit, sampling
 from tests_support import conjecture_reference, record_shapes
 
 
@@ -433,6 +433,71 @@ class TestStackedSuites:
                                       "--jobs", "1"])
         assert code == 0 and [t for t, _ in calls] == list(range(6))
         assert json.loads(out)["max_slack"] == max(slack for _, slack in calls)
+
+
+def _one_object_at_a_time(suite: str, seed: int, t: int, params: dict) -> dict:
+    """Row t of a Part-II suite, drawn as the suites drew it one object at a time:
+    the public samplers in order, each Kraus count from its own rng.random() call."""
+    rng = sampling.stream_rng(seed, t)
+    if suite == "theorem1":
+        n = 2 if rng.random() < 0.5 else 3
+        k = 1 + int(rng.random() * params["k"])
+        rho = sampling.hs_random_density(n, rng)
+        chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, sampling.random_channel(n, k, rng))
+        return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p)), "violation": not ok}
+    n = params["dim"]
+    rho = None if suite == "sandwich" else sampling.hs_random_density(n, rng)
+    phis = [sampling.random_channel(n, 1 + int(rng.random() * 3), rng) for _ in range(1 if suite == "lindblad" else 2)]
+    if suite == "sandwich":
+        rep = qubit.sandwich_check(*phis)
+    elif suite == "lindblad":
+        rep = bounds.lindblad_check(rho, *phis)
+    else:
+        rep = bounds.props_check(rho, *phis)
+    return {"slack": rep.worst, "violation": not rep.ok}
+
+
+_PART_TWO = [("theorem1", {"k": k}) for k in (1, 4, 7)] + [
+    (suite, {"dim": dim}) for suite in ("lindblad", "props", "sandwich") for dim in (2, 3)]
+_PART_TWO_IDS = [f"{suite}-{next(iter(params.values()))}" for suite, params in _PART_TWO]
+
+
+def count_box_muller(monkeypatch) -> list:
+    """Patch _box_muller wherever a module holds the name; the list gets each call's block shape."""
+    calls = []
+    for owner in (sampling, cli):
+        if hasattr(owner, "_box_muller"):
+            def counted(u, shape, _real=getattr(owner, "_box_muller")):
+                calls.append(np.shape(u))
+                return _real(u, shape)
+
+            monkeypatch.setattr(owner, "_box_muller", counted)
+    return calls
+
+
+class TestPartTwoDraws:
+    """A Part-II trial draws its state and channels with merged calls and one Box-Muller."""
+
+    @pytest.mark.parametrize("suite, params", _PART_TWO, ids=_PART_TWO_IDS)
+    def test_rows_are_the_one_object_at_a_time_rows(self, suite, params):
+        for seed in (42, 1108):
+            for t in range(200):
+                row, expected = cli._TRIALS[suite](seed, t, params), _one_object_at_a_time(suite, seed, t, params)
+                assert row["violation"] == expected["violation"]
+                assert np.float64(row["slack"]).tobytes() == np.float64(expected["slack"]).tobytes(), (seed, t)
+
+    @pytest.mark.parametrize("suite, params", _PART_TWO, ids=_PART_TWO_IDS)
+    def test_one_box_muller_per_trial(self, suite, params, monkeypatch):
+        calls = count_box_muller(monkeypatch)
+        for t in range(20):
+            calls.clear()
+            cli._TRIALS[suite](42, t, params)
+            assert len(calls) == 1
+
+    def test_random_ensembles_one_box_muller_per_chunk(self, monkeypatch):
+        calls = count_box_muller(monkeypatch)
+        cli._run_chunk(("conjecture1", 42, 0, 40, {"k": 3, "dim": 2}))
+        assert calls == [(40, 3, 8)]  # 3 states of 2·2·2 uniforms per trial
 
 
 class TestDaviesTrial:

@@ -93,6 +93,39 @@ class TestHsRandomDensity:
         assert abs(small.mean() - 0.8) < 4 * small.std() / np.sqrt(small.size)
 
 
+class TestWholeBlockBytes:
+    """hs_random_density and haar_unitary are the transforms of complex_gaussian's block."""
+
+    @pytest.mark.parametrize("n, ancilla", [(1, None), (2, None), (3, None), (3, 1), (2, 4)])
+    def test_hs_random_density(self, n, ancilla):
+        for t in range(20):
+            new, old = sampling.stream_rng(33, t), sampling.stream_rng(33, t)
+            g = sampling.complex_gaussian(old, (n, n if ancilla is None else ancilla))
+            rho = g @ g.conj().T
+            assert sampling.hs_random_density(n, new, ancilla).tobytes() == (rho / np.trace(rho).real).tobytes()
+            assert new.random() == old.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_haar_unitary(self, n):
+        for t in range(20):
+            new, old = sampling.stream_rng(30, t), sampling.stream_rng(30, t)
+            expected = sampling._phase_fixed_qr(sampling.complex_gaussian(old, (n, n)))
+            assert sampling.haar_unitary(n, new).tobytes() == expected.tobytes()
+            assert new.random() == old.random()
+
+
+class TestRandomPureState:
+    def test_one_dimension_is_a_unit_vector(self):
+        for t in range(10):
+            v = sampling.random_pure_state(1, sampling.stream_rng(37, t))
+            assert v.shape == (1,) and abs(abs(v[0]) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_empty_shapes(self, n):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            sampling.random_pure_state(n, sampling.stream_rng(37, 0))
+
+
 class TestDirichlet:
     def test_single_point(self):
         np.testing.assert_allclose(sampling.dirichlet(1, sampling.stream_rng(35, 0)), [1.0])
@@ -133,6 +166,17 @@ class TestRandomChannel:
             u = sampling.haar_unitary(n * m, full)[:, :n].reshape(m, n, n)
             np.testing.assert_allclose(kraus, u, rtol=0, atol=1e-13)
             assert thin.random() == full.random()
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 3), (3, 4)])
+    def test_same_bytes_as_the_whole_gaussian_block(self, n, m):
+        # the formula before only the used columns went through Box-Muller: the
+        # whole N×N Gaussian, then the QR of its first n columns
+        for t in range(20):
+            new, old = sampling.stream_rng(36, t), sampling.stream_rng(36, t)
+            kraus = sampling.random_channel(n, m, new).kraus
+            g = sampling.complex_gaussian(old, (n * m, n * m))[:, :n]
+            assert kraus.tobytes() == sampling._phase_fixed_qr(g).reshape(m, n, n).tobytes()
+            assert new.random() == old.random()
 
     @pytest.mark.parametrize("n, m", [(0, 2), (2, 0), (-1, -1)])
     def test_rejects_empty_shapes(self, n, m):
