@@ -412,7 +412,7 @@ def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(
     and s_layered are the entropies of the purification Gram matrix sqrt(p_i p_j) tr
     sqrt(rho_i) sqrt(rho_j) and of G, G/b, F-squared and the layered matrix, on the scale
     with chi at 0 and H(P) at 1. kept is False, and the row's entropies NaN, where H(P) -
-    chi is below HIERARCHY_SKIP_GAP. conjecture is kept & (chi > S(G) + VIOLATION_SLACK).
+    chi is below HIERARCHY_SKIP_GAP. conjecture is kept & not (chi <= S(G) + VIOLATION_SLACK).
     One root_svd of the pair products gives the root fidelities and the polar factors of
     the layered chain, and one spectrum3 the five matrices' spectra: with the closed-form
     qubit decompositions of _decomposed, a chunk makes no LAPACK call.
@@ -434,7 +434,7 @@ def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(
     kept = ~(h_p - chi < HIERARCHY_SKIP_GAP)  # a NaN gap keeps its row, so it cannot pass as a skip
     norm = np.where(kept[:, None], (ent - chi[:, None]) / np.where(kept, h_p - chi, 1.0)[:, None], np.nan)
     cols = dict(zip(("s_gram", "s_fid", "s_fid_b", "s_fid_sq", "s_layered"), norm.T))
-    return {**cols, "kept": kept, "conjecture": kept & (chi > ent[:, 1] + VIOLATION_SLACK)}
+    return {**cols, "kept": kept, "conjecture": kept & ~(chi <= ent[:, 1] + VIOLATION_SLACK)}
 
 
 def holevo_mutual_check(e: Ensemble, povm_kraus) -> tuple[float, float, bool]:

@@ -29,16 +29,14 @@ from .sampling import (
     stream_rng,
     stream_uniforms,
 )
-from .tolerances import DAVIES_MINIMIZER_GAP, MULTIPLICATIVITY_GAP, VIOLATION_SLACK
+from .tolerances import VIOLATION_SLACK
 
 SUITES = ("theorem1", "props", "lindblad", "sandwich", "conjecture1", "davies", "multiplicativity")
 FIGURES = ("scatter-q", "additivity-region", "bunga-surfaces", "davies-qutrit-set", "davies-qubit-region")
 
-LN2 = math.log(2.0)
-
-
 # ---------------------------------------------------------------------------
-# suite functions: per-trial ones, and stacked ones that evaluate a chunk at once
+# suite functions, per-trial ones and stacked ones that evaluate a chunk at once: each
+# gives a trial's slack, the largest lhs - rhs of its inequalities (NaN if any term is)
 
 # Kraus counts of the Part-II channels, each drawn as 1 + int(3u) just before its block
 _KRAUS = range(1, 4)
@@ -49,31 +47,26 @@ def _trial_theorem1(seed: int, t: int, params: dict) -> dict:
     n = 2 if rng.random() < 0.5 else 3
     k = 1 + int(rng.random() * params.get("k", 4))
     rho, phi = random_channels(n, (k,), rng, density=True)
-    chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, phi)
-    return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p)), "violation": not ok}
+    chi, s_sigma, h_p, _ = bounds.theorem1_check(rho, phi)
+    return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p))}
 
 
 def _trial_props(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
     rho, phi1, phi2 = random_channels(params.get("dim", 2), (_KRAUS, _KRAUS), rng, density=True)
-    return _report_row(bounds.props_check(rho, phi1, phi2))
+    return {"slack": bounds.props_check(rho, phi1, phi2).worst}
 
 
 def _trial_lindblad(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
     rho, phi = random_channels(params.get("dim", 2), (_KRAUS,), rng, density=True)
-    return _report_row(bounds.lindblad_check(rho, phi))
+    return {"slack": bounds.lindblad_check(rho, phi).worst}
 
 
 def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
     phi1, phi2 = random_channels(params.get("dim", 2), (_KRAUS, _KRAUS), rng)
-    return _report_row(qubit.sandwich_check(phi1, phi2))
-
-
-def _report_row(rep) -> dict:
-    """The row of a report with a `worst` slack (NaN if any term is) and an `ok` verdict."""
-    return {"slack": rep.worst, "violation": not rep.ok}
+    return {"slack": qubit.sandwich_check(phi1, phi2).worst}
 
 
 def _random_davies(rng) -> davies.DaviesQubit:
@@ -92,17 +85,12 @@ def _trial_davies(seed: int, t: int, params: dict) -> dict:
     phi = davies.qubit_superoperator(d)
     _, s_closed = davies.qubit_minimizer(d)
     s_opt, _ = qubit.min_output_entropy(phi)
-    gap = abs(s_closed - s_opt)
     # semigroup property on a random rate triple
     gam = 0.2 + rng.random()
     rel = rng.random() * 2.0 * gam
     rates = davies.DaviesRates(rel, gam, 0.2 + 0.6 * rng.random(), t=0.0)
     res = davies.semigroup_residual(rates, 0.3 + rng.random(), 0.3 + rng.random())
-    # max keeps a finite value over a NaN that is not its first argument, and a NaN
-    # fails every threshold: a NaN in either term is the slack and a violation
-    if math.isnan(gap) or math.isnan(res):
-        return {"slack": math.nan, "violation": True}
-    return {"slack": max(gap, res), "violation": gap > DAVIES_MINIMIZER_GAP or res > VIOLATION_SLACK}
+    return {"slack": float(np.maximum(abs(s_closed - s_opt), res))}
 
 
 def _trial_multiplicativity(seed: int, t: int, params: dict) -> dict:
@@ -113,11 +101,10 @@ def _trial_multiplicativity(seed: int, t: int, params: dict) -> dict:
     m_phi = davies.qubit_max_norm(d)
     m_omega = qubit.max_output_2norm(omega)
     m_joint = qubit.max_output_2norm(phi.tensor(omega), seed=seed + 13 * t + 2)
-    gap = abs(m_joint - m_phi * m_omega)
-    return {"slack": gap, "violation": gap > MULTIPLICATIVITY_GAP}
+    return {"slack": abs(m_joint - m_phi * m_omega)}
 
 
-# Trial t of these suites is _TRIALS[suite](seed, t, params) -> {"slack", "violation"}.
+# Trial t of these suites is _TRIALS[suite](seed, t, params) -> {"slack": float}.
 # They stay per-trial until each has a stacked kernel, and the entries of theorem1
 # and davies must stay one call per trial, in trial order: the benchmark records
 # those suites' per-trial slacks by swapping their entries for recorders.
@@ -136,8 +123,7 @@ def _stacked_conjecture1(seed: int, start: int, stop: int, params: dict) -> np.n
     return bounds.conjecture_excess(probs, states)
 
 
-# Suites whose chunk of trials is drawn and evaluated as one stack: (B,) slacks,
-# a violation being a slack above VIOLATION_SLACK.
+# Suites whose chunk of trials is drawn and evaluated as one stack, into (B,) slacks.
 _STACKED = {"conjecture1": _stacked_conjecture1}
 
 
@@ -162,25 +148,21 @@ def _in_chunks(chunk, args_of, trials: int, jobs: int) -> dict:
 
 
 def _run_chunk(args) -> dict:
-    """The slack and violation columns of trials [start, stop) of a suite."""
+    """The slack column of trials [start, stop) of a suite."""
     suite, seed, start, stop, params = args
     if suite in _STACKED:
-        slack = _STACKED[suite](seed, start, stop, params)
-        return {"slack": slack, "violation": slack > VIOLATION_SLACK}
+        return {"slack": _STACKED[suite](seed, start, stop, params)}
     fn = _TRIALS[suite]
-    rows = [fn(seed, t, params) for t in range(start, stop)]
-    return {"slack": np.array([r["slack"] for r in rows], dtype=float),
-            "violation": np.array([r["violation"] for r in rows], dtype=bool)}
+    return {"slack": np.array([fn(seed, t, params)["slack"] for t in range(start, stop)], dtype=float)}
 
 
 def run_suite(suite: str, trials: int, seed: int, jobs: int = 1, params: dict | None = None) -> dict:
-    """Run a property suite; returns the aggregate report dictionary."""
+    """Run a property suite; returns the aggregate report dictionary. A trial is a violation
+    unless its slack is a finite number at most VIOLATION_SLACK (NaN and ±inf mean the check
+    itself broke), and np.max carries a NaN into max_slack whatever its trial."""
     params = params or {}
-    cols = _in_chunks(_run_chunk, lambda a, b: (suite, seed, a, b, params), trials, jobs)
-    slacks = cols["slack"]
-    # a slack that is not finite means the check itself broke: count it as a
-    # violation, and let np.max carry a NaN into max_slack whatever its trial
-    violations = int(np.count_nonzero(cols["violation"] | ~np.isfinite(slacks)))
+    slacks = _in_chunks(_run_chunk, lambda a, b: (suite, seed, a, b, params), trials, jobs)["slack"]
+    violations = int(np.count_nonzero(~(np.isfinite(slacks) & (slacks <= VIOLATION_SLACK))))
     max_slack = float(slacks.max()) if len(slacks) else 0.0
     return dict(suite=suite, trials=trials, violations=violations, max_slack=max_slack, seed=seed)
 
@@ -366,9 +348,12 @@ def _csv_to_json(text: str) -> str:
 
 
 def _report(command: str, config: dict, results: dict, violations: int,
-            max_slack: float, seed: int, t0: float) -> dict:
-    return dict(command=command, config=config, results=results, violations=violations,
-                max_slack=max_slack, elapsed_ms=int((time.perf_counter() - t0) * 1000), seed=seed)
+            max_slack: float, args, t0: float) -> int:
+    """Write the JSON report of a verify or hierarchy run; its exit code is 1 if it found violations."""
+    report = dict(command=command, config=config, results=results, violations=violations,
+                  max_slack=max_slack, elapsed_ms=int((time.perf_counter() - t0) * 1000), seed=args.seed)
+    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    return 0 if violations == 0 else 1
 
 
 def _writable(path: str) -> bool:
@@ -426,10 +411,7 @@ def main(argv=None) -> int:
         res = run_suite(args.suite, args.trials, args.seed, jobs=args.jobs, params=params)
         config = {"suite": args.suite, "trials": args.trials, "dim": args.dim, "k": args.k,
                   "jobs": args.jobs}
-        report = _report("verify", config, res, res["violations"], res["max_slack"],
-                         args.seed, t0)
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
-        return 0 if res["violations"] == 0 else 1
+        return _report("verify", config, res, res["violations"], res["max_slack"], args, t0)
 
     if args.command == "hierarchy":
         res = run_hierarchy(trials=args.trials, seed=args.seed, b=args.b, ancilla=args.ancilla,
@@ -438,12 +420,11 @@ def main(argv=None) -> int:
         violations = res.pop("violations")
         config = {"trials": args.trials, "k": args.k, "dim": args.dim, "b": args.b,
                   "ancilla": args.ancilla, "jobs": args.jobs}
-        report = _report("hierarchy", config, res, violations, 0.0, args.seed, t0)
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
+        code = _report("hierarchy", config, res, violations, 0.0, args, t0)
         if not args.output:
             for name, cell in res["table"].items():
                 print(f"# {name:10s} {cell['mean']:8.4f} ± {cell['std']:.4f}", file=sys.stderr)
-        return 0 if violations == 0 else 1
+        return code
 
     # figures
     base = math.e if args.log_base == "e" else 2.0

@@ -8,6 +8,7 @@ eigenvalues at or below tolerances.SUPPORT_CUTOFF count as outside the support.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,16 +131,20 @@ def vn_entropy(rho: np.ndarray, order: EntropyOrder = VON_NEUMANN):
 
     Takes one matrix (returns a float) or a (..., n, n) stack (returns an
     array). Negative eigenvalues are clipped to 0; NaN or inf in the input
-    raises NonFiniteError and a zero matrix raises ValueError.
+    raises NonFiniteError and a zero matrix raises ValueError. A spectrum whose
+    sum could overflow is first scaled exactly, by a power of two.
     """
-    return _eigenvalue_entropy(spectrum(rho), order)
+    w = spectrum(rho)
+    if np.count_nonzero(w > sys.float_info.max / w.shape[-1]):
+        w = np.ldexp(w, -np.frexp(w.max(axis=-1, keepdims=True))[1])
+    return _eigenvalue_entropy(w, order)
 
 
 def _eigenvalue_entropy(w: np.ndarray, order: EntropyOrder = VON_NEUMANN):
     """vn_entropy of each matrix of a stack, given its (..., n) eigenvalues instead."""
     w = np.maximum(w, 0.0)
     total = w.sum(axis=-1, keepdims=True)
-    if not (total > 0.0).all():
+    if np.count_nonzero(total > 0.0) != total.size:
         raise ValueError("a zero matrix has no entropy")
     return spectrum_entropy(w / total, order)
 

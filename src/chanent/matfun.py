@@ -9,7 +9,7 @@ its checked form `psd_eigh`, `spectrum` or `spectrum3` (or `_hermitian_spectrum`
 `root_svd`. The smallest cases, where LAPACK's per-call cost outweighs the
 work, have closed forms: 1×1 spectra in `spectrum`, 2×2 spectra and
 eigenvectors in `eigh`, 2×2 root fidelities in `root_svd`, and 3×3 spectra
-in `spectrum3`.
+in `spectrum3`, each for the rows inside the band of CLOSED_FORM_FLOOR.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .tolerances import PHASE_CUTOFF, PSD_TOL, SUPPORT_CUTOFF, TRIPLE_ROOT_FLOOR
+from .tolerances import CLOSED_FORM_FLOOR, PHASE_CUTOFF, PSD_TOL, SUPPORT_CUTOFF
 
 __all__ = [
     "SUPPORT_CUTOFF",
@@ -108,7 +108,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _finite(h) -> np.ndarray:
     h = np.asarray(h)
-    if not np.isfinite(h).all():
+    if np.count_nonzero(np.isfinite(h)) != h.size:
         raise NonFiniteError("matrix has a NaN or infinite entry")
     return h
 
@@ -178,6 +178,11 @@ def psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(w, 0.0), v
 
 
+def _in_band(sq: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose squared scale sq is inside the band of CLOSED_FORM_FLOOR (NaN is not)."""
+    return (sq > CLOSED_FORM_FLOOR) & (sq < 1.0 / CLOSED_FORM_FLOOR)
+
+
 def _eigh2(h: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Ascending eigenvalues, and with vectors=True the eigenvectors as columns, of
     the Hermitian part of each matrix of a (..., 2, 2) stack, in closed form.
@@ -190,35 +195,51 @@ def _eigh2(h: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray
     orthogonal complement; h = mI gives the identity. The vectors are
     normalized by real divisions: a complex one takes the reciprocal of its
     divisor, which overflows on a subnormal norm.
+
+    A row whose largest |eigenvalue|² is outside the band of CLOSED_FORM_FLOOR (zero
+    included) takes LAPACK instead. Each row's result depends on that row alone.
     """
-    a, d = h[..., 0, 0].real, h[..., 1, 1].real
-    b = (h[..., 0, 1] + h[..., 1, 0].conj()) / 2.0
-    m, half = (a + d) / 2.0, (a - d) / 2.0
-    abs_b = np.abs(b)
-    r = np.hypot(half, abs_b)
-    far = m + np.copysign(r, m)  # 0 only where h = 0, and then so is det
-    near = (a * d - abs_b * abs_b) / (far + (far == 0.0))
-    # filled in place: np.stack and np.where cost more than the arithmetic on one matrix
-    w = np.empty(far.shape + (2,))
-    np.minimum(far, near, out=w[..., 0])
-    np.maximum(far, near, out=w[..., 1])
-    if not vectors:
-        return w, None
-    s = r + np.abs(half)
-    norm = np.hypot(s, abs_b)
-    flat = norm == 0.0  # h = mI: (c, q) = (0, 1) below gives v = I
-    norm = norm + flat
-    c, q = s / norm, b.real / norm + flat
-    if np.iscomplexobj(b):
-        q = q + 1j * (b.imag / norm)
-    # v = [[P, R], [-R̄, P̄]]: its second column (R, P̄) is (c, q̄) for δ >= 0 and (q, c) otherwise
-    up = half >= 0.0
-    v = np.empty(h.shape, dtype=q.dtype)
-    v[..., 0, 0] = v[..., 1, 1] = np.where(up, q, c)
-    v[..., 0, 1] = v[..., 1, 0] = np.where(up, c, q)
-    v[..., 1, 0] *= -1.0
-    if np.iscomplexobj(v):
-        v[..., 1, :] = v[..., 1, :].conj()
+    v = None
+    with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fall back
+        a, d = h[..., 0, 0].real, h[..., 1, 1].real
+        b = (h[..., 0, 1] + h[..., 1, 0].conj()) / 2.0
+        m, half = (a + d) / 2.0, (a - d) / 2.0
+        abs_b = np.abs(b)
+        r = np.hypot(half, abs_b)
+        far = m + np.copysign(r, m)  # 0 only where h = 0, which is outside the band
+        near = (a * d - abs_b * abs_b) / far
+        # filled in place: np.stack and np.where cost more than the arithmetic on one matrix
+        w = np.empty(far.shape + (2,))
+        np.minimum(far, near, out=w[..., 0])
+        np.maximum(far, near, out=w[..., 1])
+        inside = _in_band(far * far)
+        if vectors:
+            s = r + np.abs(half)
+            norm = np.hypot(s, abs_b)
+            flat = norm == 0.0  # h = mI: (c, q) = (0, 1) below gives v = I
+            norm = norm + flat
+            c, q = s / norm, b.real / norm + flat
+            if np.iscomplexobj(b):
+                q = q + 1j * (b.imag / norm)
+            # v = [[P, R], [-R̄, P̄]]: its second column (R, P̄) is (c, q̄) for δ >= 0 and (q, c) otherwise
+            up = half >= 0.0
+            v = np.empty(h.shape, dtype=q.dtype)
+            v[..., 0, 0] = v[..., 1, 1] = np.where(up, q, c)
+            v[..., 0, 1] = v[..., 1, 0] = np.where(up, c, q)
+            v[..., 1, 0] *= -1.0
+            if np.iscomplexobj(v):
+                v[..., 1, :] = v[..., 1, :].conj()
+    if np.count_nonzero(inside) != inside.size:
+        # LAPACK on each such row at the power of two 2^-e that brings its largest real or imaginary
+        # part into [0.5, 1): exact, and (h + h†)/2 then neither overflows nor loses a subnormal bit
+        rows = h[~inside].astype(np.result_type(h, np.float64))
+        e = np.frexp(np.abs(rows.view(np.float64)).max(axis=(-2, -1)))[1]
+        rows = hermitize(np.ldexp(rows.view(np.float64), -e[:, None, None]).view(rows.dtype))
+        if vectors:
+            w[~inside], v[~inside] = np.linalg.eigh(rows)
+        else:
+            w[~inside] = np.linalg.eigvalsh(rows)
+        w[~inside] = np.ldexp(w[~inside], e[:, None])
     return w, v
 
 
@@ -239,21 +260,19 @@ def spectrum3(h: np.ndarray) -> np.ndarray:
     g/2 = |D|_F / sqrt(2), a sum of squares. Every eigenvalue is then within a
     few eps·|h| of LAPACK's, near double and triple roots included.
 
-    A row with p at or below TRIPLE_ROOT_FLOOR (three eigenvalues equal to
-    within ~1e-95) or at or above its inverse, where det K and p^{3/2} leave
-    the normal range, takes np.linalg.eigvalsh. Each row's result depends on
-    that row alone. Raises NonFiniteError on NaN or inf.
+    A row with p outside the band of CLOSED_FORM_FLOOR takes np.linalg.eigvalsh.
+    Each row's result depends on that row alone. Raises NonFiniteError on NaN or inf.
     """
     h = hermitize(_finite(h))
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fall back
-        w, fallback = _trig3(h)
-    if fallback.any():
-        w[fallback] = np.linalg.eigvalsh(h[fallback])
+        w, inside = _trig3(h)
+    if np.count_nonzero(inside) != inside.size:
+        w[~inside] = np.linalg.eigvalsh(h[~inside])
     return w
 
 
 def _trig3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """spectrum3 of each Hermitian h of a (..., 3, 3) stack, and the mask of rows it leaves to LAPACK.
+    """spectrum3 of each Hermitian h of a (..., 3, 3) stack, and the mask of the in-band rows it holds for.
 
     Complex products are spelled out in real arithmetic: NumPy rounds a
     complex product of two scalars differently from the same product in an
@@ -270,8 +289,8 @@ def _trig3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ur, ui = xr * yr - xi * yi, xr * yi + xi * yr  # h01 h12
     p = (k0 * k0 + k1 * k1 + k2 * k2 + 2.0 * (n01 + n02 + n12)) / 6.0
     det = k0 * k1 * k2 + 2.0 * (ur * zr + ui * zi) - k0 * n12 - k1 * n02 - k2 * n01
-    fallback = ~((p > TRIPLE_ROOT_FLOOR) & (p < 1.0 / TRIPLE_ROOT_FLOOR))
-    p = np.where(fallback, 1.0, p)
+    inside = _in_band(p)
+    p = np.where(inside, p, 1.0)
     root_p = np.sqrt(p)
     r = np.clip(det / (2.0 * p * root_p), -1.0, 1.0)
     mu = np.copysign(2.0 * root_p * np.cos(np.arccos(np.abs(r)) / 3.0), r)
@@ -289,7 +308,7 @@ def _trig3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low, high, far = m + (mid - half), m + (mid + half), m + mu
     top = mu >= 0.0
     w = np.stack([np.where(top, low, far), np.where(top, high, low), np.where(top, far, high)], axis=-1)
-    return w, fallback
+    return w, inside
 
 
 def from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -342,29 +361,28 @@ def root_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and tr|x| = N = sqrt(|alpha|² + |beta|²) = sqrt(|x|_F² + 2 det x). This
     holds only where det x is real and >= 0, as it is for every product of
     two PSD square roots; other 2×2 input is outside the contract and gets a
-    wrong result without an error. Larger input takes one SVD
+    wrong result without an error. Larger input, and a 2×2 row whose N² is
+    outside the band of CLOSED_FORM_FLOOR (x = 0 included), take one SVD
     x = U diag(s) V†, valid for any x: W = U V† with U's last column
     multiplied by the phase that makes det W = 1, and tr|x| = s.sum().
     """
     x = _finite(x)
     if x.shape[-1] == 2:
-        # W is that of x scaled by 2^-exp, which is exact and brings the largest entry
-        # into [0.5, 1): subnormal entries keep their digits, and N >= 0.5 unless x = 0
-        exp = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
-        x = np.ldexp(x.real, -exp[..., None, None]) + 1j * np.ldexp(x.imag, -exp[..., None, None])
-        alpha = x[..., 0, 0] + x[..., 1, 1].conj()
-        beta = x[..., 0, 1] - x[..., 1, 0].conj()
-        norm = np.hypot(np.abs(alpha), np.abs(beta))  # 0 only where x = 0
-        nonzero = norm > 0.0
-        scale = np.where(nonzero, norm, 1.0)
-        alpha = np.where(nonzero, alpha / scale, 1.0)
-        beta = beta / scale
-        w = np.stack([alpha, beta, -beta.conj(), alpha.conj()], axis=-1)
-        return np.ldexp(norm, exp), w.reshape(x.shape[:-2] + (2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fall back
+            alpha = x[..., 0, 0] + x[..., 1, 1].conj()
+            beta = x[..., 0, 1] - x[..., 1, 0].conj()
+            norm = np.hypot(np.abs(alpha), np.abs(beta))
+            alpha, beta = alpha / norm, beta / norm
+            inside = _in_band(norm * norm)
+        w = np.stack([alpha, beta, -beta.conj(), alpha.conj()], axis=-1).reshape(x.shape)
+        if np.count_nonzero(inside) == inside.size:
+            return norm, w
     u, s, vh = np.linalg.svd(x)
     det = np.linalg.det(u @ vh)
     u[..., :, -1] *= (det.conj() / np.abs(det))[..., None]
-    return s.sum(axis=-1), u @ vh
+    if x.shape[-1] != 2:
+        return s.sum(axis=-1), u @ vh
+    return np.where(inside, norm, s.sum(axis=-1)), np.where(inside[..., None, None], w, u @ vh)
 
 
 def sqrt_product(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:

@@ -37,13 +37,13 @@ SCHMIDT_CUTOFF = 1e-10
 #: would flip from one machine to the next.
 PHASE_CUTOFF = 1e-12
 
-#: `matfun.spectrum3` leaves a 3×3 matrix to LAPACK when p = tr K²/6 of its
-#: traceless part K = h - (tr h/3) I is at or below this, or at or above its
-#: inverse. Below it the three eigenvalues agree to within ~1e-95, and det K, a
-#: cubic in K's entries, and p^(3/2) fall out of the normal range and lose their
-#: digits; above the inverse they overflow. No 3×3 matrix of the package comes
-#: near either end but a multiple of the identity, whose p is 0.
-TRIPLE_ROOT_FLOOR = 1e-190
+#: The closed forms of `matfun` leave a matrix to LAPACK when a squared scale of it
+#: is at or below this, or at or above its inverse: the largest |eigenvalue|² in a
+#: 2×2 spectrum or eigh, tr|x|² in the 2×2 `root_svd`, and p = tr K²/6 of the
+#: traceless part K in `spectrum3` (three eigenvalues within ~1e-95 below it). Out
+#: of the band their products (a·d - |b|², det K, p^(3/2)) underflow or overflow.
+#: No matrix of the package comes near either end but 0 and multiples of I.
+CLOSED_FORM_FLOOR = 1e-190
 
 # -- states and probabilities ------------------------------------------------------
 
@@ -82,7 +82,7 @@ ENSEMBLE_CHANNEL_TOL = 1e-7
 #: How far past its bound an inequality may land before it counts as a violation:
 #: far above the rounding of entropies of matrices of at most 16×16, far below a
 #: real counterexample. Every inequality check of `bounds`, `qubit` and the CLI
-#: suites uses it.
+#: suites uses it (the `davies` and `multiplicativity` slacks stay below 1e-11).
 VIOLATION_SLACK = 1e-9
 
 #: An ensemble with H(P) - chi below this is skipped by the hierarchy: its
@@ -116,14 +116,6 @@ DAVIES_LIMIT_BAND = 1e-9
 #: A generator rate this far below zero still counts as nonnegative in the
 #: Davies membership test.
 MEMBERSHIP_TOL = 1e-9
-
-#: Largest gap between the closed-form and the numerical minimal output entropy of
-#: a Davies qubit map that the `davies` suite accepts.
-DAVIES_MINIMIZER_GAP = 1e-6
-
-#: Largest |max 2-norm of Phi ⊗ Omega - product of the factors'| that the
-#: `multiplicativity` suite accepts.
-MULTIPLICATIVITY_GAP = 2e-4
 
 # -- the q < 1 probe search -------------------------------------------------------
 

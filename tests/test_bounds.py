@@ -239,7 +239,7 @@ class TestTheorem1:
         # Ensemble, which the __post_init__ patch catches
         monkeypatch.setattr(channels, "ensemble_from_channel", forbidden)
         rows = [cli._TRIALS["theorem1"](42, t, {"k": 4}) for t in range(40)]
-        assert not any(r["violation"] for r in rows)
+        assert all(r["slack"] <= VIOLATION_SLACK for r in rows)
 
 
 def _loop_ensemble(kraus, rho):
@@ -328,7 +328,7 @@ class TestMeasurementChecks:
         if suite == "lindblad":
             monkeypatch.setattr(Channel, "apply", forbidden)
         rows = [cli._TRIALS[suite](42, t, {"dim": dim}) for t in range(20)]
-        assert not any(r["violation"] for r in rows)
+        assert all(r["slack"] <= VIOLATION_SLACK for r in rows)
         assert calls == {"props": {"_measurement": 3 * 20, "compose": 20},
                          "lindblad": {"_measurement": 20, "compose": 0}}[suite]
 
@@ -357,7 +357,7 @@ class TestOneSpectrum:
             for shapes in lapack.values():
                 shapes.clear()
             calls.update(spectrum=0, _eigenvalue_entropy=0)
-            assert not cli._TRIALS[suite](42, t, params)["violation"]
+            assert cli._TRIALS[suite](42, t, params)["slack"] <= VIOLATION_SLACK
             assert calls == {"spectrum": 1, "_eigenvalue_entropy": 1}
             assert lapack["eigh"] == lapack["svd"] == [] and len(lapack["eigvalsh"]) <= 1
 
@@ -772,6 +772,23 @@ class TestHierarchy:
         assert batch["kept"].tolist() == [False, True] and not batch["conjecture"].any()
         for name in HIERARCHY_COLUMNS[:5]:
             assert math.isnan(batch[name][0]) and math.isfinite(batch[name][1]), name
+
+    def test_nan_s_g_of_a_kept_row_is_a_violation(self, monkeypatch):
+        # chi <= S(G) must hold for a kept row to pass: a NaN S(G) fails it
+        real = bounds._eigenvalue_entropy
+
+        def nan_s_g(w, *args):
+            ent = real(w, *args)
+            if ent.shape[-1] == 5:  # the five auxiliary matrices; S(G) is the second
+                ent[1, 1] = math.nan
+            return ent
+
+        monkeypatch.setattr(bounds, "_eigenvalue_entropy", nan_s_g)
+        rng = stream_rng(60, 7)
+        ens = [random_ens(rng) for _ in range(3)]
+        batch = bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
+        assert batch["kept"].tolist() == [True] * 3
+        assert batch["conjecture"].tolist() == [False, True, False]
 
 
 class TestHolevoMutual:

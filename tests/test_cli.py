@@ -59,7 +59,7 @@ class TestVerify:
         # inject a failing suite through the trial registry to exercise the
         # violation exit path
         def bad_trial(seed, t, params):
-            return {"slack": 1.0, "violation": True}
+            return {"slack": 1.0}
 
         monkeypatch.setitem(cli._TRIALS, "lindblad", bad_trial)
         code = cli.main(["verify", "--suite", "lindblad", "--trials", "3",
@@ -67,17 +67,19 @@ class TestVerify:
         assert code == 1
 
     def test_nan_slack_is_a_violation(self, tmp_path, monkeypatch):
-        # NaN compares False with every threshold, so a trial flag alone misses it
-        def nan_at_two(seed, t, params):
-            return {"slack": math.nan if t == 2 else -1.0, "violation": False}
+        # NaN compares False with every threshold, so only "slack <= VIOLATION_SLACK"
+        # passes a trial; +inf and -inf, which no check gives, are violations too
+        for bad, worst in ((math.nan, math.nan), (math.inf, math.inf), (-math.inf, -1.0)):
+            def bad_at_two(seed, t, params, bad=bad):
+                return {"slack": bad if t == 2 else -1.0}
 
-        monkeypatch.setitem(cli._TRIALS, "lindblad", nan_at_two)
-        out = tmp_path / "r.json"
-        code = cli.main(["verify", "--suite", "lindblad", "--trials", "5", "--output", str(out)])
-        assert code == 1
-        report = json.loads(out.read_text())
-        assert report["violations"] == 1
-        assert math.isnan(report["max_slack"])
+            monkeypatch.setitem(cli._TRIALS, "lindblad", bad_at_two)
+            out = tmp_path / "r.json"
+            code = cli.main(["verify", "--suite", "lindblad", "--trials", "5", "--output", str(out)])
+            assert code == 1
+            report = json.loads(out.read_text())
+            assert report["violations"] == 1
+            np.testing.assert_equal(report["max_slack"], worst)
 
     @pytest.mark.parametrize("suite", ["davies", "lindblad", "props", "sandwich", "theorem1"])
     def test_nan_in_a_later_slack_term_is_a_violation(self, suite, tmp_path, monkeypatch):
@@ -110,22 +112,21 @@ class TestVerify:
     @pytest.mark.parametrize("field", ["info_gain", "concat_holevo", "concat_exchange",
                                        "composition_sign", "composition_upper"])
     def test_a_failed_props_inequality_is_the_row_slack(self, field, monkeypatch):
-        # each of the five propositions enters both the verdict and the slack: with one
-        # forced to miss by 0.25, the row's slack is that inequality's lhs - rhs
+        # each of the five propositions enters the slack: with one forced to miss by
+        # 0.25, the row's slack is that inequality's lhs - rhs, and a violation
         props_check = cli.bounds.props_check
         monkeypatch.setattr(cli.bounds, "props_check",
                             lambda *args: dataclasses.replace(props_check(*args), **{field: -0.25}))
         for t in range(5):
-            row = cli._TRIALS["props"](42, t, {"dim": 2})
-            assert row == {"slack": 0.25, "violation": True}
+            assert cli._TRIALS["props"](42, t, {"dim": 2}) == {"slack": 0.25}
+        assert cli.run_suite("props", 5, 42, params={"dim": 2})["violations"] == 5
 
     def test_nan_in_the_first_davies_slack_term_is_a_violation(self, tmp_path, monkeypatch):
         # the mirror of the case above: a NaN minimizer gap, ahead of a finite residual
         from chanent import davies
 
         monkeypatch.setattr(davies, "qubit_minimizer", lambda *args: (0.5, math.nan))
-        row = cli._TRIALS["davies"](3, 0, {})
-        assert row["violation"] and math.isnan(row["slack"])
+        assert math.isnan(cli._TRIALS["davies"](3, 0, {})["slack"])
         out = tmp_path / "r.json"
         code = cli.main(["verify", "--suite", "davies", "--trials", "3", "--output", str(out)])
         assert code == 1
@@ -135,11 +136,34 @@ class TestVerify:
     def test_max_slack_independent_of_trial_order(self, monkeypatch):
         for first in (0, 3):
             def trial(seed, t, params, first=first):
-                return {"slack": math.nan if t == first else float(t), "violation": False}
+                return {"slack": math.nan if t == first else -float(t)}
 
             monkeypatch.setitem(cli._TRIALS, "lindblad", trial)
             res = cli.run_suite("lindblad", 4, seed=0)
             assert res["violations"] == 1 and math.isnan(res["max_slack"])
+
+    def test_davies_closed_form_moved_by_1e_8_is_a_violation(self, monkeypatch):
+        # the exact minimizer and the closed form agree to ~1e-15: the suite's gate is
+        # VIOLATION_SLACK, so a closed form off by ten times that fails every trial
+        from chanent import davies
+
+        minimizer = davies.qubit_minimizer
+
+        def moved(d):
+            mu, s_min = minimizer(d)
+            return mu, s_min + 1e-8
+
+        monkeypatch.setattr(davies, "qubit_minimizer", moved)
+        assert cli.run_suite("davies", 5, 42)["violations"] == 5
+
+    def test_multiplicativity_product_moved_by_1e_8_is_a_violation(self, monkeypatch):
+        # the max output 2-norm of the Davies factor, moved by 1e-8, moves the product
+        # by at least 1e-8/sqrt(2): every trial fails the VIOLATION_SLACK gate
+        from chanent import davies
+
+        max_norm = davies.qubit_max_norm
+        monkeypatch.setattr(davies, "qubit_max_norm", lambda d: max_norm(d) + 1e-8)
+        assert cli.run_suite("multiplicativity", 3, 42)["violations"] == 3
 
     @pytest.mark.parametrize("suite, given, expected", [
         ("davies", ["--trials", "10000"], 10000),
@@ -395,6 +419,22 @@ def assert_columns_equal(actual: dict, expected: dict) -> None:
         assert actual[name].dtype == col.dtype and actual[name].tobytes() == col.tobytes(), name
 
 
+class TestSlackContract:
+    """A suite reports slacks only; run_suite alone turns them into violations. The
+    benchmark's recorder reads row["slack"] of the _TRIALS rows."""
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_rows_and_chunks_are_slacks(self, suite):
+        params = {"dim": 2, "k": 3}
+        if suite in cli._TRIALS:
+            for t in range(3):
+                row = cli._TRIALS[suite](42, t, params)
+                assert set(row) == {"slack"} and type(row["slack"]) is float
+        cols = cli._run_chunk((suite, 42, 0, 3, params))
+        assert set(cols) == {"slack"}
+        assert cols["slack"].dtype == np.float64 and cols["slack"].shape == (3,)
+
+
 class TestStackedSuites:
     def test_conjecture1_chunk_builds_no_generator(self, monkeypatch):
         expected = conjecture_reference(3, 2, 42, 5, 45)
@@ -405,7 +445,7 @@ class TestStackedSuites:
         monkeypatch.setattr(sampling, "stream_rng", no_generator)
         monkeypatch.setattr(np.random, "Generator", no_generator)
         cols = cli._run_chunk(("conjecture1", 42, 5, 45, {"k": 3, "dim": 2}))
-        assert_columns_equal(cols, {"slack": expected, "violation": expected > cli.VIOLATION_SLACK})
+        assert_columns_equal(cols, {"slack": expected})
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_conjecture1_rows_independent_of_chunk_size(self, dim):
@@ -443,8 +483,8 @@ def _one_object_at_a_time(suite: str, seed: int, t: int, params: dict) -> dict:
         n = 2 if rng.random() < 0.5 else 3
         k = 1 + int(rng.random() * params["k"])
         rho = sampling.hs_random_density(n, rng)
-        chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, sampling.random_channel(n, k, rng))
-        return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p)), "violation": not ok}
+        chi, s_sigma, h_p, _ = bounds.theorem1_check(rho, sampling.random_channel(n, k, rng))
+        return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p))}
     n = params["dim"]
     rho = None if suite == "sandwich" else sampling.hs_random_density(n, rng)
     phis = [sampling.random_channel(n, 1 + int(rng.random() * 3), rng) for _ in range(1 if suite == "lindblad" else 2)]
@@ -454,7 +494,7 @@ def _one_object_at_a_time(suite: str, seed: int, t: int, params: dict) -> dict:
         rep = bounds.lindblad_check(rho, *phis)
     else:
         rep = bounds.props_check(rho, *phis)
-    return {"slack": rep.worst, "violation": not rep.ok}
+    return {"slack": rep.worst}
 
 
 _PART_TWO = [("theorem1", {"k": k}) for k in (1, 4, 7)] + [
@@ -483,7 +523,7 @@ class TestPartTwoDraws:
         for seed in (42, 1108):
             for t in range(200):
                 row, expected = cli._TRIALS[suite](seed, t, params), _one_object_at_a_time(suite, seed, t, params)
-                assert row["violation"] == expected["violation"]
+                assert set(row) == {"slack"}
                 assert np.float64(row["slack"]).tobytes() == np.float64(expected["slack"]).tobytes(), (seed, t)
 
     @pytest.mark.parametrize("suite, params", _PART_TWO, ids=_PART_TWO_IDS)

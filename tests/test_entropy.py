@@ -3,7 +3,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from chanent import entropy
 from chanent.entropy import EntropyOrder
@@ -106,6 +106,7 @@ class TestVnEntropy:
 
     @settings(max_examples=60, deadline=None)
     @given(psd_stacks())
+    @example(np.array([[[5e-324, 0.0], [0.0, 0.0]]]))  # a nonzero matrix whose products underflow
     def test_stack_equals_loop(self, hs):
         assume((np.trace(hs, axis1=-2, axis2=-1).real > 0).all())
         for order in ORDERS:

@@ -544,9 +544,45 @@ class TestClosedFormSpectra:
 
     @pytest.mark.parametrize("scale", [1e-200, 1e120])
     def test_out_of_range_rows_take_lapack(self, scale):
-        # p of the traceless part leaves (TRIPLE_ROOT_FLOOR, 1/TRIPLE_ROOT_FLOOR)
+        # p of the traceless part leaves (CLOSED_FORM_FLOOR, 1/CLOSED_FORM_FLOOR)
         h = stack_from_spectra(np.array([[0.2, 0.3, 0.5]]), 12)[0] * scale
         assert matfun.spectrum3(h).tobytes() == np.linalg.eigvalsh(matfun.hermitize(h)).tobytes()
+
+    # the ends of the float range, where a·d and |b|² of the 2×2 closed form underflow or
+    # overflow, with their entropies: a rank-one matrix has entropy 0
+    FLOAT_RANGE_ENDS = [
+        (5e-324 * np.eye(2), math.log(2)),
+        (np.array([[5e-324, 0.0], [0.0, 0.0]]), 0.0),
+        (np.diag([1e-170, 3e-170]), -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))),
+        (1e308 * np.eye(2), math.log(2)),
+        (np.full((2, 2), 1e200), 0.0),
+    ]
+
+    @pytest.mark.parametrize("h, entropy", FLOAT_RANGE_ENDS,
+                             ids=["subnormal-I", "subnormal-rank-1", "1e-170", "1e308-I", "1e200-rank-1"])
+    def test_float_range_ends_take_lapack(self, h, entropy):
+        from chanent.entropy import vn_entropy
+
+        expected = np.linalg.eigvalsh(h)
+        assert matfun.spectrum(h).tobytes() == expected.tobytes()
+        for stack in (h[None], np.stack([np.eye(2) / 2, h])):  # alone and beside an in-band row
+            w, v = matfun.eigh(stack)
+            assert w[-1].tobytes() == expected.tobytes()
+            np.testing.assert_allclose(v[-1].conj().T @ v[-1], np.eye(2), rtol=0, atol=1e-15)
+            np.testing.assert_allclose((v[-1] * (w[-1] / expected.max())) @ v[-1].conj().T,
+                                       h / expected.max(), rtol=0, atol=1e-15)
+        assert abs(vn_entropy(h) - entropy) <= 1e-15
+
+    def test_root_svd_out_of_the_band_takes_the_svd(self):
+        # x = 0 and products scaled far below and above the band take the SVD; the
+        # in-band row keeps the closed form, and each scaled row has its polar factor
+        rng = stream_rng(7, 40)
+        x = matfun.psd_sqrt(hs_random_density(2, rng)) @ matfun.psd_sqrt(hs_random_density(2, rng))
+        stack = np.stack([x, 1e-170 * x, 1e170 * x, np.zeros((2, 2))])
+        tr, w = matfun.root_svd(stack)
+        assert tr[0].tobytes() == matfun.root_svd(x)[0].tobytes()
+        np.testing.assert_allclose(tr, [tr[0], 1e-170 * tr[0], 1e170 * tr[0], 0.0], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(w, [w[0], w[0], w[0], np.eye(2)], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_row_bits_do_not_depend_on_the_stack(self, n):
