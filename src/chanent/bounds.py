@@ -165,14 +165,14 @@ def _vn_entropies(*blocks, weights=()) -> list:
     with zeros, and may be no longer than the largest block."""
     w = _padded_spectrum(blocks)
     if weights:
-        r = len(w)
-        w = np.concatenate([w, np.zeros((len(weights), w.shape[-1]))])
-        for i, p in enumerate(weights, r):
+        spectra, w = w, np.zeros((len(w) + len(weights), w.shape[-1]))
+        w[:len(spectra)] = spectra
+        for i, p in enumerate(weights, len(spectra)):
             w[i, :len(p)] = p
     ent = _eigenvalue_entropy(w)
     vals, out, i = ent.tolist(), [], 0
     for b in blocks:
-        if np.ndim(b) == 2:
+        if b.ndim == 2:
             out.append(vals[i])
             i += 1
         else:
@@ -248,7 +248,7 @@ def props_check(rho: np.ndarray, phi1: Channel, phi2: Channel) -> PropsReport:
     _, probs_star, outs_star = _measurement(phi1.kraus, np.eye(n, dtype=complex) / n)
     outs2, outs2_star = phi2.apply(outs), phi2.apply(outs_star)
     (s_in, s_exchange, s_map1, s_map, s_mid, s_avg, s_each, s2_avg, s2_each, out, out_each) = _vn_entropies(
-        rho, _measurement(composed.kraus, rho)[0], phi1.choi, composed.choi, outs_star.sum(axis=0),
+        np.asarray(rho), _measurement(composed.kraus, rho)[0], phi1.choi, composed.choi, outs_star.sum(axis=0),
         outs.sum(axis=0), outs, outs2.sum(axis=0), outs2, outs2_star.sum(axis=0), outs2_star)
     s_each, lhs = float(probs @ s_each), s2_avg - float(probs @ s2_each)
     lower = max(out - float(probs_star @ out_each), s_map1 + out - s_mid)
@@ -277,7 +277,7 @@ def lindblad_check(rho: np.ndarray, phi: Channel) -> LindbladReport:
     the kept outputs' sum) come from one channels._measurement, and every entropy,
     S(rho) among them, from one _vn_entropies call, as in theorem1_check."""
     sigma, probs, outs = _measurement(phi.kraus, rho)
-    s_ex, s_in, s_out, s_each = _vn_entropies(sigma, rho, outs.sum(axis=0), outs)
+    s_ex, s_in, s_out, s_each = _vn_entropies(sigma, np.asarray(rho), outs.sum(axis=0), outs)
     chi = s_out - float(probs @ s_each)
     return LindbladReport(s_in, s_out, s_ex, chi, lower_slack=s_ex - abs(s_out - s_in),
                           upper_slack=s_out + s_in - s_ex, chi_slack=s_ex + s_out - s_in - chi)

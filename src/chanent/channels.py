@@ -119,13 +119,13 @@ def _report(d: np.ndarray) -> tuple[CptpReport, np.ndarray | None, float]:
     and no d, before any arithmetic on d.
     """
     out, n = d.shape[:2]
-    if not np.isfinite(d).all():
+    if np.count_nonzero(np.isfinite(d)) != d.size:
         return CptpReport(False, False, math.nan, math.nan), None, math.nan
     flat = hermitize(d.reshape(out * n, out * n))
     w = _hermitian_spectrum(flat)
     d = flat.reshape(out, n, out, n)
     residual = np.trace(d, axis1=0, axis2=2)  # a new (n, n) array: Tr_out d - I in place
-    residual.flat[:: n + 1] -= 1.0
+    residual.reshape(-1)[:: n + 1] -= 1.0
     tp_residual = float(np.abs(residual).max())
     min_eig = float(w[0])
     report = CptpReport(min_eig >= -CPTP_TOL, tp_residual <= CPTP_TOL, min_eig / n, tp_residual)
@@ -145,21 +145,24 @@ class Channel:
     `Channel(kraus)` holds an (m, out, in) Kraus stack; the operators may be
     rectangular, as for complementary channels. Its dynamical matrix
     sum vec(K) vec(K)† is a Gram matrix, PSD whatever the operators, so a Kraus
-    list is CP and the constructor checks only what can fail: a NaN or inf
-    entry, and max|sum K†K - I| <= `tol`. Either raises InvalidChannelError;
-    no eigensolver runs. `from_superoperator` and `from_choi` hold the checked
+    list is CP and the constructor checks only what can fail: max|sum K†K - I| <= `tol`,
+    which a NaN or inf entry fails too. Either raises InvalidChannelError, each with its
+    own message; no eigensolver runs. `from_superoperator` and `from_choi` hold the checked
     dynamical matrix instead. The superoperator, the Choi state and the Kraus
     stack are derived on first read, cached and read-only.
     """
 
     def __init__(self, kraus, tol: float = CPTP_TOL):
-        self.kraus = _read_only(_kraus_stack(kraus))
-        if not np.isfinite(self.kraus).all():
-            raise InvalidChannelError("Kraus operator has a NaN or infinite entry")
-        self.out_dim, self.in_dim = self.kraus.shape[1:]
-        flat = self.kraus.reshape(-1, self.in_dim)  # flat† flat = sum K†K
-        tp_residual = float(np.abs(flat.conj().T @ flat - np.eye(self.in_dim)).max())
+        self.kraus = stack = _read_only(_kraus_stack(kraus))
+        self.out_dim, self.in_dim = stack.shape[1:]
+        flat = stack.reshape(-1, self.in_dim)  # flat† flat = sum K†K
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf input, or an overflow
+            residual = flat.conj().T @ flat
+        residual.reshape(-1)[:: self.in_dim + 1] -= 1.0  # sum K†K - I: NaN or inf if an entry is
+        tp_residual = float(np.maximum.reduce(np.abs(residual), axis=None))
         if not tp_residual <= tol:
+            if np.count_nonzero(np.isfinite(stack)) != stack.size:
+                raise InvalidChannelError("Kraus operator has a NaN or infinite entry")
             raise InvalidChannelError(f"not trace preserving: |sum K†K - I| = {tp_residual:.3e}")
 
     @cached_property
@@ -336,12 +339,13 @@ def _measurement(kraus, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kraus = np.asarray(kraus, dtype=complex)
     m = len(kraus)
     left = kraus @ _finite(np.asarray(rho, dtype=complex))
-    sigma = left.reshape(m, -1) @ kraus.reshape(m, -1).conj().T
+    conj = kraus.conj()
+    sigma = left.reshape(m, -1) @ conj.reshape(m, -1).T
     probs = sigma.diagonal().real
     kept = probs >= SUPPORT_CUTOFF
-    if not kept.all():
-        probs, left, kraus = probs[kept], left[kept], kraus[kept]
-    return sigma, probs / probs.sum(), left @ kraus.conj().swapaxes(-1, -2)
+    if np.count_nonzero(kept) != m:
+        probs, left, conj = probs[kept], left[kept], conj[kept]
+    return sigma, probs / np.add.reduce(probs), left @ conj.swapaxes(-1, -2)
 
 
 def exchange_entropy(phi: Channel, rho: np.ndarray, order: EntropyOrder = VON_NEUMANN) -> float:

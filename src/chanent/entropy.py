@@ -98,7 +98,7 @@ def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
     p = np.asarray(w, dtype=float)
     if order.is_limit:
         # log only on the support: p log p is then 0 off it, and NaN stays NaN
-        out = -(p * np.log(p, out=np.zeros_like(p), where=p > SUPPORT_CUTOFF)).sum(axis=-1)
+        out = -np.add.reduce(p * np.log(p, out=np.zeros(p.shape), where=p > SUPPORT_CUTOFF), axis=-1)
     else:
         kept = np.where(p <= SUPPORT_CUTOFF, 0.0, p)
         kept = kept / kept.sum(axis=-1, keepdims=True)
@@ -143,10 +143,10 @@ def vn_entropy(rho: np.ndarray, order: EntropyOrder = VON_NEUMANN):
 def _eigenvalue_entropy(w: np.ndarray, order: EntropyOrder = VON_NEUMANN):
     """vn_entropy of each matrix of a stack, given its (..., n) eigenvalues instead."""
     w = np.maximum(w, 0.0)
-    total = w.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(w, axis=-1, keepdims=True)
     if np.count_nonzero(total > 0.0) != total.size:
         raise ValueError("a zero matrix has no entropy")
-    return spectrum_entropy(w / total, order)
+    return spectrum_entropy(np.divide(w, total, out=w), order)  # w is this function's own copy
 
 
 def relative_entropy(

@@ -56,7 +56,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     Real input stays real, and conj costs it nothing: ndarray.conj returns a
     real array itself, uncopied.
     """
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    h = m + m.conj().swapaxes(-1, -2)
+    return np.multiply(h, 0.5, out=h if h.dtype.kind in "fc" else None)  # an integer sum gets a float copy
 
 
 def _lead_phases(vecs: np.ndarray) -> np.ndarray:
@@ -113,17 +114,34 @@ def _finite(h) -> np.ndarray:
     return h
 
 
+def _hermitian_part(h: np.ndarray, ceiling: float = 2.0**1022) -> tuple[np.ndarray, np.ndarray | None]:
+    """(hermitize(h), None) if every entry of the (..., n, n) stack h is below `ceiling` in modulus
+    (the default keeps h + h† finite; one pass tests that and finiteness), else (hermitize(2^-e h), e)
+    with e = 0 for the other matrices, so they keep their bits: 2^-e brings each largest real or
+    imaginary part at or above `ceiling` into [0.5, 1) exactly. NaN or inf raises NonFiniteError."""
+    if np.count_nonzero(np.abs(h) < ceiling) == h.size:
+        return hermitize(h), None
+    x = _finite(h).astype(np.result_type(h, np.float64), order="C")  # viewed as floats below
+    top = np.abs(x.view(np.float64)).max(axis=(-2, -1))
+    e = np.where(top >= ceiling, np.frexp(top)[1], 0)
+    return hermitize(np.ldexp(x.view(np.float64), -e[..., None, None]).view(x.dtype)), e
+
+
 def spectrum(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix in a (..., n, n) stack.
 
-    1×1 input is its own real entry, 2×2 input takes the closed form of _eigh2,
-    larger input one eigvalsh. Raises NonFiniteError on NaN or inf, which an
-    eigensolver may otherwise turn into finite eigenvalues.
+    1×1 input is its own real entry, 2×2 input takes the closed form of _eigh2, larger
+    input one eigvalsh of its _hermitian_part. Raises NonFiniteError on NaN or inf, which
+    an eigensolver may otherwise turn into finite eigenvalues.
     """
-    h = _finite(h)
+    h = np.asarray(h)
     if h.shape[-2:] == (1, 1):
-        return h[..., 0].real.astype(float)
-    return _hermitian_spectrum(h if h.shape[-2:] == (2, 2) else hermitize(h))
+        return _finite(h)[..., 0].real.astype(float)
+    if h.shape[-2:] == (2, 2):
+        return _eigh2(_finite(h))[0]
+    h, e = _hermitian_part(h)
+    w = np.linalg.eigvalsh(h)
+    return w if e is None else np.ldexp(w, e[..., None])
 
 
 def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
@@ -140,13 +158,13 @@ def _padded_spectrum(blocks) -> np.ndarray:
     n, as the rows of one (R, m) array, m the largest n: one spectrum call on all of them,
     each zero-padded to m×m. A zero block adds only zero eigenvalues, which no entropy
     counts, so each row keeps its matrix's entropies."""
-    stacks = [np.asarray(b).reshape(-1, *np.shape(b)[-2:]) for b in blocks]
-    m = max(s.shape[-1] for s in stacks)
-    padded = np.zeros((sum(map(len, stacks)), m, m), dtype=complex)
+    rows = [1 if b.ndim == 2 else len(b) for b in blocks]
+    m = max(b.shape[-1] for b in blocks)
+    padded = np.zeros((sum(rows), m, m), dtype=complex)
     i = 0
-    for s in stacks:
-        padded[i:i + len(s), :s.shape[-1], :s.shape[-1]] = s
-        i += len(s)
+    for b, r in zip(blocks, rows):
+        padded[i:i + r, :b.shape[-1], :b.shape[-1]] = b
+        i += r
     return spectrum(padded)
 
 
@@ -155,14 +173,16 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (..., n, n) stack; w ascending along the last axis, unclipped and unchecked.
 
     2×2 input takes the closed form of _eigh2, larger input one LAPACK eigh of
-    the whole stack. Either way each matrix is decomposed exactly as it would
+    the whole stack's _hermitian_part. Either way each matrix is decomposed exactly as it would
     be alone, so a result never depends on the stack around it. Raises
     NonFiniteError on NaN or inf.
     """
-    h = _finite(h)
+    h = np.asarray(h)
     if h.shape[-2:] == (2, 2):
-        return _eigh2(h, vectors=True)
-    return np.linalg.eigh(hermitize(h))
+        return _eigh2(_finite(h), vectors=True)
+    h, e = _hermitian_part(h)
+    w, v = np.linalg.eigh(h)
+    return (w if e is None else np.ldexp(w, e[..., None])), v
 
 
 def psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,11 +250,8 @@ def _eigh2(h: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray
             if np.iscomplexobj(v):
                 v[..., 1, :] = v[..., 1, :].conj()
     if np.count_nonzero(inside) != inside.size:
-        # LAPACK on each such row at the power of two 2^-e that brings its largest real or imaginary
-        # part into [0.5, 1): exact, and (h + h†)/2 then neither overflows nor loses a subnormal bit
-        rows = h[~inside].astype(np.result_type(h, np.float64))
-        e = np.frexp(np.abs(rows.view(np.float64)).max(axis=(-2, -1)))[1]
-        rows = hermitize(np.ldexp(rows.view(np.float64), -e[:, None, None]).view(rows.dtype))
+        # LAPACK on each such row, scaled by a power of two
+        rows, e = _hermitian_part(h[~inside], 0.0)
         if vectors:
             w[~inside], v[~inside] = np.linalg.eigh(rows)
         else:
@@ -263,12 +280,12 @@ def spectrum3(h: np.ndarray) -> np.ndarray:
     A row with p outside the band of CLOSED_FORM_FLOOR takes np.linalg.eigvalsh.
     Each row's result depends on that row alone. Raises NonFiniteError on NaN or inf.
     """
-    h = hermitize(_finite(h))
+    h, e = _hermitian_part(np.asarray(h))
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fall back
         w, inside = _trig3(h)
     if np.count_nonzero(inside) != inside.size:
         w[~inside] = np.linalg.eigvalsh(h[~inside])
-    return w
+    return w if e is None else np.ldexp(w, e[..., None])
 
 
 def _trig3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

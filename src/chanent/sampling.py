@@ -115,10 +115,11 @@ def _box_muller(u: np.ndarray, shape) -> np.ndarray:
     The first half of the block gives the radii, the second half the angles.
     """
     m = u.shape[-1] // 2
-    u1 = 1.0 - u[..., :m]  # (0, 1]
-    u2 = u[..., m:]
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = r * np.cos(2.0 * np.pi * u2) + 1j * r * np.sin(2.0 * np.pi * u2)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., :m]))  # 1 - u in (0, 1]
+    angle = 2.0 * np.pi * u[..., m:]
+    out = np.empty(r.shape, dtype=complex)
+    np.multiply(r, np.cos(angle), out=out.real)
+    np.multiply(r, np.sin(angle), out=out.imag)
     return out.reshape(u.shape[:-1] + tuple(shape))
 
 

@@ -187,6 +187,24 @@ class TestNonFiniteInput:
         assert math.isnan(report.min_choi_eig)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                             ids=["nan", "inf", "-inf", "inf-j"])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    def test_kraus_entry_raises_without_warning(self, bad, where):
+        # the TP residual sum K†K - I is the finiteness test: NaN or inf makes it fail
+        k = np.eye(2, dtype=complex)
+        k[where] = bad
+        with pytest.raises(channels.InvalidChannelError, match="NaN or infinite"):
+            Channel([k, np.zeros((2, 2))])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kraus_is_not_trace_preserving_without_warning(self):
+        # finite entries whose K†K overflows: an inf residual, not a non-finite entry
+        with pytest.raises(channels.InvalidChannelError, match="not trace preserving"):
+            Channel([1e200 * np.eye(2)])
+
+
 def _looped_outer_sum(d: np.ndarray, n: int) -> np.ndarray:
     """Reference for Channel._from_outer_sum: one eigenvector at a time."""
     w, v = np.linalg.eigh(d)
@@ -382,6 +400,18 @@ class TestExchangeEntropy:
         out = ext.apply(np.outer(psi, psi.conj()))
         assert abs(vn_entropy(out) - channels.exchange_entropy(phi, rho)) < 1e-9
 
+    @pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "one-dropped"])
+    def test_measurement_does_not_write_its_inputs(self, drop):
+        rng = stream_rng(46, 4)
+        kraus = random_channel(3, 3, rng).kraus.copy()
+        if drop:  # a zero operator: its outcome is dropped, and the kept ones are indexed
+            kraus = np.concatenate([kraus, np.zeros((1, 3, 3))])
+        rho = hs_random_density(3, rng)
+        before = kraus.tobytes(), rho.tobytes()
+        sigma, probs, outs = channels._measurement(kraus, rho)
+        assert (kraus.tobytes(), rho.tobytes()) == before
+        assert len(probs) == len(outs) == 3
+
 
 class TestCoherentInformation:
     def test_identity(self):
@@ -532,6 +562,14 @@ class TestStackedBuilders:
             before = len(built)
             cli._trial_theorem1(50, t, {"k": 4})
             assert len(built) - before == 1
+
+    @pytest.mark.parametrize("as_list", [True, False], ids=["list", "array"])
+    def test_kraus_input_is_not_written(self, as_list):
+        kraus = random_channel(3, 4, stream_rng(41, 0)).kraus.copy()
+        before = kraus.tobytes()
+        phi = Channel(list(kraus) if as_list else kraus)
+        assert kraus.tobytes() == before
+        assert phi.kraus.tobytes() == before
 
     @settings(max_examples=40, deadline=None)
     @given(kraus_lists(), st.sampled_from([0.9, 1.1]))

@@ -326,6 +326,28 @@ class TestHermitize:
         assert np.array_equal(h, h.conj().swapaxes(-1, -2))  # exactly Hermitian
 
 
+class TestInputsAreNotWritten:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["real", "complex", "integer", "read-only"])
+    def test_spectrum(self, kind, n):
+        h = rand_complex(stream_rng(17, n), (5, n, n))
+        h = {"real": h.real, "complex": h, "integer": np.round(8 * h.real).astype(int),
+             "read-only": h.copy()}[kind]
+        h.flags.writeable = kind != "read-only"
+        before = h.tobytes()
+        w = matfun.spectrum(h)
+        assert h.tobytes() == before
+        np.testing.assert_allclose(w, np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2), rtol=0, atol=1e-13)
+
+    def test_padded_spectrum(self):
+        rng = stream_rng(17, 9)
+        blocks = [rand_complex(rng, (3, 3)), rand_complex(rng, (2, 4, 4)), rand_complex(rng, (2, 2)).real]
+        before = [b.tobytes() for b in blocks]
+        w = matfun._padded_spectrum(blocks)
+        assert [b.tobytes() for b in blocks] == before
+        assert w.shape == (4, 4)
+
+
 class TestSpectral:
     def test_stack_axes_are_kept(self):
         # hermitizing with .T would reverse the stack axes; swapaxes keeps them
@@ -571,6 +593,39 @@ class TestClosedFormSpectra:
             np.testing.assert_allclose(v[-1].conj().T @ v[-1], np.eye(2), rtol=0, atol=1e-15)
             np.testing.assert_allclose((v[-1] * (w[-1] / expected.max())) @ v[-1].conj().T,
                                        h / expected.max(), rtol=0, atol=1e-15)
+        assert abs(vn_entropy(h) - entropy) <= 1e-15
+
+    # n >= 3: where (h + h†)/2 would overflow, the matrix is scaled by a power of two first;
+    # the subnormal and 1e-170 ends keep the spectra of eigvalsh((h + h†)/2)
+    LARGER_FLOAT_RANGE_ENDS = [
+        (1e308 * np.eye(3), [1e308] * 3, math.log(3)),
+        (np.full((3, 3), 1e200), [0.0, 0.0, 3e200], 0.0),
+        (5e-324 * np.eye(3), None, math.log(3)),
+        (1e-170 * np.diag([1.0, 2.0, 3.0]), None, -sum(p * math.log(p) for p in (1 / 6, 2 / 6, 3 / 6))),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h, spectrum, entropy", LARGER_FLOAT_RANGE_ENDS,
+                             ids=["1e308-I3", "1e200-rank-1", "subnormal-I3", "1e-170"])
+    def test_larger_matrices_at_the_float_range_ends(self, h, spectrum, entropy):
+        from chanent.entropy import vn_entropy
+
+        today = spectrum is None
+        spectrum = np.linalg.eigvalsh((h + h.T) / 2) if today else np.array(spectrum)
+        top = spectrum.max()
+        # beside in-range rows, complex as in a padded stack, where each row keeps its bits
+        stack = np.stack([np.eye(3) / 3, h, np.diag([0.5, 0.25, 0.25])]).astype(complex)
+        for fn in (matfun.spectrum, matfun.spectrum3, lambda x: matfun.eigh(x)[0]):
+            if today:
+                np.testing.assert_array_equal(fn(h), spectrum)
+            else:
+                np.testing.assert_allclose(fn(h), spectrum, rtol=0, atol=1e-15 * top)
+            w = fn(stack)
+            for i, row in enumerate(stack):
+                assert w[i].tobytes() == fn(row).tobytes()
+        w, v = matfun.eigh(h)
+        np.testing.assert_allclose(v.T @ v, np.eye(3), rtol=0, atol=1e-15)
+        np.testing.assert_allclose((v * (w / top)) @ v.T, h / top, rtol=0, atol=1e-15)
         assert abs(vn_entropy(h) - entropy) <= 1e-15
 
     def test_root_svd_out_of_the_band_takes_the_svd(self):

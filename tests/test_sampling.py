@@ -114,6 +114,24 @@ class TestWholeBlockBytes:
             assert new.random() == old.random()
 
 
+class TestBoxMuller:
+    def test_bytes_are_the_polar_formula_and_u_is_not_written(self):
+        u = sampling.stream_rng(34, 0).random((3, 40))
+        before = u.tobytes()
+        out = sampling._box_muller(u, (4, 5))
+        assert u.tobytes() == before
+        r, angle = np.sqrt(-2.0 * np.log(1.0 - u[:, :20])), 2.0 * np.pi * u[:, 20:]
+        expected = (r * np.cos(angle) + 1j * r * np.sin(angle)).reshape(3, 4, 5)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_a_zero_radius_gives_zero(self):
+        # a radius uniform of exactly 0.0 gives a zero, whose sign may differ from the formula's
+        u = sampling.stream_rng(34, 1).random(8)
+        u[1] = 0.0
+        out = sampling._box_muller(u, (4,))
+        assert out[1] == 0.0 and np.count_nonzero(out) == 3
+
+
 class TestRandomPureState:
     def test_one_dimension_is_a_unit_vector(self):
         for t in range(10):
