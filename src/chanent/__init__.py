@@ -1,7 +1,6 @@
 """Quantum channel machinery: representations, entropies, Holevo bounds, Davies maps."""
 
 from .bounds import (
-    Ensemble,
     symmetric_triple_check,
     correlation_from_ensemble,
     correlation_matrix,
@@ -27,6 +26,7 @@ from .channels import (
 )
 from .davies import DaviesQubit, DaviesQutritBlock, DaviesRates, membership
 from .entropy import (
+    Ensemble,
     EntropyOrder,
     classical_entropy,
     entropic_distance,

@@ -10,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _measurement, correlation_from_kraus
+from .channels import Channel, _measurement
 from .entropy import (
+    Ensemble,
     EntropyOrder,
     VON_NEUMANN,
+    _average,
     _clean_probs,
     _eigenvalue_entropy,
     mutual_information_classical,
@@ -23,12 +25,11 @@ from .entropy import (
 )
 from .matfun import _padded_spectrum, from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
 from .sampling import random_pure_state, stream_rng
-from .states import assert_state, from_bloch, pure_state, root_fidelity
+from .states import from_bloch, pure_state, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
                          PSD_TOL, VIOLATION_SLACK)
 
 __all__ = [
-    "Ensemble",
     "TripleGeometry",
     "holevo",
     "correlation_matrix",
@@ -54,46 +55,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Probability vector paired with density matrices of a common dimension.
-
-    states is given as a sequence of n×n matrices or a (k, n, n) array and
-    held as one (k, n, n) complex array.
-    """
-
-    probs: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if len({np.shape(s) for s in self.states}) > 1:
-            raise ValueError("all states must share a dimension")
-        states = np.asarray(self.states, dtype=complex)
-        if len(probs) != len(states):
-            raise ValueError("probs and states must have equal length")
-        probs = _clean_probs(probs)
-        if states.ndim != 3 or states.shape[1] != states.shape[2]:
-            raise ValueError("all states must share a dimension")
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[-1]
-
-    def average(self) -> np.ndarray:
-        return _average(self.probs, self.states)
-
-    def validate(self) -> "Ensemble":
-        for s in self.states:
-            assert_state(s)
-        return self
-
-
 def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
     """Holevo quantity of an ensemble.
 
@@ -116,11 +77,6 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
     return math.log(val) / (q - 1.0)
 
 
-def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """sum p rho over (..., k) stacks of probabilities and states."""
-    return sum(probs[..., i, None, None] * states[..., i, :, :] for i in range(probs.shape[-1]))
-
-
 def _ensemble_vn(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S(sum p rho), sum p S(rho)) over (..., k) stacks, from the (..., k + 1, n)
     eigenvalues of the stack [average state; states]: chi is their difference."""
@@ -128,18 +84,10 @@ def _ensemble_vn(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ent[..., 0], (probs * ent[..., 1:]).sum(axis=-1)
 
 
-def _as_channel(phi) -> Channel:
-    """phi itself if it is a Channel, else its Kraus list validated as one."""
-    return phi if isinstance(phi, Channel) else Channel(phi)
-
-
 def correlation_matrix(rho: np.ndarray, kraus) -> np.ndarray:
-    """Correlation matrix sigma_ij = tr K^i rho K^j† of a POVM acting on rho.
-
-    The Kraus list must be a channel: otherwise it raises InvalidChannelError,
-    a ValueError.
-    """
-    return correlation_from_kraus(Channel(kraus).kraus, rho)
+    """Correlation matrix sigma_ij = tr K^i rho K^j† of a POVM acting on rho, hermitized, from
+    channels._measurement. A Kraus list that is not a channel raises InvalidChannelError."""
+    return hermitize(_measurement(Channel(kraus).kraus, rho)[0])
 
 
 def correlation_from_ensemble(e: Ensemble, unitaries) -> np.ndarray:
@@ -193,7 +141,7 @@ def theorem1_check(rho: np.ndarray, phi) -> tuple[float, float, float, bool]:
     of the outputs, comes from one _vn_entropies call. NaN or inf in rho raises
     NonFiniteError before any arithmetic, and in a Kraus list InvalidChannelError.
     """
-    sigma, probs, outs = _measurement(_as_channel(phi).kraus, rho)
+    sigma, probs, outs = _measurement((phi if isinstance(phi, Channel) else Channel(phi)).kraus, rho)
     s_sigma, s_avg, s_each, h_p = _vn_entropies(sigma, outs.sum(axis=0), outs, weights=[sigma.diagonal().real])
     chi = s_avg - float(probs @ s_each)
     ok = chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK
@@ -571,7 +519,8 @@ def symmetric_triple_check(f: float, b: float) -> tuple[float, float, bool]:
     (beta = alpha = 0) family.
 
     G has off-corner |2F - 1|/b; at b = 0 (within DOMAIN_EDGE) the entry is
-    defined by the limit (F must equal 1/2 there). Returns (chi, s_G, ok).
+    defined by the limit (F must equal 1/2 there). Returns (chi, s_G, ok), each entropy
+    from a spectrum in closed form: G's, and the (1 ± a)/2 and (1 ± b)/2 of chi's states.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must lie in [0, 1]")
@@ -583,13 +532,12 @@ def symmetric_triple_check(f: float, b: float) -> tuple[float, float, bool]:
         corner = 0.0
     else:
         corner = abs(2 * f - 1.0) / b
-    g = np.array([[1.0, math.sqrt(f), corner], [math.sqrt(f), 1.0, math.sqrt(f)], [corner, math.sqrt(f), 1.0]]) / 3.0
-    s_g = vn_entropy(g)
+    # G's eigenvalues: (1 - c)/3 on (1, 0, -1), and (2 + c ± sqrt(c² + 8F))/6, the lower as their product over far
+    far = (2.0 + corner + math.sqrt(corner * corner + 8.0 * f)) / 6.0
+    s_g = _eigenvalue_entropy(np.array([(1.0 - corner) / 3.0, far, (1.0 + corner - 2.0 * f) / 9.0 / far]))
     a = (b + 2 * (2 * f - 1.0) / b) / 3.0 if b > DOMAIN_EDGE else 0.0
     a = min(abs(a), 1.0)
-    chi = vn_entropy(np.diag([(1 + a) / 2, (1 - a) / 2])) - vn_entropy(
-        np.diag([(1 + b) / 2, (1 - b) / 2])
-    ) / 3.0
+    chi = spectrum_entropy([(1 + a) / 2, (1 - a) / 2]) - spectrum_entropy([(1 + b) / 2, (1 - b) / 2]) / 3.0
     return chi, s_g, chi <= s_g + VIOLATION_SLACK
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import EntropyOrder, VON_NEUMANN, vn_entropy
+from .entropy import Ensemble, EntropyOrder, VON_NEUMANN, vn_entropy
 from .matfun import (_finite, _hermitian_spectrum, _lead_phases, eigh, from_eigh, hermitize, psd_eigh, psd_sqrt,
                      root_svd)
 from .tolerances import CPTP_TOL, ENSEMBLE_CHANNEL_TOL, KRAUS_CUTOFF, SINGULAR_CUTOFF, SUPPORT_CUTOFF
@@ -353,23 +353,16 @@ def exchange_entropy(phi: Channel, rho: np.ndarray, order: EntropyOrder = VON_NE
     return vn_entropy(_measurement(phi.kraus, rho)[0], order)
 
 
-def correlation_from_kraus(kraus, rho: np.ndarray) -> np.ndarray:
-    """Correlation matrix sigma_ij = tr K^i rho K^j† of a measurement/channel."""
-    return hermitize(_measurement(kraus, rho)[0])
-
-
 def coherent_information(phi: Channel, rho: np.ndarray) -> float:
     """S(Phi(rho)) - S(complementary output at rho)."""
     return vn_entropy(phi.apply(rho)) - exchange_entropy(phi, rho)
 
 
-def ensemble_from_channel(phi: Channel, rho: np.ndarray):
+def ensemble_from_channel(phi: Channel, rho: np.ndarray) -> Ensemble:
     """Measurement ensemble {p_i = tr K rho K†, rho_i = K rho K†/p_i}.
 
     Outcomes with p_i below SUPPORT_CUTOFF are dropped and the rest renormalized.
     """
-    from .bounds import Ensemble  # lazy: the channels↔bounds cycle, as bounds imports this module
-
     _, probs, outs = _measurement(phi.kraus, rho)
     return Ensemble(probs, outs / np.trace(outs, axis1=-2, axis2=-1).real[:, None, None])
 

@@ -31,6 +31,8 @@ from .sampling import (
 )
 from .tolerances import VIOLATION_SLACK
 
+# Suite parameters that run_suite fills in where params leaves them out; --dim and --k default to them
+_SUITE_DEFAULTS = {"dim": 2, "k": 3}
 SUITES = ("theorem1", "props", "lindblad", "sandwich", "conjecture1", "davies", "multiplicativity")
 FIGURES = ("scatter-q", "additivity-region", "bunga-surfaces", "davies-qutrit-set", "davies-qubit-region")
 
@@ -45,7 +47,7 @@ _KRAUS = range(1, 4)
 def _trial_theorem1(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
     n = 2 if rng.random() < 0.5 else 3
-    k = 1 + int(rng.random() * params.get("k", 4))
+    k = 1 + int(rng.random() * params["k"])
     rho, phi = random_channels(n, (k,), rng, density=True)
     chi, s_sigma, h_p, _ = bounds.theorem1_check(rho, phi)
     return {"slack": float(np.maximum(chi - s_sigma, s_sigma - h_p))}
@@ -53,30 +55,28 @@ def _trial_theorem1(seed: int, t: int, params: dict) -> dict:
 
 def _trial_props(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
-    rho, phi1, phi2 = random_channels(params.get("dim", 2), (_KRAUS, _KRAUS), rng, density=True)
+    rho, phi1, phi2 = random_channels(params["dim"], (_KRAUS, _KRAUS), rng, density=True)
     return {"slack": bounds.props_check(rho, phi1, phi2).worst}
 
 
 def _trial_lindblad(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
-    rho, phi = random_channels(params.get("dim", 2), (_KRAUS,), rng, density=True)
+    rho, phi = random_channels(params["dim"], (_KRAUS,), rng, density=True)
     return {"slack": bounds.lindblad_check(rho, phi).worst}
 
 
 def _trial_sandwich(seed: int, t: int, params: dict) -> dict:
     rng = stream_rng(seed, t)
-    phi1, phi2 = random_channels(params.get("dim", 2), (_KRAUS, _KRAUS), rng)
+    phi1, phi2 = random_channels(params["dim"], (_KRAUS, _KRAUS), rng)
     return {"slack": qubit.sandwich_check(phi1, phi2).worst}
 
 
 def _random_davies(rng) -> davies.DaviesQubit:
-    while True:
-        p = 0.05 + 0.9 * rng.random()
-        a = rng.random() * (1.0 - p) * 0.999
-        cmax = math.sqrt(1.0 - a / (1.0 - p))
-        c = (0.001 + 0.998 * rng.random()) * cmax
-        if c > 0:
-            return davies.DaviesQubit(a=a, c=c, p=p)
+    # a <= 0.999 (1 - p) keeps sqrt(1 - a/(1 - p)) >= sqrt(0.001), so c > 0 always
+    p = 0.05 + 0.9 * rng.random()
+    a = rng.random() * (1.0 - p) * 0.999
+    c = (0.001 + 0.998 * rng.random()) * math.sqrt(1.0 - a / (1.0 - p))
+    return davies.DaviesQubit(a=a, c=c, p=p)
 
 
 def _trial_davies(seed: int, t: int, params: dict) -> dict:
@@ -119,7 +119,7 @@ _TRIALS = {
 
 
 def _stacked_conjecture1(seed: int, start: int, stop: int, params: dict) -> np.ndarray:
-    probs, states = random_ensembles(params.get("k", 3), params.get("dim", 2), seed, start, stop)
+    probs, states = random_ensembles(params["k"], params["dim"], seed, start, stop)
     return bounds.conjecture_excess(probs, states)
 
 
@@ -159,8 +159,9 @@ def _run_chunk(args) -> dict:
 def run_suite(suite: str, trials: int, seed: int, jobs: int = 1, params: dict | None = None) -> dict:
     """Run a property suite; returns the aggregate report dictionary. A trial is a violation
     unless its slack is a finite number at most VIOLATION_SLACK (NaN and ±inf mean the check
-    itself broke), and np.max carries a NaN into max_slack whatever its trial."""
-    params = params or {}
+    itself broke), and np.max carries a NaN into max_slack whatever its trial. params
+    overrides _SUITE_DEFAULTS."""
+    params = {**_SUITE_DEFAULTS, **(params or {})}
     slacks = _in_chunks(_run_chunk, lambda a, b: (suite, seed, a, b, params), trials, jobs)["slack"]
     violations = int(np.count_nonzero(~(np.isfinite(slacks) & (slacks <= VIOLATION_SLACK))))
     max_slack = float(slacks.max()) if len(slacks) else 0.0
@@ -305,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # figure ignores --k and --jobs but accepts them, as command lines pass them to every command
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--dim", type=int, default=2)
-        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--dim", type=int, default=_SUITE_DEFAULTS["dim"])
+        p.add_argument("--k", type=int, default=_SUITE_DEFAULTS["k"])
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--jobs", type=int, default=1)
 

@@ -176,9 +176,8 @@ def qubit_minimizer(d: DaviesQubit) -> tuple[float, float]:
 
 def qubit_max_norm(d: DaviesQubit) -> float:
     """Maximal output 2-norm of a Davies qubit map, in closed form: (1 + radius)/2 with
-    the radius of `_max_radius` at the Bloch parameters of `bloch_params`."""
-    params = bloch_params(d)
-    return 0.5 * (1.0 + _max_radius(float(params.kappa[2]), float(params.eta[2]), float(params.eta[0]))[1])
+    the radius of `_max_radius` at qubit_minimizer's parameters, clamped at 1."""
+    return 0.5 * (1.0 + min(_max_radius(d.b - d.a, 1.0 - d.a - d.b, d.c)[1], 1.0))
 
 
 # -- qutrit -------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Classical and quantum entropies, relative entropies, mutual information, distances.
+"""Classical and quantum entropies, relative entropies, mutual information, distances, and
+the ensemble type `Ensemble` {p_i, rho_i}, kept here below channels and sampling, which build ensembles.
 
 Everything is computed in nats; converting to bits is left to the output
 layer. The 0·log 0 = 0 convention applies throughout, and weights and
@@ -14,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matfun import partial_trace, psd_log, psd_power, spectral, spectrum
-from .states import root_fidelity
+from .states import assert_state, root_fidelity
 from .tolerances import NORMALIZATION_TOL, PROB_NEGATIVITY_TOL, SUPPORT_CUTOFF, SUPPORT_LEAK
 
 __all__ = [
+    "Ensemble",
     "EntropyOrder",
     "VON_NEUMANN",
     "spectrum_entropy",
     "classical_entropy",
-    "shannon",
     "vn_entropy",
     "relative_entropy",
     "mutual_information_classical",
@@ -82,6 +83,51 @@ def _clean_probs(p) -> np.ndarray:
     return p
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """Probability vector paired with density matrices of a common dimension.
+
+    states is given as a sequence of n×n matrices or a (k, n, n) array and
+    held as one (k, n, n) complex array.
+    """
+
+    probs: np.ndarray
+    states: np.ndarray
+
+    def __post_init__(self):
+        probs = np.asarray(self.probs, dtype=float)
+        if len({np.shape(s) for s in self.states}) > 1:
+            raise ValueError("all states must share a dimension")
+        states = np.asarray(self.states, dtype=complex)
+        if len(probs) != len(states):
+            raise ValueError("probs and states must have equal length")
+        probs = _clean_probs(probs)
+        if states.ndim != 3 or states.shape[1] != states.shape[2]:
+            raise ValueError("all states must share a dimension")
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "states", states)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def dim(self) -> int:
+        return self.states.shape[-1]
+
+    def average(self) -> np.ndarray:
+        return _average(self.probs, self.states)
+
+    def validate(self) -> "Ensemble":
+        for s in self.states:
+            assert_state(s)
+        return self
+
+
+def _average(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum p rho over (..., k) stacks of probabilities and states."""
+    return sum(probs[..., i, None, None] * states[..., i, :, :] for i in range(probs.shape[-1]))
+
+
 def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
     """Shannon / Rényi / Tsallis entropy of each weight vector along the last axis, in nats.
 
@@ -114,11 +160,6 @@ def spectrum_entropy(w, order: EntropyOrder = VON_NEUMANN):
         else:
             out = -(kept * np.expm1(x)).sum(axis=-1) / (order.q - 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def shannon(p) -> float:
-    """Shannon entropy -sum p log p of a probability vector, in nats."""
-    return spectrum_entropy(_clean_probs(np.ravel(p)))
 
 
 def classical_entropy(p, order: EntropyOrder = VON_NEUMANN) -> float:
@@ -181,9 +222,9 @@ def relative_entropy(
 def mutual_information_classical(joint: np.ndarray) -> float:
     """H(X) + H(Y) - H(X,Y) of a joint probability matrix."""
     joint = _clean_probs(np.ravel(joint)).reshape(np.shape(joint))
-    hx = shannon(joint.sum(axis=1))
-    hy = shannon(joint.sum(axis=0))
-    hxy = shannon(joint.ravel())
+    hx = classical_entropy(joint.sum(axis=1))
+    hy = classical_entropy(joint.sum(axis=0))
+    hxy = classical_entropy(joint.ravel())
     return hx + hy - hxy
 
 
@@ -209,14 +250,14 @@ def jsd(dists, weights=None) -> float:
         weights = np.full(k, 1.0 / k)
     weights = _clean_probs(np.ravel(weights))
     mix = sum(a * p for a, p in zip(weights, dists))
-    return shannon(mix) - sum(a * shannon(p) for a, p in zip(weights, dists))
+    return classical_entropy(mix) - sum(a * classical_entropy(p) for a, p in zip(weights, dists))
 
 
 def entropic_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """sqrt of the entropy of the minimal 2×2 correlation matrix at lambda = 1/2."""
+    """sqrt of the entropy of the minimal 2×2 correlation matrix [[1, f], [f, 1]]/2 at
+    lambda = 1/2, f the root fidelity: its spectrum is (1 ± f)/2, so it needs no eigensolver."""
     f = root_fidelity(rho1, rho2)
-    sigma = np.array([[1.0, f], [f, 1.0]]) / 2.0
-    return math.sqrt(max(vn_entropy(sigma), 0.0))
+    return math.sqrt(max(spectrum_entropy([(1.0 + f) / 2.0, (1.0 - f) / 2.0]), 0.0))
 
 
 def transmission_distance(p, q) -> float:

@@ -26,6 +26,7 @@ import functools
 import numpy as np
 
 from .channels import Channel
+from .entropy import Ensemble
 
 __all__ = [
     "stream_rng",
@@ -280,10 +281,8 @@ def _ensemble(draw, k: int, n: int, ancilla: int | None) -> tuple[np.ndarray, np
     return probs, states
 
 
-def random_ensemble(k: int, n: int, rng: np.random.Generator, ancilla: int | None = None):
+def random_ensemble(k: int, n: int, rng: np.random.Generator, ancilla: int | None = None) -> Ensemble:
     """Ensemble of k states of dimension n: Dirichlet probabilities + induced HS states."""
-    from .bounds import Ensemble  # lazy: the sampling↔bounds cycle, as bounds imports this module
-
     return Ensemble(*_ensemble(rng.random, k, n, ancilla))
 
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from chanent import bounds, channels, cli, entropy, matfun, qubit
 from chanent.bounds import Ensemble
-from chanent.channels import Channel, correlation_from_kraus, ensemble_from_channel, map_entropy
+from chanent.channels import Channel, ensemble_from_channel, map_entropy
 from chanent.cli import run_suite
-from chanent.entropy import EntropyOrder, shannon, vn_entropy
+from chanent.entropy import EntropyOrder, classical_entropy, vn_entropy
 from chanent.sampling import (
     dirichlet,
     haar_unitary,
@@ -24,7 +24,7 @@ from chanent.sampling import (
 )
 from chanent.states import pure_state
 from chanent.tolerances import PSD_TOL, SUPPORT_CUTOFF, VIOLATION_SLACK
-from tests_support import conjecture_reference, kraus_lists, polar_2x2, record_shapes
+from tests_support import conjecture_reference, forbid_eigensolvers, kraus_lists, polar_2x2, record_shapes
 
 
 def random_ens(rng, k=3, n=2):
@@ -75,7 +75,7 @@ class TestHolevo:
         for t in range(50):
             e = random_ens(stream_rng(51, t))
             chi = bounds.holevo(e)
-            assert -1e-10 <= chi <= shannon(e.probs) + 1e-9
+            assert -1e-10 <= chi <= classical_entropy(e.probs) + 1e-9
 
 
 class TestCorrelationMatrix:
@@ -196,9 +196,9 @@ class TestTheorem1:
         if zero:
             kraus = kraus[:1] + [np.zeros_like(kraus[0])] + kraus[1:]
         phi = Channel(kraus)
-        sigma = correlation_from_kraus(phi.kraus, rho)
+        sigma = bounds.correlation_matrix(rho, phi.kraus)
         p = np.diag(sigma).real
-        want = (bounds.holevo(ensemble_from_channel(phi, rho)), vn_entropy(sigma), shannon(p / p.sum()))
+        want = (bounds.holevo(ensemble_from_channel(phi, rho)), vn_entropy(sigma), classical_entropy(p / p.sum()))
         chi, s_sigma, h_p, ok = bounds.theorem1_check(rho, kraus)
         np.testing.assert_allclose([chi, s_sigma, h_p], want, rtol=0, atol=1e-13)
         assert ok == (chi <= s_sigma + VIOLATION_SLACK and s_sigma <= h_p + VIOLATION_SLACK)
@@ -233,7 +233,7 @@ class TestTheorem1:
             raise AssertionError("called by a theorem1 trial")
 
         monkeypatch.setattr(Ensemble, "__post_init__", forbidden)
-        for name in ("holevo", "correlation_from_kraus"):
+        for name in ("holevo", "correlation_matrix"):
             monkeypatch.setattr(bounds, name, forbidden)
         # ensemble_from_channel is held by channels only; a call to it also builds an
         # Ensemble, which the __post_init__ patch catches
@@ -372,7 +372,7 @@ class TestOneSpectrum:
         weights = [dirichlet(3, rng), np.array([1.0]), np.array([0.1, 0.0, 0.9, 0.0])]
         got = bounds._vn_entropies(*mats, *stacks, weights=weights)
         assert all(isinstance(x, float) for x in got[:4] + got[7:]) and [len(x) for x in got[4:7]] == [3, 2, 2]
-        want = [vn_entropy(m) for m in mats] + [vn_entropy(s) for s in stacks] + [shannon(p) for p in weights]
+        want = [vn_entropy(m) for m in mats] + [vn_entropy(s) for s in stacks] + [classical_entropy(p) for p in weights]
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
         w = matfun._padded_spectrum(mats + stacks)
@@ -667,7 +667,7 @@ class TestHierarchy:
         e = random_ens(stream_rng(60, 0))
         row = bounds.hierarchy(e)
         assert set(row) == set(HIERARCHY_COLUMNS) and row["kept"] is True
-        chi, h_p = bounds.holevo(e), shannon(e.probs)
+        chi, h_p = bounds.holevo(e), classical_entropy(e.probs)
         s_g = vn_entropy(bounds.fidelity_matrix(e, "G"))
         assert abs(row["s_fid"] - (s_g - chi) / (h_p - chi)) < 1e-12
 
@@ -710,7 +710,7 @@ class TestHierarchy:
             e = random_ensemble(3, 2, stream_rng(62, t), ancilla)
             row = bounds.hierarchy(e)
             chi = bounds.holevo(e)
-            gap = shannon(e.probs) - chi
+            gap = classical_entropy(e.probs) - chi
             public = {
                 "s_gram": bounds.correlation_from_ensemble(e, [np.eye(2)] * 3),
                 "s_fid": bounds.fidelity_matrix(e, "G"),
@@ -887,6 +887,26 @@ class TestBunga:
             a = (4 * f - 1.0) / 3.0
             np.testing.assert_allclose(lams[:2], np.sort([(1 + a) / 2, (1 - a) / 2])[::-1], atol=1e-8)
             assert abs(lams[2]) < 1e-8
+
+    def test_closed_form_spectra_match_the_decomposed_matrices(self, monkeypatch):
+        # the reference decomposes G and the two diagonal states' matrices, as the check
+        # once did; the check itself makes no spectrum, eigh, eigvalsh or svd call
+        def decomposed(f, b):
+            corner = abs(2 * f - 1.0) / b if b > 0.0 else 0.0
+            r = math.sqrt(f)
+            g = np.array([[1.0, r, corner], [r, 1.0, r], [corner, r, 1.0]]) / 3.0
+            a = min(abs((b + 2 * (2 * f - 1.0) / b) / 3.0), 1.0) if b > 0.0 else 0.0
+            chi = vn_entropy(np.diag([(1 + a) / 2, (1 - a) / 2])) - vn_entropy(np.diag([(1 + b) / 2, (1 - b) / 2])) / 3
+            return chi, vn_entropy(g)
+
+        grid = [(0.5, 0.0)] + [(float(f), float(b)) for b in np.linspace(1e-3, 1.0, 30)
+                               for f in np.linspace(0.5 * (1 - b), 0.5 * (1 + b), 30)]
+        want = [decomposed(f, b) for f, b in grid]
+        forbid_eigensolvers(monkeypatch)
+        eps = np.finfo(float).eps
+        for (f, b), (chi, s_g) in zip(grid, want):
+            got = bounds.symmetric_triple_check(f, b)
+            assert abs(got[0] - chi) <= 2 * eps and abs(got[1] - s_g) <= 8 * eps, (f, b)
 
     def test_b_zero_limit(self):
         chi, s_g, ok = bounds.symmetric_triple_check(0.5, 0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chanent import channels, cli, davies
+from chanent import bounds, channels, cli, davies
 from chanent.bounds import Ensemble
 from chanent.channels import Channel
 from chanent.entropy import EntropyOrder, vn_entropy
@@ -516,8 +516,7 @@ class TestStackedBuilders:
         m = len(kraus)
         looped = np.array([[np.trace(kraus[i] @ rho @ kraus[j].conj().T) for j in range(m)]
                            for i in range(m)])
-        np.testing.assert_allclose(channels.correlation_from_kraus(kraus, rho), looped,
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(bounds.correlation_matrix(rho, kraus), looped, rtol=0, atol=1e-13)
 
     @settings(max_examples=60, deadline=None)
     @given(kraus_lists(), st.integers(0, 2**32))

@@ -435,6 +435,26 @@ class TestSlackContract:
         assert cols["slack"].dtype == np.float64 and cols["slack"].shape == (3,)
 
 
+class TestSuiteDefaults:
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_run_suite_without_params_gives_the_cli_rows(self, suite, monkeypatch, capsys):
+        # each suite parameter has one default: run_suite without params draws the rows
+        # that `chanent verify` draws without --dim and --k
+        columns = []
+        in_chunks = cli._in_chunks
+
+        def recorded(*args):
+            cols = in_chunks(*args)
+            columns.append(cols["slack"])
+            return cols
+
+        monkeypatch.setattr(cli, "_in_chunks", recorded)
+        trials = 5 if suite == "multiplicativity" else 30
+        cli.run_suite(suite, trials, 42)
+        run_main(capsys, ["verify", "--suite", suite, "--trials", str(trials), "--seed", "42"])
+        assert len(columns) == 2 and columns[0].tobytes() == columns[1].tobytes()
+
+
 class TestStackedSuites:
     def test_conjecture1_chunk_builds_no_generator(self, monkeypatch):
         expected = conjecture_reference(3, 2, 42, 5, 45)

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from chanent import cli, davies
 from chanent.channels import Channel, InvalidChannelError
-from chanent.entropy import shannon
+from chanent.entropy import classical_entropy, spectrum_entropy
 from chanent.sampling import complex_gaussian, stream_rng
 from tests_support import matrix_exp
 
@@ -115,7 +115,7 @@ class TestQubitMinimizer:
         d = davies.DaviesQubit(a=0.2, c=0.5, p=0.5)
         mu, s_min = davies.qubit_minimizer(d)
         assert mu == 0.0
-        assert abs(s_min - shannon(np.array([0.8, 0.2]))) <= 1e-14
+        assert abs(s_min - classical_entropy(np.array([0.8, 0.2]))) <= 1e-14
 
     def test_branch_boundary_continuity(self):
         # both branches agree where c² = (1-a-b)(1-2b)
@@ -172,6 +172,22 @@ class TestQubitMaxNorm:
             d = random_valid_qubit(stream_rng(87, t))
             opt = max_output_2norm(davies.qubit_superoperator(d), seed=t)
             assert abs(davies.qubit_max_norm(d) - opt) <= 1e-12
+
+    def test_radius_above_one_is_clamped(self):
+        # DOMAIN_EDGE admits c just above its bound sqrt(1 - a/(1 - p)) = 1, where the
+        # output radius reads 1 + 1e-12: a 2-norm is at most 1, as the Bloch path gives it
+        from chanent.qubit import max_output_2norm
+
+        d = davies.DaviesQubit(a=0.0, c=1.0 + 1e-12, p=0.3)
+        assert davies.qubit_max_norm(d) <= 1.0
+        assert davies.qubit_max_norm(d) == max_output_2norm(davies.qubit_superoperator(d))
+
+    def test_one_radius_with_the_minimizer(self):
+        # both closed forms read one clamped radius: S_min is the binary entropy of the top eigenvalue
+        for t in range(200):
+            d = random_valid_qubit(stream_rng(88, t))
+            top = davies.qubit_max_norm(d)
+            assert davies.qubit_minimizer(d)[1] == spectrum_entropy([top, 1.0 - top])
 
 
 from tests_support import random_thermal_block as _thermal_block

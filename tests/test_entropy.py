@@ -9,9 +9,9 @@ from chanent import entropy
 from chanent.entropy import EntropyOrder
 from chanent.matfun import SUPPORT_CUTOFF, NonFiniteError, kron
 from chanent.sampling import dirichlet, hs_random_density, stream_rng
-from chanent.states import pure_state
+from chanent.states import pure_state, root_fidelity
 from oracle import decimal_entropy
-from tests_support import psd_stacks
+from tests_support import forbid_eigensolvers, psd_stacks
 
 ORDERS = (EntropyOrder(), EntropyOrder.renyi(0.5), EntropyOrder.renyi(2), EntropyOrder.tsallis(1.5))
 
@@ -148,9 +148,8 @@ class TestSpectrumEntropy:
             assert math.isnan(entropy.spectrum_entropy([0.5, np.nan], order))
 
     def test_probability_entry_points_reject_nan(self):
-        for fn in (entropy.shannon, entropy.classical_entropy):
-            with pytest.raises(ValueError):
-                fn([0.5, np.nan, 0.5])
+        with pytest.raises(ValueError):
+            entropy.classical_entropy([0.5, np.nan, 0.5])
 
     @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
     def test_full_precision_near_and_far_from_q_one(self, kind):
@@ -202,8 +201,8 @@ class TestMutualInformation:
             joint = rng.random((3, 4))
             joint /= joint.sum()
             mi = entropy.mutual_information_classical(joint)
-            hx = entropy.shannon(joint.sum(axis=1))
-            hy = entropy.shannon(joint.sum(axis=0))
+            hx = entropy.classical_entropy(joint.sum(axis=1))
+            hy = entropy.classical_entropy(joint.sum(axis=0))
             assert -1e-10 <= mi <= min(hx, hy) + 1e-10
 
 
@@ -254,6 +253,23 @@ class TestDistances:
             de = entropy.entropic_distance(np.diag(p), np.diag(q))
             assert dt <= de + 1e-10
 
+    def test_entropic_distance_needs_no_eigensolver(self, monkeypatch):
+        # [[1, f], [f, 1]]/2 has the spectrum (1 ± f)/2: the squared distance agrees with the
+        # entropy of that matrix as vn_entropy decomposes it (the square root alone would
+        # amplify rounding on near pairs), and on qubits the distance makes no spectrum, eigh,
+        # eigvalsh or svd call (the root fidelity of two qubits is a closed form)
+        def decomposed(r1, r2):
+            f = root_fidelity(r1, r2)
+            return entropy.vn_entropy(np.array([[1.0, f], [f, 1.0]]) / 2.0)
+
+        rng = stream_rng(23, 4)
+        pairs = [(hs_random_density(2, rng), hs_random_density(2, rng)) for _ in range(300)]
+        pairs.append((np.diag([1.0, 0.0]), np.diag([0.5, 0.5])))
+        want = [decomposed(r1, r2) for r1, r2 in pairs]
+        forbid_eigensolvers(monkeypatch)
+        for (r1, r2), s in zip(pairs, want):
+            assert abs(entropy.entropic_distance(r1, r2) ** 2 - s) <= 2 * np.finfo(float).eps
+
     def test_triangle_inequalities(self):
         rng = stream_rng(23, 3)
         for _ in range(300):
@@ -272,8 +288,8 @@ class TestJsd:
         weights = dirichlet(3, rng)
         val = entropy.jsd(dists, weights)
         mix = sum(w * p for w, p in zip(weights, dists))
-        oracle = entropy.shannon(mix) - sum(
-            w * entropy.shannon(p) for w, p in zip(weights, dists)
+        oracle = entropy.classical_entropy(mix) - sum(
+            w * entropy.classical_entropy(p) for w, p in zip(weights, dists)
         )
         assert abs(val - oracle) < 1e-12
         assert val >= -1e-12

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from chanent import davies, qubit
 from chanent.cli import _random_davies
 from chanent.channels import Channel, identity_channel, map_entropy, unitary_channel
-from chanent.entropy import VON_NEUMANN, EntropyOrder, shannon, spectrum_entropy, vn_entropy
+from chanent.entropy import VON_NEUMANN, EntropyOrder, classical_entropy, spectrum_entropy, vn_entropy
 from chanent.matfun import SUPPORT_CUTOFF, NonFiniteError, psd_log, psd_power
 from chanent.states import PAULI, to_bloch
 from chanent.sampling import (_flat_dirichlet, dirichlet, haar_unitary, random_channel, random_pure_state,
@@ -37,7 +37,7 @@ class TestPauliChannel:
             phi = qubit.pauli_channel(w)
             spec = np.sort(np.linalg.eigvalsh(phi.choi))[::-1]
             np.testing.assert_allclose(spec, np.sort(w)[::-1], atol=1e-10)
-            assert abs(map_entropy(phi) - shannon(w)) < 1e-10
+            assert abs(map_entropy(phi) - classical_entropy(w)) < 1e-10
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):

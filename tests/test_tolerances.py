@@ -98,7 +98,7 @@ ENTRY_POINTS = {
     "pauli_points": (qubit.pauli_points, 4, False),
     "mutual_information_classical": (_mutual_information, 4, False),
     "DaviesQutritBlock": (_davies, 3, True),
-    "shannon": (entropy.shannon, 4, False),
+    "shannon": (entropy.classical_entropy, 4, False),
     "jsd": (_jsd, 3, False),
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from chanent import bounds, davies
+from chanent import bounds, channels, davies, entropy, matfun, qubit, states
 from chanent.entropy import vn_entropy
 from chanent.sampling import haar_unitary, random_channel, random_ensemble, stream_rng
 
@@ -36,6 +36,19 @@ def record_shapes(monkeypatch, owner, names) -> dict:
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def forbid_eigensolvers(monkeypatch) -> None:
+    """Make a call to matfun.spectrum, wherever a module holds the name, or to a LAPACK
+    eigensolver or SVD raise AssertionError."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    for owner in (matfun, entropy, states, channels, bounds, qubit):
+        if hasattr(owner, "spectrum"):
+            monkeypatch.setattr(owner, "spectrum", forbidden)
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
 
 
 def conjecture_reference(k: int, dim: int, seed: int, start: int, stop: int) -> np.ndarray:
