@@ -23,7 +23,7 @@ from .entropy import (
     spectrum_entropy,
     vn_entropy,
 )
-from .matfun import _padded_spectrum, from_eigh, hermitize, psd_eigh, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
+from .matfun import _padded_spectrum, _psd_root, hermitize, matmul, psd_power, psd_sqrt, root_svd, spectrum, spectrum3
 from .sampling import random_pure_state, stream_rng
 from .states import from_bloch, pure_state, root_fidelity
 from .tolerances import (BLOCH_NULL_LENGTH, DOMAIN_EDGE, HIERARCHY_SKIP_GAP, NORMALIZATION_TOL,
@@ -243,12 +243,12 @@ def _root_fidelity_matrix(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(..., k, k) root fidelities of a (..., k, n, n) stack of state square roots,
     and the (..., k-1, n, n) polar factors W_{m,m-1} of sqrt(rho_m) sqrt(rho_{m-1}).
 
-    One root_svd call covers the k(k-1)/2 pairs; the neighbour pairs' polar
-    factors are the steps of the layered chain.
+    One matmul and one root_svd call cover the k(k-1)/2 pairs; the neighbour pairs'
+    polar factors are the steps of the layered chain.
     """
     k = roots.shape[-3]
     i, j = np.triu_indices(k, 1)
-    tr_abs, w = root_svd(roots[..., j, :, :] @ roots[..., i, :, :])
+    tr_abs, w = root_svd(matmul(roots[..., j, :, :], roots[..., i, :, :]))
     rf = np.ones(roots.shape[:-3] + (k, k))
     rf[..., i, j] = rf[..., j, i] = np.clip(tr_abs, 0.0, 1.0)
     return rf, w[..., np.flatnonzero(j == i + 1), :, :]
@@ -324,9 +324,9 @@ def _layered_matrix(probs: np.ndarray, rf: np.ndarray, roots: np.ndarray, steps:
     for i in range(k - 2):
         chain = steps[..., i, :, :]
         for j in range(i + 2, k):
-            chain = steps[..., j - 1, :, :] @ chain
-            ends = roots[..., i, :, :] @ roots[..., j, :, :]
-            val = root_p[..., i, j] * np.trace(ends @ chain, axis1=-2, axis2=-1)
+            chain = matmul(steps[..., j - 1, :, :], chain)
+            ends = matmul(roots[..., i, :, :], roots[..., j, :, :])
+            val = root_p[..., i, j] * matmul(ends, chain).diagonal(0, -2, -1).sum(-1)
             sigma[..., i, j] = val
             sigma[..., j, i] = np.conj(val)
     return hermitize(sigma)
@@ -340,17 +340,17 @@ def hierarchy(e: Ensemble, b: float = math.sqrt(3.0)) -> dict | None:
 
 def _decomposed(probs: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(probs, chi, roots) of (B, k) probabilities and (B, k, n, n) states: the checked
-    probabilities, the Holevo quantities and the square roots, from one psd_eigh of the
-    states (its eigenvalues enter chi) and one spectrum of the average states. For qubits
-    both are the closed forms of matfun, with no LAPACK call.
+    probabilities, the Holevo quantities and the square roots, from one matfun._psd_root of
+    the states (its clipped eigenvalues enter chi) and one spectrum of the average states.
+    For qubits both are the closed forms of matfun, with no eigenvector and no LAPACK call.
     """
     probs, states = _clean_probs(probs), np.asarray(states, dtype=complex)
     if probs.ndim != 2 or states.shape != probs.shape + states.shape[-1:] * 2:
         raise ValueError("need (B, k) probabilities and (B, k, n, n) states")
-    w, v = psd_eigh(states)
+    w, roots = _psd_root(states)
     stack = np.concatenate([spectrum(_average(probs, states))[..., None, :], w], axis=-2)
     s_avg, s_each = _ensemble_vn(probs, stack)
-    return probs, s_avg - s_each, from_eigh(np.sqrt(w), v)
+    return probs, s_avg - s_each, roots
 
 
 def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0)) -> dict:

@@ -136,12 +136,9 @@ def qubit_superoperator(d: DaviesQubit) -> Channel:
 
 
 def bloch_params(d: DaviesQubit) -> QubitChannelParams:
-    """eta1 = eta2 = c, eta3 = 1 - a/(1-p), kappa3 = a(2p-1)/(1-p)."""
-    eta3 = 1.0 - d.a / (1.0 - d.p)
-    kappa3 = d.a * (2.0 * d.p - 1.0) / (1.0 - d.p)
-    return QubitChannelParams(
-        eta=np.array([d.c, d.c, eta3]), kappa=np.array([0.0, 0.0, kappa3])
-    )
+    """eta1 = eta2 = c, eta3 = 1 - a - b = 1 - a/(1-p), kappa3 = b - a = a(2p-1)/(1-p), spelled
+    as qubit_minimizer and qubit_max_norm read them, so all three round alike."""
+    return QubitChannelParams(eta=np.array([d.c, d.c, 1.0 - d.a - d.b]), kappa=np.array([0.0, 0.0, d.b - d.a]))
 
 
 def _max_radius(kappa3: float, eta3: float, c: float) -> tuple[float, float]:

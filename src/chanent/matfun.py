@@ -8,10 +8,12 @@ its checked form `psd_eigh`, `spectrum` or `spectrum3` (or `_hermitian_spectrum`
 `spectrum` on a Hermitian part the caller keeps), and take polar factors from
 `root_svd`. The smallest cases, where LAPACK's per-call cost outweighs the
 work, have closed forms: 2×2 spectra and eigenvectors in `_eigh2` (through
-`spectrum` and `eigh`'s one size dispatch), 2×2 root fidelities in `root_svd`,
-and 3×3 spectra in `spectrum3`, each for the rows inside the band of
-CLOSED_FORM_FLOOR. `_hermitian_spectrum` skips `spectrum`'s finiteness pass and
-second hermitize, about 5 µs off each benchmarked `davies` trial's CP check.
+`spectrum` and `eigh`'s one size dispatch), 2×2 square roots in `_psd_root` (behind
+`psd_sqrt`; Levinger's formula on `_eigh2`'s eigenvalues, psd_eigh where an eigenvalue
+is clipped), 2×2 root fidelities in `root_svd`, and 3×3 spectra in `spectrum3`, each
+for the rows inside the band of CLOSED_FORM_FLOOR. `matmul` forms 2×2 products entry by
+entry, where `@` pays a BLAS call per matrix. `_hermitian_spectrum` skips `spectrum`'s
+finiteness pass and second hermitize, about 5 µs off each `davies` trial's CP check.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "from_eigh",
     "spectral",
     "psd_sqrt",
+    "matmul",
     "psd_power",
     "psd_log",
     "root_svd",
@@ -188,9 +191,14 @@ def psd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Non-finite input raises NonFiniteError.
     """
     w, v = eigh(h)
+    return _clipped(w), v
+
+
+def _clipped(w: np.ndarray) -> np.ndarray:
+    """w clipped at 0; an eigenvalue below -PSD_TOL raises NotPSDError."""
     if w.min(initial=0.0) < -PSD_TOL:
         raise NotPSDError(f"min eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
-    return np.maximum(w, 0.0), v
+    return np.maximum(w, 0.0)
 
 
 def _in_band(sq: np.ndarray) -> np.ndarray:
@@ -344,8 +352,50 @@ def _on_support(w: np.ndarray, fn) -> np.ndarray:
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix (or of each in a stack)."""
-    return spectral(h, np.sqrt)
+    """Principal square root of a PSD Hermitian matrix (or of each in a stack), by _psd_root."""
+    return _psd_root(h)[1]
+
+
+def _psd_root(h) -> tuple[np.ndarray, np.ndarray]:
+    """(w, sqrt h) of each PSD Hermitian matrix of a (..., n, n) stack: psd_eigh's clipped
+    spectrum and checks, and the principal square root.
+
+    A 2×2 root is Levinger's (h + sqrt(det h) I)/sqrt(tr h + 2 sqrt(det h)) (Math. Mag. 53,
+    1980) from _eigh2's eigenvalues alone: with r = sqrt(w), (h + r0 r1 I)/(r0 + r1) in real
+    arithmetic on h's Hermitian part. A row whose smallest eigenvalue is clipped (the formula
+    would keep it) or whose largest has its square outside the band of CLOSED_FORM_FLOOR, and
+    larger input, take from_eigh(sqrt(w), v) of psd_eigh. No row depends on the stack around it.
+    """
+    h = np.asarray(h)
+    if h.shape[-2:] != (2, 2):
+        w, v = psd_eigh(h)
+        return w, from_eigh(np.sqrt(w), v)
+    raw = _eigh2(_finite(h))[0]
+    w = _clipped(raw)
+    r = np.sqrt(w)
+    s, t = r[..., 0] * r[..., 1], r[..., 0] + r[..., 1]
+    root = np.zeros(h.shape, dtype=np.result_type(h, np.float64))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # only in rows outside the band
+        root.real[..., 0, 0], root.real[..., 1, 1] = (h[..., 0, 0].real + s) / t, (h[..., 1, 1].real + s) / t
+        root.real[..., 0, 1] = root.real[..., 1, 0] = (h[..., 0, 1].real + h[..., 1, 0].real) / 2.0 / t
+        if root.dtype.kind == "c":
+            root.imag[..., 0, 1] = (h[..., 0, 1].imag - h[..., 1, 0].imag) / 2.0 / t
+            root.imag[..., 1, 0] = -root.imag[..., 0, 1]
+        slow = (raw[..., 0] < 0.0) | ~_in_band(w[..., 1] * w[..., 1])
+    if np.count_nonzero(slow):
+        w[slow], v = psd_eigh(h[slow])
+        root[slow] = from_eigh(np.sqrt(w[slow]), v)
+    return w, root
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for each pair of matrices of two stacks; @ pays one BLAS call per matrix, so 2×2
+    pairs take c_ij = a_i0 b_0j + a_i1 b_1j over the whole stack. Slices that keep their axes
+    keep every product in an array loop: NumPy rounds a complex product of 0-d scalars
+    differently (see _trig3), so a matrix alone would get other bits. Other shapes take @."""
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        return a @ b
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
 def psd_power(h: np.ndarray, a: float) -> np.ndarray:

@@ -38,8 +38,8 @@ SCHMIDT_CUTOFF = 1e-10
 PHASE_CUTOFF = 1e-12
 
 #: The closed forms of `matfun` leave a matrix to LAPACK when a squared scale of it
-#: is at or below this, or at or above its inverse: the largest |eigenvalue|² in a
-#: 2×2 spectrum or eigh, tr|x|² in the 2×2 `root_svd`, and p = tr K²/6 of the
+#: is at or below this, or at or above its inverse: the largest |eigenvalue|² of a
+#: 2×2 spectrum, eigh or root, tr|x|² in the 2×2 `root_svd`, and p = tr K²/6 of the
 #: traceless part K in `spectrum3` (three eigenvalues within ~1e-95 below it). Out
 #: of the band their products (a·d - |b|², det K, p^(3/2)) underflow or overflow.
 #: No matrix of the package comes near either end but 0 and multiples of I.

@@ -78,3 +78,38 @@ def max_bloch_radius(w, kappa) -> Decimal:
             (*_, det), x = cramer(hi)
             value += (b0 * x[0] + b1 * x[1] + b2 * x[2]) / det
         return value.sqrt()
+
+
+def _hermitian2(h) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """(a, d, Re b, Im b) of the Hermitian part of a 2×2 matrix, b = (h01 + conj h10)/2, exactly."""
+    a, d = Decimal(float(h[0][0].real)), Decimal(float(h[1][1].real))
+    br = (Decimal(float(h[0][1].real)) + Decimal(float(h[1][0].real))) / 2
+    bi = (Decimal(float(h[0][1].imag)) - Decimal(float(h[1][0].imag))) / 2
+    return a, d, br, bi
+
+
+def eigenvalues2(h) -> tuple[Decimal, Decimal]:
+    """Ascending eigenvalues m ∓ sqrt(((a - d)/2)² + |b|²), m = (a + d)/2, of the Hermitian
+    part of a 2×2 matrix."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        a, d, br, bi = _hermitian2(h)
+        m, r = (a + d) / 2, (((a - d) / 2) ** 2 + br * br + bi * bi).sqrt()
+        return m - r, m + r
+
+
+def psd_root2(h, w=None) -> list:
+    """The principal square root of the Hermitian part of a 2×2 PSD matrix, as rows of
+    (real, imaginary) pairs, by Levinger's formula (h + sqrt(det) I)/sqrt(tr + 2 sqrt(det)).
+    A negative det, a rounding of the input's own, counts as 0. Given the two eigenvalues
+    w, the formula reads them instead, as (h + r0 r1 I)/(r0 + r1) with r = sqrt(w)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        a, d, br, bi = _hermitian2(h)
+        if w is None:
+            s = max(a * d - br * br - bi * bi, Decimal(0)).sqrt()
+            t = (a + d + 2 * s).sqrt()
+        else:
+            r0, r1 = (Decimal(float(x)).sqrt() for x in w)
+            s, t = r0 * r1, r0 + r1
+        return [[((a + s) / t, Decimal(0)), (br / t, bi / t)], [(br / t, -bi / t), ((d + s) / t, Decimal(0))]]

@@ -24,7 +24,8 @@ from chanent.sampling import (
 )
 from chanent.states import pure_state
 from chanent.tolerances import PSD_TOL, SUPPORT_CUTOFF, VIOLATION_SLACK
-from tests_support import conjecture_reference, forbid_eigensolvers, kraus_lists, polar_2x2, record_shapes
+from tests_support import (CHANENT_MODULES, conjecture_reference, forbid_calls, forbid_eigensolvers, kraus_lists,
+                           polar_2x2, record_shapes)
 
 
 def random_ens(rng, k=3, n=2):
@@ -744,6 +745,22 @@ class TestHierarchy:
         # the states and average states take matfun's 2×2 closed forms, the five auxiliary
         # matrices one spectrum3 that leaves no row to LAPACK
         assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "spectrum3": [(5, 5, 3, 3)]}
+
+    def test_qubit_roots_make_no_eigenvector(self, monkeypatch):
+        # in-band qubit states take Levinger's root and the entrywise products: no eigenvector
+        # decomposition, no from_eigh and no LAPACK call; conjecture_excess's one LAPACK call is
+        # S(G)'s eigvalsh of the 3×3 G, which conjecture_reference's bits pin
+        hier, conj = random_ensembles(3, 2, 69, 0, 150, ancilla=3), random_ensembles(3, 2, 70, 0, 150)
+        assert min(matfun.spectrum(hier[1]).min(), matfun.spectrum(conj[1]).min()) > 1e-6  # no row is clipped
+        want = bounds.hierarchy_batch(*hier), bounds.conjecture_excess(*conj)
+        forbid_calls(monkeypatch, CHANENT_MODULES, ["eigh", "psd_eigh", "from_eigh", "spectral"])
+        forbid_calls(monkeypatch, [np.linalg], ["eigh", "eig", "eigvals", "svd", "det", "inv", "solve", "qr"])
+        calls = record_shapes(monkeypatch, np.linalg, ("eigvalsh",))
+        got = bounds.hierarchy_batch(*hier)
+        assert calls["eigvalsh"] == []
+        assert bounds.conjecture_excess(*conj).tobytes() == want[1].tobytes()
+        assert calls["eigvalsh"] == [(150, 3, 3)]
+        assert all(got[name].tobytes() == col.tobytes() for name, col in want[0].items())
 
     def test_non_finite_state_fails_the_batch(self):
         rng = stream_rng(60, 5)

@@ -189,6 +189,16 @@ class TestQubitMaxNorm:
             top = davies.qubit_max_norm(d)
             assert davies.qubit_minimizer(d)[1] == spectrum_entropy([top, 1.0 - top])
 
+    def test_bloch_params_are_the_minimizers_parameters(self, monkeypatch):
+        # bloch_params spells eta3 and kappa3 as the closed forms read them: the same radius, bit for bit
+        real, seen = davies._max_radius, []
+        monkeypatch.setattr(davies, "_max_radius", lambda *args: seen.append(real(*args)) or seen[-1])
+        for t in range(200):
+            d = random_valid_qubit(stream_rng(89, t))
+            davies.qubit_minimizer(d)
+            params = davies.bloch_params(d)
+            assert real(params.kappa[2], params.eta[2], d.c)[1] == seen[-1][1]
+
 
 from tests_support import random_thermal_block as _thermal_block
 

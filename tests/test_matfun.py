@@ -1,12 +1,14 @@
 import ast
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from chanent import davies, matfun
 from chanent.tolerances import PSD_TOL
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
@@ -671,3 +673,119 @@ class TestClosedFormSpectra:
             for i, h in enumerate(hs):
                 alone = fn(h)
                 assert alone.tobytes() == stacked[i].tobytes() == backwards[-1 - i].tobytes()
+
+
+def _qubit_pool(seed: int) -> np.ndarray:
+    """150 qubit matrices, shuffled, of every kind the 2×2 root meets: HS-random and pure
+    states and near-degenerate spectra take Levinger's formula or, where rounding makes the
+    smallest eigenvalue negative, psd_eigh; so do a small negative eigenvalue and rows
+    outside the band of CLOSED_FORM_FLOOR."""
+    rng = stream_rng(seed, 0)
+    hs = np.concatenate([
+        np.stack([hs_random_density(2, rng) for _ in range(100)]),
+        np.stack([pure_state(random_pure_state(2, rng)) for _ in range(30)]),
+        stack_from_spectra(np.array([[0.5, 0.5 + 10.0 ** -e] for e in range(6, 16)]), seed),
+        stack_from_spectra(np.array([[-PSD_TOL / 2, 1.0]] * 4), seed + 1),
+        [1e-200 * hs_random_density(2, rng), np.zeros((2, 2)), 1e120 * hs_random_density(2, rng),
+         5e-324 * np.eye(2), 1e308 * np.eye(2), np.full((2, 2), 1e200)],
+    ])
+    return hs[np.random.default_rng(seed).permutation(len(hs))]
+
+
+class TestQubitRootAndProduct:
+    # Levinger's 2×2 root and the entrywise 2×2 product: each matrix gets the same bytes
+    # alone (a (2, 2) array, whose entries are 0-d), at B = 1 and in stacks of 2, 7 and 150
+
+    def test_root_rows_do_not_depend_on_the_stack(self):
+        hs = _qubit_pool(31)
+        alone = [matfun._psd_root(h) for h in hs]
+        for size in (1, 2, 7, 150):
+            parts = [matfun._psd_root(hs[i:i + size]) for i in range(0, len(hs), size)]
+            for k in (0, 1):  # the clipped spectra, then the roots
+                got = np.concatenate([p[k] for p in parts])
+                assert [g.tobytes() for g in got] == [a[k].tobytes() for a in alone]
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32), single=st.booleans())
+    @example(seed=0, single=True)  # a is one matrix, its entries 0-d, broadcast against b's stack
+    def test_product_rows_do_not_depend_on_the_stack(self, seed, single):
+        rng = stream_rng(seed, 0)
+        a, b = rand_complex(rng, (150, 2, 2)), rand_complex(rng, (150, 2, 2))
+        a = a[0] if single else a
+        left = [a if single else a[i] for i in range(150)]
+        alone = [matfun.matmul(x, y) for x, y in zip(left, b)]
+        np.testing.assert_allclose(alone, np.array(left) @ b, rtol=0, atol=1e-15 * np.abs(b).max() * np.abs(a).max())
+        for size in (1, 2, 7, 150):
+            got = np.concatenate([matfun.matmul(a if single else a[i:i + size], b[i:i + size])
+                                  for i in range(0, 150, size)])
+            assert [g.tobytes() for g in got] == [x.tobytes() for x in alone]
+
+    def test_real_input_keeps_a_real_root(self):
+        # in the band, with a clipped eigenvalue, and outside the band: float64 as from psd_eigh
+        h = np.array([[[0.7, 0.2], [0.2, 0.3]], [[1.0, 0.0], [0.0, -1e-12]], [[1e-200, 0.0], [0.0, 3e-200]]])
+        for x in (h, h[0], h[1], h[2]):
+            assert matfun.psd_sqrt(x).dtype == np.float64
+        np.testing.assert_allclose(matfun.psd_sqrt(h[0]) @ matfun.psd_sqrt(h[0]), h[0], rtol=0, atol=1e-15)
+
+
+class TestQubitOracle:
+    """_eigh2's spectrum (every 2×2 spectrum) and _psd_root's 2×2 roots against the 50-digit
+    references of tests/oracle.py, with |rho| the largest |eigenvalue| and lambda0 the smallest.
+
+    Derived first-order bounds, u = eps/2: the larger eigenvalue m + r adds two terms of one
+    sign, each within 3u of its value, so it is within 4u|rho| = 2 eps|rho|. The smaller, det/far,
+    carries the rounding of ad - |b|² (ad and |b|² within u and 5u, with |b|² <= ad <= m²), far's
+    error and its own rounding: within 7u|rho| = 3.5 eps|rho|. The root's entries move by at most
+    1 per unit error of r0 or r1 (both partial derivatives of Levinger's entries are <= 1 on a PSD
+    matrix), r0 = sqrt(w0) moves by at most sqrt(2)·3.5 eps|rho|/sqrt(lambda0 + 3.5 eps|rho|) and
+    r1 by eps|rho|/sqrt(|rho|), and the formula's own roundings add 2 eps sqrt(|rho|): within
+    8 eps|rho|/sqrt(lambda0 + eps|rho|), the square-root conditioning near a singular matrix.
+    That bound is mostly the eigenvalues' error, so the formula's own rounding is gated apart,
+    against Levinger's formula on the computed eigenvalues w: sqrt(w) within u, r0 r1 within
+    3u, the sum a + r0 r1 of one sign within 4u, r0 + r1 within 2u and the division within u,
+    so each entry, at most sqrt(|rho|), is within 7u sqrt(|rho|) = 3.5 eps sqrt(|rho|).
+    Measured: at most 1.13 eps|rho| for the spectra, and 1.3 of the root's unit and 1.3 eps
+    sqrt(|rho|) for the formula, both on near-degenerate matrices. The float-range ones take LAPACK.
+    """
+
+    SPECTRUM_BOUND, ROOT_BOUND, FORMULA_BOUND = 3.5, 8.0, 3.5
+
+    @staticmethod
+    def _errors(hs) -> list:
+        """(spectrum error, root error, formula error or 0 on a row that takes psd_eigh) of each
+        matrix, in the units of the class docstring."""
+        w, roots = matfun.spectrum(hs), matfun._psd_root(hs)[1]
+        with np.errstate(over="ignore"):
+            levinger = (w[:, 0] >= 0.0) & matfun._in_band(w[:, 1] * w[:, 1])
+        eps = Decimal(float(np.finfo(float).eps))
+
+        def entry_error(root, ref):
+            return max(max(abs(Decimal(float(z.real)) - re), abs(Decimal(float(z.imag)) - im))
+                       for row, ref_row in zip(root, ref) for z, (re, im) in zip(row, ref_row))
+
+        out = []
+        with localcontext() as ctx:
+            ctx.prec = oracle.DIGITS
+            for h, wi, root, formula in zip(hs, w, roots, levinger):
+                lam = oracle.eigenvalues2(h)
+                unit = eps * max(abs(lam[0]), abs(lam[1]))
+                out.append((max(abs(Decimal(float(x)) - y) for x, y in zip(wi, lam)) / unit,
+                            entry_error(root, oracle.psd_root2(h)) * (max(lam[0], 0) + unit).sqrt() / unit,
+                            entry_error(root, oracle.psd_root2(h, wi)) / (eps * Decimal(float(wi[1])).sqrt())
+                            if formula else 0))
+        return out
+
+    @pytest.mark.parametrize("family", ["hs-random", "rank-1", "near-degenerate", "float-range"])
+    def test_spectrum_and_root_within_the_rounding_bounds(self, family):
+        rng = stream_rng(90, len(family))
+        hs = {
+            "hs-random": lambda: np.stack([hs_random_density(2, rng) for _ in range(2000)]),
+            "rank-1": lambda: np.stack([pure_state(random_pure_state(2, rng)) for _ in range(500)]),
+            "near-degenerate": lambda: stack_from_spectra(
+                np.array([[0.5, 0.5 + d] for d in 10.0 ** -np.linspace(1, 16, 300)]), 91),
+            "float-range": lambda: np.array([h for h, _ in TestClosedFormSpectra.FLOAT_RANGE_ENDS]),
+        }[family]()
+        spectra, roots, formulas = zip(*self._errors(hs))
+        assert max(spectra) <= self.SPECTRUM_BOUND
+        assert max(roots) <= self.ROOT_BOUND
+        assert max(formulas) <= self.FORMULA_BOUND

@@ -38,17 +38,27 @@ def record_shapes(monkeypatch, owner, names) -> dict:
     return calls
 
 
+# the chanent modules that may hold a name imported from matfun
+CHANENT_MODULES = (matfun, entropy, states, channels, bounds, qubit)
+
+
+def forbid_calls(monkeypatch, owners, names) -> None:
+    """Make a call to owner.<name>, for each of the names that an owner holds, raise
+    AssertionError naming the function."""
+    for owner in owners:
+        for name in names:
+            if hasattr(owner, name):
+                def forbidden(*args, _name=f"{owner.__name__}.{name}", **kwargs):
+                    raise AssertionError(f"{_name} was called")
+
+                monkeypatch.setattr(owner, name, forbidden)
+
+
 def forbid_eigensolvers(monkeypatch) -> None:
     """Make a call to matfun.spectrum, wherever a module holds the name, or to a LAPACK
     eigensolver or SVD raise AssertionError."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an eigensolver was called")
-
-    for owner in (matfun, entropy, states, channels, bounds, qubit):
-        if hasattr(owner, "spectrum"):
-            monkeypatch.setattr(owner, "spectrum", forbidden)
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, forbidden)
+    forbid_calls(monkeypatch, CHANENT_MODULES, ["spectrum"])
+    forbid_calls(monkeypatch, [np.linalg], ["eigh", "eigvalsh", "svd"])
 
 
 def conjecture_reference(k: int, dim: int, seed: int, start: int, stop: int) -> np.ndarray:
