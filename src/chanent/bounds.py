@@ -329,7 +329,7 @@ def _layered_matrix(probs: np.ndarray, rf: np.ndarray, roots: np.ndarray, steps:
             val = root_p[..., i, j] * matmul(ends, chain).diagonal(0, -2, -1).sum(-1)
             sigma[..., i, j] = val
             sigma[..., j, i] = np.conj(val)
-    return hermitize(sigma)
+    return sigma
 
 
 def hierarchy(e: Ensemble, b: float = math.sqrt(3.0)) -> dict | None:

@@ -9,8 +9,8 @@ its checked form `psd_eigh`, `spectrum` or `spectrum3` (or `_hermitian_spectrum`
 `root_svd`. The smallest cases, where LAPACK's per-call cost outweighs the
 work, have closed forms: 2×2 spectra and eigenvectors in `_eigh2` (through
 `spectrum` and `eigh`'s one size dispatch), 2×2 square roots in `_psd_root` (behind
-`psd_sqrt`; Levinger's formula on `_eigh2`'s eigenvalues, psd_eigh where an eigenvalue
-is clipped), 2×2 root fidelities in `root_svd`, and 3×3 spectra in `spectrum3`, each
+`psd_sqrt`; Levinger's formula on `_eigh2`'s eigenvalues, in its projector form where the
+smaller one is clipped), 2×2 root fidelities in `root_svd`, and 3×3 spectra in `spectrum3`, each
 for the rows inside the band of CLOSED_FORM_FLOOR. `matmul` forms 2×2 products entry by
 entry, where `@` pays a BLAS call per matrix. `_hermitian_spectrum` skips `spectrum`'s
 finiteness pass and second hermitize, about 5 µs off each `davies` trial's CP check.
@@ -357,14 +357,14 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
 
 
 def _psd_root(h) -> tuple[np.ndarray, np.ndarray]:
-    """(w, sqrt h) of each PSD Hermitian matrix of a (..., n, n) stack: psd_eigh's clipped
-    spectrum and checks, and the principal square root.
+    """psd_eigh's clipped spectrum w and checks, and the principal root sqrt h, of a (..., n, n) PSD stack.
 
     A 2×2 root is Levinger's (h + sqrt(det h) I)/sqrt(tr h + 2 sqrt(det h)) (Math. Mag. 53,
-    1980) from _eigh2's eigenvalues alone: with r = sqrt(w), (h + r0 r1 I)/(r0 + r1) in real
-    arithmetic on h's Hermitian part. A row whose smallest eigenvalue is clipped (the formula
-    would keep it) or whose largest has its square outside the band of CLOSED_FORM_FLOOR, and
-    larger input, take from_eigh(sqrt(w), v) of psd_eigh. No row depends on the stack around it.
+    1980) from _eigh2's eigenvalues alone, in real arithmetic on h's Hermitian part: (h + sI)/t
+    with r = sqrt(w), m = min(lambda0, 0) of the unclipped lambda0, s = r0 r1 - m, t = r0 + r1 - m/r1.
+    m = +0 keeps Levinger's bits; a clipped row gets the clipped matrix's root, the projector form
+    sqrt(lambda1) (h - lambda0 I)/(lambda1 - lambda0). Rows outside the band of CLOSED_FORM_FLOOR
+    and larger input take from_eigh(sqrt(w), v) of psd_eigh. No row depends on the stack around it.
     """
     h = np.asarray(h)
     if h.shape[-2:] != (2, 2):
@@ -372,16 +372,16 @@ def _psd_root(h) -> tuple[np.ndarray, np.ndarray]:
         return w, from_eigh(np.sqrt(w), v)
     raw = _eigh2(_finite(h))[0]
     w = _clipped(raw)
-    r = np.sqrt(w)
-    s, t = r[..., 0] * r[..., 1], r[..., 0] + r[..., 1]
+    r, m = np.sqrt(w), np.minimum(raw[..., 0], 0.0)
     root = np.zeros(h.shape, dtype=np.result_type(h, np.float64))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # only in rows outside the band
+        s, t = r[..., 0] * r[..., 1] - m, r[..., 0] + r[..., 1] - m / r[..., 1]
         root.real[..., 0, 0], root.real[..., 1, 1] = (h[..., 0, 0].real + s) / t, (h[..., 1, 1].real + s) / t
         root.real[..., 0, 1] = root.real[..., 1, 0] = (h[..., 0, 1].real + h[..., 1, 0].real) / 2.0 / t
         if root.dtype.kind == "c":
             root.imag[..., 0, 1] = (h[..., 0, 1].imag - h[..., 1, 0].imag) / 2.0 / t
             root.imag[..., 1, 0] = -root.imag[..., 0, 1]
-        slow = (raw[..., 0] < 0.0) | ~_in_band(w[..., 1] * w[..., 1])
+        slow = ~_in_band(w[..., 1] * w[..., 1])
     if np.count_nonzero(slow):
         w[slow], v = psd_eigh(h[slow])
         root[slow] = from_eigh(np.sqrt(w[slow]), v)

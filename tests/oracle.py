@@ -100,16 +100,23 @@ def eigenvalues2(h) -> tuple[Decimal, Decimal]:
 
 def psd_root2(h, w=None) -> list:
     """The principal square root of the Hermitian part of a 2×2 PSD matrix, as rows of
-    (real, imaginary) pairs, by Levinger's formula (h + sqrt(det) I)/sqrt(tr + 2 sqrt(det)).
-    A negative det, a rounding of the input's own, counts as 0. Given the two eigenvalues
-    w, the formula reads them instead, as (h + r0 r1 I)/(r0 + r1) with r = sqrt(w)."""
+    (real, imaginary) pairs, (h + sI)/t. By Levinger's formula s = sqrt(det) and
+    t = sqrt(tr + 2 s); where det < 0, a rounding of the input's own, the root of the matrix
+    with its negative eigenvalue clipped, sqrt(lambda1) (h - lambda0 I)/(lambda1 - lambda0):
+    s = -lambda0 and t = (lambda1 - lambda0)/sqrt(lambda1) on eigenvalues2. Given the two
+    eigenvalues w, unclipped, the expression of matfun._psd_root reads them instead: with
+    r = sqrt(max(w, 0)) and m = min(w0, 0), s = r0 r1 - m and t = r0 + r1 - m/r1."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
         a, d, br, bi = _hermitian2(h)
-        if w is None:
-            s = max(a * d - br * br - bi * bi, Decimal(0)).sqrt()
+        if w is not None:
+            m = min(Decimal(float(w[0])), Decimal(0))
+            r0, r1 = (max(Decimal(float(x)), Decimal(0)).sqrt() for x in w)
+            s, t = r0 * r1 - m, r0 + r1 - m / r1
+        elif a * d - br * br - bi * bi >= 0:
+            s = (a * d - br * br - bi * bi).sqrt()
             t = (a + d + 2 * s).sqrt()
         else:
-            r0, r1 = (Decimal(float(x)).sqrt() for x in w)
-            s, t = r0 * r1, r0 + r1
+            lam0, lam1 = eigenvalues2(h)
+            s, t = -lam0, (lam1 - lam0) / lam1.sqrt()
         return [[((a + s) / t, Decimal(0)), (br / t, bi / t)], [(br / t, -bi / t), ((d + s) / t, Decimal(0))]]

@@ -746,21 +746,26 @@ class TestHierarchy:
         # matrices one spectrum3 that leaves no row to LAPACK
         assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "spectrum3": [(5, 5, 3, 3)]}
 
-    def test_qubit_roots_make_no_eigenvector(self, monkeypatch):
-        # in-band qubit states take Levinger's root and the entrywise products: no eigenvector
+    def test_qubit_roots_make_no_eigenvector(self):
+        # in-band qubit states take the closed-form root and the entrywise products: no eigenvector
         # decomposition, no from_eigh and no LAPACK call; conjecture_excess's one LAPACK call is
-        # S(G)'s eigvalsh of the 3×3 G, which conjecture_reference's bits pin
-        hier, conj = random_ensembles(3, 2, 69, 0, 150, ancilla=3), random_ensembles(3, 2, 70, 0, 150)
-        assert min(matfun.spectrum(hier[1]).min(), matfun.spectrum(conj[1]).min()) > 1e-6  # no row is clipped
-        want = bounds.hierarchy_batch(*hier), bounds.conjecture_excess(*conj)
-        forbid_calls(monkeypatch, CHANENT_MODULES, ["eigh", "psd_eigh", "from_eigh", "spectral"])
-        forbid_calls(monkeypatch, [np.linalg], ["eigh", "eig", "eigvals", "svd", "det", "inv", "solve", "qr"])
-        calls = record_shapes(monkeypatch, np.linalg, ("eigvalsh",))
-        got = bounds.hierarchy_batch(*hier)
-        assert calls["eigvalsh"] == []
-        assert bounds.conjecture_excess(*conj).tobytes() == want[1].tobytes()
-        assert calls["eigvalsh"] == [(150, 3, 3)]
-        assert all(got[name].tobytes() == col.tobytes() for name, col in want[0].items())
+        # S(G)'s eigvalsh of the 3×3 G, which conjecture_reference's bits pin. At ancilla 3, and
+        # on conjecture1's flat measure, no row is clipped; at ancilla 1 the states are pure, and
+        # rounding clips many of them
+        for ancillas in ((3, None), (1, 1)):
+            hier, conj = (random_ensembles(3, 2, seed, 0, 150, ancilla=a) for seed, a in zip((69, 70), ancillas))
+            lowest = min(matfun.spectrum(hier[1]).min(), matfun.spectrum(conj[1]).min())
+            assert lowest > 1e-6 if ancillas[0] == 3 else lowest < 0.0
+            want = bounds.hierarchy_batch(*hier), bounds.conjecture_excess(*conj)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                forbid_calls(monkeypatch, CHANENT_MODULES, ["eigh", "psd_eigh", "from_eigh", "spectral"])
+                forbid_calls(monkeypatch, [np.linalg], ["eigh", "eig", "eigvals", "svd", "det", "inv", "solve", "qr"])
+                calls = record_shapes(monkeypatch, np.linalg, ("eigvalsh",))
+                got = bounds.hierarchy_batch(*hier)
+                assert calls["eigvalsh"] == []
+                assert bounds.conjecture_excess(*conj).tobytes() == want[1].tobytes()
+                assert calls["eigvalsh"] == [(150, 3, 3)]
+            assert all(got[name].tobytes() == col.tobytes() for name, col in want[0].items())
 
     def test_non_finite_state_fails_the_batch(self):
         rng = stream_rng(60, 5)

@@ -13,7 +13,7 @@ from chanent import davies, matfun
 from chanent.tolerances import PSD_TOL
 from chanent.sampling import complex_gaussian, haar_unitary, hs_random_density, random_pure_state, stream_rng
 from chanent.states import pure_state
-from tests_support import matrix_exp, polar_2x2, psd_stacks, stack_from_spectra
+from tests_support import forbid_calls, matrix_exp, polar_2x2, psd_stacks, stack_from_spectra
 
 
 def rand_complex(rng, shape):
@@ -677,9 +677,9 @@ class TestClosedFormSpectra:
 
 def _qubit_pool(seed: int) -> np.ndarray:
     """150 qubit matrices, shuffled, of every kind the 2×2 root meets: HS-random and pure
-    states and near-degenerate spectra take Levinger's formula or, where rounding makes the
-    smallest eigenvalue negative, psd_eigh; so do a small negative eigenvalue and rows
-    outside the band of CLOSED_FORM_FLOOR."""
+    states, near-degenerate spectra and a small negative eigenvalue take the closed form,
+    clipped where that eigenvalue, or rounding on a pure state, is below 0; the six rows
+    outside the band of CLOSED_FORM_FLOOR take psd_eigh."""
     rng = stream_rng(seed, 0)
     hs = np.concatenate([
         np.stack([hs_random_density(2, rng) for _ in range(100)]),
@@ -720,6 +720,28 @@ class TestQubitRootAndProduct:
                                   for i in range(0, 150, size)])
             assert [g.tobytes() for g in got] == [x.tobytes() for x in alone]
 
+    def test_in_band_rows_take_one_closed_form(self, monkeypatch):
+        # clipped or not, an in-band row makes no decomposition and no LAPACK call, and an
+        # unclipped one is Levinger's (h + r0 r1 I)/(r0 + r1), written out here, bit for bit
+        hs = _qubit_pool(32)
+        raw = matfun.spectrum(hs)
+        with np.errstate(over="ignore"):
+            inside = matfun._in_band(raw[:, 1] * raw[:, 1])
+        hs, raw = hs[inside], raw[inside]
+        clipped = raw[:, 0] < 0.0
+        assert clipped.sum() >= 4 and np.count_nonzero(~inside) == 6
+        forbid_calls(monkeypatch, [matfun], ["psd_eigh", "eigh", "from_eigh", "spectral"])
+        forbid_calls(monkeypatch, [np.linalg], ["eigh", "eigvalsh", "eig", "eigvals", "svd", "det", "inv", "solve"])
+        roots = matfun._psd_root(hs)[1]
+        r = np.sqrt(np.maximum(raw, 0.0))
+        s, t = r[:, 0] * r[:, 1], r[:, 0] + r[:, 1]
+        want = np.zeros_like(hs)
+        want.real[:, 0, 0], want.real[:, 1, 1] = (hs[:, 0, 0].real + s) / t, (hs[:, 1, 1].real + s) / t
+        want.real[:, 0, 1] = want.real[:, 1, 0] = (hs[:, 0, 1].real + hs[:, 1, 0].real) / 2.0 / t
+        want.imag[:, 0, 1] = (hs[:, 0, 1].imag - hs[:, 1, 0].imag) / 2.0 / t
+        want.imag[:, 1, 0] = -want.imag[:, 0, 1]
+        assert roots[~clipped].tobytes() == want[~clipped].tobytes()
+
     def test_real_input_keeps_a_real_root(self):
         # in the band, with a clipped eigenvalue, and outside the band: float64 as from psd_eigh
         h = np.array([[[0.7, 0.2], [0.2, 0.3]], [[1.0, 0.0], [0.0, -1e-12]], [[1e-200, 0.0], [0.0, 3e-200]]])
@@ -740,23 +762,32 @@ class TestQubitOracle:
     matrix), r0 = sqrt(w0) moves by at most sqrt(2)·3.5 eps|rho|/sqrt(lambda0 + 3.5 eps|rho|) and
     r1 by eps|rho|/sqrt(|rho|), and the formula's own roundings add 2 eps sqrt(|rho|): within
     8 eps|rho|/sqrt(lambda0 + eps|rho|), the square-root conditioning near a singular matrix.
-    That bound is mostly the eigenvalues' error, so the formula's own rounding is gated apart,
-    against Levinger's formula on the computed eigenvalues w: sqrt(w) within u, r0 r1 within
-    3u, the sum a + r0 r1 of one sign within 4u, r0 + r1 within 2u and the division within u,
-    so each entry, at most sqrt(|rho|), is within 7u sqrt(|rho|) = 3.5 eps sqrt(|rho|).
+    Where lambda0 and its computed value are both negative, the root is the clipped matrix's,
+    sqrt(lambda1) P with P = (h - lambda0 I)/(lambda1 - lambda0): its entries move by at most
+    1/sqrt(lambda1) per unit error of lambda0 and 1/(2 sqrt(lambda1)) per unit error of lambda1,
+    and the roundings below add 2.5 eps sqrt(|rho|): within 7 eps sqrt(|rho|), singular or not.
+    Both bounds are mostly the eigenvalues' error, so the formula's own rounding is gated apart,
+    against (h + sI)/t in Decimal on the computed eigenvalues w. On an unclipped row (m = +0):
+    sqrt(w) within u, r0 r1 within 3u, the sum a + r0 r1 of one sign within 4u, r0 + r1 within 2u
+    and the division within u, so each entry, at most sqrt(|rho|), is within 7u sqrt(|rho|) =
+    3.5 eps sqrt(|rho|). On a clipped row s = -lambda0 is exact, a + s and b within u,
+    t = r1 + |m|/r1 within 3u and the division within u: 5u sqrt(|rho|) = 2.5 eps sqrt(|rho|).
     Measured: at most 1.13 eps|rho| for the spectra, and 1.3 of the root's unit and 1.3 eps
-    sqrt(|rho|) for the formula, both on near-degenerate matrices. The float-range ones take LAPACK.
+    sqrt(|rho|) for the formula, both on near-degenerate matrices; 0.9 eps sqrt(|rho|) for the
+    clipped roots and 0.73 for their formula, on the rotated [-PSD_TOL/2, 1] rows. The
+    float-range ones take LAPACK.
     """
 
-    SPECTRUM_BOUND, ROOT_BOUND, FORMULA_BOUND = 3.5, 8.0, 3.5
+    SPECTRUM_BOUND, ROOT_BOUND, CLIPPED_ROOT_BOUND, FORMULA_BOUND = 3.5, 8.0, 7.0, 3.5
 
     @staticmethod
     def _errors(hs) -> list:
-        """(spectrum error, root error, formula error or 0 on a row that takes psd_eigh) of each
-        matrix, in the units of the class docstring."""
+        """(spectrum error, root error, clipped-root error or 0 on a row whose computed or exact
+        lambda0 is not negative, formula error or 0 on a row that takes psd_eigh) of each matrix,
+        in the units of the class docstring."""
         w, roots = matfun.spectrum(hs), matfun._psd_root(hs)[1]
         with np.errstate(over="ignore"):
-            levinger = (w[:, 0] >= 0.0) & matfun._in_band(w[:, 1] * w[:, 1])
+            closed = matfun._in_band(w[:, 1] * w[:, 1])
         eps = Decimal(float(np.finfo(float).eps))
 
         def entry_error(root, ref):
@@ -766,26 +797,37 @@ class TestQubitOracle:
         out = []
         with localcontext() as ctx:
             ctx.prec = oracle.DIGITS
-            for h, wi, root, formula in zip(hs, w, roots, levinger):
+            for h, wi, root, formula in zip(hs, w, roots, closed):
                 lam = oracle.eigenvalues2(h)
                 unit = eps * max(abs(lam[0]), abs(lam[1]))
+                error = entry_error(root, oracle.psd_root2(h))
                 out.append((max(abs(Decimal(float(x)) - y) for x, y in zip(wi, lam)) / unit,
-                            entry_error(root, oracle.psd_root2(h)) * (max(lam[0], 0) + unit).sqrt() / unit,
+                            error * (max(lam[0], 0) + unit).sqrt() / unit,
+                            error / (eps * lam[1].sqrt()) if wi[0] < 0 and lam[0] < 0 else 0,
                             entry_error(root, oracle.psd_root2(h, wi)) / (eps * Decimal(float(wi[1])).sqrt())
                             if formula else 0))
         return out
 
-    @pytest.mark.parametrize("family", ["hs-random", "rank-1", "near-degenerate", "float-range"])
+    @pytest.mark.parametrize("family", ["hs-random", "rank-1", "near-degenerate", "float-range", "clipped"])
     def test_spectrum_and_root_within_the_rounding_bounds(self, family):
         rng = stream_rng(90, len(family))
+
+        def clipped():
+            # the rotated [-PSD_TOL/2, 1], and the pure states whose computed lambda0 rounds below 0
+            pure = np.stack([pure_state(random_pure_state(2, rng)) for _ in range(400)])
+            pure = pure[matfun.spectrum(pure)[:, 0] < 0.0]
+            return np.concatenate([stack_from_spectra(np.array([[-PSD_TOL / 2, 1.0]] * 150), 92), pure])
+
         hs = {
             "hs-random": lambda: np.stack([hs_random_density(2, rng) for _ in range(2000)]),
             "rank-1": lambda: np.stack([pure_state(random_pure_state(2, rng)) for _ in range(500)]),
             "near-degenerate": lambda: stack_from_spectra(
                 np.array([[0.5, 0.5 + d] for d in 10.0 ** -np.linspace(1, 16, 300)]), 91),
             "float-range": lambda: np.array([h for h, _ in TestClosedFormSpectra.FLOAT_RANGE_ENDS]),
+            "clipped": clipped,
         }[family]()
-        spectra, roots, formulas = zip(*self._errors(hs))
+        spectra, roots, clipped_roots, formulas = zip(*self._errors(hs))
         assert max(spectra) <= self.SPECTRUM_BOUND
         assert max(roots) <= self.ROOT_BOUND
+        assert max(clipped_roots) <= self.CLIPPED_ROOT_BOUND
         assert max(formulas) <= self.FORMULA_BOUND
