@@ -265,10 +265,11 @@ def _damped(g: np.ndarray, b: float) -> np.ndarray:
 
 
 def check_b(b: float, dim: int) -> None:
-    """Raise ValueError unless b reaches the damping floor of G/b: sqrt(3) for qubits, 2 beyond."""
+    """Raise ValueError unless b is finite and reaches the damping floor of G/b: sqrt(3) for
+    qubits, 2 beyond. An infinite b would print as Infinity, which JSON lacks."""
     min_b = math.sqrt(3.0) if dim == 2 else 2.0
-    if not b >= min_b - DOMAIN_EDGE:
-        raise ValueError(f"b must be at least {min_b} for dimension {dim}")
+    if not min_b - DOMAIN_EDGE <= b < math.inf:
+        raise ValueError(f"b must be finite and at least {min_b} for dimension {dim}")
 
 
 def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> np.ndarray:
@@ -356,15 +357,14 @@ def _decomposed(probs: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.n
 def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(3.0)) -> dict:
     """Normalized bound hierarchy of a stack of k=3 qubit ensembles, as (B,) columns.
 
-    probs has shape (B, 3) and states (B, 3, 2, 2). s_gram, s_fid, s_fid_b, s_fid_sq
-    and s_layered are the entropies of the purification Gram matrix sqrt(p_i p_j) tr
-    sqrt(rho_i) sqrt(rho_j) and of G, G/b, F-squared and the layered matrix, on the scale
-    with chi at 0 and H(P) at 1. kept is False, and the row's entropies NaN, where H(P) -
-    chi is below HIERARCHY_SKIP_GAP. conjecture is kept & not (chi <= S(G) + VIOLATION_SLACK).
+    probs has shape (B, 3) and states (B, 3, 2, 2). s_fid, s_fid_b, s_fid_sq and s_layered
+    are the entropies of G, G/b, F-squared and the layered matrix, on the scale with chi at
+    0 and H(P) at 1. kept is False, and the row's entropies NaN, where H(P) - chi is below
+    HIERARCHY_SKIP_GAP. conjecture is kept & not (chi <= S(G) + VIOLATION_SLACK).
     One root_svd of the pair products gives the root fidelities and the polar factors of
-    the layered chain, and one spectrum3 the five matrices' spectra: with the closed-form
-    qubit decompositions of _decomposed, a chunk makes no LAPACK call.
-    Every row is bit-identical whatever the stack around it.
+    the layered chain, and one spectrum3 of the (B, 4, 3, 3) stack the four matrices'
+    spectra: with the closed-form qubit decompositions of _decomposed, a chunk makes no
+    LAPACK call. Every row is bit-identical whatever the stack around it.
     """
     if np.shape(probs)[-1:] != (3,) or np.shape(states)[-1:] != (2,):
         raise ValueError("hierarchy is defined for k=3 qubit ensembles")
@@ -374,15 +374,12 @@ def hierarchy_batch(probs: np.ndarray, states: np.ndarray, b: float = math.sqrt(
     rf, steps = _root_fidelity_matrix(roots)
     root_p = _root_probs(probs)
     g = root_p * rf
-    aux = np.stack([
-        _purification_gram(probs, roots.reshape(roots.shape[:2] + (4,))),
-        g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, rf, roots, steps),
-    ], axis=1)
-    ent = _eigenvalue_entropy(spectrum3(aux))  # (B, 5): S(Gram), S(G), S(G/b), S(F²), S(layered)
+    aux = np.stack([g, _damped(g, b), root_p * rf**2, _layered_matrix(probs, rf, roots, steps)], axis=1)
+    ent = _eigenvalue_entropy(spectrum3(aux))  # (B, 4): S(G), S(G/b), S(F²), S(layered)
     kept = ~(h_p - chi < HIERARCHY_SKIP_GAP)  # a NaN gap keeps its row, so it cannot pass as a skip
     norm = np.where(kept[:, None], (ent - chi[:, None]) / np.where(kept, h_p - chi, 1.0)[:, None], np.nan)
-    cols = dict(zip(("s_gram", "s_fid", "s_fid_b", "s_fid_sq", "s_layered"), norm.T))
-    return {**cols, "kept": kept, "conjecture": kept & ~(chi <= ent[:, 1] + VIOLATION_SLACK)}
+    cols = dict(zip(("s_fid", "s_fid_b", "s_fid_sq", "s_layered"), norm.T))
+    return {**cols, "kept": kept, "conjecture": kept & ~(chi <= ent[:, 0] + VIOLATION_SLACK)}
 
 
 def holevo_mutual_check(e: Ensemble, povm_kraus) -> tuple[float, float, bool]:
@@ -491,7 +488,7 @@ def triple_from_params(a: float, b: float, alpha: float, beta: float) -> TripleG
     sin_g = math.sqrt(max(1.0 - oc_len * oc_len, 0.0))
     od = cos_g * c_hat + sin_g * u0
     oe = cos_g * c_hat - sin_g * u0
-    rot = _rotation_about(c_hat if oc_len > BLOCH_NULL_LENGTH else np.array([0.0, 0.0, 1.0]), beta)
+    rot = _rotation_about(c_hat, beta)
     of, og = rot @ od, rot @ oe
     return TripleGeometry(
         a=a, b=b, alpha=alpha, beta=beta,

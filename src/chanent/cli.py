@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import bounds, davies, qubit
-from .entropy import VON_NEUMANN, EntropyOrder
+from .entropy import EntropyOrder
 from .sampling import (
     _flat_dirichlet,
     random_channels,
@@ -239,9 +239,8 @@ def figure_scatter_q(q: float, trials: int, seed: int, base: float = math.e) -> 
     all rows are drawn as one `stream_uniforms` block and go through one
     `qubit.pauli_points` call.
     """
-    order = EntropyOrder.renyi(q) if q != 1.0 else VON_NEUMANN
     scale = 1.0 if base == math.e else math.log(base)
-    s_map, s_min = qubit.pauli_points(_flat_dirichlet(stream_uniforms(seed, 0, trials, 4)), order)
+    s_map, s_min = qubit.pauli_points(_flat_dirichlet(stream_uniforms(seed, 0, trials, 4)), EntropyOrder.renyi(q))
     rows = zip((s_map / scale).tolist(), (s_min / scale).tolist())
     return _csv(["s_map", "s_min", "q", "tag"], [(a, b, q, f"pauli{t}") for t, (a, b) in enumerate(rows)])
 
@@ -278,14 +277,12 @@ def figure_davies_qubit_region(resolution: int, seed: int) -> str:
         for a in np.linspace(0.0, (1.0 - p) * 0.999, resolution):
             rows.append(("boundary", p, a, math.sqrt(1.0 - a / (1.0 - p)), math.nan, ""))
     rng = stream_rng(seed, 0)
-    p = 0.3
     for path in range(2):
         gam = 0.5 + rng.random()
         rel = rng.random() * 2.0 * gam
         for t in np.linspace(0.0, 4.0, resolution):
-            a = (1.0 - p) * (1.0 - math.exp(-rel * t))
-            c = math.exp(-gam * t)
-            rows.append(("path", p, a, c, t, f"path{path}"))
+            d = davies.DaviesQubit.from_rates(davies.DaviesRates(rel, gam, 0.3, t))
+            rows.append(("path", d.p, d.a, d.c, t, f"path{path}"))
     return _csv(["kind", "p", "a", "c", "t", "tag"], rows)
 
 

@@ -242,13 +242,14 @@ def quantum_mutual_information(rho12: np.ndarray, dims: tuple[int, int]) -> floa
 def jsd(dists, weights=None) -> float:
     """Jensen-Shannon divergence of k distributions with weights alpha_nu.
 
-    H(sum alpha_nu P_nu) - sum alpha_nu H(P_nu); uniform weights by default.
+    H(sum alpha_nu P_nu) - sum alpha_nu H(P_nu); uniform weights by default. A weight
+    count other than k raises ValueError.
     """
     dists = [np.asarray(p, dtype=float) for p in dists]
     k = len(dists)
-    if weights is None:
-        weights = np.full(k, 1.0 / k)
-    weights = _clean_probs(np.ravel(weights))
+    weights = _clean_probs(np.full(k, 1.0 / k) if weights is None else np.ravel(weights))
+    if len(weights) != k:
+        raise ValueError(f"need one weight per distribution: {len(weights)} weights, {k} distributions")
     mix = sum(a * p for a, p in zip(weights, dists))
     return classical_entropy(mix) - sum(a * classical_entropy(p) for a, p in zip(weights, dists))
 

@@ -30,7 +30,6 @@ __all__ = [
     "NonFiniteError",
     "reshuffle",
     "partial_trace",
-    "kron",
     "hermitize",
     "spectrum",
     "spectrum3",
@@ -107,11 +106,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], which: int) -> np.ndarra
     raise ValueError("which must be 1 or 2")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major index composition: (a⊗b)[(i,j),(k,l)] = a[i,k]b[j,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def _finite(h) -> np.ndarray:
     h = np.asarray(h)
     if np.count_nonzero(np.isfinite(h)) != h.size:
@@ -119,25 +113,31 @@ def _finite(h) -> np.ndarray:
     return h
 
 
-def _hermitian_part(h: np.ndarray, ceiling: float = 2.0**1022) -> tuple[np.ndarray, np.ndarray | None]:
-    """(hermitize(h), None) if every entry of the (..., n, n) stack h is below `ceiling` in modulus
-    (the default keeps h + h† finite; one pass tests that and finiteness), else (hermitize(2^-e h), e)
+def _hermitian_part(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(hermitize(h), None) if every entry of the (..., n, n) stack h is below 2^1022 in modulus,
+    so that h + h† stays finite (one pass tests that and finiteness), else (hermitize(2^-e h), e)
     with e = 0 for the other matrices, so they keep their bits: 2^-e brings each largest real or
-    imaginary part at or above `ceiling` into [0.5, 1) exactly. NaN or inf raises NonFiniteError."""
-    if np.count_nonzero(np.abs(h) < ceiling) == h.size:
+    imaginary part at or above 2^1022 into [0.5, 1) exactly. NaN or inf raises NonFiniteError."""
+    if np.count_nonzero(np.abs(h) < 2.0**1022) == h.size:
         return hermitize(h), None
     x = _finite(h).astype(np.result_type(h, np.float64), order="C")  # viewed as floats below
     top = np.abs(x.view(np.float64)).max(axis=(-2, -1))
-    e = np.where(top >= ceiling, np.frexp(top)[1], 0)
+    e = np.where(top >= 2.0**1022, np.frexp(top)[1], 0)
     return hermitize(np.ldexp(x.view(np.float64), -e[..., None, None]).view(x.dtype)), e
 
 
 def _decompose(h, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """(w, v if vectors else None) for spectrum and eigh: 2×2 input by _eigh2, larger input
-    by one LAPACK eigh (or eigvalsh) of the whole stack's _hermitian_part."""
+    by _lapack."""
     h = np.asarray(h)
     if h.shape[-2:] == (2, 2):
         return _eigh2(_finite(h), vectors)
+    return _lapack(h, vectors)
+
+
+def _lapack(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(w, v if vectors else None) of one LAPACK eigh (or eigvalsh) of the stack's _hermitian_part,
+    its eigenvalues scaled back by the powers of two that part took out."""
     h, e = _hermitian_part(h)
     w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     return (w if e is None else np.ldexp(w, e[..., None])), v
@@ -220,7 +220,8 @@ def _eigh2(h: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray
     divisor, which overflows on a subnormal norm.
 
     A row whose largest |eigenvalue|² is outside the band of CLOSED_FORM_FLOOR (zero
-    included) takes LAPACK instead. Each row's result depends on that row alone.
+    included) takes _lapack instead, as n ≥ 3 input does: scaled only where an entry
+    reaches 2^1022. Each row's result depends on that row alone.
     """
     v = None
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows that fall back
@@ -253,13 +254,9 @@ def _eigh2(h: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray
             if np.iscomplexobj(v):
                 v[..., 1, :] = v[..., 1, :].conj()
     if np.count_nonzero(inside) != inside.size:
-        # LAPACK on each such row, scaled by a power of two
-        rows, e = _hermitian_part(h[~inside], 0.0)
+        w[~inside], rest = _lapack(h[~inside], vectors)
         if vectors:
-            w[~inside], v[~inside] = np.linalg.eigh(rows)
-        else:
-            w[~inside] = np.linalg.eigvalsh(rows)
-        w[~inside] = np.ldexp(w[~inside], e[:, None])
+            v[~inside] = rest
     return w, v
 
 

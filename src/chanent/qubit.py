@@ -373,10 +373,9 @@ def pauli_points(p, order: EntropyOrder = VON_NEUMANN):
 
 def pauli_edge_curves(q: float, samples: int = 400) -> dict:
     """Sampled (s_map, s_min) curves along the AB, BD, AD tetrahedron edges, from `pauli_points`."""
-    order = EntropyOrder.renyi(q) if q != 1.0 else VON_NEUMANN
     edges = tetrahedron_edges()
     ts = np.linspace(0.0, 1.0, samples)
-    return {name: np.stack(pauli_points(edges[name](ts[:, None]), order), axis=-1)
+    return {name: np.stack(pauli_points(edges[name](ts[:, None]), EntropyOrder.renyi(q)), axis=-1)
             for name in ("AB", "BD", "AD")}
 
 

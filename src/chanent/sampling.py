@@ -197,7 +197,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return _phase_fixed_qr(_gaussian_columns(rng.random(2 * n * n), ((n, n, n),))[0])
+    return _phase_fixed_qr(complex_gaussian(rng, (n, n)))
 
 
 def hs_random_density(n: int, rng: np.random.Generator, ancilla: int | None = None) -> np.ndarray:
@@ -208,7 +208,7 @@ def hs_random_density(n: int, rng: np.random.Generator, ancilla: int | None = No
     C^n ⊗ C^ancilla. n or ancilla below 1 raises ValueError.
     """
     a = _induced_ancilla(n, ancilla)
-    return _gram_density(_gaussian_columns(rng.random(2 * n * a), ((n, a, a),))[0])
+    return _gram_density(complex_gaussian(rng, (n, a)))
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:

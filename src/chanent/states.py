@@ -21,7 +21,6 @@ __all__ = [
     "schmidt_number",
     "fidelity",
     "root_fidelity",
-    "fidelity_qubit_bloch",
     "angle",
     "uhlmann_max",
 ]
@@ -156,16 +155,6 @@ def root_fidelity(rho1: np.ndarray, rho2: np.ndarray):
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Fidelity (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))² in [0, 1]."""
     return root_fidelity(rho1, rho2) ** 2
-
-
-def fidelity_qubit_bloch(x, y) -> float:
-    """Qubit fidelity from Bloch vectors: (1 + x·y + sqrt(1-|x|²) sqrt(1-|y|²))/2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx = min(float(x @ x), 1.0)
-    ry = min(float(y @ y), 1.0)
-    val = 0.5 * (1.0 + float(x @ y) + math.sqrt(1.0 - rx) * math.sqrt(1.0 - ry))
-    return float(min(max(val, 0.0), 1.0))
 
 
 def angle(rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -510,6 +510,22 @@ class TestFidelityMatrix:
         with pytest.raises(ValueError):
             bounds.fidelity_matrix(e, "G/b", b=1.2)
 
+    @pytest.mark.parametrize("dim, b", [(2, math.sqrt(3.0)), (3, 2.0)])
+    def test_default_b_is_the_damping_floor(self, dim, b):
+        e = random_ensemble(3, dim, stream_rng(57, 202))
+        want = bounds.fidelity_matrix(e, "G/b", b=b)
+        assert bounds.fidelity_matrix(e, "G/b").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant, b, match", [
+        ("G/2", None, "unknown variant"),
+        ("F-squared", None, "qubit or pure"),  # the ensemble is of mixed qutrits
+        ("G/b", math.inf, "finite"),  # an infinite b would reach a report as Infinity, which is not JSON
+        ("G/b", math.nan, "finite"),
+    ])
+    def test_rejected(self, variant, b, match):
+        with pytest.raises(ValueError, match=match):
+            bounds.fidelity_matrix(random_ensemble(3, 3, stream_rng(57, 203)), variant, b=b)
+
     def test_layered_bounds_holevo(self):
         for t in range(200):
             e = random_ens(stream_rng(58, t))
@@ -646,7 +662,7 @@ class TestLayeredMatrix:
         bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
         (aux,) = aux
         for e, row in zip(ens, aux):
-            assert bounds.fidelity_matrix(e, "layered").tobytes() == row[4].tobytes()
+            assert bounds.fidelity_matrix(e, "layered").tobytes() == row[3].tobytes()
 
     def test_state_below_psd_tol_raises(self):
         e = random_ens(stream_rng(61, 1))
@@ -659,7 +675,7 @@ class TestLayeredMatrix:
             bounds.hierarchy_batch(bad.probs[None], bad.states[None])
 
 
-HIERARCHY_COLUMNS = ("s_gram", "s_fid", "s_fid_b", "s_fid_sq", "s_layered", "kept", "conjecture")
+HIERARCHY_COLUMNS = ("s_fid", "s_fid_b", "s_fid_sq", "s_layered", "kept", "conjecture")
 
 
 class TestHierarchy:
@@ -713,7 +729,6 @@ class TestHierarchy:
             chi = bounds.holevo(e)
             gap = classical_entropy(e.probs) - chi
             public = {
-                "s_gram": bounds.correlation_from_ensemble(e, [np.eye(2)] * 3),
                 "s_fid": bounds.fidelity_matrix(e, "G"),
                 "s_fid_b": bounds.fidelity_matrix(e, "G/b", b=math.sqrt(3.0)),
                 "s_fid_sq": bounds.fidelity_matrix(e, "F-squared"),
@@ -742,9 +757,9 @@ class TestHierarchy:
         rng = stream_rng(60, 4)
         ens = [random_ens(rng) for _ in range(5)]
         bounds.hierarchy_batch(np.array([e.probs for e in ens]), np.array([e.states for e in ens]))
-        # the states and average states take matfun's 2×2 closed forms, the five auxiliary
+        # the states and average states take matfun's 2×2 closed forms, the four auxiliary
         # matrices one spectrum3 that leaves no row to LAPACK
-        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "spectrum3": [(5, 5, 3, 3)]}
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "spectrum3": [(5, 4, 3, 3)]}
 
     def test_qubit_roots_make_no_eigenvector(self):
         # in-band qubit states take the closed-form root and the entrywise products: no eigenvector
@@ -792,7 +807,7 @@ class TestHierarchy:
         assert bounds.hierarchy(e) is None
         batch = bounds.hierarchy_batch(np.array([e.probs, [0.2, 0.3, 0.5]]), np.array([states] * 2))
         assert batch["kept"].tolist() == [False, True] and not batch["conjecture"].any()
-        for name in HIERARCHY_COLUMNS[:5]:
+        for name in HIERARCHY_COLUMNS[:4]:
             assert math.isnan(batch[name][0]) and math.isfinite(batch[name][1]), name
 
     def test_nan_s_g_of_a_kept_row_is_a_violation(self, monkeypatch):
@@ -801,8 +816,8 @@ class TestHierarchy:
 
         def nan_s_g(w, *args):
             ent = real(w, *args)
-            if ent.shape[-1] == 5:  # the five auxiliary matrices; S(G) is the second
-                ent[1, 1] = math.nan
+            if w.shape[-1] == 3:  # the four auxiliary matrices' 3×3 spectra (chi's are 2-vectors); S(G) is the first
+                ent[1, 0] = math.nan
             return ent
 
         monkeypatch.setattr(bounds, "_eigenvalue_entropy", nan_s_g)

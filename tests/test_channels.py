@@ -110,6 +110,10 @@ class TestIsCptp:
         report = channels.is_cptp([0.9 * k for k in phi.kraus])
         assert not report.tp
 
+    def test_channel_is_its_own_report(self):
+        phi = random_channel(2, 3, stream_rng(42, 2))
+        assert channels.is_cptp(phi) == phi.is_cptp() == channels.is_cptp(phi.kraus)
+
 
 class TestReport:
     def test_matches_the_reference_formula(self):
@@ -470,6 +474,11 @@ class TestKrausFromEnsemble:
         e = Ensemble(np.full(2, 0.5), [np.diag([1.0, 0.0]), second])
         with pytest.raises(ValueError, match="average state .* is singular"):
             channels.kraus_from_ensemble(e, [np.eye(2)] * 2)
+
+    def test_one_unitary_per_state(self):
+        e = Ensemble(np.full(2, 0.5), [np.eye(2) / 2, np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match="one unitary per state"):
+            channels.kraus_from_ensemble(e, [np.eye(2)])
 
 
 class TestSerialization:

@@ -264,6 +264,7 @@ USAGE_ERRORS = [
     ["hierarchy", "--format", "csv"],
     ["hierarchy", "--resolution", "10"],
     ["figure", "--figure", "scatter-q", "--b", "1.5"],
+    ["hierarchy", "--b", "inf"],  # the report would carry "b": Infinity, which is not JSON
 ]
 
 
@@ -353,6 +354,18 @@ class TestHierarchy:
         assert table["chi"]["mean"] == 0.0 and table["chi"]["std"] == 0.0
         assert table["h_p"]["mean"] == 1.0 and table["h_p"]["std"] == 0.0
         assert set(table) == {"chi", "s_fid", "s_layered", "s_fid_sq", "s_fid_b", "h_p"}
+
+    def test_report_on_stdout_and_summary_on_stderr(self, capsys):
+        # without --output the JSON report goes to stdout and one "# name mean ± std" line per
+        # column to stderr, to four decimals
+        code = cli.main(["hierarchy", "--trials", "40", "--seed", "5"])
+        out, err = capsys.readouterr()
+        table = json.loads(out)["results"]["table"]
+        assert code == 0 and len(err.splitlines()) == len(table)
+        for line, (name, cell) in zip(err.splitlines(), table.items()):
+            hash_, label, mean, pm, std = line.split()
+            assert (hash_, label, pm) == ("#", name, "±")
+            assert abs(float(mean) - cell["mean"]) <= 5e-5 and abs(float(std) - cell["std"]) <= 5e-5
 
     def test_conjecture_violation_exits_1(self, tmp_path, monkeypatch):
         batch = cli.bounds.hierarchy_batch
@@ -684,6 +697,22 @@ class TestFigures:
             assert ("1" if res.is_member else "0") == member
         cross = tmp_path / "set_cross.csv"
         assert cross.exists()
+
+    def test_davies_qutrit_set_json(self, capsys, tmp_path):
+        # --format json writes each table as its CSV rows, keyed by the header; on stdout
+        # only the main table is written, with --output the cross section beside it
+        argv = ["figure", "--figure", "davies-qutrit-set", "--resolution", "11"]  # 10 has no cross section
+        cli.main(argv + ["--output", str(tmp_path / "set.csv")])
+        code, out = run_main(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert cli.main(argv + ["--format", "json", "--output", str(tmp_path / "set.json")]) == 0
+        assert json.loads((tmp_path / "set.json").read_text()) == json.loads(out)
+        for part in ("set", "set_cross"):
+            header, *rows = (tmp_path / f"{part}.csv").read_text().strip().splitlines()
+            got = json.loads((tmp_path / f"{part}.json").read_text())
+            assert [list(r) for r in got] == [header.split(",")] * len(rows)
+            assert [list(r.values()) for r in got] == [row.split(",") for row in rows]
+        assert len(json.loads(out)) > len(json.loads((tmp_path / "set_cross.json").read_text())) > 0
 
     def test_davies_qubit_region(self, capsys):
         code, out = run_main(capsys, ["figure", "--figure", "davies-qubit-region",

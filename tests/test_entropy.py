@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 
 from chanent import entropy
 from chanent.entropy import EntropyOrder
-from chanent.matfun import SUPPORT_CUTOFF, NonFiniteError, kron
+from chanent.matfun import SUPPORT_CUTOFF, NonFiniteError
 from chanent.sampling import dirichlet, hs_random_density, stream_rng
 from chanent.states import pure_state, root_fidelity
 from oracle import decimal_entropy
@@ -211,7 +211,7 @@ class TestQuantumMutualInformation:
         rng = stream_rng(22, 1)
         a = hs_random_density(2, rng)
         b = hs_random_density(3, rng)
-        assert abs(entropy.quantum_mutual_information(kron(a, b), (2, 3))) < 1e-10
+        assert abs(entropy.quantum_mutual_information(np.kron(a, b), (2, 3))) < 1e-10
 
     def test_bell_state(self):
         bell = pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -293,6 +293,19 @@ class TestJsd:
         )
         assert abs(val - oracle) < 1e-12
         assert val >= -1e-12
+
+
+class TestInputChecks:
+    # zip would pair the first weights with the first distributions and drop the rest
+    @pytest.mark.parametrize("call, match", [
+        (lambda: entropy.jsd([[1, 0], [0, 1], [0.5, 0.5]], weights=[0.5, 0.5]), "one weight per distribution"),
+        (lambda: entropy.jsd([[1, 0], [0, 1]], weights=[0.5, 0.25, 0.25]), "one weight per distribution"),
+        (lambda: EntropyOrder("boltzmann"), "unknown entropy kind"),
+        (lambda: entropy.Ensemble([0.5, 0.5], [np.eye(2) / 2]), "equal length"),
+    ], ids=["jsd-fewer-weights", "jsd-more-weights", "entropy-kind", "ensemble-length"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestEntropyInequalities:

@@ -89,28 +89,6 @@ class TestPartialTrace:
             matfun.partial_trace(np.eye(6), (2, 2), 1)
 
 
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(matfun.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_units(self):
-        e01 = np.zeros((2, 2))
-        e01[0, 1] = 1
-        e10 = np.zeros((2, 2))
-        e10[1, 0] = 1
-        k = matfun.kron(e01, e10)
-        expected = np.zeros((4, 4))
-        expected[0 * 2 + 1, 1 * 2 + 0] = 1  # row (0,1), column (1,0)
-        np.testing.assert_allclose(k, expected)
-
-    def test_mixed_product(self):
-        rng = stream_rng(3, 0)
-        a, b, c, d = (rand_complex(rng, (2, 2)) for _ in range(4))
-        lhs = matfun.kron(a, b) @ matfun.kron(c, d)
-        rhs = matfun.kron(a @ c, b @ d)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
 class TestPsdSqrt:
     def test_identity(self):
         np.testing.assert_allclose(matfun.psd_sqrt(np.eye(3)), np.eye(3))

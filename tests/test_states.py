@@ -162,7 +162,14 @@ class TestFidelity:
             assert abs(got - abs(np.vdot(a, b))) < 1e-14
 
 
+def bloch_fidelity(x, y) -> float:
+    """The qubit fidelity (1 + x·y + sqrt(1 - |x|²) sqrt(1 - |y|²))/2 of two Bloch vectors."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return 0.5 * (1.0 + x @ y + math.sqrt(max(1.0 - x @ x, 0.0)) * math.sqrt(max(1.0 - y @ y, 0.0)))
+
+
 class TestFidelityBloch:
+    # states.fidelity on Bloch-vector states against the Bloch form of the qubit fidelity
     def test_pure_states_at_angle(self):
         # F = cos²(alpha/2) for pure states separated by the angle alpha
         rng = stream_rng(13, 0)
@@ -170,17 +177,17 @@ class TestFidelityBloch:
             alpha = rng.random() * math.pi
             x = np.array([0.0, 0.0, 1.0])
             y = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
-            got = states.fidelity_qubit_bloch(x, y)
+            got = states.fidelity(states.from_bloch(x), states.from_bloch(y))
             assert abs(got - math.cos(alpha / 2) ** 2) < 1e-12
 
     def test_pure_vs_maximally_mixed(self):
-        assert abs(states.fidelity_qubit_bloch([0, 0, 1], [0, 0, 0]) - 0.5) < 1e-12
+        assert abs(states.fidelity(states.from_bloch([0, 0, 1]), states.from_bloch([0, 0, 0])) - 0.5) < 1e-12
 
     def test_matches_matrix_fidelity(self):
         rng = stream_rng(13, 1)
         for _ in range(100):
             x, y = random_bloch(rng), random_bloch(rng)
-            lhs = states.fidelity_qubit_bloch(x, y)
+            lhs = bloch_fidelity(x, y)
             rhs = states.fidelity(states.from_bloch(x), states.from_bloch(y))
             assert abs(lhs - rhs) < 1e-10
 
@@ -283,3 +290,23 @@ class TestFailClosed:
         u[0, 1] = bad
         with pytest.raises(ValueError, match="unitary"):
             states.purify(np.eye(2) / 2, u)
+
+
+class TestInputChecks:
+    # each check names what it rejects, before any arithmetic on the input
+    @pytest.mark.parametrize("call, match", [
+        (lambda: states.assert_state(np.full((2, 3), 0.1)), "square"),
+        (lambda: states.assert_state(np.array([[0.5, 0.1], [0.0, 0.5]])), "not Hermitian"),
+        (lambda: states.assert_state(np.eye(2)), "trace is 2"),
+        (lambda: states.assert_state(np.diag([1.5, -0.5])), "negative eigenvalue"),
+        (lambda: states.pure_state([1.0, 1.0]), "amplitude norm"),
+        (lambda: states.from_bloch([0.0, 1.0]), "3 components"),
+        (lambda: states.to_bloch(np.eye(3) / 3), "2×2 state"),
+    ], ids=["non-square", "non-hermitian", "trace", "negative", "norm", "bloch-length", "to-bloch-shape"])
+    def test_invalid_state_rejected(self, call, match):
+        with pytest.raises(states.InvalidStateError, match=match):
+            call()
+
+    def test_root_fidelity_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            states.root_fidelity(np.eye(2) / 2, np.eye(3) / 3)
