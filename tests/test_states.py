@@ -293,7 +293,7 @@ class TestFailClosed:
 
 
 class TestInputChecks:
-    # each check names what it rejects, before any arithmetic on the input
+    # each rejection names what it rejects
     @pytest.mark.parametrize("call, match", [
         (lambda: states.assert_state(np.full((2, 3), 0.1)), "square"),
         (lambda: states.assert_state(np.array([[0.5, 0.1], [0.0, 0.5]])), "not Hermitian"),
@@ -302,7 +302,7 @@ class TestInputChecks:
         (lambda: states.pure_state([1.0, 1.0]), "amplitude norm"),
         (lambda: states.from_bloch([0.0, 1.0]), "3 components"),
         (lambda: states.to_bloch(np.eye(3) / 3), "2×2 state"),
-    ], ids=["non-square", "non-hermitian", "trace", "negative", "norm", "bloch-length", "to-bloch-shape"])
+    ], ids=["non-square", "non-hermitian", "trace", "negative", "norm", "from-bloch-shape", "to-bloch-shape"])
     def test_invalid_state_rejected(self, call, match):
         with pytest.raises(states.InvalidStateError, match=match):
             call()
