@@ -5,6 +5,7 @@ two-pure-one-mixed qubit geometry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -247,11 +248,23 @@ def _root_fidelity_matrix(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     polar factors are the steps of the layered chain.
     """
     k = roots.shape[-3]
-    i, j = np.triu_indices(k, 1)
+    i, j, neighbours, _ = _k_indices(k)
     tr_abs, w = root_svd(matmul(roots[..., j, :, :], roots[..., i, :, :]))
     rf = np.ones(roots.shape[:-3] + (k, k))
     rf[..., i, j] = rf[..., j, i] = np.clip(tr_abs, 0.0, 1.0)
-    return rf, w[..., np.flatnonzero(j == i + 1), :, :]
+    return rf, w[..., neighbours, :, :]
+
+
+@functools.lru_cache(maxsize=16)
+def _k_indices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, neighbours, eye) of k×k matrices: the upper-triangle pairs i < j, the positions
+    of the neighbour pairs j = i + 1 among them, and the boolean identity. Built once per k
+    and shared by every caller, so the arrays are read-only."""
+    i, j = np.triu_indices(k, 1)
+    arrays = i, j, np.flatnonzero(j == i + 1), np.eye(k, dtype=bool)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _root_probs(probs: np.ndarray) -> np.ndarray:
@@ -261,7 +274,7 @@ def _root_probs(probs: np.ndarray) -> np.ndarray:
 
 def _damped(g: np.ndarray, b: float) -> np.ndarray:
     """g with its off-diagonal entries divided by b."""
-    return np.where(np.eye(g.shape[-1], dtype=bool), g, g / b)
+    return np.where(_k_indices(g.shape[-1])[3], g, g / b)
 
 
 def check_b(b: float, dim: int) -> None:
@@ -315,6 +328,9 @@ def _layered_matrix(probs: np.ndarray, rf: np.ndarray, roots: np.ndarray, steps:
     kernel has dimension 2 or more (orthogonal pure neighbours, or states of
     rank n-2 or less beyond qubits) the limit can depend on how the states
     are approached, and the det-one value is returned.
+    The chain's trace is an einsum, not a sum of the diagonal: on a (B, n, n) stack that
+    sum is a slow strided reduction. For n <= 3 both add in the same order, to the same
+    bytes; for n >= 4 the einsum may add in another order, a few ulps away.
     """
     k = roots.shape[-3]
     root_p = _root_probs(probs)
@@ -327,7 +343,7 @@ def _layered_matrix(probs: np.ndarray, rf: np.ndarray, roots: np.ndarray, steps:
         for j in range(i + 2, k):
             chain = matmul(steps[..., j - 1, :, :], chain)
             ends = matmul(roots[..., i, :, :], roots[..., j, :, :])
-            val = root_p[..., i, j] * matmul(ends, chain).diagonal(0, -2, -1).sum(-1)
+            val = root_p[..., i, j] * np.einsum("...ii->...", matmul(ends, chain))
             sigma[..., i, j] = val
             sigma[..., j, i] = np.conj(val)
     return sigma

@@ -194,8 +194,9 @@ def run_hierarchy(
     kept = cols["kept"]
     # chi and H(P) are the endpoints 0 and 1 of the normalized scale
     cols["chi"], cols["h_p"] = np.zeros(trials), np.ones(trials)
-    table = {name: {stat: float(getattr(cols[name][kept], stat)()) for stat in ("mean", "std", "min", "max")}
-             for name in _HIERARCHY_FIELDS}
+    kept_cols = {name: cols[name][kept] for name in _HIERARCHY_FIELDS}
+    table = {name: {stat: float(getattr(x, stat)()) for stat in ("mean", "std", "min", "max")}
+             for name, x in kept_cols.items()}
     n_kept = int(np.count_nonzero(kept))
     return {
         "trials": trials,

@@ -404,22 +404,28 @@ def davies_set_sweep(resolution: int = 50):
     on a grid of the given resolution, f12 outermost; the coordinates map to
     the block's lower off-diagonals as (F32, F31, F21) = (f12, f13, f23), the
     level relabeling under which the printed L21 formula matches the published
-    points. The whole grid is one `_membership_stack`. Yields dict rows; the
-    cross-section rows (plane sum = 1/2) are marked with in_cross_section. On
+    points. The whole grid is one `_membership_stack`. Yields dict rows. On
     the boundary, a rate that diverges is ±inf.
+
+    in_cross_section marks the grid layer or layers nearest the plane sum = 1/2. With
+    spacing h = 1/(resolution - 1) a point's sum is m·h for an integer index sum m, and the
+    nearest layers are those with |2m - (resolution - 1)| <= 1: the plane itself when
+    resolution is odd, the two layers h/2 either side of it when it is even. The test is
+    on the integer m, so no rounding of the sums can move a row in or out.
     """
     if resolution < MIN_SWEEP_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_SWEEP_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
-    f12, f13, f23 = (a.ravel() for a in np.meshgrid(grid, grid, grid, indexing="ij"))
+    i12, i13, i23 = (a.ravel() for a in np.indices((resolution,) * 3))
+    f12, f13, f23 = grid[i12], grid[i13], grid[i23]
     total = f12 + f13 + f23
     keep = total <= 1.0 + DOMAIN_EDGE
-    f12, f13, f23, total = f12[keep], f13[keep], f23[keep], total[keep]
+    f12, f13, f23, layer = f12[keep], f13[keep], f23[keep], (i12 + i13 + i23)[keep]
     rates = np.stack([f23, f13, f12], axis=-1)
     gen, member, boundary, _ = _membership_stack(rates, np.broadcast_to(_UNIFORM, rates.shape))
     columns = dict(f12=f12, f13=f13, f23=f23, member=member, boundary=boundary,
                    l21=gen[:, 1, 0], l31=gen[:, 2, 0], l32=gen[:, 2, 1],
-                   in_cross_section=np.abs(total - 0.5) < 0.5 / resolution)
+                   in_cross_section=np.abs(2 * layer - (resolution - 1)) <= 1)
     values = [col.tolist() for col in columns.values()]
     return [dict(zip(columns, row)) for row in zip(*values)]
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chanent import bounds, cli, qubit, sampling
-from tests_support import conjecture_reference, record_shapes
+from tests_support import conjecture_reference, forbid_calls, record_shapes
 
 
 def run_main(capsys, argv):
@@ -301,6 +301,27 @@ class TestUsageErrors:
         assert capsys.readouterr().out == ""
 
 
+class TestBenchRecorder:
+    """tests/bench_record.py's CLI pass; the full table takes about a minute, so only its shape is run here."""
+
+    def test_every_recorded_command_is_valid(self):
+        import bench_record
+
+        parser = cli._build_parser()
+        for argv in bench_record.CLI_COMMANDS:
+            args = parser.parse_args(argv)
+            args.trials = args.trials or 10000  # main's default, which figure davies-qutrit-set ignores
+            cli._validate(parser, args)
+
+    def test_times_each_command_after_import(self):
+        import bench_record
+
+        argv = ["hierarchy", "--trials", "20", "--seed", "3"]
+        rows = bench_record.time_commands([argv], 2)
+        assert [row["argv"] for row in rows] == [argv]
+        assert len(rows[0]["runs_s"]) == 2 and rows[0]["best_s"] == min(rows[0]["runs_s"]) > 0.0
+
+
 class TestImports:
     def test_no_command_loads_scipy(self, tmp_path):
         # every command in one fresh interpreter: importing SciPy would dominate a short command's start
@@ -414,6 +435,15 @@ class TestHierarchy:
         rows = [{name: col[i].item() for name, col in cols.items()} if cols["kept"][i] else None
                 for i in range(40)]
         assert rows == expected
+
+    @pytest.mark.parametrize("ancilla", [1, 3])
+    def test_chunk_makes_no_trace_call(self, monkeypatch, ancilla):
+        # np.trace over the last two axes of a (B, 3, 2, 2) stack is a strided reduction that can
+        # cost more than the chunk's arithmetic; the chunk's traces are einsums
+        params = {"b": math.sqrt(3.0), "ancilla": ancilla}
+        expected = cli._hierarchy_chunk((42, 0, 150, params))
+        forbid_calls(monkeypatch, [np], ["trace"])
+        assert_columns_equal(cli._hierarchy_chunk((42, 0, 150, params)), expected)
 
     def test_rows_independent_of_chunk_size(self):
         # each chunk is one stacked evaluation; a row never depends on its neighbours
@@ -696,12 +726,13 @@ class TestFigures:
             res = davies.membership(block)
             assert ("1" if res.is_member else "0") == member
         cross = tmp_path / "set_cross.csv"
-        assert cross.exists()
+        header, *rows = cross.read_text().strip().splitlines()
+        assert header == lines[0] and rows  # an even resolution has cross-section rows too
 
     def test_davies_qutrit_set_json(self, capsys, tmp_path):
         # --format json writes each table as its CSV rows, keyed by the header; on stdout
         # only the main table is written, with --output the cross section beside it
-        argv = ["figure", "--figure", "davies-qutrit-set", "--resolution", "11"]  # 10 has no cross section
+        argv = ["figure", "--figure", "davies-qutrit-set", "--resolution", "11"]
         cli.main(argv + ["--output", str(tmp_path / "set.csv")])
         code, out = run_main(capsys, argv + ["--format", "json"])
         assert code == 0

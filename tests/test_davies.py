@@ -344,6 +344,28 @@ class TestSweep:
         with pytest.raises(ValueError):
             davies.davies_set_sweep(resolution=5)
 
+    @pytest.mark.parametrize("resolution", [10, 11, 12, 13, 50])
+    def test_cross_section_is_the_layers_nearest_the_plane(self, resolution):
+        # grid sums are m·h, h = 1/(resolution - 1): an odd resolution has the plane sum = 1/2
+        # as a layer, an even one the two layers h/2 either side of it; no row is farther
+        h = 1.0 / (resolution - 1)
+        rows = davies.davies_set_sweep(resolution)
+        gaps = [abs(r["f12"] + r["f13"] + r["f23"] - 0.5) / h for r in rows]
+        cross = [g for g, r in zip(gaps, rows) if r["in_cross_section"]]
+        assert cross and max(cross) <= 0.5 + 1e-12
+        assert min(g for g, r in zip(gaps, rows) if not r["in_cross_section"]) >= 1.0 - 1e-12
+        if resolution % 2:
+            assert max(cross) <= 1e-12
+        else:
+            assert min(cross) >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("resolution", [11, 13])
+    def test_odd_resolution_keeps_the_plane_rows(self, resolution):
+        # the rule before the layers were counted by index: |sum - 1/2| < 0.5/resolution
+        rows = davies.davies_set_sweep(resolution)
+        assert [r["in_cross_section"] for r in rows] == [
+            abs(r["f12"] + r["f13"] + r["f23"] - 0.5) < 0.5 / resolution for r in rows]
+
 
 @pytest.fixture(scope="module")
 def sweep50():

@@ -114,6 +114,37 @@ class TestWholeBlockBytes:
             assert new.random() == old.random()
 
 
+class TestGramDensity:
+    """_gram_density normalizes by an einsum trace; per matrix it is rho / np.trace(rho).real."""
+
+    @staticmethod
+    def _stack(b, n, a, seed):
+        g = sampling.complex_gaussian(sampling.stream_rng(seed, b), (b, 3, n, a))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        return g, np.array([[m / np.trace(m).real for m in row] for row in rho])
+
+    @pytest.mark.parametrize("b", [1, 7, 150])
+    @pytest.mark.parametrize("n, a", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (3, 5)])
+    def test_bytes_of_np_trace_up_to_qutrits(self, b, n, a):
+        g, expected = self._stack(b, n, a, 81)
+        assert sampling._gram_density(g).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("b", [1, 7, 150])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_within_rounding_of_np_trace_beyond(self, b, n):
+        # both traces add the same n positive diagonal entries, perhaps in other orders:
+        # each sum is within (n - 1)u of the exact trace, relative to it (u = eps/2), so the
+        # two differ by at most 2(n - 1)u. A complex entry divided by a real trace t is each
+        # part times 1/t, two roundings per path. So each real part x moves by at most
+        # (2(n - 1) + 4)u|x| = (n + 1)eps|x| to first order; one eps more covers the rest
+        eps = np.finfo(float).eps
+        g, expected = self._stack(b, n, n, 82)
+        got = sampling._gram_density(g)
+        for part in ("real", "imag"):
+            x, y = getattr(got, part), getattr(expected, part)
+            assert np.all(np.abs(x - y) <= (n + 2) * eps * np.abs(y))
+
+
 class TestBoxMuller:
     def test_bytes_are_the_polar_formula_and_u_is_not_written(self):
         u = sampling.stream_rng(34, 0).random((3, 40))
@@ -252,6 +283,12 @@ class TestStreamUniforms:
         assert u.shape == (size, count) and u.dtype == np.float64
         for row, t in zip(u, range(start, start + size)):
             assert row.tobytes() == sampling.stream_rng(seed, t).random(count).tobytes()
+
+    def test_hierarchy_chunk_shape(self):
+        # a hierarchy chunk: 150 streams of 39 uniforms, the last of its 10 blocks cut short
+        u = sampling.stream_uniforms(1108, 300, 450, 39)
+        for row, t in zip(u, range(300, 450)):
+            assert row.tobytes() == sampling.stream_rng(1108, t).random(39).tobytes()
 
     def test_empty_range(self):
         assert sampling.stream_uniforms(5, 7, 7, 9).shape == (0, 9)
