@@ -255,16 +255,12 @@ def _root_fidelity_matrix(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rf, w[..., neighbours, :, :]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _k_indices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, neighbours, eye) of k×k matrices: the upper-triangle pairs i < j, the positions
-    of the neighbour pairs j = i + 1 among them, and the boolean identity. Built once per k
-    and shared by every caller, so the arrays are read-only."""
+    """The pairs i < j of k×k matrices, the positions of the neighbours j = i + 1 among them,
+    and the boolean identity: built once per k and shared by every call, never written to."""
     i, j = np.triu_indices(k, 1)
-    arrays = i, j, np.flatnonzero(j == i + 1), np.eye(k, dtype=bool)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return i, j, np.flatnonzero(j == i + 1), np.eye(k, dtype=bool)
 
 
 def _root_probs(probs: np.ndarray) -> np.ndarray:
@@ -328,9 +324,8 @@ def _layered_matrix(probs: np.ndarray, rf: np.ndarray, roots: np.ndarray, steps:
     kernel has dimension 2 or more (orthogonal pure neighbours, or states of
     rank n-2 or less beyond qubits) the limit can depend on how the states
     are approached, and the det-one value is returned.
-    The chain's trace is an einsum, not a sum of the diagonal: on a (B, n, n) stack that
-    sum is a slow strided reduction. For n <= 3 both add in the same order, to the same
-    bytes; for n >= 4 the einsum may add in another order, a few ulps away.
+    The chain's trace is an einsum: a sum of a stack's diagonals is a slow strided reduction.
+    For n <= 3 both add in one order, to the same bytes; for n >= 4 they may differ by ulps.
     """
     k = roots.shape[-3]
     root_p = _root_probs(probs)

@@ -194,9 +194,8 @@ def run_hierarchy(
     kept = cols["kept"]
     # chi and H(P) are the endpoints 0 and 1 of the normalized scale
     cols["chi"], cols["h_p"] = np.zeros(trials), np.ones(trials)
-    kept_cols = {name: cols[name][kept] for name in _HIERARCHY_FIELDS}
     table = {name: {stat: float(getattr(x, stat)()) for stat in ("mean", "std", "min", "max")}
-             for name, x in kept_cols.items()}
+             for name in _HIERARCHY_FIELDS for x in [cols[name][kept]]}  # one masked copy per field
     n_kept = int(np.count_nonzero(kept))
     return {
         "trials": trials,

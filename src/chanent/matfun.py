@@ -294,13 +294,10 @@ def _trig3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Complex products are spelled out in real arithmetic: NumPy rounds a
     complex product of two scalars differently from the same product in an
     array loop (one of them fuses a multiply and an add), which would make a
-    matrix's last bit depend on whether it comes alone or in a stack. The nine real
-    entries are gathered into one contiguous array first: real arithmetic rounds the same
-    on any layout, and on strided views of h each operation costs about twice as much.
+    matrix's last bit depend on whether it comes alone or in a stack.
     """
-    d0, d1, d2, xr, xi, zr, zi, yr, yi = np.array([
-        h[..., 0, 0].real, h[..., 1, 1].real, h[..., 2, 2].real, h[..., 0, 1].real, h[..., 0, 1].imag,
-        h[..., 0, 2].real, h[..., 0, 2].imag, h[..., 1, 2].real, h[..., 1, 2].imag])
+    d0, d1, d2 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 2, 2].real
+    (xr, xi), (zr, zi), (yr, yi) = ((b.real, b.imag) for b in (h[..., 0, 1], h[..., 0, 2], h[..., 1, 2]))
     m = (d0 + d1 + d2) / 3.0
     k0, k1, k2 = d0 - m, d1 - m, d2 - m
     shift = (k0 + k1 + k2) / 3.0  # the rounding of m, which would leave K a trace of its own size

@@ -89,26 +89,22 @@ def stream_uniforms(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     becomes the double (x >> 11) * 2**-53, as in Generator.random.
     """
     rows, blocks = max(stop - start, 0), -(-count // 4)
-    shape = (2, rows, blocks)
-    # every uint64 operation is on arrays, which wrap silently, as Philox needs; the key and
-    # the constants take the state's shape, since an operand that broadcasts costs about
-    # twice as much per operation on a chunk's few thousand words
-    m, m_lo, m_hi, weyl = (np.broadcast_to(c, shape).copy() for c in (_PHILOX_M, _M_LO, _M_HI, _PHILOX_W))
-    key = np.empty(shape, dtype=np.uint64)
+    # every uint64 operation is on arrays, which wrap silently, as Philox needs
+    key = np.empty((2, rows, 1), dtype=np.uint64)
     key[0] = seed & 0xFFFFFFFFFFFFFFFF
-    key[1] = (np.arange(rows, dtype=np.uint64) + np.uint64(start))[:, None]
-    even = np.zeros(shape, dtype=np.uint64)  # counter words 0 and 2
+    key[1, :, 0] = np.arange(rows, dtype=np.uint64) + np.uint64(start)
+    even = np.zeros((2, rows, blocks), dtype=np.uint64)  # counter words 0 and 2
     even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
     odd = np.zeros_like(even)  # counter words 1 and 3
     for r in range(10):
         if r:
-            key = key + weyl
+            key = key + _PHILOX_W
         # high 64 bits of M * even from 32-bit halves (the low ones wrap)
         x_lo, x_hi = even & _LOW32, even >> np.uint64(32)
-        t = m_lo * x_hi + ((m_lo * x_lo) >> np.uint64(32))
-        u = m_hi * x_lo + (t & _LOW32)
-        hi = m_hi * x_hi + (t >> np.uint64(32)) + (u >> np.uint64(32))
-        even, odd = hi[::-1] ^ odd ^ key, (m * even)[::-1]
+        t = _M_LO * x_hi + ((_M_LO * x_lo) >> np.uint64(32))
+        u = _M_HI * x_lo + (t & _LOW32)
+        hi = _M_HI * x_hi + (t >> np.uint64(32)) + (u >> np.uint64(32))
+        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
     words = np.stack([even, odd], axis=1).reshape(4, rows, blocks)
     raw = words.transpose(1, 2, 0).reshape(rows, 4 * blocks)[:, :count]
     return (raw >> np.uint64(11)) * 2.0**-53
@@ -145,14 +141,10 @@ def _induced_ancilla(n: int, ancilla: int | None) -> int:
 
 
 def _gram_density(g: np.ndarray) -> np.ndarray:
-    """G G†/tr(G G†) of each matrix G of a (..., n, a) stack.
-
-    The trace is an einsum: np.trace over the last two axes of a stack is a strided
-    reduction whose cost varies from process to process, on a hierarchy chunk's
-    (150, 3, 2, 2) stack up to 30 times the einsum's (2-core x86, NumPy 2.4). For n <= 3
-    the einsum adds in np.trace's order, to the same bytes; for n >= 4 it may add in
-    another, and each entry moves by at most (n + 2) eps of itself.
-    """
+    """G G†/tr(G G†) of each matrix G of a (..., n, a) stack. The trace is an einsum, since
+    np.trace on a stack is a strided reduction, on a (150, 3, 2, 2) stack up to 30 times slower.
+    For n <= 3 both add in one order, to the same bytes; for n >= 4 an entry moves by at most
+    (n + 2) eps of itself."""
     rho = g @ g.conj().swapaxes(-1, -2)
     return rho / np.einsum("...ii->...", rho).real[..., None, None]
 

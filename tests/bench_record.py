@@ -81,7 +81,8 @@ print(time.perf_counter() - t0)
 
 
 def time_commands(commands, repeats: int) -> list:
-    """Best and every wall time of each command through cli.main, output discarded, in this process."""
+    """Best and every wall time of each command through cli.main, output discarded, in this process.
+    A command that exits nonzero raises: its time would not be the command's."""
     from chanent import cli  # from the interpreter that cli_timings starts, with src/ on its path
 
     out = []
@@ -90,8 +91,10 @@ def time_commands(commands, repeats: int) -> list:
         for _ in range(repeats):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 t0 = time.perf_counter()
-                cli.main(list(argv))
+                code = cli.main(list(argv))
                 runs.append(time.perf_counter() - t0)
+            if code:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
         out.append({"argv": list(argv), "best_s": min(runs), "runs_s": runs})
     return out
 

@@ -310,7 +310,8 @@ class TestBenchRecorder:
         parser = cli._build_parser()
         for argv in bench_record.CLI_COMMANDS:
             args = parser.parse_args(argv)
-            args.trials = args.trials or 10000  # main's default, which figure davies-qutrit-set ignores
+            if args.trials is None:  # as main does; figure davies-qutrit-set ignores it
+                args.trials = cli._DEFAULT_TRIALS.get(getattr(args, "suite", None), 10000)
             cli._validate(parser, args)
 
     def test_times_each_command_after_import(self):
@@ -320,6 +321,13 @@ class TestBenchRecorder:
         rows = bench_record.time_commands([argv], 2)
         assert [row["argv"] for row in rows] == [argv]
         assert len(rows[0]["runs_s"]) == 2 and rows[0]["best_s"] == min(rows[0]["runs_s"]) > 0.0
+
+    def test_a_nonzero_exit_is_not_recorded(self, monkeypatch):
+        import bench_record
+
+        monkeypatch.setattr(cli, "main", lambda argv: 1)
+        with pytest.raises(RuntimeError, match="exited 1"):
+            bench_record.time_commands([["hierarchy", "--trials", "20"]], 1)
 
 
 class TestImports:
