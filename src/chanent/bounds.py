@@ -68,9 +68,8 @@ def holevo(e: Ensemble, order: EntropyOrder = VON_NEUMANN) -> float:
         return float(s_avg - s_each)
     if order.kind == "tsallis":
         avg = e.average()
-        return sum(
-            p * relative_entropy(s, avg, order) for p, s in zip(e.probs, e.states)
-        )
+        # a zero-weight state may lie off avg's support, where its divergence is infinite
+        return sum(p * relative_entropy(s, avg, order) for p, s in zip(e.probs, e.states) if p > 0.0)
     # Rényi
     q = order.q
     mix = sum(p * psd_power(s, q) for p, s in zip(e.probs, e.states))
@@ -96,14 +95,8 @@ def correlation_from_ensemble(e: Ensemble, unitaries) -> np.ndarray:
     us = np.array(unitaries, dtype=complex)
     if len(us) != len(e):
         raise ValueError("need one unitary per state")
-    return hermitize(_purification_gram(e.probs, (us @ psd_sqrt(e.states)).reshape(len(e), -1)))
-
-
-def _purification_gram(probs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """sqrt(p_i p_j) <vec_j, vec_i> over (..., k) stacks of probabilities and
-    (..., k, m) purification vectors: with vec_i = vec(U_i sqrt(rho_i)) the entry
-    is sqrt(p_i p_j) tr(sqrt(rho_j) U_j† U_i sqrt(rho_i))."""
-    return _root_probs(probs) * (vecs @ vecs.conj().swapaxes(-1, -2))
+    vecs = (us @ psd_sqrt(e.states)).reshape(len(e), -1)  # vec(U_i sqrt(rho_i))
+    return hermitize(_root_probs(e.probs) * (vecs @ vecs.conj().T))
 
 
 def _vn_entropies(*blocks, weights=()) -> list:
@@ -478,7 +471,7 @@ def triple_from_params(a: float, b: float, alpha: float, beta: float) -> TripleG
         raise ValueError("angles must lie in [0, pi]")
     if not (0.0 <= b <= 1.0):
         raise ValueError("b must lie in [0, 1]")
-    oc_len = 0.5 * math.sqrt(9 * a * a - 6 * a * b * math.cos(alpha) + b * b)
+    oc_len = 0.5 * math.sqrt(max(9 * a * a - 6 * a * b * math.cos(alpha) + b * b, 0.0))  # may round below 0 at OC = 0
     if oc_len > 1.0 + DOMAIN_EDGE:
         raise ValueError(f"|OC| = {oc_len:.6f} exceeds 1: no pure pair exists")
     oa = np.array([0.0, 0.0, a])
@@ -489,10 +482,9 @@ def triple_from_params(a: float, b: float, alpha: float, beta: float) -> TripleG
         c_hat = oc / np.linalg.norm(oc)
     else:
         c_hat = np.array([0.0, 0.0, 1.0])
-    # unit vector orthogonal to c_hat in the y-z plane (the plane of OA, OB)
+    # unit vector orthogonal to c_hat in the y-z plane (the plane of OA, OB); c_hat is a
+    # unit vector of that plane, so u0 has norm 1 up to rounding
     u0 = np.array([0.0, c_hat[2], -c_hat[1]])
-    if np.linalg.norm(u0) < BLOCH_NULL_LENGTH:
-        u0 = np.array([0.0, 1.0, 0.0])
     u0 /= np.linalg.norm(u0)
     # cos(gamma) = |OC| directly, avoiding an acos/cos round trip
     cos_g = oc_len

@@ -77,10 +77,18 @@ def _choi(d: np.ndarray) -> np.ndarray:
     return hermitize(d.transpose(1, 0, 3, 2).reshape(n * out, n * out)) / n
 
 
+def _root_dims(m: np.ndarray, name: str) -> tuple[int, ...]:
+    """(out, in) of an out² × in² matrix; any other shape raises InvalidChannelError."""
+    roots = tuple(math.isqrt(d) for d in m.shape)
+    if m.ndim != 2 or any(r * r != d for r, d in zip(roots, m.shape)):
+        raise InvalidChannelError(f"{name} of shape {m.shape} is not out² × in²")
+    return roots
+
+
 def _unshuffle(s) -> np.ndarray:
     """d[i, j, k, l] = S[(i, k), (j, l)] of an out² × in² superoperator S."""
     s = np.asarray(s, dtype=complex)
-    out, n = math.isqrt(s.shape[0]), math.isqrt(s.shape[1])
+    out, n = _root_dims(s, "superoperator")
     return s.reshape(out, out, n, n).transpose(0, 2, 1, 3)
 
 
@@ -213,9 +221,11 @@ class Channel:
         """Channel from a normalized Choi state on C^N ⊗ C^N. Its unit trace and its
         marginal I/N are the TP test that `_dense` applies to N·choi."""
         choi = np.asarray(choi, dtype=complex)
+        n, m = _root_dims(choi, "Choi state")
+        if n != m:
+            raise InvalidChannelError(f"Choi state of shape {choi.shape} is not square")
         if not np.isfinite(choi).all():  # before the scaling, where inf·0j would make a NaN
             raise InvalidChannelError("Choi state has a NaN or infinite entry")
-        n = math.isqrt(len(choi))
         return cls._dense(n * choi.reshape(n, n, n, n).transpose(1, 0, 3, 2), "Choi state")
 
     @classmethod

@@ -196,17 +196,19 @@ def relative_entropy(
     """Relative entropy D(rho1 || rho2); von Neumann, Tsallis or Rényi version.
 
     Returns math.inf when the support of rho1 is not contained in the
-    support of rho2 (von Neumann case).
+    support of rho2 (von Neumann and order q > 1), or, for Rényi q < 1, when
+    the supports are orthogonal.
     """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
         raise ValueError("states must share a dimension")
-    if order.is_limit:
+    if order.is_limit or order.q > 1.0:
         # support check: weight of rho1 on the kernel of rho2
         kernel = spectral(rho2, lambda w: w <= SUPPORT_CUTOFF)
         if np.trace(kernel @ rho1).real > SUPPORT_LEAK:
             return math.inf
+    if order.is_limit:
         return float(np.trace(rho1 @ (psd_log(rho1) - psd_log(rho2))).real)
     q = order.q
     cross = float(np.trace(psd_power(rho1, q) @ psd_power(rho2, 1.0 - q)).real)

@@ -35,12 +35,20 @@ def commands():
             yield ["figure", "--figure", figure] + tail
 
 
-def digest(argv) -> str:
+def output(argv) -> str:
+    """argv's stdout through cli.main, without a report's elapsed_ms line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
-    text = re.sub(r'\n *"elapsed_ms": \d+,', "", out.getvalue())
+    return re.sub(r'\n *"elapsed_ms": \d+,', "", out.getvalue())
+
+
+def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(argv) -> str:
+    return sha256(output(argv))
 
 
 if __name__ == "__main__":

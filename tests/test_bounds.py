@@ -67,6 +67,15 @@ class TestHolevo:
                 assert bounds.holevo(e, EntropyOrder.tsallis(q)) >= -1e-10
                 assert math.isfinite(bounds.holevo(e, EntropyOrder.renyi(q)))
 
+    @pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+    def test_tsallis_skips_zero_weights(self, q):
+        # a zero-weight state off the average's support has an infinite divergence, and 0·inf is NaN
+        basis = [np.diag(row).astype(complex) for row in np.eye(3)]
+        order = EntropyOrder.tsallis(q)
+        got = bounds.holevo(Ensemble([0.5, 0.5, 0.0], basis), order)
+        assert abs(got - bounds.holevo(Ensemble([0.5, 0.5], [b[:2, :2] for b in basis[:2]]), order)) < 1e-15
+        assert math.isfinite(got) and got > 0.0
+
     def test_tsallis_approaches_von_neumann(self):
         e = random_ens(stream_rng(50, 30))
         chi = bounds.holevo(e)
@@ -499,6 +508,10 @@ class TestFidelityMatrix:
             g = bounds.fidelity_matrix(e, "G")
             assert np.linalg.eigvalsh(g).min() >= -1e-10
 
+    def test_no_indefinite_gram_for_three(self):
+        # G is PSD for up to three states, so the search finds nothing
+        assert bounds.find_indefinite_gram(k=3, trials=20, seed=3) is None
+
     def test_indefinite_for_four(self):
         found = bounds.find_indefinite_gram(k=4, trials=2000, seed=3)
         assert found is not None
@@ -911,6 +924,39 @@ class TestTripleGeometry:
     def test_constraint_violation_rejected(self):
         with pytest.raises(ValueError):
             bounds.triple_from_params(0.9, 1.0, math.pi, 0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, math.pi])
+    def test_antipodal_pair_at_oc_zero(self, beta):
+        # 9a² - 6ab + b² = 0 at a = 0.2, b = 0.6, alpha = 0 rounds to -5.6e-17, and its root raised
+        tri = bounds.triple_from_params(0.2, 0.6, 0.0, beta)
+        np.testing.assert_allclose(tri.point_f, -tri.point_g, atol=1e-15)
+        assert abs(np.linalg.norm(tri.point_f) - 1.0) < 1e-15
+        assert bounds.fidelity_sum_identity(tri) < 1e-12
+
+    def test_ensemble_is_the_uniform_triple(self):
+        tri = bounds.triple_from_params(0.3, 0.5, 0.4, 0.2)
+        e = tri.ensemble()
+        assert e.probs.tolist() == [1 / 3] * 3
+        np.testing.assert_array_equal(e.states, np.array(tri.states))
+        from chanent.states import to_bloch
+
+        np.testing.assert_allclose(to_bloch(e.average()), [0.0, 0.0, 0.3], atol=1e-12)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: bounds.correlation_from_ensemble(random_ensemble(3, 2, stream_rng(63, 0)), [np.eye(2)] * 2),
+         "one unitary per state"),
+        (lambda: bounds.sigma_min_two(np.eye(2) / 2, np.eye(2) / 2, 1.5), "lambda"),
+        (lambda: bounds.triple_from_params(0.3, 0.5, -0.1, 0.0), "angles"),
+        (lambda: bounds.triple_from_params(0.3, 0.5, 0.0, 4.0), "angles"),
+        (lambda: bounds.triple_from_params(0.3, 1.5, 0.0, 0.0), "b must lie"),
+        (lambda: bounds.symmetric_triple_check(0.5, 1.5), "b must lie"),
+        (lambda: bounds.symmetric_triple_check(0.5 + 1e-12, 1e-13), "b = 0 requires F = 1/2"),
+    ], ids=["unitary-count", "lambda", "alpha", "beta", "triple-b", "symmetric-b", "symmetric-b-zero"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestBunga:

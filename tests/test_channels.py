@@ -115,6 +115,28 @@ class TestIsCptp:
         assert channels.is_cptp(phi) == phi.is_cptp() == channels.is_cptp(phi.kraus)
 
 
+class TestShapeChecks:
+    # a dimension that is not a perfect square once reached NumPy's reshape error
+    @pytest.mark.parametrize("call, match", [
+        (lambda: Channel.from_superoperator(np.eye(5)), r"superoperator of shape \(5, 5\)"),
+        (lambda: Channel.from_superoperator(np.eye(4, 5)), r"superoperator of shape \(4, 5\)"),
+        (lambda: Channel.from_superoperator(np.ones(4)), r"superoperator of shape \(4,\)"),
+        (lambda: channels.is_cptp(np.eye(5)), r"superoperator of shape \(5, 5\)"),
+        (lambda: Channel.from_choi(np.eye(6) / 6), r"Choi state of shape \(6, 6\)"),
+        (lambda: Channel.from_choi(np.ones((4, 9)) / 4), r"Choi state of shape \(4, 9\) is not square"),
+        (lambda: Channel.from_choi(np.ones((2, 2, 2, 2))), r"Choi state of shape \(2, 2, 2, 2\)"),
+    ], ids=["superoperator-5", "superoperator-rectangular", "superoperator-vector", "is-cptp-5", "choi-6",
+            "choi-rectangular", "choi-4d"])
+    def test_rejected(self, call, match):
+        with pytest.raises(channels.InvalidChannelError, match=match):
+            call()
+
+    def test_rectangular_superoperator_accepted(self):
+        # out² × in² with out != in: a qubit-to-qutrit channel
+        phi = Channel([np.eye(3, 2)])
+        assert Channel.from_superoperator(phi.superoperator).out_dim == 3
+
+
 class TestReport:
     def test_matches_the_reference_formula(self):
         # Tr_out d - I and the dropped weight as they were first written, with an

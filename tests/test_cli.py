@@ -302,7 +302,7 @@ class TestUsageErrors:
 
 
 class TestBenchRecorder:
-    """tests/bench_record.py's CLI pass; the full table takes about a minute, so only its shape is run here."""
+    """tests/bench_record.py's CLI and digest passes; in full they take minutes, so only their shape is run here."""
 
     def test_every_recorded_command_is_valid(self):
         import bench_record
@@ -328,6 +328,19 @@ class TestBenchRecorder:
         monkeypatch.setattr(cli, "main", lambda argv: 1)
         with pytest.raises(RuntimeError, match="exited 1"):
             bench_record.time_commands([["hierarchy", "--trials", "20"]], 1)
+
+    def test_digest_pass_on_two_commands(self):
+        import bench_record
+        import cli_digest
+        from chanent.tolerances import VIOLATION_SLACK
+
+        commands = [["verify", "--suite", "davies", "--trials", "10", "--seed", "3"],
+                    ["hierarchy", "--trials", "20", "--seed", "3"]]
+        verify, hierarchy = bench_record.digests(commands)
+        assert [verify["sha256"], hierarchy["sha256"]] == [cli_digest.digest(argv) for argv in commands]
+        assert verify["jobs2_equal"] and verify["jobs2_sha256"] == verify["sha256"]
+        assert 0.0 <= verify["max_slack"] <= VIOLATION_SLACK
+        assert set(hierarchy) == {"argv", "sha256"}
 
 
 class TestImports:

@@ -322,6 +322,27 @@ class TestMembership:
         assert not res.is_member and res.reason
 
 
+    def test_l21_at_the_limit_band(self):
+        # x + y lies within DAVIES_LIMIT_BAND of 1, where L21's quotient is taken at its limit -1;
+        # the limit is off by at most 5e-10 (tolerances.py)
+        block = davies.DaviesQutritBlock(f21=0.1, f31=0.0, f32=1e-10)
+        assert abs(davies.l21_closed_form(block.stochastic_block()) - davies.membership(block).l21) <= 5e-10
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: davies.DaviesRates(1.0, 0.8, 0.3, -1.0), "time must be nonnegative"),
+        (lambda: davies.DaviesQutritBlock(-0.1, 0.0, 0.0), "must be nonnegative"),
+        (lambda: davies.DaviesQutritBlock(0.6, 0.6, 0.1), "column sums exceed 1"),
+        (lambda: davies.l21_closed_form(np.eye(3, dtype=complex)), "real matrix"),
+        # a cyclic permutation has the eigenvalues 1, exp(±2πi/3)
+        (lambda: davies.l21_closed_form(np.roll(np.eye(3), 1, axis=0)), "complex eigenvalue pair"),
+    ], ids=["negative-time", "negative-rate", "column-sum", "complex-block", "complex-pair"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestSweep:
     def test_origin_is_member(self):
         rows = davies.davies_set_sweep(resolution=10)

@@ -173,6 +173,26 @@ class TestRelativeEntropy:
         b = np.diag([0.0, 1.0]).astype(complex)
         assert entropy.relative_entropy(a, b) == math.inf
 
+    _PLUS = np.full((2, 2), 0.5, dtype=complex)
+    _ZERO = np.diag([1.0, 0.0]).astype(complex)
+
+    @pytest.mark.parametrize("order", [EntropyOrder.renyi(2), EntropyOrder.tsallis(2), EntropyOrder.renyi(1.5),
+                                       EntropyOrder.tsallis(3)], ids=["renyi2", "tsallis2", "renyi1.5", "tsallis3"])
+    def test_infinite_off_the_support_above_order_one(self, order):
+        # the Petz cross term tr rho1^q rho2^(1-q) sees only rho2's support: |+><+| against |0><0|
+        # read -ln 2 (renyi 2) and -0.5 (tsallis 2), below 0, where no relative entropy lies
+        assert entropy.relative_entropy(self._PLUS, self._ZERO, order) == math.inf
+
+    @pytest.mark.parametrize("order, want", [(EntropyOrder.renyi(0.5), 2 * math.log(2)),
+                                             (EntropyOrder.tsallis(0.5), 1.0)], ids=["renyi", "tsallis"])
+    def test_finite_off_the_support_below_order_one(self, order, want):
+        assert abs(entropy.relative_entropy(self._PLUS, self._ZERO, order) - want) < 1e-12
+
+    def test_renyi_below_order_one_infinite_on_orthogonal_supports(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        b = np.diag([0.0, 1.0]).astype(complex)
+        assert entropy.relative_entropy(a, b, EntropyOrder.renyi(0.5)) == math.inf
+
     def test_holevo_identity(self):
         # chi = sum p_i D(rho_i, rho_bar)
         from chanent.bounds import Ensemble, holevo
@@ -302,7 +322,10 @@ class TestInputChecks:
         (lambda: entropy.jsd([[1, 0], [0, 1]], weights=[0.5, 0.25, 0.25]), "one weight per distribution"),
         (lambda: EntropyOrder("boltzmann"), "unknown entropy kind"),
         (lambda: entropy.Ensemble([0.5, 0.5], [np.eye(2) / 2]), "equal length"),
-    ], ids=["jsd-fewer-weights", "jsd-more-weights", "entropy-kind", "ensemble-length"])
+        (lambda: entropy.relative_entropy(np.eye(2) / 2, np.eye(3) / 3), "share a dimension"),
+        (lambda: entropy.quantum_mutual_information(np.eye(4) / 4, (2, 3)), "does not match dims"),
+    ], ids=["jsd-fewer-weights", "jsd-more-weights", "entropy-kind", "ensemble-length", "relative-entropy-shapes",
+            "mutual-information-dims"])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

@@ -89,6 +89,17 @@ class TestPartialTrace:
             matfun.partial_trace(np.eye(6), (2, 2), 1)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: matfun.reshuffle(np.ones((4, 9))), "square matrix"),
+        (lambda: matfun.reshuffle(np.ones(4)), "square matrix"),
+        (lambda: matfun.partial_trace(np.eye(4), (2, 2), 3), "which must be 1 or 2"),
+    ], ids=["reshuffle-rectangular", "reshuffle-vector", "partial-trace-factor"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestPsdSqrt:
     def test_identity(self):
         np.testing.assert_allclose(matfun.psd_sqrt(np.eye(3)), np.eye(3))

@@ -550,6 +550,22 @@ class TestPreserveSmin:
             qubit.preserve_smin(phi1, (1.0, 1.0, 1.0), 2.0, 2.0, 0.5)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: qubit.pauli_channel([0.5, 0.5]), "4 weights"),
+        (lambda: qubit.depolarizing(2, 1.5), "mixing weight"),
+        (lambda: qubit.smin_from_smap(2.0, 2), "outside"),
+        (lambda: qubit.sandwich_check(identity_channel(2), identity_channel(3)), "equal dimension"),
+        (lambda: qubit.preserve_smin(identity_channel(3), (1.0, 1.0, 1.0), 0.0, 0.0, 0.5), "qubit channels"),
+        (lambda: qubit.preserve_smin(identity_channel(2), (1.0, 1.0, 1.0), 0.0, 0.0, 1.5), "p must lie"),
+        (lambda: qubit.preserve_smin(identity_channel(2), (1.0, 1.0, 1.0), 0.1, 0.0, 1.0), "strictly inside"),
+    ], ids=["pauli-weights", "depolarizing-weight", "smap-range", "sandwich-dims", "preserve-qutrit",
+            "preserve-p", "preserve-tilt-at-pole"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestMaxOutput2Norm:
     def test_identity(self):
         assert abs(qubit.max_output_2norm(identity_channel(2)) - 1.0) < 1e-9

@@ -269,6 +269,19 @@ def _sequential_ensemble(k, n, rng, ancilla):
     return probs, np.array(states)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda rng: sampling.hs_random_density(0, rng), "dimension must be at least 1"),
+        (lambda rng: sampling.haar_unitary(0, rng), "dimension must be at least 1"),
+        (lambda rng: sampling.dirichlet(0, rng), "k must be at least 1"),
+        (lambda rng: sampling.random_ensemble(0, 2, rng), "k must be at least 1"),
+        (lambda rng: sampling.random_ensembles(0, 2, 40, 0, 5), "k must be at least 1"),
+    ], ids=["density-dim", "unitary-dim", "dirichlet-k", "ensemble-k", "ensembles-k"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(sampling.stream_rng(40, 0))
+
+
 class TestStreamUniforms:
     @settings(max_examples=80, deadline=None)
     @given(
