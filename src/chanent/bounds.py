@@ -266,10 +266,15 @@ def _damped(g: np.ndarray, b: float) -> np.ndarray:
     return np.where(_k_indices(g.shape[-1])[3], g, g / b)
 
 
+def _min_b(dim: int) -> float:
+    """The damping floor of G/b: sqrt(3) for qubits, 2 in any other dimension."""
+    return math.sqrt(3.0) if dim == 2 else 2.0
+
+
 def check_b(b: float, dim: int) -> None:
-    """Raise ValueError unless b is finite and reaches the damping floor of G/b: sqrt(3) for
-    qubits, 2 beyond. An infinite b would print as Infinity, which JSON lacks."""
-    min_b = math.sqrt(3.0) if dim == 2 else 2.0
+    """Raise ValueError unless b is finite and reaches `_min_b(dim)`. An infinite b would
+    print as Infinity, which JSON lacks."""
+    min_b = _min_b(dim)
     if not min_b - DOMAIN_EDGE <= b < math.inf:
         raise ValueError(f"b must be finite and at least {min_b} for dimension {dim}")
 
@@ -278,8 +283,8 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
     """Auxiliary k×k matrices bounding the Holevo quantity.
 
     variant "G": sqrt(p_i p_j) sqrt(F_ij) (the conjectured bound; PSD for k=3,
-    possibly indefinite for k>3). "G/b": off-diagonals divided by b (>= 2 in
-    general, >= sqrt(3) for qubits). "F-squared": sqrt(p_i p_j) F_ij, a bound
+    possibly indefinite for k>3). "G/b": off-diagonals divided by b (at least
+    `_min_b`, its default). "F-squared": sqrt(p_i p_j) F_ij, a bound
     for qubit or pure-state ensembles. "layered": root fidelities on the
     first off-diagonal, chained products beyond (a true correlation matrix;
     see _layered_matrix for singular states).
@@ -287,8 +292,7 @@ def fidelity_matrix(e: Ensemble, variant: str = "G", b: float | None = None) -> 
     if variant not in ("G", "G/b", "F-squared", "layered"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "G/b":
-        if b is None:
-            b = 2.0 if e.dim > 2 else math.sqrt(3.0)
+        b = _min_b(e.dim) if b is None else b
         check_b(b, e.dim)
     if variant == "F-squared" and e.dim != 2 and not all(
         np.trace(s @ s).real > 1.0 - NORMALIZATION_TOL for s in e.states

@@ -13,7 +13,6 @@ permutations of that array.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,8 +29,6 @@ __all__ = [
     "Channel",
     "CptpReport",
     "is_cptp",
-    "kraus_to_superoperator",
-    "kraus_to_choi",
     "identity_channel",
     "unitary_channel",
     "map_entropy",
@@ -90,16 +87,6 @@ def _unshuffle(s) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     out, n = _root_dims(s, "superoperator")
     return s.reshape(out, out, n, n).transpose(0, 2, 1, 3)
-
-
-def kraus_to_superoperator(kraus) -> np.ndarray:
-    """Superoperator sum K ⊗ conj(K) acting on row-major vectorized matrices."""
-    return _superoperator(_gram(np.asarray(kraus, dtype=complex)))
-
-
-def kraus_to_choi(kraus) -> np.ndarray:
-    """Normalized Choi state [id ⊗ Phi](|phi+><phi+|) = sum vec_col(K) vec_col(K)† / in_dim."""
-    return _choi(_gram(np.asarray(kraus, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -191,13 +178,6 @@ class Channel:
         """Built on first read for a superoperator or Choi channel; `Channel(kraus)` stores it."""
         return self._from_outer_sum(self._d.reshape(self.out_dim * self.in_dim, -1), self.in_dim).kraus
 
-    @property
-    def dim(self) -> int:
-        return self.in_dim
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.apply(rho)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum K rho K†, of one state or of every matrix in a (..., n, n) stack."""
         rho = np.asarray(rho, dtype=complex)
@@ -288,19 +268,6 @@ class Channel:
         the output entries of the complementary channel are tr K^i rho K^j†.
         """
         return Channel(self.kraus.transpose(1, 0, 2))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        """JSON with the Kraus list only; caches are rebuilt on load."""
-        ops = [[[float(z.real), float(z.imag)] for z in k.reshape(-1)] for k in self.kraus]
-        return json.dumps({"dim": self.in_dim, "kraus": ops})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Channel":
-        data = json.loads(text)
-        return cls([np.array([complex(*z) for z in flat]).reshape(-1, int(data["dim"]))
-                    for flat in data["kraus"]])
 
     def __repr__(self):
         return f"Channel(in_dim={self.in_dim}, out_dim={self.out_dim}, kraus={len(self.kraus)})"

@@ -337,7 +337,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_to_json(text: str) -> str:
+def _csv_as_json(text: str) -> str:
     import csv as _csv
     import io
 
@@ -376,6 +376,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--resolution must be at least 1")
         if not 0 < args.q < math.inf:
             parser.error("--q must be positive and finite")
+        if args.log_base != "e" and args.figure != "scatter-q":
+            parser.error("--log-base applies to scatter-q only")
     if args.output is not None and not _writable(args.output):
         parser.error(f"--output {args.output!r} is not a writable file path")
     if args.command == "hierarchy":
@@ -435,7 +437,7 @@ def main(argv=None) -> int:
     elif args.figure == "davies-qutrit-set":
         main_csv, cross_csv = figure_davies_qutrit_set(args.resolution)
         if args.format == "json":
-            main_csv, cross_csv = _csv_to_json(main_csv), _csv_to_json(cross_csv)
+            main_csv, cross_csv = _csv_as_json(main_csv), _csv_as_json(cross_csv)
         if args.output:
             _emit(main_csv, args.output)
             stem, dot, ext = args.output.rpartition(".")
@@ -447,7 +449,7 @@ def main(argv=None) -> int:
     else:
         text = figure_davies_qubit_region(args.resolution, args.seed)
     if args.format == "json":
-        text = _csv_to_json(text)
+        text = _csv_as_json(text)
     _emit(text, args.output)
     return 0
 

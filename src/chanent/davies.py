@@ -247,10 +247,6 @@ def zero_block_constraints(f21, f31, f32):
     return (s <= 1.0 + DOMAIN_EDGE) & (3.0 - 4.0 * s + 3.0 * pair >= -DOMAIN_EDGE)
 
 
-#: coherence slot (row index of the superoperator) -> mu index
-_COHERENCE_SLOTS = {(0, 1): 0, (1, 0): 0, (0, 2): 1, (2, 0): 1, (1, 2): 2, (2, 1): 2}
-
-
 def qutrit_superoperator(block: DaviesQutritBlock) -> Channel:
     """Assemble the 9×9 Davies qutrit superoperator and validate CPTP.
 
@@ -258,14 +254,11 @@ def qutrit_superoperator(block: DaviesQutritBlock) -> Channel:
     multiplied by mu_k. Complete positivity of the whole map (checked on
     the Choi matrix) is what constrains the mu values.
     """
-    f = block.stochastic_block()
     s = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            s[4 * i, 4 * j] = f[i, j]  # position (i,i) <- (j,j)
-    for (i, j), k in _COHERENCE_SLOTS.items():
-        idx = 3 * i + j
-        s[idx, idx] = block.mu[k]
+    s[::4, ::4] = block.stochastic_block()  # position (i,i) <- (j,j)
+    # |i><j| sits at row 3i + j: mu[0] on 01 and 10, mu[1] on 02 and 20, mu[2] on 12 and 21
+    coherences = [1, 3, 2, 6, 5, 7]
+    s[coherences, coherences] = np.repeat(block.mu, 2)
     try:
         return Channel.from_superoperator(s)
     except InvalidChannelError as exc:

@@ -178,9 +178,8 @@ def _gaussian_columns(u: np.ndarray, blocks) -> list[np.ndarray]:
     return [g[a:b].reshape(shape) for a, b, shape in pieces]
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Complex array with independent standard normal real and imaginary parts."""
-    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     return _box_muller(rng.random(2 * int(np.prod(shape))), shape)
 
 

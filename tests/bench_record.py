@@ -5,14 +5,15 @@ Runs `perfbench/run.py` unchanged, one subprocess per run, for every workload at
 stdout line (its result: correct, attempted, failed, metrics) whole. Then it times the
 CLI: a fresh interpreter's `import chanent.cli`, best of IMPORT_REPEATS interpreters, and
 each command of CLI_COMMANDS after import, all in one further interpreter, through
-`cli.main` with its output discarded, best of CLI_REPEATS, by perf_counter. In one more
+`cli.main` with its output discarded, best of CLI_REPEATS, by perf_counter and, for the
+process's CPU time, which drifts less between runs on a shared host, process_time. In one more
 interpreter it hashes the output of each of tests/cli_digest.py's commands as that script
 does, and runs each `verify` command again at --jobs 2 (two workers), recording the
 report's max_slack and whether the --jobs 2 output hashes the same. Last it runs Tier-1
 once (ROADMAP.md's command) and records its wall time and passed/failed counts. Beside
 these it records the src/ line counts, total and non-blank, the host (platform, CPU count,
 NumPy version) and the commit, with whether tracked files differ from it. The eight runs
-take about four minutes, the CLI timings about one more, the digest pass about two and
+take about four minutes, the CLI timings about two more, the digest pass about two and
 Tier-1 about one. Like tests/cli_digest.py it is not collected by pytest.
 
     python tests/bench_record.py
@@ -37,7 +38,7 @@ WORKLOADS = ("hierarchy", "theorem1", "davies", "scatter-q")
 SEEDS = (1108, 5065)
 SECONDS = 18
 IMPORT_REPEATS = 3
-CLI_REPEATS = 2
+CLI_REPEATS = 5
 # The commands of ROADMAP's CLI table: seed 42, one job, dim 2 unless a --dim is given.
 CLI_COMMANDS = tuple(argv + ["--seed", "42", "--jobs", "1"] for argv in (
     ["hierarchy", "--trials", "10000"],
@@ -97,21 +98,23 @@ print(time.perf_counter() - t0)
 
 
 def time_commands(commands, repeats: int) -> list:
-    """Best and every wall time of each command through cli.main, output discarded, in this process.
+    """Best and every wall and CPU time of each command through cli.main, output discarded, in this process.
     A command that exits nonzero raises: its time would not be the command's."""
     from chanent import cli  # from the interpreter that cli_timings starts, with src/ on its path
 
     out = []
     for argv in commands:
-        runs = []
+        runs, cpu_runs = [], []
         for _ in range(repeats):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                t0 = time.perf_counter()
+                t0, c0 = time.perf_counter(), time.process_time()
                 code = cli.main(list(argv))
                 runs.append(time.perf_counter() - t0)
+                cpu_runs.append(time.process_time() - c0)
             if code:
                 raise RuntimeError(f"{' '.join(argv)} exited {code}")
-        out.append({"argv": list(argv), "best_s": min(runs), "runs_s": runs})
+        out.append({"argv": list(argv), "best_s": min(runs), "runs_s": runs,
+                    "best_cpu_s": min(cpu_runs), "cpu_runs_s": cpu_runs})
     return out
 
 

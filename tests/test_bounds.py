@@ -523,7 +523,7 @@ class TestFidelityMatrix:
         with pytest.raises(ValueError):
             bounds.fidelity_matrix(e, "G/b", b=1.2)
 
-    @pytest.mark.parametrize("dim, b", [(2, math.sqrt(3.0)), (3, 2.0)])
+    @pytest.mark.parametrize("dim, b", [(1, 2.0), (2, math.sqrt(3.0)), (3, 2.0)])
     def test_default_b_is_the_damping_floor(self, dim, b):
         e = random_ensemble(3, dim, stream_rng(57, 202))
         want = bounds.fidelity_matrix(e, "G/b", b=b)

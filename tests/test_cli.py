@@ -264,6 +264,9 @@ USAGE_ERRORS = [
     ["hierarchy", "--format", "csv"],
     ["hierarchy", "--resolution", "10"],
     ["figure", "--figure", "scatter-q", "--b", "1.5"],
+    # their columns are entropies in nats whatever --log-base asks for
+    ["figure", "--figure", "additivity-region", "--log-base", "2"],
+    ["figure", "--figure", "bunga-surfaces", "--log-base", "2"],
     ["hierarchy", "--b", "inf"],  # the report would carry "b": Infinity, which is not JSON
 ]
 
@@ -321,6 +324,7 @@ class TestBenchRecorder:
         rows = bench_record.time_commands([argv], 2)
         assert [row["argv"] for row in rows] == [argv]
         assert len(rows[0]["runs_s"]) == 2 and rows[0]["best_s"] == min(rows[0]["runs_s"]) > 0.0
+        assert len(rows[0]["cpu_runs_s"]) == 2 and rows[0]["best_cpu_s"] == min(rows[0]["cpu_runs_s"]) > 0.0
 
     def test_a_nonzero_exit_is_not_recorded(self, monkeypatch):
         import bench_record
