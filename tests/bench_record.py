@@ -5,16 +5,16 @@ Runs `perfbench/run.py` unchanged, one subprocess per run, for every workload at
 stdout line (its result: correct, attempted, failed, metrics) whole. Then it times the
 CLI: a fresh interpreter's `import chanent.cli`, best of IMPORT_REPEATS interpreters, and
 each command of CLI_COMMANDS after import, all in one further interpreter, through
-`cli.main` with its output discarded, best of CLI_REPEATS, by perf_counter and, for the
-process's CPU time, which drifts less between runs on a shared host, process_time. In one more
-interpreter it hashes the output of each of tests/cli_digest.py's commands as that script
-does, and runs each `verify` command again at --jobs 2 (two workers), recording the
-report's max_slack and whether the --jobs 2 output hashes the same. Last it runs Tier-1
-once (ROADMAP.md's command) and records its wall time and passed/failed counts. Beside
-these it records the src/ line counts, total and non-blank, the host (platform, CPU count,
-NumPy version) and the commit, with whether tracked files differ from it. The eight runs
-take about four minutes, the CLI timings about two more, the digest pass about two and
-Tier-1 about one. Like tests/cli_digest.py it is not collected by pytest.
+`cli.main` with its output discarded, best of CLI_REPEATS, by perf_counter and by
+process_time. In one more interpreter it hashes the output of each of
+tests/cli_digest.py's commands as that script does, and runs each `verify` command again
+at --jobs 2 (two workers), recording the report's max_slack and whether the --jobs 2
+output hashes the same. Last it runs Tier-1 once (ROADMAP.md's command) and records its
+wall time and passed/failed counts. Beside these it records the src/ line counts, total
+and non-blank, the host (platform, CPU count, NumPy version) and the commit, with whether
+tracked files differ from it. The eight runs take about four minutes, the CLI timings
+about two more, the digest pass about two and Tier-1 about one. Like tests/cli_digest.py
+it is not collected by pytest.
 
     python tests/bench_record.py
 """
