@@ -503,7 +503,7 @@ class TestKrausFromEnsemble:
             channels.kraus_from_ensemble(e, [np.eye(2)])
 
 
-class TestEnsembleFromChannel:
+class TestSerialization:
     def test_ensemble_from_channel_drops_null_outcomes(self):
         kraus = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
         phi = Channel(kraus)
